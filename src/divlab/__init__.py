@@ -4,6 +4,7 @@ The package builds power-family and weight-induced divergence
 generators, estimates parameters through the convex-dual plug-in
 criterion on weighted samples, and probes the asymptotics with exact
 finite-sample rate computations and seeded Monte Carlo harnesses.
+The names imported below are the public API.
 """
 
 from .divergences import (
@@ -13,6 +14,7 @@ from .divergences import (
     CressieRead,
     DivergenceSpec,
     FiniteMeasure,
+    cell_divergence,
     conjugate,
     divergence_finite,
     eval_phi,
@@ -51,7 +53,6 @@ from .models import (
 )
 from .estimation import (
     EstimateReport,
-    SolverOptions,
     WeightedEmpiricalMeasure,
     build_weighted_empirical,
     divergence_between,
@@ -87,7 +88,6 @@ from .bahadur import (
     EfficiencyRecord,
     FunctionalStatistic,
     GenericSlopeRecord,
-    MinDivergenceStatistic,
     TailTrendTable,
     efficiency_compare,
     empirical_slope_trend,
@@ -95,7 +95,6 @@ from .bahadur import (
     slope_min_divergence,
 )
 from .clt import (
-    MCConfig,
     MCReport,
     STATISTIC_MAP,
     estimator_distribution_compare,
@@ -111,92 +110,3 @@ from .reporting import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GAMMA_LIMIT_TOL",
-    "INF",
-    "ConjugateSpec",
-    "CressieRead",
-    "DivergenceSpec",
-    "FiniteMeasure",
-    "conjugate",
-    "divergence_finite",
-    "eval_phi",
-    "phi_sharp",
-    "DivlabError",
-    "DomainError",
-    "EnumerationLimitError",
-    "IntegrationError",
-    "NumericError",
-    "RootFindError",
-    "ValidationError",
-    "ExponentialOne",
-    "NormalOneOne",
-    "PoissonOne",
-    "ShiftedBernoulli",
-    "WeightInducedDivergence",
-    "WeightLaw",
-    "chernoff",
-    "chernoff_argmax",
-    "induced_divergence",
-    "sample_weights",
-    "weight_law",
-    "Categorical",
-    "ExponentialFamilyModel",
-    "ExponentialScale",
-    "GaussianLocation",
-    "ParametricModel",
-    "PoissonNatural",
-    "make_model",
-    "EstimateReport",
-    "SolverOptions",
-    "WeightedEmpiricalMeasure",
-    "build_weighted_empirical",
-    "divergence_between",
-    "estimate_phi_dual",
-    "h_value",
-    "minimum_dual_estimator",
-    "minimum_dual_estimator_batch",
-    "derive_seed",
-    "derived_rng",
-    "ConditionalRateRecord",
-    "MLLDPReport",
-    "Partition",
-    "PartitionNeighborhood",
-    "RateTable",
-    "SandwichReport",
-    "ShrinkTable",
-    "cell_probabilities",
-    "conditional_ldp_mc",
-    "enumerate_count_vectors",
-    "exact_occupation_probability",
-    "kl_on_partition",
-    "largest_remainder_counts",
-    "log_occupation_probability",
-    "ml_ldp_gap",
-    "neighborhood_inf_divergence",
-    "project_masses",
-    "sandwich_check",
-    "sanov_rate_convergence",
-    "shrink_epsilon_limit",
-    "EfficiencyRecord",
-    "FunctionalStatistic",
-    "GenericSlopeRecord",
-    "MinDivergenceStatistic",
-    "TailTrendTable",
-    "efficiency_compare",
-    "empirical_slope_trend",
-    "slope_generic",
-    "slope_min_divergence",
-    "MCConfig",
-    "MCReport",
-    "STATISTIC_MAP",
-    "estimator_distribution_compare",
-    "weighted_clt_check",
-    "weighted_lln_check",
-    "format_real",
-    "read_data_csv",
-    "render_json",
-    "write_csv",
-    "write_json",
-]

@@ -1,41 +1,37 @@
 """Deterministic scalar and simplex search routines used by the labs.
 
 All searches are derivative-free at the top level: a coarse deterministic
-scan locates the best bracket, golden-section contracts it, and an optional
-Newton step on finite differences polishes the result.  Objectives may
-return ``-inf`` for rejected points; comparisons handle that naturally.
+scan locates the best bracket, golden-section contracts it, and a Newton
+step on finite differences polishes the result.  Objectives may return
+``-inf`` for rejected points; comparisons handle that naturally.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: values within this of the best one count as ties
+_TIE_TOL = 1e-9
 
-class CountedFunction:
-    """Wraps a callable and counts evaluations."""
-
-    def __init__(self, f: Callable[[float], float]):
-        self._f = f
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self._f(x)
+#: large but finite so the simplex spread stays arithmetically valid
+PENALTY = 1e300
 
 
-def golden_max(f, lo: float, hi: float, xtol: float, max_iter: int = 200):
-    """Golden-section maximization on ``[lo, hi]``; returns ``(x, f(x))``."""
+def golden_max(f, lo: float, hi: float, xtol: float):
+    """Golden-section maximization on ``[lo, hi]``; returns ``(x, f(x))``.
+
+    Stops when the bracket is below ``xtol`` relative, or after 200 steps.
+    """
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a <= xtol * max(1.0, abs(a) + abs(b)):
             break
         if fc >= fd:
@@ -51,19 +47,31 @@ def golden_max(f, lo: float, hi: float, xtol: float, max_iter: int = 200):
     return d, fd
 
 
-def _newton_polish_max(f, x0, fx0, lo, hi, rounds: int = 4):
-    """A few safeguarded Newton steps on central differences."""
+def stencil(x: float, lo: float, hi: float) -> tuple[float, float]:
+    """Centre ``c`` and step ``h`` of a central difference taken near ``x``.
+
+    The step is ``1e-6 * max(1, |x|)``.  The centre is ``x`` itself unless
+    ``x - h`` or ``x + h`` would leave ``[lo, hi]``; then it moves inward
+    just far enough, so the objective is never probed outside its box.
+    """
+    h = 1e-6 * max(1.0, abs(x))
+    return min(max(x, lo + h), hi - h), h
+
+
+def _newton_polish_max(f, x0, fx0, lo, hi):
+    """Up to four safeguarded Newton steps on central differences."""
     x, fx = x0, fx0
-    for _ in range(rounds):
-        h = 1e-6 * max(1.0, abs(x))
-        f_up, f_dn = f(x + h), f(x - h)
-        if not (math.isfinite(f_up) and math.isfinite(f_dn) and math.isfinite(fx)):
+    for _ in range(4):
+        c, h = stencil(x, lo, hi)
+        fc = fx if c == x else f(c)
+        f_up, f_dn = f(c + h), f(c - h)
+        if not (math.isfinite(f_up) and math.isfinite(f_dn) and math.isfinite(fc)):
             break
         g = (f_up - f_dn) / (2.0 * h)
-        curv = (f_up - 2.0 * fx + f_dn) / (h * h)
+        curv = (f_up - 2.0 * fc + f_dn) / (h * h)
         if curv >= 0.0:
             break
-        x_new = min(max(x - g / curv, lo), hi)
+        x_new = min(max(c - g / curv, lo), hi)
         f_new = f(x_new)
         if f_new <= fx:
             break
@@ -77,12 +85,10 @@ def maximize_scalar(
     hi: float,
     n_scan: int = 9,
     xtol: float = 1e-10,
-    polish: bool = True,
-    tie_tol: float = 1e-9,
 ):
     """Scan, contract, polish.  Returns ``(x, f(x))``.
 
-    Ties within ``tie_tol`` of the best value resolve to the smallest
+    Ties within ``_TIE_TOL`` of the best value resolve to the smallest
     argument, which keeps reported optima deterministic in symmetric
     problems.
     """
@@ -94,76 +100,74 @@ def maximize_scalar(
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, len(xs) - 1)]
     x, fx = golden_max(f, float(a), float(b), xtol)
-    if polish:
-        x, fx = _newton_polish_max(f, x, fx, lo, hi)
+    x, fx = _newton_polish_max(f, x, fx, lo, hi)
     candidates = [(x, fx)] + [(float(xi), vi) for xi, vi in zip(xs, vals)]
     top = max(v for _, v in candidates)
-    winners = [xi for xi, vi in candidates if vi >= top - tie_tol]
+    winners = [xi for xi, vi in candidates if vi >= top - _TIE_TOL]
     x_win = min(winners)
     return (x, fx) if x_win == x else (x_win, f(x_win))
 
 
-def minimize_scalar(f, lo, hi, n_scan=9, xtol=1e-10, polish=True, tie_tol=1e-9):
-    x, negv = maximize_scalar(
-        lambda t: -f(t), lo, hi, n_scan=n_scan, xtol=xtol, polish=polish, tie_tol=tie_tol
-    )
-    return x, -negv
-
-
-def lattice_starts(lo: np.ndarray, hi: np.ndarray, count: int = 5) -> np.ndarray:
-    """Deterministic interior start points for multi-start descent."""
+def lattice_starts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Five deterministic interior start points for multi-start descent."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    d = lo.shape[0]
-    fracs = [np.full(d, 0.5)]
-    corners = [np.full(d, 0.25), np.full(d, 0.75)]
-    mixed = [np.where(np.arange(d) % 2 == 0, 0.25, 0.75), np.where(np.arange(d) % 2 == 0, 0.75, 0.25)]
-    for fr in corners + mixed:
-        fracs.append(fr)
-    starts = [lo + fr * (hi - lo) for fr in fracs[:count]]
-    return np.array(starts)
+    even = np.arange(lo.shape[0]) % 2 == 0
+    fracs = [0.5, 0.25, 0.75, np.where(even, 0.25, 0.75), np.where(even, 0.75, 0.25)]
+    return np.array([lo + fr * (hi - lo) for fr in fracs])
+
+
+def nelder_mead(
+    f_min,
+    start,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    xatol: float = 1e-8,
+    fatol: float = 1e-10,
+    max_iter: int = 500,
+):
+    """Nelder-Mead from one start on ``f_min`` penalized outside ``[lo, hi]``.
+
+    Points outside the box, and points where ``f_min`` is NaN, score a
+    large finite penalty; infinite values are clamped to it.  Returns the
+    final point and its penalized value, ``PENALTY`` when the search found
+    no admissible point.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+
+    def penalized(x):
+        if np.any(x < lo) or np.any(x > hi):
+            return PENALTY
+        v = f_min(x)
+        if math.isnan(v):
+            return PENALTY
+        return min(max(v, -PENALTY), PENALTY)
+
+    res = optimize.minimize(
+        penalized,
+        np.asarray(start, dtype=float),
+        method="Nelder-Mead",
+        options={"xatol": xatol, "fatol": fatol, "maxiter": max_iter},
+    )
+    return np.asarray(res.x, dtype=float), float(res.fun)
 
 
 def nelder_mead_multistart(
     f_min,
     lo: np.ndarray,
     hi: np.ndarray,
-    restarts: int = 5,
     xatol: float = 1e-8,
-    fatol: float = 1e-10,
-    max_iter: int = 500,
-    tie_tol: float = 1e-9,
 ):
-    """Bounded Nelder-Mead from a deterministic lattice of starts."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    """Bounded Nelder-Mead from a deterministic lattice of starts.
 
-    # large but finite so the simplex spread stays arithmetically valid
-    big = 1e300
-
-    def penalized(x):
-        if np.any(x < lo) or np.any(x > hi):
-            return big
-        v = f_min(x)
-        if math.isnan(v):
-            return big
-        return min(max(v, -big), big)
-
-    best: list[tuple[np.ndarray, float]] = []
-    for start in lattice_starts(lo, hi, restarts):
-        res = optimize.minimize(
-            penalized,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": fatol, "maxiter": max_iter},
-        )
-        best.append((np.asarray(res.x, dtype=float), float(res.fun)))
+    Near-ties resolve to the lexicographically smallest point.
+    """
+    best = [nelder_mead(f_min, start, lo, hi, xatol) for start in lattice_starts(lo, hi)]
     top = min(v for _, v in best)
-    winners = sorted(
-        (tuple(x) for x, v in best if v <= top + tie_tol),
-    )
-    x_win = np.array(winners[0])
-    return x_win, penalized(x_win)
+    winners = sorted((tuple(x), v) for x, v in best if v <= top + _TIE_TOL)
+    x_win, v_win = winners[0]
+    return np.array(x_win), v_win
 
 
 def batch_golden_max(f_batch, lo, hi, n_scan: int = 7, iters: int = 50):
@@ -199,10 +203,3 @@ def batch_golden_max(f_batch, lo, hi, n_scan: int = 7, iters: int = 50):
     x = np.where(fc >= fd, c, d)
     fx = np.maximum(fc, fd)
     return x, fx
-
-
-def vector_tie_break(xs: Sequence[np.ndarray], vals: Sequence[float], tie_tol: float = 1e-9):
-    """Pick the lexicographically smallest argument among near-optimal values."""
-    top = max(vals)
-    winners = [tuple(np.atleast_1d(x).tolist()) for x, v in zip(xs, vals) if v >= top - tie_tol]
-    return np.array(sorted(winners)[0])

@@ -18,17 +18,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
-from .divergences import DivergenceSpec, FiniteMeasure, INF
+from ._optim import PENALTY, nelder_mead
+from .divergences import DivergenceSpec, FiniteMeasure, INF, cell_divergence
 from .errors import ValidationError
 from .estimation import (
-    SolverOptions,
     WeightedEmpiricalMeasure,
     divergence_between,
     estimate_phi_dual,
 )
 from .models import Categorical, ParametricModel
+from .reporting import Record
+from .sanov import wilson_interval
 from .seeding import derived_rng
 from .weights import WeightLaw, induced_divergence
 
@@ -37,14 +38,6 @@ GRID_STEP = 1e-3
 
 #: local refinements launched from the best scan points
 REFINE_STARTS = 3
-
-
-@dataclass(frozen=True)
-class MinDivergenceStatistic:
-    """Plug-in dual divergence statistic anchored at a null parameter."""
-
-    spec: DivergenceSpec
-    theta0: tuple
 
 
 @dataclass(frozen=True)
@@ -67,22 +60,8 @@ def slope_min_divergence(
     return -2.0 * value
 
 
-def _cell_divergence(spec: DivergenceSpec, p_theta: np.ndarray, q: np.ndarray) -> float:
-    """``sum_j q_j phi(p_theta_j / q_j)`` with measure-boundary conventions."""
-    total = 0.0
-    for pj, qj in zip(p_theta, q):
-        if pj == 0.0 and qj == 0.0:
-            continue
-        if qj == 0.0:
-            return INF
-        v = spec.value(pj / qj, 0)
-        if math.isinf(v):
-            return INF
-        total += qj * v
-    return total
-
-
 def _cell_divergence_rows(spec: DivergenceSpec, p_theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`cell_divergence` of ``p_theta`` from each row, vectorized."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = p_theta[None, :] / rows
         vals = spec.value_array(ratios.reshape(-1)).reshape(rows.shape)
@@ -104,21 +83,13 @@ def _simplex_grid(k: int, step: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GenericSlopeRecord:
+class GenericSlopeRecord(Record):
     """Constrained-infimum slope and its minimizing cell masses."""
 
     slope: float
     minimizer: tuple
     constraint_level: float
     statistic_name: str
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "minimizer": list(self.minimizer),
-            "constraint_level": self.constraint_level,
-            "statistic_name": self.statistic_name,
-        }
 
 
 def slope_generic(
@@ -176,30 +147,24 @@ def slope_generic(
 
 
 def _refine_constrained(spec, p, stat, theta, level, q0) -> tuple[np.ndarray, float]:
+    """Nelder-Mead on the first ``k - 1`` cell masses from the scan point ``q0``."""
     k = p.shape[0]
-    big = 1e300
+
+    def simplex_point(free):
+        return np.concatenate([free, [1.0 - float(np.sum(free))]])
 
     def objective(free):
-        q = np.concatenate([free, [1.0 - float(np.sum(free))]])
-        if np.any(q < 0.0) or np.any(q > 1.0):
-            return big
-        if float(stat.evaluator(theta, q)) < level - 1e-12:
-            return big
-        v = _cell_divergence(spec, p, q)
-        return v if math.isfinite(v) else big
+        q = simplex_point(free)
+        if q[-1] < 0.0 or q[-1] > 1.0 or float(stat.evaluator(theta, q)) < level - 1e-12:
+            return INF
+        return cell_divergence(spec, p, q)
 
-    res = optimize.minimize(
-        objective,
-        np.asarray(q0[: k - 1], dtype=float),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
+    free, v = nelder_mead(
+        objective, q0[: k - 1], np.zeros(k - 1), np.ones(k - 1), xatol=1e-9, fatol=1e-12, max_iter=400
     )
-    free = np.asarray(res.x, dtype=float)
-    q = np.concatenate([free, [1.0 - float(np.sum(free))]])
-    v = objective(free)
-    if v >= big:
-        return np.asarray(q0, dtype=float), _cell_divergence(spec, p, np.asarray(q0))
-    return q, float(v)
+    if v >= PENALTY:
+        return np.asarray(q0, dtype=float), cell_divergence(spec, p, np.asarray(q0))
+    return simplex_point(free), v
 
 
 def _check_functional_zero(stat: FunctionalStatistic, theta, p_theta: np.ndarray):
@@ -211,7 +176,7 @@ def _check_functional_zero(stat: FunctionalStatistic, theta, p_theta: np.ndarray
 
 
 @dataclass(frozen=True)
-class EfficiencyRecord:
+class EfficiencyRecord(Record):
     """Both slopes with the ordering stated in each sign convention."""
 
     slope_min_divergence: float
@@ -221,17 +186,6 @@ class EfficiencyRecord:
     signed_statement: str
     magnitude_statement: str
     statistic_name: str
-
-    def to_dict(self) -> dict:
-        return {
-            "slope_min_divergence": self.slope_min_divergence,
-            "slope_generic": self.slope_generic,
-            "minimizer": list(self.minimizer),
-            "ordering_holds": self.ordering_holds,
-            "signed_statement": self.signed_statement,
-            "magnitude_statement": self.magnitude_statement,
-            "statistic_name": self.statistic_name,
-        }
 
 
 def efficiency_compare(
@@ -267,7 +221,7 @@ def efficiency_compare(
 
 
 @dataclass(frozen=True)
-class TailTrendRow:
+class TailTrendRow(Record):
     n: int
     threshold: float
     hits: int
@@ -278,38 +232,21 @@ class TailTrendRow:
     ci_hi: float
     one_sided: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "threshold": self.threshold,
-            "hits": self.hits,
-            "reps": self.reps,
-            "slope_estimate": self.slope_estimate,
-            "slope_target": self.slope_target,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "one_sided": self.one_sided,
-        }
-
 
 @dataclass(frozen=True)
-class TailTrendTable:
+class TailTrendTable(Record):
     rows: tuple
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows]}
 
 
 def _statistic_by_count(model: Categorical, spec: DivergenceSpec, theta, n: int) -> np.ndarray:
     """Exact statistic value for every first-cell count (two cells only)."""
     values = np.empty(n + 1)
-    opts = SolverOptions()
     for c in range(n + 1):
         freqs = np.array([c / n, 1.0 - c / n])
         mu = WeightedEmpiricalMeasure.from_finite_measure(
             FiniteMeasure(model.atoms, tuple(freqs))
         )
-        values[c], _ = estimate_phi_dual(model, spec, theta, mu, opts)
+        values[c], _ = estimate_phi_dual(model, spec, theta, mu)
     return values
 
 
@@ -346,7 +283,7 @@ def empirical_slope_trend(
         counts = rng.binomial(n, p1, size=int(reps))
         hits = int(np.sum(stat_of_count[counts] >= t))
         freq = hits / reps
-        lo_f, hi_f = _wilson(hits, int(reps))
+        lo_f, hi_f = wilson_interval(hits, int(reps))
         if hits == 0:
             est = -INF
             ci = (-INF, 2.0 * math.log(hi_f) / n)
@@ -373,12 +310,3 @@ def empirical_slope_trend(
         )
     return TailTrendTable(rows=tuple(rows))
 
-
-def _wilson(hits: int, reps: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    if hits == 0:
-        return 0.0, 3.0 / reps
-    phat = hits / reps
-    denom = 1.0 + z * z / reps
-    center = (phat + z * z / (2.0 * reps)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / reps + z * z / (4.0 * reps * reps)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)

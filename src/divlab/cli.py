@@ -27,7 +27,6 @@ import numpy as np
 
 from .bahadur import (
     FunctionalStatistic,
-    _cell_divergence,
     efficiency_compare,
     empirical_slope_trend,
 )
@@ -37,7 +36,7 @@ from .clt import (
     weighted_clt_check,
     weighted_lln_check,
 )
-from .divergences import CressieRead, conjugate, eval_phi
+from .divergences import CressieRead, cell_divergence, conjugate, eval_phi
 from .errors import DivlabError, NumericError, ValidationError
 from .estimation import WeightedEmpiricalMeasure, minimum_dual_estimator
 from .models import make_model
@@ -484,7 +483,7 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
         write_csv(
             paths["csv"],
             ["n", "epsilon", "rate_estimate", "rate_target", "ci_lo", "ci_hi"],
-            [record.csv_row()],
+            [record.to_dict()],
         )
         write_json(paths["json"], record.to_dict())
         return [paths["csv"], paths["json"]]
@@ -511,7 +510,7 @@ def _make_statistic(token: str, model, law) -> FunctionalStatistic:
     spec = induced_divergence(law)
 
     def divergence_value(theta, q):
-        return _cell_divergence(spec, model.probs(theta), np.asarray(q, dtype=float))
+        return cell_divergence(spec, model.probs(theta), np.asarray(q, dtype=float))
 
     return FunctionalStatistic(divergence_value, "induced_divergence")
 
@@ -537,22 +536,7 @@ def _run_bahadur(cfg: dict, dry_run: bool) -> list:
     write_csv(
         paths["csv"],
         ["n", "threshold", "hits", "slope_estimate", "slope_target", "ci_lo", "ci_hi", "one_sided"],
-        [
-            {
-                key: row.to_dict()[key]
-                for key in (
-                    "n",
-                    "threshold",
-                    "hits",
-                    "slope_estimate",
-                    "slope_target",
-                    "ci_lo",
-                    "ci_hi",
-                    "one_sided",
-                )
-            }
-            for row in table.rows
-        ],
+        [row.to_dict() for row in table.rows],
     )
     write_json(paths["json"], table.to_dict())
     return [paths["csv"], paths["json"]]
@@ -654,18 +638,9 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.subcommand, args)
         written = DISPATCH[args.subcommand](cfg, bool(args.dry_run))
-    except ValidationError as exc:
+    except (DivlabError, OSError) as exc:
         sys.stderr.write(f"divlab {args.subcommand}: {exc}\n")
-        return 2
-    except NumericError as exc:
-        sys.stderr.write(f"divlab {args.subcommand}: {exc}\n")
-        return 3
-    except DivlabError as exc:
-        sys.stderr.write(f"divlab {args.subcommand}: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"divlab {args.subcommand}: {exc}\n")
-        return 2
+        return 3 if isinstance(exc, NumericError) else 2
     for path in written:
         sys.stdout.write(f"{path}\n")
     return 0

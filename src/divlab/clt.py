@@ -12,7 +12,6 @@ the plain-sampling estimator (points random, weights one).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +20,9 @@ from scipy import stats
 from .divergences import CressieRead, DivergenceSpec
 from .errors import DomainError, NumericError, ValidationError
 from .estimation import minimum_dual_estimator_batch
-from .models import ExponentialFamilyModel, ParametricModel
-from .seeding import derived_rng
+from .models import ExponentialFamilyModel
+from .seeding import chunked, derived_rng
 from .weights import WeightLaw
-
-#: replication block size; fixed so results never depend on scheduling
-MC_CHUNK = 2048
 
 #: golden-section schedule for the batched estimator; enough for the
 #: variance gates without paying for unused precision
@@ -40,30 +36,6 @@ STATISTIC_MAP = {
 
 
 @dataclass(frozen=True)
-class MCConfig:
-    """Declarative description of one Monte Carlo experiment."""
-
-    model: str
-    model_params: tuple
-    law: str
-    theta_T: tuple
-    n: int
-    reps: int
-    seed: int
-    statistic: str = "identity"
-
-    def __post_init__(self):
-        if self.reps < 100:
-            raise ValidationError("Monte Carlo configs need at least 100 replications")
-        if self.n < 10:
-            raise ValidationError("Monte Carlo configs need at least 10 points")
-        if self.statistic not in STATISTIC_MAP:
-            raise ValidationError(
-                f"unknown statistic {self.statistic!r}; expected one of {sorted(STATISTIC_MAP)}"
-            )
-
-
-@dataclass(frozen=True)
 class MCReport:
     """Moments, gates, and per-replication values of one experiment."""
 
@@ -74,7 +46,6 @@ class MCReport:
     moments: dict
     targets: dict
     checks: dict
-    runtime_seconds: float
     values: tuple = ()
     details: dict = field(default_factory=dict)
 
@@ -92,7 +63,6 @@ class MCReport:
             "targets": self.targets,
             "checks": self.checks,
             "passed": self.passed,
-            "runtime_seconds": self.runtime_seconds,
             "details": self.details,
         }
 
@@ -101,17 +71,11 @@ def _weighted_sums(points: np.ndarray, law: WeightLaw, reps: int, seed: int, tag
     """Per-replication values of ``(1/n) sum_i W_i f(x_i)``."""
     fv = np.asarray(f(points), dtype=float)
     n = fv.shape[0]
-    out = np.empty(reps)
-    done = 0
-    chunk_index = 0
-    while done < reps:
-        size = min(MC_CHUNK, reps - done)
-        rng = derived_rng(seed, tag, chunk_index)
-        w = law.sample(size * n, rng).reshape(size, n)
-        out[done : done + size] = np.mean(w * fv, axis=1)
-        done += size
-        chunk_index += 1
-    return out
+
+    def draw(rng, size):
+        return np.mean(law.sample(size * n, rng).reshape(size, n) * fv, axis=1)
+
+    return np.concatenate(chunked(seed, tag, reps, draw))
 
 
 def _fixed_point_moments(points: np.ndarray, f) -> tuple[float, float]:
@@ -130,7 +94,6 @@ def weighted_lln_check(points, law: WeightLaw, f, reps: int, seed: int) -> MCRep
     average of the statistic, and its variance the second moment over
     ``n``, both within four standard errors.
     """
-    t0 = time.perf_counter()
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     reps = int(reps)
@@ -156,7 +119,6 @@ def weighted_lln_check(points, law: WeightLaw, f, reps: int, seed: int) -> MCRep
         moments={"mean": mean, "variance": var},
         targets={"mean": mu1, "variance": target_var},
         checks=checks,
-        runtime_seconds=time.perf_counter() - t0,
         values=tuple(u.tolist()),
         details={"se_mean": se_mean, "se_variance": se_var, "law": law.token},
     )
@@ -168,16 +130,14 @@ def weighted_clt_check(
     f,
     reps: int,
     seed: int,
-    skew_tol: float = 0.15,
-    kurtosis_tol: float = 0.3,
-    quantile_tol: float = 0.02,
 ) -> MCReport:
     """Normality gates for the standardized weighted mean.
 
     The statistic is standardized with the centered second moment of the
-    point values; a spread of point values is therefore required.
+    point values; a spread of point values is therefore required.  The
+    gates bound ``|skewness|`` by 0.15, ``|excess kurtosis|`` by 0.3, and
+    the tail frequencies at -1.645 and 1.645 within 0.02 of 0.05 and 0.95.
     """
-    t0 = time.perf_counter()
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     reps = int(reps)
@@ -193,10 +153,10 @@ def weighted_clt_check(
     lower_frac = float(np.mean(t_vals <= -1.645))
     upper_frac = float(np.mean(t_vals <= 1.645))
     checks = {
-        "skewness": abs(skew) <= skew_tol,
-        "excess_kurtosis": abs(kurt) <= kurtosis_tol,
-        "lower_tail": abs(lower_frac - 0.05) <= quantile_tol,
-        "upper_tail": abs(upper_frac - 0.95) <= quantile_tol,
+        "skewness": abs(skew) <= 0.15,
+        "excess_kurtosis": abs(kurt) <= 0.3,
+        "lower_tail": abs(lower_frac - 0.05) <= 0.02,
+        "upper_tail": abs(upper_frac - 0.95) <= 0.02,
     }
     return MCReport(
         kind="clt",
@@ -218,7 +178,6 @@ def weighted_clt_check(
             "upper_tail_frequency": 0.95,
         },
         checks=checks,
-        runtime_seconds=time.perf_counter() - t0,
         values=tuple(t_vals.tolist()),
         details={"law": law.token, "mu1": mu1, "mu2": mu2},
     )
@@ -251,7 +210,6 @@ def estimator_distribution_compare(
     weights.  Both normalized variances must agree within the stated
     band and sit near the inverse information.
     """
-    t0 = time.perf_counter()
     if not isinstance(spec, CressieRead):
         raise ValidationError("the batched comparison needs a power-family generator")
     n = int(n)
@@ -262,26 +220,14 @@ def estimator_distribution_compare(
     lo, hi = model.default_box(pilot)
     box = (float(np.atleast_1d(lo)[0]), float(np.atleast_1d(hi)[0]))
 
-    w = np.empty((reps, n))
-    done = 0
-    chunk_index = 0
-    while done < reps:
-        size = min(MC_CHUNK, reps - done)
-        rng = derived_rng(seed, "weights", chunk_index)
-        w[done : done + size] = law.sample(size * n, rng).reshape(size, n)
-        done += size
-        chunk_index += 1
+    w = np.concatenate(
+        chunked(seed, "weights", reps, lambda rng, size: law.sample(size * n, rng).reshape(size, n))
+    )
     theta_w = _batch_estimates(model, spec, points[None, :], w, box)
 
-    data = np.empty((reps, n))
-    done = 0
-    chunk_index = 0
-    while done < reps:
-        size = min(MC_CHUNK, reps - done)
-        rng = derived_rng(seed, "plain", chunk_index)
-        data[done : done + size] = model.sample(thetaT, size * n, rng).reshape(size, n)
-        done += size
-        chunk_index += 1
+    data = np.concatenate(
+        chunked(seed, "plain", reps, lambda rng, size: model.sample(thetaT, size * n, rng).reshape(size, n))
+    )
     theta_p = _batch_estimates(model, spec, data, np.ones((1, n)), box)
 
     edge = 1e-6 * (box[1] - box[0])
@@ -312,7 +258,6 @@ def estimator_distribution_compare(
         moments={"variance_weighted": var_w, "variance_plain": var_p, "ratio": ratio},
         targets={"ratio": 1.0, "inverse_information": inv_info},
         checks=checks,
-        runtime_seconds=time.perf_counter() - t0,
         values=tuple(scaled_w.tolist()),
         details={
             "law": law.token,

@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, RootFindError, ValidationError
+from .errors import ValidationError
 
 INF = math.inf
 
@@ -374,41 +374,34 @@ class FiniteMeasure:
         return dict(zip(self.support, self.masses))
 
 
+def cell_divergence(spec: DivergenceSpec, q, p) -> float:
+    """``sum_j p_j phi(q_j / p_j)`` over aligned cell masses ``q`` and ``p``.
+
+    A shared null cell (``q_j = p_j = 0``) contributes nothing; mass of
+    ``q`` on a null cell of ``p``, or a ratio outside the generator's
+    domain, makes the divergence ``+inf``.  Terms are summed in cell order.
+    """
+    total = 0.0
+    for qj, pj in zip(q, p):
+        if pj == 0.0:
+            if qj != 0.0:
+                return INF
+            continue
+        v = spec.value(qj / pj, 0)
+        if math.isinf(v):
+            return INF
+        total += pj * v
+    return float(total)
+
+
 def divergence_finite(spec: DivergenceSpec, q: FiniteMeasure, p: FiniteMeasure) -> float:
     """Divergence ``sum phi(q_i/p_i) p_i`` of ``q`` from reference ``p``.
 
-    Supports are unioned.  Conventions: a shared null atom (``q = p = 0``)
-    contributes nothing; mass of ``q`` on a null atom of ``p`` makes the
-    divergence ``+inf``.  Negative reference masses are rejected.
+    Supports are unioned and follow :func:`cell_divergence`'s conventions.
+    Negative reference masses are rejected.
     """
-    pd = p.as_dict()
-    qd = q.as_dict()
-    if any(m < 0.0 for m in pd.values()):
+    if any(m < 0.0 for m in p.masses):
         raise ValidationError("reference measure must have nonnegative masses")
-    terms = []
-    for label in set(pd) | set(qd):
-        pm = pd.get(label, 0.0)
-        qm = qd.get(label, 0.0)
-        if pm == 0.0:
-            if qm != 0.0:
-                return INF
-            continue
-        term = spec.value(qm / pm) * pm
-        if math.isinf(term):
-            return INF
-        terms.append(term)
-    return math.fsum(terms)
-
-
-def _prime_inverse_bracketed(spec: DivergenceSpec, y: float) -> float:
-    """Monotone fallback solve of ``phi'(x) = y`` (used by tests)."""
-    x = spec.prime_inverse(y)
-    if math.isfinite(x):
-        return x
-    raise RootFindError(f"phi' never attains {y} on the domain interior")
-
-
-def require_domain(spec: DivergenceSpec, x: float) -> None:
-    """Raise :class:`DomainError` when ``phi(x)`` is infinite."""
-    if math.isinf(spec.value(x)):
-        raise DomainError(f"{x} lies outside the domain of {spec!r}")
+    pd, qd = p.as_dict(), q.as_dict()
+    labels = list(pd) + [label for label in qd if label not in pd]
+    return cell_divergence(spec, [qd.get(a, 0.0) for a in labels], [pd.get(a, 0.0) for a in labels])

@@ -26,16 +26,27 @@ non-finite objective values as rejected points (counted in the report).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._optim import maximize_scalar, nelder_mead_multistart, batch_golden_max
-from .divergences import INF, CressieRead, DivergenceSpec, FiniteMeasure, GAMMA_LIMIT_TOL
+from ._optim import maximize_scalar, nelder_mead_multistart, batch_golden_max, stencil
+from .divergences import INF, CressieRead, DivergenceSpec, FiniteMeasure, GAMMA_LIMIT_TOL, cell_divergence
 from .errors import ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
+from .reporting import Record
 from .weights import WeightLaw, sample_weights
+
+#: scan points of the scalar searches
+_N_SCAN = 11
+
+#: argument tolerances of the inner (alpha) and outer (theta) searches
+_INNER_XTOL = 1e-9
+_OUTER_XTOL = 1e-8
+
+#: inner-gradient norm below which an estimate counts as converged
+_GRAD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,21 +108,8 @@ def build_weighted_empirical(points, law: WeightLaw, seed) -> WeightedEmpiricalM
     return WeightedEmpiricalMeasure(points, tuple(w))
 
 
-@dataclass
-class SolverOptions:
-    """Knobs for the nested search.  Defaults match the package contracts."""
-
-    u_box: tuple | None = None
-    multistart: int = 5
-    inner_xtol: float = 1e-9
-    outer_xtol: float = 1e-8
-    value_tol: float = 1e-10
-    max_outer_iter: int = 500
-    inner_grad_tol: float = 1e-6
-
-
 @dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Record):
     """Result of a minimum dual divergence estimation."""
 
     theta_hat: float | tuple
@@ -122,17 +120,6 @@ class EstimateReport:
     inner_grad_norm: float
     rejected_evaluations: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat,
-            "alpha_hat": self.alpha_hat,
-            "value": self.value,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "inner_grad_norm": self.inner_grad_norm,
-            "rejected_evaluations": self.rejected_evaluations,
-        }
-
 
 def divergence_between(model: ParametricModel, spec: DivergenceSpec, theta, theta_prime, tol: float = 1e-10) -> float:
     """Population divergence ``int phi(p_theta / p_theta') dP_theta'``.
@@ -142,8 +129,7 @@ def divergence_between(model: ParametricModel, spec: DivergenceSpec, theta, thet
     ``theta_prime``.
     """
     if isinstance(model, Categorical):
-        atoms = model.atoms
-        return _finite_divergence(spec, model.probs(theta), model.probs(theta_prime), atoms)
+        return cell_divergence(spec, model.probs(theta), model.probs(theta_prime))
     if isinstance(spec, CressieRead) and isinstance(model, ExponentialFamilyModel):
         g = spec.gamma
         if abs(g - 1.0) < GAMMA_LIMIT_TOL:
@@ -162,16 +148,6 @@ def divergence_between(model: ParametricModel, spec: DivergenceSpec, theta, thet
         return model.integrate_under(theta_prime, integrand, tol)
     except _InfiniteIntegrand:
         return INF
-
-
-def _finite_divergence(spec: DivergenceSpec, q: np.ndarray, p: np.ndarray, labels) -> float:
-    from .divergences import divergence_finite
-
-    return divergence_finite(
-        spec,
-        FiniteMeasure(tuple(labels), tuple(float(v) for v in q)),
-        FiniteMeasure(tuple(labels), tuple(float(v) for v in p)),
-    )
 
 
 class _InfiniteIntegrand(Exception):
@@ -196,11 +172,7 @@ def _phi_prime_mean(model: ParametricModel, spec: DivergenceSpec, theta, alpha, 
     """``int phi'(p_theta/p_alpha) dP_theta`` with closed forms where possible."""
     if isinstance(model, Categorical):
         p_t = model.probs(theta)
-        p_a = model.probs(alpha)
-        vals = spec.value_array(p_t / p_a, 1)
-        if not np.all(np.isfinite(vals)):
-            return INF
-        return float(np.sum(vals * p_t))
+        return _categorical_lead(spec, p_t, p_t / model.probs(alpha))
     if isinstance(spec, CressieRead) and isinstance(model, ExponentialFamilyModel):
         g = spec.gamma
         if abs(g - 1.0) < GAMMA_LIMIT_TOL:
@@ -220,6 +192,14 @@ def _phi_prime_mean(model: ParametricModel, spec: DivergenceSpec, theta, alpha, 
         return model.integrate_under(theta, integrand, tol)
     except _InfiniteIntegrand:
         return INF
+
+
+def _categorical_lead(spec: DivergenceSpec, p_t: np.ndarray, ratios: np.ndarray) -> float:
+    """``sum_j phi'(ratio_j) p_theta_j``, ``+inf`` when any term is."""
+    vals = spec.value_array(ratios, 1)
+    if not np.all(np.isfinite(vals)):
+        return INF
+    return float(np.sum(vals * p_t))
 
 
 def h_value(model: ParametricModel, spec: DivergenceSpec, theta, alpha, x, tol: float = 1e-10) -> float:
@@ -269,14 +249,18 @@ class _DualCriterion:
             raise ValidationError(f"unsupported model {model!r}")
 
     def __call__(self, theta, alpha) -> float:
-        lead = _phi_prime_mean(self.model, self.spec, theta, alpha, self.tol)
+        if self._kind == "categorical":
+            # one probability-ratio pass feeds both the lead and the tail
+            p_t = self.model.probs(theta)
+            ratios = p_t / self.model.probs(alpha)
+            lead = _categorical_lead(self.spec, p_t, ratios)
+        else:
+            lead = _phi_prime_mean(self.model, self.spec, theta, alpha, self.tol)
         if not math.isfinite(lead):
             self.rejected += 1
             return -INF
         if self._kind == "categorical":
-            ratios = self.model.probs(theta) / self.model.probs(alpha)
-            sharp = self.spec.sharp_array(ratios)
-            tail = float(np.dot(self.atom_masses, sharp))
+            tail = float(np.dot(self.atom_masses, self.spec.sharp_array(ratios)))
         else:
             lr = (
                 (theta - alpha) * self.t_stat
@@ -306,33 +290,27 @@ class _DualCriterion:
         return spec.sharp_array(np.exp(lr))
 
 
-def _resolve_box(model: ParametricModel, mu: WeightedEmpiricalMeasure, opts: SolverOptions):
-    if opts.u_box is not None:
-        lo, hi = opts.u_box
-        return np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+def _resolve_box(model: ParametricModel, mu: WeightedEmpiricalMeasure):
     pilot = model.pilot_estimate(mu.points_array(), mu.weights_array())
     lo, hi = model.default_box(pilot)
     return np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
 
 
-def _inner_max(crit: _DualCriterion, theta, lo, hi, opts: SolverOptions):
+def _inner_max(crit: _DualCriterion, theta, lo, hi):
     if lo.shape[0] == 1:
         x, v = maximize_scalar(
             lambda a: crit(theta, a),
             float(lo[0]),
             float(hi[0]),
-            n_scan=2 * opts.multistart + 1,
-            xtol=opts.inner_xtol,
+            n_scan=_N_SCAN,
+            xtol=_INNER_XTOL,
         )
         return x, v
     x, negv = nelder_mead_multistart(
         lambda a: -crit(theta, a),
         lo,
         hi,
-        restarts=opts.multistart,
-        xatol=opts.inner_xtol,
-        fatol=opts.value_tol,
-        max_iter=opts.max_outer_iter,
+        xatol=_INNER_XTOL,
     )
     return x, -negv
 
@@ -342,16 +320,14 @@ def estimate_phi_dual(
     spec: DivergenceSpec,
     theta,
     mu: WeightedEmpiricalMeasure,
-    opts: SolverOptions | None = None,
 ):
     """Plug-in dual divergence estimate at fixed ``theta``.
 
     Returns ``(sup_alpha int h(theta, alpha, .) dmu, argmax alpha)``.
     """
-    opts = opts or SolverOptions()
     crit = _DualCriterion(model, spec, mu)
-    lo, hi = _resolve_box(model, mu, opts)
-    alpha, value = _inner_max(crit, _scalar_or_vec(theta, lo), lo, hi, opts)
+    lo, hi = _resolve_box(model, mu)
+    alpha, value = _inner_max(crit, _scalar_or_vec(theta, lo), lo, hi)
     return value, _scalar_or_vec(alpha, lo)
 
 
@@ -363,16 +339,16 @@ def _scalar_or_vec(x, lo):
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def _inner_grad_norm(crit: _DualCriterion, theta, alpha) -> float:
+def _inner_grad_norm(crit: _DualCriterion, theta, alpha, lo, hi) -> float:
     """Central-difference gradient norm of the inner objective at alpha."""
     alpha_vec = np.atleast_1d(np.asarray(alpha, dtype=float))
     grads = []
     for a in range(alpha_vec.shape[0]):
-        h = 1e-6 * max(1.0, abs(alpha_vec[a]))
+        c, h = stencil(alpha_vec[a], lo[a], hi[a])
         up = alpha_vec.copy()
         dn = alpha_vec.copy()
-        up[a] += h
-        dn[a] -= h
+        up[a] = c + h
+        dn[a] = c - h
         f_up = crit(theta, up if alpha_vec.shape[0] > 1 else float(up[0]))
         f_dn = crit(theta, dn if alpha_vec.shape[0] > 1 else float(dn[0]))
         if not (math.isfinite(f_up) and math.isfinite(f_dn)):
@@ -385,7 +361,6 @@ def minimum_dual_estimator(
     model: ParametricModel,
     spec: DivergenceSpec,
     mu: WeightedEmpiricalMeasure,
-    opts: SolverOptions | None = None,
 ) -> EstimateReport:
     """Minimize the dual divergence estimate over the parameter box.
 
@@ -393,42 +368,37 @@ def minimum_dual_estimator(
     raised: the flag requires first-order stationarity of the inner
     problem at the reported maximizer.
     """
-    opts = opts or SolverOptions()
     crit = _DualCriterion(model, spec, mu)
-    lo, hi = _resolve_box(model, mu, opts)
+    lo, hi = _resolve_box(model, mu)
     evals = 0
 
     def outer(theta):
         nonlocal evals
         evals += 1
         theta_arg = theta if lo.shape[0] > 1 else float(np.atleast_1d(theta)[0])
-        _, v = _inner_max(crit, theta_arg, lo, hi, opts)
+        _, v = _inner_max(crit, theta_arg, lo, hi)
         return v
 
     if lo.shape[0] == 1:
-        theta_hat, value = maximize_scalar(
+        theta_hat, _ = maximize_scalar(
             lambda th: -outer(th),
             float(lo[0]),
             float(hi[0]),
-            n_scan=2 * opts.multistart + 1,
-            xtol=opts.outer_xtol,
+            n_scan=_N_SCAN,
+            xtol=_OUTER_XTOL,
         )
-        value = -value
     else:
-        theta_hat, value = nelder_mead_multistart(
+        theta_hat, _ = nelder_mead_multistart(
             outer,
             lo,
             hi,
-            restarts=opts.multistart,
-            xatol=opts.outer_xtol,
-            fatol=opts.value_tol,
-            max_iter=opts.max_outer_iter,
+            xatol=_OUTER_XTOL,
         )
     theta_out = _scalar_or_vec(theta_hat, lo)
-    alpha_hat, value = _inner_max(crit, theta_out, lo, hi, opts)
+    alpha_hat, value = _inner_max(crit, theta_out, lo, hi)
     alpha_out = _scalar_or_vec(alpha_hat, lo)
-    grad_norm = _inner_grad_norm(crit, theta_out, alpha_out)
-    converged = math.isfinite(value) and grad_norm <= opts.inner_grad_tol
+    grad_norm = _inner_grad_norm(crit, theta_out, alpha_out, lo, hi)
+    converged = math.isfinite(value) and grad_norm <= _GRAD_TOL
     if isinstance(theta_out, np.ndarray):
         theta_rep: float | tuple = tuple(theta_out.tolist())
         alpha_rep: float | tuple = tuple(np.atleast_1d(alpha_out).tolist())

@@ -29,8 +29,6 @@ from .errors import (
 
 INF = math.inf
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
 #: subdivision cap for adaptive quadrature
 QUAD_LIMIT = 200
 
@@ -245,10 +243,6 @@ class GaussianLocation(ExponentialFamilyModel):
     def score_init(self, target):
         return target
 
-    def log_density(self, theta, x):
-        x = np.asarray(x, dtype=float)
-        return -0.5 * (x - theta) ** 2 - _LOG_SQRT_2PI
-
     def sample(self, theta, n, seed_or_rng):
         self.check_domain(theta)
         return _as_rng(seed_or_rng).normal(float(theta), 1.0, size=int(n))
@@ -301,13 +295,6 @@ class PoissonNatural(ExponentialFamilyModel):
         if m <= 0.0:
             raise DomainError("Poisson moment target must be positive")
         return m
-
-    def log_mass(self, theta, j):
-        j = np.asarray(j, dtype=float)
-        lam = math.exp(float(theta))
-        from scipy.special import gammaln
-
-        return float(theta) * j - lam - gammaln(j + 1.0)
 
     def sample(self, theta, n, seed_or_rng):
         self.check_domain(theta)

@@ -9,6 +9,7 @@ produce identical bytes.  Non-finite reals serialize as the strings
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+
+
+class Record:
+    """Mixin for result dataclasses: ``to_dict`` lists the fields in order.
+
+    Nested records become nested dicts; the writers below render tuples
+    and lists alike.
+    """
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
 
 
 def format_real(x: float) -> str:

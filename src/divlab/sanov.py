@@ -14,24 +14,22 @@ Lagrange multiplier of the total-mass constraint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .divergences import CressieRead, DivergenceSpec, FiniteMeasure, INF, divergence_finite
+from .divergences import CressieRead, DivergenceSpec, FiniteMeasure, INF, cell_divergence, divergence_finite
 from .errors import EnumerationLimitError, ValidationError
 from .models import Categorical, ParametricModel
-from .seeding import derived_rng
+from .reporting import Record
+from .seeding import chunked, derived_rng
 from .weights import WeightLaw, induced_divergence
 
 #: enumeration caps for exact multinomial scans
 MAX_CELLS_EXACT = 3
 MAX_N_EXACT = 300
-
-#: replication block size; fixed so results never depend on scheduling
-MC_CHUNK = 2048
 
 KL = CressieRead(1.0)
 
@@ -297,7 +295,7 @@ def neighborhood_inf_divergence(
     elif not simplex:
         q = np.clip(p, lo, hi)
         q[null] = 0.0
-        value = _box_objective(spec, q, p)
+        value = cell_divergence(spec, q, p)
     else:
         lo = lo.copy()
         hi = hi.copy()
@@ -330,24 +328,10 @@ def neighborhood_inf_divergence(
                 break
         q = np.zeros_like(p)
         q[free] = _waterfill_sum(spec, 0.5 * (lam_lo + lam_hi), pf, lf, hf)
-        value = _box_objective(spec, q, p)
+        value = cell_divergence(spec, q, p)
     if return_minimizer:
         return value, q
     return value
-
-
-def _box_objective(spec: DivergenceSpec, q: np.ndarray, p: np.ndarray) -> float:
-    total = 0.0
-    for qj, pj in zip(q, p):
-        if pj == 0.0:
-            if qj != 0.0:
-                return INF
-            continue
-        v = spec.value(qj / pj, 0)
-        if math.isinf(v):
-            return INF
-        total += pj * v
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +379,7 @@ def _log_probs_of_counts(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(Record):
     """Exact check of the per-parameter likelihood/rate sandwich."""
 
     n: int
@@ -407,19 +391,6 @@ class SandwichReport:
     gap: float
     holds: bool
     n_members: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "log_prob_rate": self.log_prob_rate,
-            "neg_inf_divergence": self.neg_inf_divergence,
-            "lower_bound": self.lower_bound,
-            "gap": self.gap,
-            "holds": self.holds,
-            "n_members": self.n_members,
-        }
 
 
 def _neighborhood_from_idealized(model, thetaT, part, epsilon, n, zero_cells):
@@ -472,7 +443,7 @@ def sandwich_check(
 
 
 @dataclass(frozen=True)
-class MLLDPReport:
+class MLLDPReport(Record):
     """Gap between the exact and rate-surrogate maximizers."""
 
     n: int
@@ -485,20 +456,6 @@ class MLLDPReport:
     gap: float
     bound: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "theta_ml": list(self.theta_ml),
-            "theta_ldp": list(self.theta_ldp),
-            "log_prob_at_ml": self.log_prob_at_ml,
-            "log_prob_at_ldp": self.log_prob_at_ldp,
-            "gap": self.gap,
-            "bound": self.bound,
-            "holds": self.holds,
-        }
 
 
 def ml_ldp_gap(
@@ -557,8 +514,8 @@ def ml_ldp_gap(
         theta_ml = np.array([theta_ml])
         theta_ldp = np.array([theta_ldp])
     else:
-        theta_ml, _ = nelder_mead_multistart(lambda t: -L(t), lo, hi, restarts=5)
-        theta_ldp, _ = nelder_mead_multistart(lambda t: -K(t), lo, hi, restarts=5)
+        theta_ml, _ = nelder_mead_multistart(lambda t: -L(t), lo, hi)
+        theta_ldp, _ = nelder_mead_multistart(lambda t: -K(t), lo, hi)
     L_ml = L(theta_ml)
     L_ldp = L(theta_ldp)
     bound = (k / n) * math.log(n + 1.0)
@@ -584,31 +541,17 @@ def ml_ldp_gap(
 
 
 @dataclass(frozen=True)
-class RateRow:
+class RateRow(Record):
     n: int
     rate_estimate: float
     rate_target: float
     gap: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rate_estimate": self.rate_estimate,
-            "rate_target": self.rate_target,
-            "gap": self.gap,
-        }
-
 
 @dataclass(frozen=True)
-class RateTable:
+class RateTable(Record):
     rows: tuple
     fitted_constant: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "fitted_constant": self.fitted_constant,
-        }
 
 
 def sanov_rate_convergence(model: Categorical, theta, thetaT, n_grid: Sequence[int]) -> RateTable:
@@ -638,7 +581,7 @@ def sanov_rate_convergence(model: Categorical, theta, thetaT, n_grid: Sequence[i
 
 
 @dataclass(frozen=True)
-class ConditionalRateRecord:
+class ConditionalRateRecord(Record):
     """Monte Carlo estimate of the conditional neighborhood rate."""
 
     n: int
@@ -654,36 +597,12 @@ class ConditionalRateRecord:
     seed: int
     law: str
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "reps": self.reps,
-            "hits": self.hits,
-            "frequency": self.frequency,
-            "rate_estimate": self.rate_estimate,
-            "rate_target": self.rate_target,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "one_sided": self.one_sided,
-            "seed": self.seed,
-            "law": self.law,
-        }
 
-    def csv_row(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "rate_estimate": self.rate_estimate,
-            "rate_target": self.rate_target,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-        }
-
-
-def _wilson_interval(hits: int, reps: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(hits: int, reps: int) -> tuple[float, float]:
+    """95% Wilson score interval of a hit frequency; ``(0, 3/reps)`` without hits."""
     if hits == 0:
         return 0.0, 3.0 / reps
+    z = 1.959963984540054  # two-sided 95% normal quantile
     phat = hits / reps
     denom = 1.0 + z * z / reps
     center = (phat + z * z / (2.0 * reps)) / denom
@@ -734,27 +653,14 @@ def conditional_ldp_mc(
     center = np.maximum(center, 0.0)
     V = PartitionNeighborhood(tuple(center), epsilon, zero_cells)
 
-    def chunk_hits(chunk_index: int) -> int:
-        offset = chunk_index * MC_CHUNK
-        size = min(MC_CHUNK, reps - offset)
-        rng = derived_rng(seed, "rep", chunk_index)
+    def chunk_hits(rng, size: int) -> int:
         counts = rng.multinomial(n, p, size=size)
         masses = law.sample_sum(counts, rng) / n
         return int(np.sum(V.contains_rows(masses)))
 
-    n_chunks = (reps + MC_CHUNK - 1) // MC_CHUNK
-    # each chunk owns a derived stream, so hit counts are identical for
-    # any worker count; integer reduction is order-independent anyway
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            hits = sum(pool.map(chunk_hits, range(n_chunks)))
-    else:
-        hits = sum(chunk_hits(c) for c in range(n_chunks))
-
+    hits = sum(chunked(seed, "rep", reps, chunk_hits, threads))
     freq = hits / reps
-    lo_f, hi_f = _wilson_interval(hits, reps)
+    lo_f, hi_f = wilson_interval(hits, reps)
     ideal = PartitionNeighborhood(tuple(pT), epsilon, zero_cells)
     target = -neighborhood_inf_divergence(induced_divergence(law), ideal, p)
     if hits == 0:
@@ -788,28 +694,17 @@ def conditional_ldp_mc(
 
 
 @dataclass(frozen=True)
-class ShrinkRow:
+class ShrinkRow(Record):
     epsilon: float
     inf_value: float
 
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "inf_value": self.inf_value}
-
 
 @dataclass(frozen=True)
-class ShrinkTable:
+class ShrinkTable(Record):
     rows: tuple
     limit_value: float
     converged: bool
     monotone: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "limit_value": self.limit_value,
-            "converged": self.converged,
-            "monotone": self.monotone,
-        }
 
 
 def shrink_epsilon_limit(

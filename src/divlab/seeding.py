@@ -25,3 +25,27 @@ def derive_seed(root: int, tag: str, index: int = 0) -> np.random.SeedSequence:
 def derived_rng(root: int, tag: str, index: int = 0) -> np.random.Generator:
     """Generator seeded from :func:`derive_seed`."""
     return np.random.default_rng(derive_seed(root, tag, index))
+
+
+#: replication block size; fixed so results never depend on scheduling
+MC_CHUNK = 2048
+
+
+def chunked(root: int, tag: str, reps: int, draw, threads: int = 1) -> list:
+    """Run ``draw(rng, size)`` over ``reps`` replications in fixed blocks.
+
+    Block ``i`` holds up to ``MC_CHUNK`` replications and draws from the
+    stream ``(root, tag, i)``, so the per-block results, returned in block
+    order, are the same for any worker count.
+    """
+    sizes = [min(MC_CHUNK, reps - start) for start in range(0, reps, MC_CHUNK)]
+
+    def block(i: int):
+        return draw(derived_rng(root, tag, i), sizes[i])
+
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            return list(pool.map(block, range(len(sizes))))
+    return [block(i) for i in range(len(sizes))]

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._optim import golden_max
 from .divergences import INF, ConjugateSpec, CressieRead, DivergenceSpec, _check_order
 from .errors import RootFindError, ValidationError
 
@@ -319,26 +320,6 @@ def _bracket_mean(law: WeightLaw, x: float) -> tuple[float, float]:
             raise RootFindError(f"M' never reaches {x} inside the cgf domain")
 
 
-def _golden_max_scalar(f, lo, hi, iters=200, xtol=1e-13):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a <= xtol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
 def chernoff_argmax(law: WeightLaw, x: float) -> tuple[float, float]:
     """Return ``(M*(x), t*)`` with ``t*`` the maximizing cumulant argument.
 
@@ -375,7 +356,7 @@ def chernoff_argmax(law: WeightLaw, x: float) -> tuple[float, float]:
         t = t_new
     # Newton/bisection budget exhausted: fall back to a direct search of the
     # concave objective.
-    t = _golden_max_scalar(lambda s: s * x - cgf(law, s), t_lo, t_hi)
+    t, _ = golden_max(lambda s: s * x - cgf(law, s), t_lo, t_hi, xtol=1e-13)
     if abs(law.cgf_prime(t) - x) > 1e-6 * max(1.0, abs(x)):
         raise RootFindError(f"Chernoff solve failed for {law.token} at x={x}")
     return t * x - cgf(law, t), t

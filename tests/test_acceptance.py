@@ -9,7 +9,6 @@ import pytest
 
 from divlab.bahadur import (
     FunctionalStatistic,
-    _cell_divergence,
     slope_generic,
     slope_min_divergence,
 )
@@ -22,6 +21,7 @@ from divlab.clt import (
 from divlab.divergences import (
     CressieRead,
     FiniteMeasure,
+    cell_divergence,
     conjugate,
     divergence_finite,
 )
@@ -240,7 +240,7 @@ class TestAcceptance:
         spec = induced_divergence(law)
 
         def div_eval(th, q):
-            return _cell_divergence(spec, model.probs(th), np.asarray(q, dtype=float))
+            return cell_divergence(spec, model.probs(th), np.asarray(q, dtype=float))
 
         rec_div = slope_generic(
             model, law, FunctionalStatistic(div_eval, "divergence"), theta, theta_prime

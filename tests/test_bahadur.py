@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from divlab.bahadur import (
+    GRID_STEP,
     FunctionalStatistic,
-    _cell_divergence,
+    _cell_divergence_rows,
+    _simplex_grid,
     efficiency_compare,
     empirical_slope_trend,
     slope_generic,
     slope_min_divergence,
 )
-from divlab.divergences import INF, CressieRead
+from divlab.divergences import INF, CressieRead, cell_divergence
 from divlab.errors import ValidationError
 from divlab.models import Categorical, GaussianLocation
 from divlab.sanov import kl_on_partition
@@ -33,6 +35,42 @@ def _mass_gap_statistic(model):
         return abs(float(q[0]) - float(model.probs(theta)[0]))
 
     return FunctionalStatistic(evaluator, "first_cell_gap")
+
+
+def _reference_cell_divergence(spec, p_theta, q):
+    """The former scalar loop ``sum_j q_j phi(p_theta_j / q_j)``, kept as the reference."""
+    total = 0.0
+    for pj, qj in zip(p_theta, q):
+        if pj == 0.0 and qj == 0.0:
+            continue
+        if qj == 0.0:
+            return INF
+        v = spec.value(pj / qj, 0)
+        if math.isinf(v):
+            return INF
+        total += qj * v
+    return total
+
+
+# =============================================================================
+# Tests: cell divergences on the simplex grid
+# =============================================================================
+
+
+class TestCellDivergenceRows:
+    """The vectorized grid kernel against the scalar routine."""
+
+    @pytest.mark.parametrize("law", [PoissonOne(), ExponentialOne(), ShiftedBernoulli(0.5)])
+    @pytest.mark.parametrize("p_theta", [(0.3, 0.3, 0.4), (0.6, 0.4, 0.0)])
+    def test_rows_match_scalar_routine_on_k3_grid_slice(self, law, p_theta):
+        """Every row of a k=3 grid slice, boundary rows included, matches."""
+        spec = induced_divergence(law)
+        p = np.asarray(p_theta)
+        rows = _simplex_grid(3, GRID_STEP)[::499]
+        assert np.any(rows == 0.0)
+        scalar = [cell_divergence(spec, p, q) for q in rows]
+        assert scalar == [_reference_cell_divergence(spec, p, q) for q in rows]
+        np.testing.assert_allclose(_cell_divergence_rows(spec, p, rows), scalar, rtol=1e-12, atol=0.0)
 
 
 # =============================================================================
@@ -105,7 +143,7 @@ class TestGenericSlope:
         spec = induced_divergence(PoissonOne())
 
         def evaluator(th, q):
-            return _cell_divergence(spec, model.probs(th), np.asarray(q, dtype=float))
+            return cell_divergence(spec, model.probs(th), np.asarray(q, dtype=float))
 
         rec = slope_generic(
             model, PoissonOne(), FunctionalStatistic(evaluator, "divergence"), theta, theta_prime
@@ -174,7 +212,7 @@ class TestTailTrend:
         table = empirical_slope_trend(
             Categorical(2), PoissonOne(), (0.4,), (0.2,), [20], 1000, seed=4
         )
-        drift = _cell_divergence(
+        drift = cell_divergence(
             induced_divergence(PoissonOne()), np.array([0.4, 0.6]), np.array([0.2, 0.8])
         )
         assert table.rows[0].threshold == pytest.approx(0.5 * drift, abs=1e-12)

@@ -21,6 +21,29 @@ SANOV_MC_ARGS = [
     "--law", "poisson1",
 ]
 
+#: one small run of every subcommand and mode
+RERUN_CONFIGS = {
+    "divergence": ["divergence", "--gamma", "0.5", "--grid", "0.5:2:4"],
+    "chernoff": CHERNOFF_ARGS,
+    "estimate": ["estimate", "--model", "gauss_loc", "--gamma", "0", "--weights", "poisson1",
+                 "--seed", "3", "--data", str(DATA_DIR / "regression_points.csv")],
+    "sanov_rate": ["sanov", "--mode", "rate", "--theta", "0.37,0.63", "--theta_T", "0.5,0.5",
+                   "--n_grid", "10,20"],
+    "sanov_sandwich": ["sanov", "--mode", "sandwich", "--theta", "0.37,0.63", "--theta_T", "0.5,0.5",
+                       "--n", "30", "--epsilon", "0.1"],
+    "sanov_ml_gap": ["sanov", "--mode", "ml_gap", "--theta_T", "0.5,0.5", "--n", "30", "--epsilon", "0.1"],
+    "sanov_mc": SANOV_MC_ARGS,
+    "sanov_shrink": ["sanov", "--mode", "shrink", "--center", "0.4,0.6", "--theta", "0.5,0.5",
+                     "--eps_grid", "0.2,0.1,0.05"],
+    "bahadur_slopes": ["bahadur", "--mode", "slopes", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8"],
+    "bahadur_trend": ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8",
+                      "--n_grid", "10,20", "--reps", "1000", "--seed", "5"],
+    "clt_moments": ["clt", "--mode", "moments", "--law", "normal11", "--n", "50", "--reps", "200",
+                    "--seed", "1"],
+    "clt_estimator": ["clt", "--mode", "estimator", "--law", "poisson1", "--n", "50", "--reps", "100",
+                      "--seed", "1"],
+}
+
 
 def _run(argv, tmp_path, label):
     """Invoke the CLI into ``tmp_path`` and return the exit code."""
@@ -166,6 +189,14 @@ class TestExitCodes:
         assert _run(CHERNOFF_ARGS, tmp_path, "x") == 3
         assert "synthetic numeric failure" in capsys.readouterr().err
 
+    def test_exp1_trend_at_the_box_edge_succeeds(self, tmp_path):
+        """Estimates on the edge of the parameter box are valid input, exit 0."""
+        argv = ["bahadur", "--mode", "trend", "--law", "exp1", "--theta", "0.4,0.6",
+                "--theta_prime", "0.2,0.8", "--n_grid", "10,20,40", "--reps", "1000"]
+        assert _run(argv, tmp_path, "trend") == 0
+        rows = json.loads((tmp_path / "trend.json").read_text())["rows"]
+        assert [row["n"] for row in rows] == [10, 20, 40]
+
     def test_induced_gamma_needs_law(self, tmp_path, capsys):
         """The induced generator token requires a weight law."""
         assert _run(["divergence", "--gamma", "induced"], tmp_path, "x") == 2
@@ -273,12 +304,15 @@ class TestReproducibility:
     """Byte-identical artifacts across reruns, threads, and goldens."""
 
     def test_rerun_byte_identical(self, tmp_path):
-        """The same configuration writes identical bytes twice."""
-        a, b = tmp_path / "a", tmp_path / "b"
-        _run(CHERNOFF_ARGS, a, "run")
-        _run(CHERNOFF_ARGS, b, "run")
-        assert (a / "run.csv").read_bytes() == (b / "run.csv").read_bytes()
-        assert (a / "run.json").read_bytes() == (b / "run.json").read_bytes()
+        """Every subcommand and mode writes identical bytes twice."""
+        for label, argv in RERUN_CONFIGS.items():
+            a, b = tmp_path / "a" / label, tmp_path / "b" / label
+            assert _run(argv, a, label) == 0, label
+            assert _run(argv, b, label) == 0, label
+            names = sorted(p.name for p in a.iterdir())
+            assert names and names == sorted(p.name for p in b.iterdir()), label
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         """The Monte Carlo pipeline is invariant to the worker count."""

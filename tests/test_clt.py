@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from divlab.clt import (
-    MCConfig,
     STATISTIC_MAP,
     estimator_distribution_compare,
     weighted_clt_check,
@@ -23,39 +22,6 @@ ALL_LAWS = [PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli(0.5
 def fixed_points():
     """Deterministic Gaussian point draw shared across law checks."""
     return GaussianLocation().sample(0.0, 300, derived_rng(42, "points"))
-
-
-# =============================================================================
-# Tests: configuration records
-# =============================================================================
-
-
-class TestConfig:
-    """Validation of harness configurations."""
-
-    def test_valid_config_round_trip(self):
-        """Well-formed configurations build without error."""
-        cfg = MCConfig(
-            model="gauss_loc", model_params=(), law="poisson1", theta_T=0.0,
-            n=100, reps=500, seed=1,
-        )
-        assert cfg.statistic == "identity"
-
-    def test_small_replication_count_rejected(self):
-        """Fewer than one hundred replications fail validation."""
-        with pytest.raises(ValidationError):
-            MCConfig(
-                model="gauss_loc", model_params=(), law="poisson1", theta_T=0.0,
-                n=100, reps=10, seed=1,
-            )
-
-    def test_unknown_statistic_rejected(self):
-        """Statistic tokens outside the map fail validation."""
-        with pytest.raises(ValidationError):
-            MCConfig(
-                model="gauss_loc", model_params=(), law="poisson1", theta_T=0.0,
-                n=100, reps=500, seed=1, statistic="tanh",
-            )
 
 
 # =============================================================================

@@ -14,6 +14,7 @@ from divlab.divergences import (
     ConjugateSpec,
     CressieRead,
     FiniteMeasure,
+    cell_divergence,
     conjugate,
     divergence_finite,
     eval_phi,
@@ -325,6 +326,58 @@ class TestFiniteDivergence:
         direct = divergence_finite(CressieRead(g), q, p)
         swapped = divergence_finite(conjugate(CressieRead(g)), p, q)
         assert direct == pytest.approx(swapped, rel=1e-12, abs=1e-12)
+
+
+MASSES = st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=4)
+
+
+class TestCellDivergence:
+    """Properties of the aligned cell-mass divergence."""
+
+    @given(MASSES, MASSES, st.sampled_from(GAMMAS))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_null_cell_adds_nothing(self, qm, pm, g):
+        """Appending a cell empty under both measures leaves the value unchanged."""
+        q, p = qm[: len(pm)], pm[: len(qm)]
+        spec = CressieRead(g)
+        assert cell_divergence(spec, q + [0.0], p + [0.0]) == cell_divergence(spec, q, p)
+
+    @given(MASSES, MASSES, st.floats(min_value=-3.0, max_value=3.0).filter(bool), st.sampled_from(GAMMAS))
+    @settings(max_examples=100, deadline=None)
+    def test_mass_on_reference_null_cell_is_infinite(self, qm, pm, extra, g):
+        """Any nonzero mass of q on a cell where p vanishes gives +inf."""
+        q, p = qm[: len(pm)], pm[: len(qm)]
+        assert cell_divergence(CressieRead(g), q + [extra], p + [0.0]) == INF
+
+    @given(MASSES, MASSES, st.floats(min_value=-3.0, max_value=-1e-3), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_out_of_domain_ratio_is_infinite(self, qm, pm, negative, g):
+        """A negative ratio lies outside every index's domain but 2 and gives +inf."""
+        q, p = qm[: len(pm)], pm[: len(qm)]
+        assert cell_divergence(CressieRead(g), [negative] + q, [1.0] + p) == INF
+
+    @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=4), MASSES)
+    @settings(max_examples=100, deadline=None)
+    def test_signed_masses_accepted_by_index_two(self, qm, pm):
+        """The half chi-square extends to signed q: sum (q - p)**2 / (2 p)."""
+        q, p = qm[: len(pm)], pm[: len(qm)]
+        expect = sum((a - b) ** 2 / (2.0 * b) for a, b in zip(q, p))
+        assert cell_divergence(CressieRead(2.0), q, p) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+    @given(
+        st.dictionaries(st.sampled_from("abcde"), st.floats(min_value=0.0, max_value=3.0), min_size=1),
+        st.dictionaries(st.sampled_from("abcde"), st.floats(min_value=0.05, max_value=3.0), min_size=1),
+        st.sampled_from(GAMMAS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_labelled_measures(self, qd, pd, g):
+        """divergence_finite equals cell_divergence on the aligned union of labels."""
+        spec = CressieRead(g)
+        q = FiniteMeasure(tuple(qd), tuple(qd.values()))
+        p = FiniteMeasure(tuple(pd), tuple(pd.values()))
+        labels = sorted(set(qd) | set(pd))
+        aligned = cell_divergence(spec, [qd.get(a, 0.0) for a in labels], [pd.get(a, 0.0) for a in labels])
+        assert divergence_finite(spec, q, p) == pytest.approx(aligned, rel=1e-12, abs=1e-15)
 
 
 class TestEvalHelpers:

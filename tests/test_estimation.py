@@ -221,6 +221,14 @@ class TestMinimumDualEstimator:
         report = minimum_dual_estimator(model, spec, mu)
         assert report.theta_hat == pytest.approx(model.solve_score(target), abs=1e-6)
 
+    def test_sample_on_one_atom_reports_at_the_box_edge(self):
+        """Every point on atom 1 puts the optimum on the box edge; a report comes back."""
+        mu = WeightedEmpiricalMeasure.plain((1,) * 30)
+        report = minimum_dual_estimator(Categorical(2), CressieRead(1.0), mu)
+        assert report.theta_hat == pytest.approx(1e-6, abs=1e-9)
+        assert math.isfinite(report.value)
+        assert math.isfinite(report.inner_grad_norm)
+
     def test_report_serialization_fields(self, gauss_sample):
         """Reports expose the convergence diagnostics."""
         model, x = gauss_sample

@@ -1,0 +1,61 @@
+"""Unit tests for the shared search routines."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from divlab._optim import PENALTY, maximize_scalar, nelder_mead, stencil
+
+
+class TestStencil:
+    """Central-difference stencils stay inside the search box."""
+
+    def test_interior_point_is_its_own_centre(self):
+        """Away from the edges the stencil is centred on the point."""
+        assert stencil(0.37, 0.0, 1.0) == (0.37, 1e-6)
+
+    @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+    @settings(max_examples=200, deadline=None)
+    def test_points_stay_in_box(self, x):
+        """Both stencil points lie in the box, within rounding of its edges."""
+        lo, hi = 1e-6, 1.0 - 1e-6
+        c, h = stencil(x, lo, hi)
+        assert c - h >= lo - 1e-15 and c + h <= hi + 1e-15
+
+    @given(
+        st.floats(min_value=-5.0, max_value=5.0),
+        st.floats(min_value=1e-3, max_value=5.0),
+        st.floats(min_value=-10.0, max_value=10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_maximize_scalar_never_probes_outside(self, lo, width, peak):
+        """The scan, golden section and Newton polish only evaluate inside [lo, hi]."""
+        hi = lo + width
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return -((x - peak) ** 2)
+
+        x, fx = maximize_scalar(f, lo, hi)
+        assert lo <= x <= hi and math.isfinite(fx)
+        span = 1e-15 * max(1.0, abs(lo), abs(hi))
+        assert all(lo - span <= p <= hi + span for p in probes)
+
+
+class TestNelderMead:
+    """The penalized single-start Nelder-Mead wrapper."""
+
+    def test_finds_interior_minimum(self):
+        """A quadratic bowl inside the box is located."""
+        x, v = nelder_mead(lambda z: float(np.sum((z - 0.3) ** 2)), [0.5, 0.5], [0.0, 0.0], [1.0, 1.0])
+        assert x == pytest.approx([0.3, 0.3], abs=1e-6)
+        assert v == pytest.approx(0.0, abs=1e-10)
+
+    def test_nothing_admissible_scores_the_penalty(self):
+        """An objective that is infinite everywhere reports the penalty value."""
+        _, v = nelder_mead(lambda z: math.inf, [0.5], [0.0], [1.0])
+        assert v == PENALTY
