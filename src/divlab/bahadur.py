@@ -61,11 +61,19 @@ def slope_min_divergence(
 
 
 def _cell_divergence_rows(spec: DivergenceSpec, p_theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """:func:`cell_divergence` of ``p_theta`` from each row, vectorized."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratios = p_theta[None, :] / rows
-        vals = spec.value_array(ratios.reshape(-1)).reshape(rows.shape)
-        out = np.sum(np.where(rows > 0.0, rows * vals, np.where(p_theta[None, :] > 0.0, INF, 0.0)), axis=1)
+    """:func:`cell_divergence` of ``p_theta`` from each row, vectorized.
+
+    Each cell's term is evaluated once per distinct positive mass in its
+    column: a simplex grid repeats each mass across many rows.
+    """
+    terms = np.empty(rows.shape)
+    for j, pj in enumerate(p_theta):
+        masses, inverse = np.unique(rows[:, j], return_inverse=True)
+        charged = masses > 0.0
+        column = np.full(masses.shape, INF if pj > 0.0 else 0.0)
+        column[charged] = masses[charged] * spec.value_array(pj / masses[charged])
+        terms[:, j] = column[inverse]
+    out = np.sum(terms, axis=1)
     return np.where(np.isfinite(out), out, INF)
 
 

@@ -501,16 +501,39 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
     return [paths["csv"], paths["json"]]
 
 
+def _last_value_memo(fn):
+    """``fn(theta)`` that reuses its last result while the value of ``theta`` repeats.
+
+    A slope scan calls the statistic once per grid point with the same
+    ``theta``.  The memo is keyed on the value, not the object, so an array
+    changed in place gets a fresh result; repeated calls share one result
+    object, which callers only read.
+    """
+    key, result = None, None
+
+    def memo(theta):
+        nonlocal key, result
+        value = theta if type(theta) is tuple else tuple(np.atleast_1d(theta).tolist())
+        if value != key:
+            result, key = fn(theta), value
+        return result
+
+    return memo
+
+
 def _make_statistic(token: str, model, law) -> FunctionalStatistic:
     if token == "cell_mass":
+        first_mass = _last_value_memo(lambda theta: float(model.probs(theta)[0]))
+
         def first_cell_gap(theta, q):
-            return abs(float(q[0]) - float(model.probs(theta)[0]))
+            return abs(float(q[0]) - first_mass(theta))
 
         return FunctionalStatistic(first_cell_gap, "first_cell_gap")
     spec = induced_divergence(law)
+    probs = _last_value_memo(model.probs)
 
     def divergence_value(theta, q):
-        return cell_divergence(spec, model.probs(theta), np.asarray(q, dtype=float))
+        return cell_divergence(spec, probs(theta), np.asarray(q, dtype=float))
 
     return FunctionalStatistic(divergence_value, "induced_divergence")
 

@@ -18,6 +18,7 @@ from divlab.bahadur import (
 from divlab.divergences import INF, CressieRead, cell_divergence
 from divlab.errors import ValidationError
 from divlab.models import Categorical, GaussianLocation
+from divlab import weights
 from divlab.sanov import kl_on_partition
 from divlab.weights import ExponentialOne, PoissonOne, ShiftedBernoulli, induced_divergence
 
@@ -71,6 +72,45 @@ class TestCellDivergenceRows:
         scalar = [cell_divergence(spec, p, q) for q in rows]
         assert scalar == [_reference_cell_divergence(spec, p, q) for q in rows]
         np.testing.assert_allclose(_cell_divergence_rows(spec, p, rows), scalar, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [induced_divergence(ShiftedBernoulli(0.5)), induced_divergence(PoissonOne(), force_numeric=True)],
+        ids=["twopoint", "poisson1_numeric"],
+    )
+    @pytest.mark.parametrize("p_theta", [(0.3, 0.3, 0.4), (0.6, 0.4, 0.0)])
+    def test_numeric_generator_rows_equal_scalar_routine_exactly(self, spec, p_theta):
+        """Bit-equal to the scalar routine, rows that share a null cell with ``p_theta`` included."""
+        p = np.asarray(p_theta)
+        grid = _simplex_grid(3, GRID_STEP)
+        rows = np.concatenate([grid[::499], grid[grid[:, 2] == 0.0][::97]])
+        scalar = np.array([cell_divergence(spec, p, q) for q in rows])
+        if p_theta[2] == 0.0:
+            assert np.any(np.isfinite(scalar)) and np.any(np.isinf(scalar))
+        np.testing.assert_array_equal(_cell_divergence_rows(spec, p, rows), scalar)
+
+    def test_one_chernoff_solve_per_distinct_mass_of_each_cell(self, monkeypatch):
+        """A full k=3 grid call solves each cell's term once per distinct positive mass.
+
+        The first two masses take 1,001 values each; the third, ``1 - a - b``
+        in floating point, takes 4,851, so the solves number in the
+        thousands instead of one per cell (1,501,503 cells).
+        """
+        calls = []
+        solve = weights.chernoff_argmax
+
+        def counted(law, x):
+            calls.append(x)
+            return solve(law, x)
+
+        monkeypatch.setattr(weights, "chernoff_argmax", counted)
+        grid = _simplex_grid(3, GRID_STEP)
+        p = np.array([0.2, 0.4, 0.4])
+        out = _cell_divergence_rows(induced_divergence(ShiftedBernoulli(0.5)), p, grid)
+        assert out.shape == (501501,)
+        masses = [np.unique(grid[:, j]) for j in range(3)]
+        assert [m.size for m in masses] == [1001, 1001, 4851]
+        assert calls == [x for pj, m in zip(p, masses) for x in (pj / m[m > 0.0]).tolist()]
 
 
 # =============================================================================

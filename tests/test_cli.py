@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import divlab.cli as cli
+from divlab.bahadur import GRID_STEP, FunctionalStatistic, _simplex_grid, efficiency_compare, slope_generic
 from divlab.cli import build_parser, main, parse_grid, resolve_config, thread_count
 from divlab.errors import NumericError, ValidationError
+from divlab.models import make_model
+from divlab.weights import weight_law
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -293,6 +296,66 @@ class TestPipelines:
         assert main(["chernoff", "--config", str(f)]) == 0
         _run(CHERNOFF_ARGS, tmp_path, "viaflags")
         assert (tmp_path / "viafile.csv").read_bytes() == (tmp_path / "viaflags.csv").read_bytes()
+
+
+# =============================================================================
+# Tests: slope statistics
+# =============================================================================
+
+
+def _counted(fn, calls):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
+class TestSlopeStatistics:
+    """The statistics ``bahadur --mode slopes`` builds, and the slopes they give."""
+
+    @pytest.mark.parametrize("token", ["cell_mass", "divergence"])
+    def test_memo_follows_the_value_of_theta(self, token):
+        """Each value agrees with a statistic built afresh, whatever form ``theta`` takes."""
+        model, law = make_model("categorical", k=3), weight_law("poisson1")
+        stat = cli._make_statistic(token, model, law)
+        q = np.array([0.1, 0.5, 0.4])
+        theta = np.array([0.3, 0.3])
+        for th in [(0.3, 0.3), (0.2, 0.5), theta, (0.3, 0.3), [0.2, 0.5]]:
+            assert stat.evaluator(th, q) == cli._make_statistic(token, model, law).evaluator(th, q)
+        assert stat.evaluator((0.3, 0.3), q) == stat.evaluator(theta, q)
+        theta[0] = 0.2
+        assert stat.evaluator(theta, q) == cli._make_statistic(token, model, law).evaluator((0.2, 0.3), q)
+
+    def test_k3_scan_calls_probs_a_bounded_number_of_times(self, monkeypatch):
+        """One evaluator call per grid point, but only a handful of ``model.probs`` calls."""
+        model, law = make_model("categorical", k=3), weight_law("poisson1")
+        probs_calls, evaluator_calls = [], []
+        monkeypatch.setattr(model, "probs", _counted(model.probs, probs_calls))
+        stat = cli._make_statistic("cell_mass", model, law)
+        stat = FunctionalStatistic(_counted(stat.evaluator, evaluator_calls), stat.name)
+        slope_generic(model, law, stat, (0.3, 0.3), (0.2, 0.4))
+        assert len(evaluator_calls) >= _simplex_grid(3, GRID_STEP).shape[0] == 501501
+        assert len(probs_calls) <= 10
+
+    @pytest.mark.parametrize(
+        "law, theta, theta_prime, generic, min_div, minimizer",
+        [
+            ("poisson1", (0.3, 0.3), (0.2, 0.4), -0.04320170828625977, -0.07066982139383012,
+             (0.399999999999, 0.2571428555372658, 0.3428571444637343)),
+            ("twopoint", (0.2, 0.4), (0.55, 0.225), -0.550792230493548, -0.5507922304975408,
+             (0.5499999999990002, 0.22500000076031018, 0.2249999992406897)),
+        ],
+    )
+    def test_k3_cell_mass_slopes_are_pinned(self, law, theta, theta_prime, generic, min_div, minimizer):
+        """k=3 cell-mass slopes keep the values of the per-point reference scan."""
+        model = make_model("categorical", k=3)
+        stat = cli._make_statistic("cell_mass", model, weight_law(law))
+        rec = efficiency_compare(model, weight_law(law), stat, theta, theta_prime)
+        assert rec.slope_generic == pytest.approx(generic, abs=1e-12)
+        assert rec.slope_min_divergence == pytest.approx(min_div, abs=1e-12)
+        assert rec.minimizer == pytest.approx(minimizer, abs=1e-12)
+        assert rec.ordering_holds
 
 
 # =============================================================================
