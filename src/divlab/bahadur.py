@@ -48,13 +48,11 @@ class FunctionalStatistic:
     name: str
 
 
-def slope_min_divergence(
-    model: ParametricModel, law: WeightLaw, theta, theta_prime, tol: float = 1e-10
-) -> float:
+def slope_min_divergence(model: ParametricModel, law: WeightLaw, theta, theta_prime) -> float:
     """Slope of the divergence statistic: minus twice the induced
     divergence of ``P_theta`` from ``P_theta_prime``."""
     spec = induced_divergence(law)
-    value = divergence_between(model, spec, theta, theta_prime, tol)
+    value = divergence_between(model, spec, theta, theta_prime)
     if math.isinf(value):
         return -INF
     return -2.0 * value
@@ -85,8 +83,8 @@ def _simplex_grid(k: int, step: float) -> np.ndarray:
     if k == 3:
         a, b = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
         mask = a + b <= m
-        a, b = a[mask] / m, b[mask] / m
-        return np.stack([a, b, 1.0 - a - b], axis=1)
+        a, b = a[mask], b[mask]
+        return np.stack([a / m, b / m, (m - a - b) / m], axis=1)
     raise ValidationError("constrained slopes support at most three cells")
 
 

@@ -24,10 +24,6 @@ from .models import ExponentialFamilyModel
 from .seeding import chunked, derived_rng
 from .weights import WeightLaw
 
-#: golden-section schedule for the batched estimator; enough for the
-#: variance gates without paying for unused precision
-BATCH_SCHEDULE = {"inner_iters": 32, "outer_iters": 32, "n_scan": 5}
-
 STATISTIC_MAP = {
     "identity": lambda x: np.asarray(x, dtype=float),
     "square": lambda x: np.asarray(x, dtype=float) ** 2,
@@ -183,16 +179,6 @@ def weighted_clt_check(
     )
 
 
-def _batch_estimates(
-    model: ExponentialFamilyModel,
-    spec: CressieRead,
-    points: np.ndarray,
-    weights: np.ndarray,
-    box: tuple[float, float],
-) -> np.ndarray:
-    return minimum_dual_estimator_batch(model, spec, points, weights, box, **BATCH_SCHEDULE)
-
-
 def estimator_distribution_compare(
     model: ExponentialFamilyModel,
     law: WeightLaw,
@@ -223,12 +209,12 @@ def estimator_distribution_compare(
     w = np.concatenate(
         chunked(seed, "weights", reps, lambda rng, size: law.sample(size * n, rng).reshape(size, n))
     )
-    theta_w = _batch_estimates(model, spec, points[None, :], w, box)
+    theta_w = minimum_dual_estimator_batch(model, spec, points[None, :], w, box)
 
     data = np.concatenate(
         chunked(seed, "plain", reps, lambda rng, size: model.sample(thetaT, size * n, rng).reshape(size, n))
     )
-    theta_p = _batch_estimates(model, spec, data, np.ones((1, n)), box)
+    theta_p = minimum_dual_estimator_batch(model, spec, data, np.ones((1, n)), box)
 
     edge = 1e-6 * (box[1] - box[0])
     fail_w = int(np.sum(~np.isfinite(theta_w) | (theta_w < box[0] + edge) | (theta_w > box[1] - edge)))

@@ -107,26 +107,31 @@ class CressieRead(DivergenceSpec):
 
     Domain: positive reals for every index, with 0 included when the
     generator stays finite there (indices above 0); all reals for the
-    half chi-square index 2.
+    half chi-square index 2.  ``branch`` names the evaluation branch the
+    index selects ("log", "xlogx", "chi2" or "power"), decided once at
+    construction.
     """
 
     gamma: float
 
-    @property
-    def _branch(self) -> str:
+    def __post_init__(self):
+        # "log" and "xlogx" are the exact limits at 0 and 1.  Not a dataclass
+        # field, so equality, hashing and repr see only the index.
         g = self.gamma
         if abs(g) < GAMMA_LIMIT_TOL:
-            return "log"
-        if abs(g - 1.0) < GAMMA_LIMIT_TOL:
-            return "xlogx"
-        if g == 2.0:
-            return "chi2"
-        return "power"
+            branch = "log"
+        elif abs(g - 1.0) < GAMMA_LIMIT_TOL:
+            branch = "xlogx"
+        elif g == 2.0:
+            branch = "chi2"
+        else:
+            branch = "power"
+        object.__setattr__(self, "branch", branch)
 
     def value(self, x: float, order: int = 0) -> float:
         _check_order(order)
         g = self.gamma
-        branch = self._branch
+        branch = self.branch
         if branch == "chi2":
             # Defined on the whole real line (signed arguments allowed).
             if order == 0:
@@ -176,7 +181,7 @@ class CressieRead(DivergenceSpec):
 
     def sharp(self, x: float) -> float:
         g = self.gamma
-        branch = self._branch
+        branch = self.branch
         if branch == "chi2":
             return 0.5 * (x * x - 1.0)
         if branch == "log":
@@ -194,7 +199,7 @@ class CressieRead(DivergenceSpec):
 
     def prime_inverse(self, y: float) -> float:
         g = self.gamma
-        branch = self._branch
+        branch = self.branch
         if branch == "chi2":
             return y + 1.0
         if branch == "log":
@@ -213,7 +218,7 @@ class CressieRead(DivergenceSpec):
     def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
         _check_order(order)
         x = np.asarray(x, dtype=float)
-        branch = self._branch
+        branch = self.branch
         g = self.gamma
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if branch == "chi2":
@@ -241,7 +246,7 @@ class CressieRead(DivergenceSpec):
 
     def sharp_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        branch = self._branch
+        branch = self.branch
         g = self.gamma
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if branch == "chi2":

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ._optim import maximize_scalar, nelder_mead_multistart, batch_golden_max, stencil
-from .divergences import INF, CressieRead, DivergenceSpec, FiniteMeasure, GAMMA_LIMIT_TOL, cell_divergence
+from .divergences import INF, CressieRead, DivergenceSpec, FiniteMeasure, cell_divergence
 from .errors import ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
 from .reporting import Record
@@ -47,6 +47,11 @@ _OUTER_XTOL = 1e-8
 
 #: inner-gradient norm below which an estimate counts as converged
 _GRAD_TOL = 1e-6
+
+#: fixed golden-section schedule of the batched estimator: scan points and
+#: iterations of each of the inner and outer searches
+_BATCH_SCAN = 5
+_BATCH_ITERS = 32
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ class EstimateReport(Record):
     rejected_evaluations: int = 0
 
 
-def divergence_between(model: ParametricModel, spec: DivergenceSpec, theta, theta_prime, tol: float = 1e-10) -> float:
+def divergence_between(model: ParametricModel, spec: DivergenceSpec, theta, theta_prime) -> float:
     """Population divergence ``int phi(p_theta / p_theta') dP_theta'``.
 
     Closed forms cover finite supports and power generators on
@@ -131,21 +136,22 @@ def divergence_between(model: ParametricModel, spec: DivergenceSpec, theta, thet
     if isinstance(model, Categorical):
         return cell_divergence(spec, model.probs(theta), model.probs(theta_prime))
     if isinstance(spec, CressieRead) and isinstance(model, ExponentialFamilyModel):
-        g = spec.gamma
-        if abs(g - 1.0) < GAMMA_LIMIT_TOL:
-            return model.mean_log_ratio(theta, theta_prime)
-        if abs(g) < GAMMA_LIMIT_TOL:
-            return model.mean_log_ratio(theta_prime, theta)
-        ratio_int = model.ratio_power_integral(theta_prime, theta, -g)
-        if math.isinf(ratio_int):
-            return INF
-        return (ratio_int - 1.0) / (g * (g - 1.0))
+        model.check_domain(theta)
+        model.check_domain(theta_prime)
+        if spec.branch == "log":
+            # the likelihood divergence is Kullback-Leibler with the
+            # arguments swapped (index 0 is the conjugate of index 1)
+            spec, theta, theta_prime = spec.conjugate(), theta_prime, theta
+        # int phi_g(r) dP_theta' = lead_g(theta, theta') / g, and the
+        # Kullback-Leibler divergence is the index-1 lead itself
+        lead, _ = _expfam_power_dual(model, spec, theta, theta_prime)
+        return float(lead if spec.branch == "xlogx" else lead / spec.gamma)
 
     def integrand(x):
         return _guarded_ratio_eval(model, spec, theta, theta_prime, x, 0)
 
     try:
-        return model.integrate_under(theta_prime, integrand, tol)
+        return model.integrate_under(theta_prime, integrand)
     except _InfiniteIntegrand:
         return INF
 
@@ -168,28 +174,64 @@ def _guarded_ratio_eval(model, spec, theta, alpha, x, order: int) -> float:
     return v
 
 
-def _phi_prime_mean(model: ParametricModel, spec: DivergenceSpec, theta, alpha, tol: float) -> float:
+def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, t=None):
+    """Closed-form pieces ``(lead, sharp)`` of the dual criterion.
+
+    For a natural exponential family the log ratio ``log(p_theta/p_alpha)``
+    is affine in the sufficient statistic, and
+
+        int (p_theta/p_alpha)**u dP_theta
+            = exp(u*(C(alpha) - C(theta)) + C(theta + u*(theta - alpha)) - C(theta)),
+
+    so for the power generator of index ``g`` the lead
+    ``int phi_g'(p_theta/p_alpha) dP_theta`` and the sharp transform
+    ``phi_g#((p_theta/p_alpha)(x))`` at sufficient statistics ``t`` are
+    both functions of ``C``.  ``theta`` and ``alpha`` broadcast against
+    ``t``: scalars for one criterion, a column per row for a batch.  The
+    lead is infinite when the tilted parameter leaves the natural domain
+    or its integral overflows; ``sharp`` is ``None`` without ``t``.
+    """
+    branch = spec.branch
+    with np.errstate(over="ignore", invalid="ignore"):
+        C_t = model.log_normalizer_array(theta)
+        C_a = model.log_normalizer_array(alpha)
+        delta = theta - alpha
+        if branch == "xlogx":
+            lead = delta * model.grad_log_normalizer_array(theta) - C_t + C_a
+        elif branch == "log":
+            # int (1 - p_alpha/p_theta) dP_theta = 0 on a common support
+            lead = 0.0
+        else:
+            u = spec.gamma - 1.0
+            expo = u * (C_a - C_t) + model.log_normalizer_array(theta + u * delta) - C_t
+            lead = np.expm1(expo) / u
+        if t is None:
+            return lead, None
+        lr = delta * t - C_t + C_a
+        if branch == "log":
+            sharp = lr
+        elif branch == "xlogx":
+            sharp = np.expm1(lr)
+        else:
+            sharp = np.expm1(spec.gamma * lr) / spec.gamma
+    return lead, sharp
+
+
+def _phi_prime_mean(model: ParametricModel, spec: DivergenceSpec, theta, alpha) -> float:
     """``int phi'(p_theta/p_alpha) dP_theta`` with closed forms where possible."""
     if isinstance(model, Categorical):
         p_t = model.probs(theta)
         return _categorical_lead(spec, p_t, p_t / model.probs(alpha))
     if isinstance(spec, CressieRead) and isinstance(model, ExponentialFamilyModel):
-        g = spec.gamma
-        if abs(g - 1.0) < GAMMA_LIMIT_TOL:
-            return model.mean_log_ratio(theta, alpha)
-        if abs(g) < GAMMA_LIMIT_TOL:
-            ratio_int = model.ratio_power_integral(theta, alpha, -1.0)
-            return 1.0 - ratio_int
-        ratio_int = model.ratio_power_integral(theta, alpha, g - 1.0)
-        if math.isinf(ratio_int):
-            return INF
-        return (ratio_int - 1.0) / (g - 1.0)
+        model.check_domain(theta)
+        model.check_domain(alpha)
+        return float(_expfam_power_dual(model, spec, theta, alpha)[0])
 
     def integrand(x):
         return _guarded_ratio_eval(model, spec, theta, alpha, x, 1)
 
     try:
-        return model.integrate_under(theta, integrand, tol)
+        return model.integrate_under(theta, integrand)
     except _InfiniteIntegrand:
         return INF
 
@@ -202,14 +244,14 @@ def _categorical_lead(spec: DivergenceSpec, p_t: np.ndarray, ratios: np.ndarray)
     return float(np.sum(vals * p_t))
 
 
-def h_value(model: ParametricModel, spec: DivergenceSpec, theta, alpha, x, tol: float = 1e-10) -> float:
+def h_value(model: ParametricModel, spec: DivergenceSpec, theta, alpha, x) -> float:
     """Dual integrand ``h(theta, alpha, x)``.
 
     The constant-in-``x`` part is the mean of ``phi'`` of the density ratio
     under ``P_theta``; the ``x`` part subtracts the sharp transform of the
     ratio at ``x``.
     """
-    lead = _phi_prime_mean(model, spec, theta, alpha, tol)
+    lead = _phi_prime_mean(model, spec, theta, alpha)
     if math.isinf(lead):
         return INF
     r = math.exp(float(model.log_density_ratio(theta, alpha, x)))
@@ -228,11 +270,10 @@ class _DualCriterion:
     maximizer) and counted.
     """
 
-    def __init__(self, model: ParametricModel, spec: DivergenceSpec, mu: WeightedEmpiricalMeasure, tol: float = 1e-10):
+    def __init__(self, model: ParametricModel, spec: DivergenceSpec, mu: WeightedEmpiricalMeasure):
         self.model = model
         self.spec = spec
         self.mu = mu
-        self.tol = tol
         self.rejected = 0
         self.w = mu.weights_array()
         self.wbar = float(np.mean(self.w))
@@ -244,50 +285,41 @@ class _DualCriterion:
             self._kind = "categorical"
         elif isinstance(model, ExponentialFamilyModel):
             self.t_stat = model.sufficient_stat(mu.points_array())
-            self._kind = "expfam"
+            self._kind = "power" if isinstance(spec, CressieRead) else "expfam"
         else:  # pragma: no cover - no other shipped model kinds
             raise ValidationError(f"unsupported model {model!r}")
 
     def __call__(self, theta, alpha) -> float:
-        if self._kind == "categorical":
+        kind = self._kind
+        if kind == "power":
+            lead, sharp = _expfam_power_dual(self.model, self.spec, theta, alpha, self.t_stat)
+        elif kind == "categorical":
             # one probability-ratio pass feeds both the lead and the tail
             p_t = self.model.probs(theta)
             ratios = p_t / self.model.probs(alpha)
             lead = _categorical_lead(self.spec, p_t, ratios)
         else:
-            lead = _phi_prime_mean(self.model, self.spec, theta, alpha, self.tol)
+            lead = _phi_prime_mean(self.model, self.spec, theta, alpha)
         if not math.isfinite(lead):
             self.rejected += 1
             return -INF
-        if self._kind == "categorical":
+        if kind == "categorical":
             tail = float(np.dot(self.atom_masses, self.spec.sharp_array(ratios)))
         else:
-            lr = (
-                (theta - alpha) * self.t_stat
-                - self.model.log_normalizer(theta)
-                + self.model.log_normalizer(alpha)
-            )
-            sharp = self._sharp_from_log_ratio(lr)
-            tail = float(np.mean(self.w * sharp))
+            if kind == "expfam":
+                lr = (
+                    (theta - alpha) * self.t_stat
+                    - self.model.log_normalizer(theta)
+                    + self.model.log_normalizer(alpha)
+                )
+                sharp = self.spec.sharp_array(np.exp(lr))
+            # np.mean's bits (pairwise sum, then divide) without its overhead
+            tail = float(np.add.reduce(self.w * sharp)) / self.mu.n
         value = self.wbar * lead - tail
         if not math.isfinite(value):
             self.rejected += 1
             return -INF
         return value
-
-    def _sharp_from_log_ratio(self, lr: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if isinstance(spec, CressieRead):
-            g = spec.gamma
-            with np.errstate(over="ignore"):
-                if abs(g) < GAMMA_LIMIT_TOL:
-                    return lr
-                if abs(g - 1.0) < GAMMA_LIMIT_TOL:
-                    return np.expm1(lr)
-                if g == 2.0:
-                    return 0.5 * np.expm1(2.0 * lr)
-                return np.expm1(g * lr) / g
-        return spec.sharp_array(np.exp(lr))
 
 
 def _resolve_box(model: ParametricModel, mu: WeightedEmpiricalMeasure):
@@ -436,37 +468,16 @@ class _BatchCriterion:
         if not isinstance(spec, CressieRead):
             raise ValidationError("batched estimation requires a power-family generator")
         self.model = model
-        self.g = spec.gamma
+        self.spec = spec
         self.t = np.atleast_2d(model.sufficient_stat(points))
         self.w = np.atleast_2d(weights)
-        self.wbar = np.mean(self.w, axis=1)
+        self.wbar = np.mean(self.w, axis=1, keepdims=True)
 
     def value(self, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        g = self.g
-        m = self.model
-        C_t = m.log_normalizer_array(theta)
-        C_a = m.log_normalizer_array(alpha)
-        delta = theta - alpha
+        lead, sharp = _expfam_power_dual(self.model, self.spec, theta[:, None], alpha[:, None], self.t)
         with np.errstate(over="ignore", invalid="ignore"):
-            if abs(g - 1.0) < GAMMA_LIMIT_TOL:
-                lead = delta * m.grad_log_normalizer_array(theta) - C_t + C_a
-            elif abs(g) < GAMMA_LIMIT_TOL:
-                lead = np.zeros_like(delta)
-            else:
-                u = g - 1.0
-                tilted = theta + u * delta
-                expo = u * (C_a - C_t) + m.log_normalizer_array(tilted) - C_t
-                lead = np.expm1(expo) / u
-            lr = delta[:, None] * self.t - C_t[:, None] + C_a[:, None]
-            if abs(g) < GAMMA_LIMIT_TOL:
-                sharp = lr
-            elif abs(g - 1.0) < GAMMA_LIMIT_TOL:
-                sharp = np.expm1(lr)
-            else:
-                sharp = np.expm1(g * lr) / g
-            tail = np.mean(self.w * sharp, axis=1)
-            out = self.wbar * lead - tail
-        return np.where(np.isfinite(out), out, -INF)
+            out = self.wbar * lead - np.mean(self.w * sharp, axis=1, keepdims=True)
+        return np.where(np.isfinite(out), out, -INF)[:, 0]
 
 
 def minimum_dual_estimator_batch(
@@ -475,9 +486,6 @@ def minimum_dual_estimator_batch(
     points: np.ndarray,
     weights: np.ndarray,
     box: tuple[float, float],
-    inner_iters: int = 48,
-    outer_iters: int = 48,
-    n_scan: int = 7,
 ) -> np.ndarray:
     """Row-wise minimum dual estimates for a matrix of replications.
 
@@ -496,11 +504,11 @@ def minimum_dual_estimator_batch(
 
     def inner_value(theta_vec: np.ndarray) -> np.ndarray:
         _, val = batch_golden_max(
-            lambda a: crit.value(theta_vec, a), lo, hi, n_scan=n_scan, iters=inner_iters
+            lambda a: crit.value(theta_vec, a), lo, hi, n_scan=_BATCH_SCAN, iters=_BATCH_ITERS
         )
         return val
 
     theta_hat, _ = batch_golden_max(
-        lambda th: -inner_value(th), lo, hi, n_scan=n_scan, iters=outer_iters
+        lambda th: -inner_value(th), lo, hi, n_scan=_BATCH_SCAN, iters=_BATCH_ITERS
     )
     return theta_hat

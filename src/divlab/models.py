@@ -97,22 +97,11 @@ class ExponentialFamilyModel(ParametricModel):
 
     def log_normalizer_array(self, theta: np.ndarray) -> np.ndarray:
         """Vectorized ``C``; ``+inf`` outside the natural-parameter interval."""
-        theta = np.asarray(theta, dtype=float)
-        lo, hi = self.theta_domain
-        out = np.full(theta.shape, INF)
-        ok = (theta > lo) & (theta < hi)
-        if np.any(ok):
-            out[ok] = [self.log_normalizer(v) for v in theta[ok]]
-        return out
+        raise NotImplementedError
 
     def grad_log_normalizer_array(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        lo, hi = self.theta_domain
-        out = np.full(theta.shape, np.nan)
-        ok = (theta > lo) & (theta < hi)
-        if np.any(ok):
-            out[ok] = [self.grad_log_normalizer(v) for v in theta[ok]]
-        return out
+        """Vectorized ``grad C``; ``nan`` outside the natural-parameter interval."""
+        raise NotImplementedError
 
     #: open natural-parameter interval
     theta_domain: tuple[float, float] = (-INF, INF)
@@ -135,33 +124,6 @@ class ExponentialFamilyModel(ParametricModel):
         self.check_domain(alpha)
         t = self.sufficient_stat(np.asarray(x, dtype=float))
         return (theta - alpha) * t - self.log_normalizer(theta) + self.log_normalizer(alpha)
-
-    def ratio_power_integral(self, theta, alpha, u: float) -> float:
-        """Closed form of ``int (p_theta / p_alpha)**u dP_theta``.
-
-        Equals ``exp(u*(C(alpha) - C(theta)) + C(theta + u*(theta - alpha))
-        - C(theta))`` whenever the tilted parameter stays in the domain;
-        ``+inf`` otherwise.
-        """
-        self.check_domain(theta)
-        self.check_domain(alpha)
-        tilted = theta + u * (theta - alpha)
-        if not self.in_domain(tilted):
-            return INF
-        expo = (
-            u * (self.log_normalizer(alpha) - self.log_normalizer(theta))
-            + self.log_normalizer(tilted)
-            - self.log_normalizer(theta)
-        )
-        return math.exp(expo) if expo < 709.0 else INF
-
-    def mean_log_ratio(self, theta, alpha) -> float:
-        """Closed form of ``int log(p_theta/p_alpha) dP_theta``."""
-        return (
-            (theta - alpha) * self.grad_log_normalizer(theta)
-            - self.log_normalizer(theta)
-            + self.log_normalizer(alpha)
-        )
 
     def fisher_information(self, theta):
         self.check_domain(theta)
@@ -235,7 +197,7 @@ class GaussianLocation(ExponentialFamilyModel):
         return 1.0
 
     def log_normalizer_array(self, theta):
-        return 0.5 * np.asarray(theta, dtype=float) ** 2
+        return 0.5 * np.square(theta)
 
     def grad_log_normalizer_array(self, theta):
         return np.asarray(theta, dtype=float)
@@ -281,8 +243,7 @@ class PoissonNatural(ExponentialFamilyModel):
         return math.exp(float(theta))
 
     def log_normalizer_array(self, theta):
-        with np.errstate(over="ignore"):
-            return np.exp(np.asarray(theta, dtype=float))
+        return np.exp(theta)
 
     grad_log_normalizer_array = log_normalizer_array
 
@@ -354,11 +315,11 @@ class ExponentialScale(ExponentialFamilyModel):
 
     def log_normalizer_array(self, theta):
         theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, INF)
-        ok = theta < 0.0
-        with np.errstate(invalid="ignore"):
-            out[ok] = -np.log(-theta[ok])
-        return out
+        return -np.log(-theta, out=np.full(theta.shape, -INF), where=theta < 0.0)
+
+    def grad_log_normalizer_array(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        return np.divide(-1.0, theta, out=np.full(theta.shape, np.nan), where=theta < 0.0)
 
     def score_init(self, target):
         if target <= 0.0:

@@ -328,8 +328,10 @@ def chernoff_argmax(law: WeightLaw, x: float) -> tuple[float, float]:
     ``t*x - M(t)`` as a last resort.  Arguments outside the closed convex
     hull of the support give ``+inf``; at a support endpoint the supremum
     is the boundary limit ``-log P(W = x)`` (``+inf`` when the endpoint
-    carries no mass).
+    carries no mass).  NaN is invalid input.
     """
+    if math.isnan(x):
+        raise ValidationError(f"Chernoff transform of {law.token} needs a number, got {x!r}")
     w_min, w_max = law.support_bounds
     if x < w_min or x > w_max:
         return INF, INF if x > w_max else -INF

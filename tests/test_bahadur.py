@@ -92,9 +92,8 @@ class TestCellDivergenceRows:
     def test_one_chernoff_solve_per_distinct_mass_of_each_cell(self, monkeypatch):
         """A full k=3 grid call solves each cell's term once per distinct positive mass.
 
-        The first two masses take 1,001 values each; the third, ``1 - a - b``
-        in floating point, takes 4,851, so the solves number in the
-        thousands instead of one per cell (1,501,503 cells).
+        Each mass takes the 1,001 values ``i / 1000``, so the solves number
+        3,000 instead of one per cell (1,501,503 cells).
         """
         calls = []
         solve = weights.chernoff_argmax
@@ -109,8 +108,16 @@ class TestCellDivergenceRows:
         out = _cell_divergence_rows(induced_divergence(ShiftedBernoulli(0.5)), p, grid)
         assert out.shape == (501501,)
         masses = [np.unique(grid[:, j]) for j in range(3)]
-        assert [m.size for m in masses] == [1001, 1001, 4851]
+        assert [m.size for m in masses] == [1001, 1001, 1001]
         assert calls == [x for pj, m in zip(p, masses) for x in (pj / m[m > 0.0]).tolist()]
+        assert len(calls) == 3000
+
+    def test_k3_grid_stays_on_the_simplex(self):
+        """No mass is negative, and the 1,001 edge rows hold an exact zero third mass."""
+        grid = _simplex_grid(3, GRID_STEP)
+        assert np.all(grid >= 0.0)
+        assert np.count_nonzero(grid[:, 2] == 0.0) == 1001
+        np.testing.assert_array_equal(np.unique(grid[:, 2]), np.arange(1001) / 1000)
 
 
 # =============================================================================

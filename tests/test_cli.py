@@ -182,6 +182,11 @@ class TestExitCodes:
         assert code == 2
         assert "DIVLAB_THREADS" in capsys.readouterr().err
 
+    def test_nan_chernoff_point_exits_two(self, tmp_path, capsys):
+        """A NaN evaluation point is invalid input, exit 2."""
+        assert _run(["chernoff", "--law", "poisson1", "--points", "nan"], tmp_path, "x") == 2
+        assert "nan" in capsys.readouterr().err
+
     def test_numeric_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         """Numeric breakdowns map to exit code 3."""
 

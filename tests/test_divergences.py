@@ -1,5 +1,6 @@
 """Unit tests for the power-family generators and finite-support divergences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,16 @@ class TestPowerGenerator:
         # Frozen: (2^0.5 - 0.5*2 + 0.5 - 1)/(0.5*(0.5 - 1)).
         assert CressieRead(0.5).value(2.0) == pytest.approx(0.34314575050761970, abs=1e-15)
         assert CressieRead(-1.0).value(2.0) == pytest.approx((0.5 + 2.0 - 2.0) / 2.0, abs=1e-15)
+
+    def test_branch_fixed_at_construction(self):
+        """The branch is an attribute; equality, hashing and repr see only the index."""
+        assert [CressieRead(g).branch for g in (0.0, 1.0, 2.0, 0.5)] == ["log", "xlogx", "chi2", "power"]
+        assert CressieRead(0.5) == CressieRead(0.5) and CressieRead(0.5) != CressieRead(0.25)
+        assert hash(CressieRead(0.5)) == hash(CressieRead(0.5))
+        assert repr(CressieRead(0.5)) == "CressieRead(gamma=0.5)"
+        assert [f.name for f in dataclasses.fields(CressieRead)] == ["gamma"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            CressieRead(0.5).branch = "log"
 
     def test_limit_switch_near_special_indices(self, grid):
         """Indices within the switch tolerance use the limiting branch."""

@@ -10,6 +10,8 @@ from divlab.divergences import INF, CressieRead, FiniteMeasure, divergence_finit
 from divlab.errors import ValidationError
 from divlab.estimation import (
     WeightedEmpiricalMeasure,
+    _BatchCriterion,
+    _DualCriterion,
     build_weighted_empirical,
     divergence_between,
     estimate_phi_dual,
@@ -183,6 +185,43 @@ class TestDualCriterion:
         value, alpha = estimate_phi_dual(model, CressieRead(1.0), 0.4, mu)
         assert math.isfinite(value)
         assert alpha == pytest.approx(float(np.mean(x)), abs=0.05)
+
+
+class TestOneKernel:
+    """The scalar and batched criteria evaluate one closed form."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, -0.5])
+    @pytest.mark.parametrize(
+        "model, theta, pairs",
+        [
+            (GaussianLocation(), 0.3, [(0.3, 0.3), (0.3, -0.4), (0.3, 1.1)]),
+            (PoissonNatural(), 0.1, [(0.1, 0.1), (0.1, -0.5), (0.1, 0.6)]),
+            # (-0.5, -2.0) tilts to 2*theta - alpha = 1 > 0 at index 2
+            (ExponentialScale(), -1.0, [(-1.0, -1.0), (-1.0, -0.6), (-0.5, -2.0)]),
+        ],
+    )
+    def test_scalar_equals_one_batch_row(self, model, theta, pairs, gamma):
+        """The scalar criterion is the one-row batch, bit for bit."""
+        rng = np.random.default_rng(31)
+        points = model.sample(theta, 40, rng)
+        weights = PoissonOne().sample(40, rng)
+        spec = CressieRead(gamma)
+        scalar = _DualCriterion(model, spec, WeightedEmpiricalMeasure(tuple(points), tuple(weights)))
+        batch = _BatchCriterion(model, spec, points[None, :], weights[None, :])
+        for th, a in pairs:
+            row = batch.value(np.array([th]), np.array([a]))
+            assert row.shape == (1,)
+            assert scalar(th, a) == row[0]
+        if isinstance(model, ExponentialScale) and gamma == 2.0:
+            assert scalar(-0.5, -2.0) == -INF
+
+    def test_zero_lead_is_positive_zero(self):
+        """At alpha = theta the limit branches give +0.0 (a JSON ``0``, not ``-0``)."""
+        points = np.array([-0.3, 0.4, 1.2])
+        mu = WeightedEmpiricalMeasure.plain(tuple(points))
+        for gamma in [0.0, 1.0]:
+            value = _DualCriterion(GaussianLocation(), CressieRead(gamma), mu)(0.2, 0.2)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestMinimumDualEstimator:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from divlab.divergences import CressieRead
 from divlab.errors import DomainError, ValidationError
+from divlab.estimation import _expfam_power_dual
 from divlab.models import (
     Categorical,
     ExponentialScale,
@@ -109,14 +111,19 @@ class TestArrayPaths:
             np.testing.assert_allclose(out, ref, rtol=1e-13)
 
     def test_out_of_domain_masked_to_inf(self):
-        """The scale model marks nonnegative parameters with +inf."""
+        """The scale model marks nonnegative parameters with +inf (nan gradient)."""
         out = ExponentialScale().log_normalizer_array(np.array([-1.0, 0.5]))
         assert np.isfinite(out[0]) and np.isinf(out[1])
+        grad = ExponentialScale().grad_log_normalizer_array(np.array([-1.0, 0.0, 0.5]))
+        assert grad[0] == 1.0 and np.all(np.isnan(grad[1:]))
 
     def test_grad_array_matches_scalar(self):
         """Array gradients agree with the scalar method."""
-        for model in [GaussianLocation(), PoissonNatural()]:
-            grid = np.array([-0.4, 0.0, 0.9])
+        for model, grid in [
+            (GaussianLocation(), np.array([-0.4, 0.0, 0.9])),
+            (PoissonNatural(), np.array([-0.4, 0.0, 0.9])),
+            (ExponentialScale(), np.array([-1.3, -0.6, -0.95])),
+        ]:
             np.testing.assert_allclose(
                 model.grad_log_normalizer_array(grid),
                 [model.grad_log_normalizer(float(v)) for v in grid],
@@ -129,8 +136,20 @@ class TestArrayPaths:
 # =============================================================================
 
 
+def _ratio_power_integral(model, theta, alpha, u):
+    """``int (p_theta/p_alpha)**u dP_theta`` as ``1 + u * lead`` of index ``u + 1``."""
+    lead, _ = _expfam_power_dual(model, CressieRead(u + 1.0), theta, alpha)
+    return 1.0 + u * lead
+
+
+def _mean_log_ratio(model, theta, alpha):
+    """``int log(p_theta/p_alpha) dP_theta``: the Kullback-Leibler lead."""
+    lead, _ = _expfam_power_dual(model, CressieRead(1.0), theta, alpha)
+    return lead
+
+
 class TestRatioIntegrals:
-    """Closed-form tilted integrals against direct numeric integrals."""
+    """The dual kernel's closed-form leads against direct numeric integrals."""
 
     def test_gaussian_power_integral_by_quadrature(self):
         """Gaussian tilted-ratio integral matches adaptive quadrature."""
@@ -144,7 +163,7 @@ class TestRatioIntegrals:
             return math.exp(log_val) if log_val > -700.0 else 0.0
 
         expect, _ = integrate.quad(integrand, -np.inf, np.inf)
-        assert model.ratio_power_integral(theta, alpha, u) == pytest.approx(expect, rel=1e-9)
+        assert _ratio_power_integral(model, theta, alpha, u) == pytest.approx(expect, rel=1e-9)
 
     def test_poisson_power_integral_by_series(self):
         """Poisson tilted-ratio integral matches direct series summation."""
@@ -155,12 +174,12 @@ class TestRatioIntegrals:
         for j in range(200):
             ratio = math.exp(j * (theta - alpha) - lam_t + lam_a)
             expect += ratio**u * stats.poisson.pmf(j, lam_t)
-        assert model.ratio_power_integral(theta, alpha, u) == pytest.approx(expect, rel=1e-10)
+        assert _ratio_power_integral(model, theta, alpha, u) == pytest.approx(expect, rel=1e-10)
 
     def test_mean_log_ratio_gaussian_closed_form(self):
         """The Gaussian mean log ratio is half the squared location gap."""
         model = GaussianLocation()
-        assert model.mean_log_ratio(0.7, 0.2) == pytest.approx(0.5 * 0.25, abs=1e-13)
+        assert _mean_log_ratio(model, 0.7, 0.2) == pytest.approx(0.5 * 0.25, abs=1e-13)
 
     def test_mean_log_ratio_by_quadrature(self):
         """The scale model's mean log ratio matches quadrature."""
@@ -172,13 +191,13 @@ class TestRatioIntegrals:
             return log_ratio * (-theta) * math.exp(theta * x)
 
         expect, _ = integrate.quad(integrand, 0.0, np.inf)
-        assert model.mean_log_ratio(theta, alpha) == pytest.approx(expect, rel=1e-9)
+        assert _mean_log_ratio(model, theta, alpha) == pytest.approx(expect, rel=1e-9)
 
     def test_out_of_domain_tilt_is_infinite(self):
         """Tilted parameters leaving the domain give +inf."""
         model = ExponentialScale()
         # theta + u*(theta - alpha) crosses zero for a large positive tilt.
-        assert model.ratio_power_integral(-0.3, -2.0, 1.0) == math.inf
+        assert _ratio_power_integral(model, -0.3, -2.0, 1.0) == math.inf
 
 
 class TestCdf:

@@ -178,6 +178,12 @@ class TestChernoffClosedForms:
 class TestChernoffBoundary:
     """Transform behavior at and beyond the support."""
 
+    def test_nan_is_invalid_input(self):
+        """NaN raises a validation error, not a numeric failure."""
+        for law in [PoissonOne(), ExponentialOne(), ShiftedBernoulli(0.5)]:
+            with pytest.raises(ValidationError):
+                chernoff_argmax(law, math.nan)
+
     def test_outside_support_infinite(self):
         """Arguments outside the convex hull of the support give +inf."""
         law = ShiftedBernoulli(0.5)
