@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -133,6 +132,8 @@ def nelder_mead(
     final point and its penalized value, ``PENALTY`` when the search found
     no admissible point.
     """
+    from scipy import optimize
+
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
 

@@ -174,7 +174,7 @@ def _guarded_ratio_eval(model, spec, theta, alpha, x, order: int) -> float:
     return v
 
 
-def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, t=None):
+def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, t=None, out=None):
     """Closed-form pieces ``(lead, sharp)`` of the dual criterion.
 
     For a natural exponential family the log ratio ``log(p_theta/p_alpha)``
@@ -189,7 +189,9 @@ def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, 
     both functions of ``C``.  ``theta`` and ``alpha`` broadcast against
     ``t``: scalars for one criterion, a column per row for a batch.  The
     lead is infinite when the tilted parameter leaves the natural domain
-    or its integral overflows; ``sharp`` is ``None`` without ``t``.
+    or its integral overflows; ``sharp`` is ``None`` without ``t``.  Given
+    ``out``, an array of the broadcast shape, ``sharp`` is written into it
+    instead of fresh temporaries, with the same ufuncs in the same order.
     """
     branch = spec.branch
     with np.errstate(over="ignore", invalid="ignore"):
@@ -207,13 +209,17 @@ def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, 
             lead = np.expm1(expo) / u
         if t is None:
             return lead, None
-        lr = delta * t - C_t + C_a
+        lr = np.multiply(delta, t, out=out)
+        lr -= C_t
+        lr += C_a
         if branch == "log":
             sharp = lr
         elif branch == "xlogx":
-            sharp = np.expm1(lr)
+            sharp = np.expm1(lr, out=lr)
         else:
-            sharp = np.expm1(spec.gamma * lr) / spec.gamma
+            lr *= spec.gamma
+            sharp = np.expm1(lr, out=lr)
+            sharp /= spec.gamma
     return lead, sharp
 
 
@@ -440,7 +446,7 @@ def minimum_dual_estimator(
     return EstimateReport(
         theta_hat=theta_rep,
         alpha_hat=alpha_rep,
-        value=float(value),
+        value=float(value) + 0.0,  # -0.0 + 0.0 is +0.0: reports print 0, never -0
         converged=bool(converged),
         iterations=evals,
         inner_grad_norm=float(grad_norm),
@@ -472,11 +478,19 @@ class _BatchCriterion:
         self.t = np.atleast_2d(model.sufficient_stat(points))
         self.w = np.atleast_2d(weights)
         self.wbar = np.mean(self.w, axis=1, keepdims=True)
+        # one (rows, n) work array for all calls: fresh temporaries of this
+        # size can go back to the OS when freed and fault in again on the
+        # next call (about a million minor faults per spread comparison)
+        self._work = np.empty(np.broadcast_shapes(self.t.shape, self.w.shape))
 
     def value(self, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        lead, sharp = _expfam_power_dual(self.model, self.spec, theta[:, None], alpha[:, None], self.t)
+        """Criterion per row, as a fresh array (callers keep earlier results)."""
+        lead, sharp = _expfam_power_dual(
+            self.model, self.spec, theta[:, None], alpha[:, None], self.t, self._work
+        )
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.wbar * lead - np.mean(self.w * sharp, axis=1, keepdims=True)
+            sharp *= self.w
+            out = self.wbar * lead - np.mean(sharp, axis=1, keepdims=True)
         return np.where(np.isfinite(out), out, -INF)[:, 0]
 
 

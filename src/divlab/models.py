@@ -19,7 +19,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DomainError,
@@ -291,6 +290,11 @@ class PoissonNatural(ExponentialFamilyModel):
         return np.where(x < 0.0, 0.0, gammaincc(np.floor(x) + 1.0, lam))
 
 
+def _all_negative(theta: np.ndarray) -> bool:
+    """``all(theta < 0)``, false for NaN; a 0-d value skips the array reduction."""
+    return float(theta) < 0.0 if theta.ndim == 0 else bool((theta < 0.0).all())
+
+
 class ExponentialScale(ExponentialFamilyModel):
     """Exponential lifetimes in natural parametrization.
 
@@ -313,12 +317,19 @@ class ExponentialScale(ExponentialFamilyModel):
     def hess_log_normalizer(self, theta):
         return 1.0 / float(theta) ** 2
 
+    # The masked ufuncs cost several times the plain ones on the 0-d values
+    # of the scalar criterion, so they run only when some theta is outside.
+
     def log_normalizer_array(self, theta):
         theta = np.asarray(theta, dtype=float)
+        if _all_negative(theta):
+            return -np.log(-theta)
         return -np.log(-theta, out=np.full(theta.shape, -INF), where=theta < 0.0)
 
     def grad_log_normalizer_array(self, theta):
         theta = np.asarray(theta, dtype=float)
+        if _all_negative(theta):
+            return -1.0 / theta
         return np.divide(-1.0, theta, out=np.full(theta.shape, np.nan), where=theta < 0.0)
 
     def score_init(self, target):
@@ -476,6 +487,8 @@ class Categorical(ParametricModel):
 
 
 def _quad_real_line(integrand, tol):
+    from scipy import integrate
+
     value, err, info = integrate.quad(
         integrand, -np.inf, np.inf, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT, full_output=1
     )[:3]
@@ -485,6 +498,8 @@ def _quad_real_line(integrand, tol):
 
 
 def _quad_half_line(integrand, tol):
+    from scipy import integrate
+
     value, err = integrate.quad(
         integrand, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT
     )

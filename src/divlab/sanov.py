@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .divergences import CressieRead, DivergenceSpec, FiniteMeasure, INF, cell_divergence, divergence_finite
 from .errors import EnumerationLimitError, ValidationError
@@ -207,6 +206,8 @@ def _check_prob_vector(p: np.ndarray):
 
 def log_occupation_probability(p, counts) -> float:
     """Log multinomial probability of observing exactly ``counts``."""
+    from scipy.special import gammaln
+
     p = np.asarray(p, dtype=float)
     counts = np.asarray(counts)
     if counts.shape != p.shape:
@@ -370,6 +371,8 @@ def enumerate_count_vectors(k: int, n: int) -> np.ndarray:
 
 
 def _log_probs_of_counts(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    from scipy.special import gammaln
+
     n = int(np.sum(counts[0]))
     logcoef = gammaln(n + 1) - np.sum(gammaln(counts + 1), axis=1)
     with np.errstate(divide="ignore"):
@@ -416,6 +419,8 @@ def sandwich_check(
     ``L`` is the exact normalized log-probability and ``K`` the negative
     infimum of the cell divergence over the closed neighborhood box.
     """
+    from scipy.special import logsumexp
+
     k = part.k
     V = _neighborhood_from_idealized(model, thetaT, part, epsilon, n, zero_cells)
     p = cell_probabilities(model, theta, part)
@@ -471,6 +476,8 @@ def ml_ldp_gap(
     surrogate over the parameter; their exact-likelihood gap obeys
     ``0 <= L(theta_exact) - L(theta_rate) <= (k/n) log(n+1)``.
     """
+    from scipy.special import gammaln, logsumexp
+
     from ._optim import maximize_scalar, nelder_mead_multistart
 
     k = part.k

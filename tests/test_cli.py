@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -418,3 +421,35 @@ class TestReproducibility:
             produced = (tmp_path / f"{label}.{suffix}").read_bytes()
             stored = (GOLDEN_DIR / f"{label}.{suffix}").read_bytes()
             assert produced == stored, f"{label}.{suffix} drifted"
+
+
+# =============================================================================
+# Tests: which scipy modules each entry point loads
+# =============================================================================
+
+
+def _scipy_modules_after(code: str) -> set:
+    """Names of the scipy modules loaded once ``code`` ran in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    # the CLI prints the paths it wrote; the module names are the last line
+    return set(done.stdout.splitlines()[-1].split())
+
+
+class TestImportHygiene:
+    """scipy submodules load only on the paths that call them."""
+
+    def test_import_and_chernoff_load_no_scipy(self, tmp_path):
+        assert _scipy_modules_after("import divlab.cli") == set()
+        run = f"import divlab.cli\nassert divlab.cli.main({CHERNOFF_ARGS + ['--out', str(tmp_path)]!r}) == 0"
+        assert _scipy_modules_after(run) == set()
+
+    def test_sandwich_loads_only_scipy_special(self, tmp_path):
+        run = (f"import divlab.cli\nassert divlab.cli.main("
+               f"{RERUN_CONFIGS['sanov_sandwich'] + ['--out', str(tmp_path)]!r}) == 0")
+        loaded = _scipy_modules_after(run)
+        assert "scipy.special" in loaded
+        assert loaded <= _scipy_modules_after("import scipy.special")

@@ -1,10 +1,16 @@
 """Unit tests for the Monte Carlo moment and distribution harnesses."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from divlab.clt import (
     STATISTIC_MAP,
+    _skew_kurtosis,
     estimator_distribution_compare,
     weighted_clt_check,
     weighted_lln_check,
@@ -102,6 +108,40 @@ class TestWeightedNormality:
         assert "skewness" in report.moments
         assert report.targets["lower_tail_frequency"] == pytest.approx(0.05)
         assert report.targets["upper_tail_frequency"] == pytest.approx(0.95)
+
+
+class TestSkewKurtosisPort:
+    """The numpy moments equal ``scipy.stats.skew``/``kurtosis`` bit for bit."""
+
+    @staticmethod
+    def _same(x):
+        got = _skew_kurtosis(x)
+        ref = (float(stats.skew(x)), float(stats.kurtosis(x)))
+        for a, b in zip(got, ref):
+            assert a == b or (math.isnan(a) and math.isnan(b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=300))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_random_arrays(self, values):
+        self._same(np.array(values))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_constant_and_near_constant(self):
+        """A constant array gives NaN; a shifted near-constant one stays finite."""
+        assert all(math.isnan(v) for v in _skew_kurtosis(np.full(40, 2.5)))
+        self._same(np.full(40, 2.5))
+        near = np.full(40, 1e6)
+        near[3] += 1e-6
+        assert all(math.isfinite(v) for v in _skew_kurtosis(near))
+        self._same(near)
+
+    def test_clt_report_moments_match_scipy(self, fixed_points):
+        """The harness reports scipy's moments of its standardized values."""
+        report = weighted_clt_check(fixed_points, ExponentialOne(), STATISTIC_MAP["identity"], 800, 3)
+        t_vals = np.array(report.values)
+        assert report.moments["skewness"] == float(stats.skew(t_vals))
+        assert report.moments["excess_kurtosis"] == float(stats.kurtosis(t_vals))
 
 
 # =============================================================================

@@ -12,6 +12,7 @@ from divlab.estimation import (
     WeightedEmpiricalMeasure,
     _BatchCriterion,
     _DualCriterion,
+    _expfam_power_dual,
     build_weighted_empirical,
     divergence_between,
     estimate_phi_dual,
@@ -224,8 +225,74 @@ class TestOneKernel:
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
+def _out_of_place_batch_value(crit, theta, alpha):
+    """``_BatchCriterion.value`` as fresh temporaries; the reference for the work array."""
+    model, spec = crit.model, crit.spec
+    th, al = theta[:, None], alpha[:, None]
+    lead, _ = _expfam_power_dual(model, spec, th, al)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lr = (th - al) * crit.t - model.log_normalizer_array(th) + model.log_normalizer_array(al)
+        if spec.branch == "log":
+            sharp = lr
+        elif spec.branch == "xlogx":
+            sharp = np.expm1(lr)
+        else:
+            sharp = np.expm1(spec.gamma * lr) / spec.gamma
+        out = crit.wbar * lead - np.mean(crit.w * sharp, axis=1, keepdims=True)
+    return np.where(np.isfinite(out), out, -INF)[:, 0]
+
+
+class TestBatchWorkArray:
+    """The batched criterion writes into one work array and returns fresh rows."""
+
+    # the last two rows overflow, or tilt out of the domain, for some indices
+    CASES = [
+        (GaussianLocation(), 0.3, [0.3, 0.3, -0.2, 0.9, 30.0, -40.0], [0.3, -0.4, 1.1, 0.2, -30.0, 40.0]),
+        (PoissonNatural(), 0.1, [0.1, 0.1, 0.6, -0.3, 8.0, 0.1], [0.1, -0.5, -0.2, 0.4, -30.0, 40.0]),
+        (ExponentialScale(), -1.0, [-1.0, -1.0, -0.8, -1.4, -0.5, -0.05], [-1.0, -0.6, -1.2, -0.9, -2.0, -40.0]),
+    ]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, -0.5])
+    @pytest.mark.parametrize("model, theta0, theta, alpha", CASES)
+    def test_equals_out_of_place_expression(self, model, theta0, theta, alpha, gamma):
+        """Same bits as the out-of-place expression, non-finite rows included."""
+        rng = np.random.default_rng(12)
+        rows, n = len(theta), 50
+        points = np.broadcast_to(model.sample(theta0, n, rng), (rows, n))
+        weights = np.vstack([PoissonOne().sample(n, rng) for _ in range(rows)])
+        crit = _BatchCriterion(model, CressieRead(gamma), points, weights)
+        theta, alpha = np.array(theta), np.array(alpha)
+        got = crit.value(theta, alpha)
+        assert np.array_equal(got, _out_of_place_batch_value(crit, theta, alpha))
+        assert np.all(np.isfinite(got[:4]))
+        if gamma == 2.0:
+            assert np.all(got[4:] == -INF)
+
+    def test_successive_calls_return_independent_arrays(self):
+        """A result is no view of the work array: a later call leaves it intact."""
+        model = GaussianLocation()
+        rng = np.random.default_rng(5)
+        points = np.broadcast_to(model.sample(0.0, 40, rng), (3, 40))
+        weights = np.vstack([PoissonOne().sample(40, rng) for _ in range(3)])
+        crit = _BatchCriterion(model, CressieRead(0.5), points, weights)
+        first = crit.value(np.array([0.0, 0.1, 0.2]), np.array([0.1, 0.0, -0.1]))
+        kept = first.copy()
+        second = crit.value(np.array([0.5, -0.5, 0.3]), np.array([0.4, -0.2, 0.3]))
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, crit._work)
+        assert np.array_equal(first, kept) and not np.array_equal(first, second)
+
+
 class TestMinimumDualEstimator:
     """Outer minimization over the parameter."""
+
+    def test_zero_value_is_reported_as_positive_zero(self):
+        """An estimate whose criterion value is -0.0 reports +0.0 (JSON ``0``, not ``-0``)."""
+        model = GaussianLocation()
+        points = model.sample(0.3, 60, np.random.default_rng(7))
+        report = minimum_dual_estimator(model, CressieRead(-0.5), WeightedEmpiricalMeasure.plain(tuple(points)))
+        assert report.value == 0.0
+        assert math.copysign(1.0, report.value) == 1.0
 
     def test_score_identity_with_weights(self, gauss_sample):
         """The weighted estimate solves the self-normalized score equation."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from divlab.divergences import CressieRead
+from divlab.divergences import INF, CressieRead
 from divlab.errors import DomainError, ValidationError
 from divlab.estimation import _expfam_power_dual
 from divlab.models import (
@@ -111,11 +111,22 @@ class TestArrayPaths:
             np.testing.assert_allclose(out, ref, rtol=1e-13)
 
     def test_out_of_domain_masked_to_inf(self):
-        """The scale model marks nonnegative parameters with +inf (nan gradient)."""
+        """The scale model marks nonnegative (and NaN) parameters with +inf
+        (nan gradient) in mixed, all-outside and 0-d input; inside values
+        have the same bits as in an all-inside call."""
         out = ExponentialScale().log_normalizer_array(np.array([-1.0, 0.5]))
         assert np.isfinite(out[0]) and np.isinf(out[1])
         grad = ExponentialScale().grad_log_normalizer_array(np.array([-1.0, 0.0, 0.5]))
         assert grad[0] == 1.0 and np.all(np.isnan(grad[1:]))
+        model = ExponentialScale()
+        out = model.log_normalizer_array(np.array([-1.3, 0.5]))
+        assert out[0] == model.log_normalizer_array(np.array([-1.3]))[0] and out[1] == INF
+        grad = model.grad_log_normalizer_array(np.array([-1.3, 0.0]))
+        assert grad[0] == model.grad_log_normalizer_array(-1.3)
+        for outside in (np.array([0.0, 2.0]), np.array([-1.0, np.nan]), np.array(0.5), np.nan, 0.0):
+            inside = np.asarray(outside) < 0.0
+            assert np.all(model.log_normalizer_array(outside)[~inside] == INF)
+            assert np.all(np.isnan(model.grad_log_normalizer_array(outside)[~inside]))
 
     def test_grad_array_matches_scalar(self):
         """Array gradients agree with the scalar method."""
