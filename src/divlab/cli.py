@@ -125,24 +125,21 @@ def _as_str(value, key):
     raise ValidationError(f"field {key!r}: expected a non-empty string, got {value!r}")
 
 
-def _as_floats(value, key):
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ValidationError(
-            f"field {key!r}: expected a comma-separated list of reals, got {value!r}"
-        )
-    return tuple(_as_float(v, key) for v in value)
+def _as_list(coerce_item, noun):
+    def coerce(value, key):
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part.strip()]
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValidationError(
+                f"field {key!r}: expected a comma-separated list of {noun}, got {value!r}"
+            )
+        return tuple(coerce_item(v, key) for v in value)
+
+    return coerce
 
 
-def _as_ints(value, key):
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ValidationError(
-            f"field {key!r}: expected a comma-separated list of integers, got {value!r}"
-        )
-    return tuple(_as_int(v, key) for v in value)
+_as_floats = _as_list(_as_float, "reals")
+_as_ints = _as_list(_as_int, "integers")
 
 
 def _as_gamma(value, key):
@@ -492,7 +489,7 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
     center = _probability_vector(cfg, "center", k)
     reference = _probability_vector(cfg, "theta", k)
     table = shrink_epsilon_limit(
-        spec, center, reference, None, _require(cfg, "eps_grid"), cfg["zero_cells"]
+        spec, center, reference, _require(cfg, "eps_grid"), cfg["zero_cells"]
     )
     write_csv(
         paths["csv"], ["epsilon", "inf_value"], [r.to_dict() for r in table.rows]

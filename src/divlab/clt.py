@@ -243,6 +243,9 @@ def estimator_distribution_compare(
     scaled_p = math.sqrt(n) * (theta_p - float(thetaT))
     var_w = float(np.var(scaled_w, ddof=1))
     var_p = float(np.var(scaled_p, ddof=1))
+    flat = [name for name, var in (("weighted", var_w), ("plain", var_p)) if var == 0.0]
+    if flat:
+        raise NumericError(f"{' and '.join(flat)} estimates have zero variance over {reps} replications")
     ratio = var_w / var_p
     inv_info = 1.0 / float(model.fisher_information(thetaT)[0, 0])
     checks = {

@@ -229,16 +229,16 @@ class CressieRead(DivergenceSpec):
             pos = x > 0.0
             xp = x[pos]
             if branch == "log":
-                vals = {0: -np.log(xp) + xp - 1.0, 1: 1.0 - 1.0 / xp, 2: 1.0 / xp ** 2}[order]
+                forms = (lambda: -np.log(xp) + xp - 1.0, lambda: 1.0 - 1.0 / xp, lambda: 1.0 / xp ** 2)
             elif branch == "xlogx":
-                vals = {0: xp * np.log(xp) - xp + 1.0, 1: np.log(xp), 2: 1.0 / xp}[order]
+                forms = (lambda: xp * np.log(xp) - xp + 1.0, lambda: np.log(xp), lambda: 1.0 / xp)
             else:
-                vals = {
-                    0: (xp ** g - g * xp + g - 1.0) / (g * (g - 1.0)),
-                    1: (xp ** (g - 1.0) - 1.0) / (g - 1.0),
-                    2: xp ** (g - 2.0),
-                }[order]
-            out[pos] = vals
+                forms = (
+                    lambda: (xp ** g - g * xp + g - 1.0) / (g * (g - 1.0)),
+                    lambda: (xp ** (g - 1.0) - 1.0) / (g - 1.0),
+                    lambda: xp ** (g - 2.0),
+                )
+            out[pos] = forms[order]()
             zero = x == 0.0
             if np.any(zero):
                 out[zero] = self.value(0.0, order)
@@ -360,11 +360,10 @@ class FiniteMeasure:
         object.__setattr__(self, "masses", masses)
 
     @classmethod
-    def from_probs(cls, probs: Iterable[float], support=None) -> "FiniteMeasure":
+    def from_probs(cls, probs: Iterable[float]) -> "FiniteMeasure":
+        """Masses ``probs`` on the atoms ``0, ..., len(probs) - 1``."""
         probs = tuple(float(p) for p in probs)
-        if support is None:
-            support = tuple(range(len(probs)))
-        return cls(tuple(support), probs)
+        return cls(tuple(range(len(probs))), probs)
 
     def total_mass(self) -> float:
         return math.fsum(self.masses)

@@ -48,11 +48,6 @@ _OUTER_XTOL = 1e-8
 #: inner-gradient norm below which an estimate counts as converged
 _GRAD_TOL = 1e-6
 
-#: fixed golden-section schedule of the batched estimator: scan points and
-#: iterations of each of the inner and outer searches
-_BATCH_SCAN = 5
-_BATCH_ITERS = 32
-
 
 @dataclass(frozen=True)
 class WeightedEmpiricalMeasure:
@@ -517,12 +512,8 @@ def minimum_dual_estimator_batch(
     hi = np.full(rows, float(box[1]))
 
     def inner_value(theta_vec: np.ndarray) -> np.ndarray:
-        _, val = batch_golden_max(
-            lambda a: crit.value(theta_vec, a), lo, hi, n_scan=_BATCH_SCAN, iters=_BATCH_ITERS
-        )
+        _, val = batch_golden_max(lambda a: crit.value(theta_vec, a), lo, hi)
         return val
 
-    theta_hat, _ = batch_golden_max(
-        lambda th: -inner_value(th), lo, hi, n_scan=_BATCH_SCAN, iters=_BATCH_ITERS
-    )
+    theta_hat, _ = batch_golden_max(lambda th: -inner_value(th), lo, hi)
     return theta_hat

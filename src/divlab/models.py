@@ -8,15 +8,14 @@ so log-density ratios are affine in the sufficient statistic and moments of
 ratio powers reduce to evaluations of the log-normalizer ``C``.  That closed
 route is cross-checked against generic quadrature in the test suite.
 
-The categorical model carries ``k`` labelled atoms and a map from a
-parameter vector to a strictly positive probability vector; by default the
+The categorical model puts its mass on the atoms ``0, ..., k - 1``; its
 parameter is the first ``k - 1`` masses directly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +29,13 @@ INF = math.inf
 
 #: subdivision cap for adaptive quadrature
 QUAD_LIMIT = 200
+
+#: absolute and relative tolerance of ``integrate_under``
+INTEGRATE_TOL = 1e-10
+
+#: residual tolerance and Newton step cap of ``solve_score``
+SCORE_TOL = 1e-10
+SCORE_MAX_ITER = 100
 
 #: hard ceiling for series summation over count supports
 SERIES_CAP = 100_000
@@ -58,7 +64,7 @@ class ParametricModel:
     def sample(self, theta, n: int, seed_or_rng) -> np.ndarray:
         raise NotImplementedError
 
-    def integrate_under(self, theta, f: Callable, tol: float = 1e-10) -> float:
+    def integrate_under(self, theta, f: Callable) -> float:
         """Integral of ``f`` against ``P_theta``."""
         raise NotImplementedError
 
@@ -128,12 +134,12 @@ class ExponentialFamilyModel(ParametricModel):
         self.check_domain(theta)
         return np.array([[self.hess_log_normalizer(theta)]])
 
-    def solve_score(self, target: float, tol: float = 1e-10, max_iter: int = 100) -> float:
+    def solve_score(self, target: float) -> float:
         """Solve ``grad C(theta) = target`` by damped Newton."""
         theta = self.score_init(float(target))
-        for _ in range(max_iter):
+        for _ in range(SCORE_MAX_ITER):
             g = self.grad_log_normalizer(theta) - target
-            if abs(g) <= tol:
+            if abs(g) <= SCORE_TOL:
                 return theta
             step = g / self.hess_log_normalizer(theta)
             new = theta - step
@@ -143,7 +149,7 @@ class ExponentialFamilyModel(ParametricModel):
                 new = theta - step
             theta = new
         g = self.grad_log_normalizer(theta) - target
-        if abs(g) <= tol:
+        if abs(g) <= SCORE_TOL:
             return theta
         raise IntegrationError(f"score equation solve stalled at residual {g}", theta)
 
@@ -208,14 +214,14 @@ class GaussianLocation(ExponentialFamilyModel):
         self.check_domain(theta)
         return _as_rng(seed_or_rng).normal(float(theta), 1.0, size=int(n))
 
-    def integrate_under(self, theta, f, tol=1e-10):
+    def integrate_under(self, theta, f):
         self.check_domain(theta)
         th = float(theta)
 
         def integrand(x):
             return f(x) * math.exp(-0.5 * (x - th) ** 2) / math.sqrt(2.0 * math.pi)
 
-        return _quad_real_line(integrand, tol)
+        return _quad_real_line(integrand)
 
     def cdf(self, theta, x):
         from scipy.special import ndtr
@@ -260,7 +266,7 @@ class PoissonNatural(ExponentialFamilyModel):
         self.check_domain(theta)
         return _as_rng(seed_or_rng).poisson(math.exp(float(theta)), size=int(n)).astype(float)
 
-    def integrate_under(self, theta, f, tol=1e-10):
+    def integrate_under(self, theta, f):
         self.check_domain(theta)
         lam = math.exp(float(theta))
         log_mass = -lam
@@ -270,7 +276,7 @@ class PoissonNatural(ExponentialFamilyModel):
         while j <= SERIES_CAP:
             term = f(float(j)) * math.exp(log_mass)
             acc += term
-            if j > lam and abs(term) < tol * max(1.0, abs(acc)):
+            if j > lam and abs(term) < INTEGRATE_TOL * max(1.0, abs(acc)):
                 quiet += 1
                 if quiet >= 8:
                     return acc
@@ -346,14 +352,14 @@ class ExponentialScale(ExponentialFamilyModel):
         self.check_domain(theta)
         return _as_rng(seed_or_rng).exponential(-1.0 / float(theta), size=int(n))
 
-    def integrate_under(self, theta, f, tol=1e-10):
+    def integrate_under(self, theta, f):
         self.check_domain(theta)
         th = float(theta)
 
         def integrand(x):
             return f(x) * (-th) * math.exp(th * x)
 
-        return _quad_half_line(integrand, tol)
+        return _quad_half_line(integrand)
 
     def cdf(self, theta, x):
         self.check_domain(theta)
@@ -363,36 +369,21 @@ class ExponentialScale(ExponentialFamilyModel):
 
 
 class Categorical(ParametricModel):
-    """Finite support model with ``k`` labelled atoms.
+    """Finite support model on the atoms ``0, ..., k - 1``.
 
-    With the default direct parametrization ``theta`` holds the first
-    ``k - 1`` masses and the last mass is the complement.  A custom
-    ``prob_map`` may supply any smooth map from parameters to a strictly
-    positive probability vector.
+    ``theta`` holds the first ``k - 1`` masses and the last mass is the
+    complement.
     """
 
     token = "categorical"
 
-    def __init__(
-        self,
-        k: int,
-        atoms: Sequence | None = None,
-        prob_map: Callable | None = None,
-        param_dim: int | None = None,
-    ):
+    def __init__(self, k: int):
         if k < 2:
             raise ValidationError("categorical model needs at least two atoms")
         self.k = int(k)
-        self.atoms = tuple(atoms) if atoms is not None else tuple(range(self.k))
-        if len(self.atoms) != self.k:
-            raise ValidationError("atom list length must equal k")
-        if len(set(self.atoms)) != self.k:
-            raise ValidationError("atoms must be distinct")
+        self.atoms = tuple(range(self.k))
         self._index = {a: i for i, a in enumerate(self.atoms)}
-        self._prob_map = prob_map
-        self.param_dim = int(param_dim) if param_dim is not None else self.k - 1
-        if prob_map is None and self.param_dim != self.k - 1:
-            raise ValidationError("direct parametrization requires param_dim = k - 1")
+        self.param_dim = self.k - 1
 
     def __repr__(self):
         return f"Categorical(k={self.k})"
@@ -407,12 +398,7 @@ class Categorical(ParametricModel):
 
     def probs(self, theta) -> np.ndarray:
         vec = self._theta_vec(theta)
-        if self._prob_map is not None:
-            p = np.asarray(self._prob_map(vec), dtype=float)
-            if p.shape != (self.k,):
-                raise ValidationError("prob_map must return a length-k vector")
-        else:
-            p = np.concatenate([vec, [1.0 - float(np.sum(vec))]])
+        p = np.concatenate([vec, [1.0 - float(np.sum(vec))]])
         if np.any(p <= 0.0) or abs(float(np.sum(p)) - 1.0) > 1e-9:
             raise DomainError(f"parameter {theta!r} does not map to an interior probability vector")
         return p
@@ -443,12 +429,13 @@ class Categorical(ParametricModel):
         idx = rng.choice(self.k, size=int(n), p=p)
         return np.asarray(self.atoms, dtype=float)[idx]
 
-    def integrate_under(self, theta, f, tol=1e-10):
+    def integrate_under(self, theta, f):
         p = self.probs(theta)
         return float(math.fsum(f(a) * pi for a, pi in zip(self.atoms, p)))
 
-    def fisher_information(self, theta, step: float = 1e-6):
+    def fisher_information(self, theta):
         """Information matrix of the probability map, by central differences."""
+        step = 1e-6
         vec = self._theta_vec(theta)
         p = self.probs(vec)
         jac = np.empty((self.k, self.param_dim))
@@ -475,8 +462,6 @@ class Categorical(ParametricModel):
         # keep the pilot strictly inside the simplex
         freq = np.clip(freq, 1e-3, None)
         freq = freq / np.sum(freq)
-        if self._prob_map is not None:
-            return np.zeros(self.param_dim)
         return freq[:-1]
 
     def default_box(self, pilot):
@@ -486,9 +471,10 @@ class Categorical(ParametricModel):
         return (lo, hi)
 
 
-def _quad_real_line(integrand, tol):
+def _quad_real_line(integrand):
     from scipy import integrate
 
+    tol = INTEGRATE_TOL
     value, err, info = integrate.quad(
         integrand, -np.inf, np.inf, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT, full_output=1
     )[:3]
@@ -497,9 +483,10 @@ def _quad_real_line(integrand, tol):
     return value
 
 
-def _quad_half_line(integrand, tol):
+def _quad_half_line(integrand):
     from scipy import integrate
 
+    tol = INTEGRATE_TOL
     value, err = integrate.quad(
         integrand, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT
     )

@@ -125,8 +125,7 @@ def cell_probabilities(model: ParametricModel, theta, part: Partition) -> np.nda
             raise ValidationError("group partitions require a finite-support model")
         if sum(len(g) for g in part.groups) != model.k:
             raise ValidationError("partition groups must cover every atom of the model")
-        p = model.probs(theta)
-        return np.array([float(np.sum(p[list(g)])) for g in part.groups])
+        return project_masses(part, model.probs(theta))
     cdf_vals = np.concatenate([[0.0], np.asarray(model.cdf(theta, np.asarray(part.edges)), dtype=float), [1.0]])
     return np.diff(cdf_vals)
 
@@ -206,8 +205,6 @@ def _check_prob_vector(p: np.ndarray):
 
 def log_occupation_probability(p, counts) -> float:
     """Log multinomial probability of observing exactly ``counts``."""
-    from scipy.special import gammaln
-
     p = np.asarray(p, dtype=float)
     counts = np.asarray(counts)
     if counts.shape != p.shape:
@@ -217,16 +214,7 @@ def log_occupation_probability(p, counts) -> float:
     if not np.all(counts == np.round(counts)):
         raise ValidationError("counts must be integers")
     _check_prob_vector(p)
-    counts = counts.astype(np.int64)
-    n = int(np.sum(counts))
-    if np.any((counts > 0) & (p == 0.0)):
-        return -INF
-    pos = counts > 0
-    return float(
-        gammaln(n + 1)
-        - np.sum(gammaln(counts + 1))
-        + np.sum(counts[pos] * np.log(p[pos]))
-    )
+    return float(_log_probs_of_counts(counts.astype(np.int64)[None, :], p)[0])
 
 
 def exact_occupation_probability(p, counts) -> float:
@@ -245,10 +233,9 @@ def _as_cell_vector(measure, k: int | None = None) -> np.ndarray:
     return vec
 
 
-def kl_on_partition(q, p, part: Partition | None = None) -> float:
+def kl_on_partition(q, p) -> float:
     """``sum_j q_j log(q_j / p_j)`` over cells, with ``0 log 0 = 0``."""
-    k = part.k if part is not None else None
-    qv = _as_cell_vector(q, k)
+    qv = _as_cell_vector(q)
     pv = _as_cell_vector(p, qv.shape[0])
     total = 0.0
     for qj, pj in zip(qv, pv):
@@ -275,7 +262,6 @@ def neighborhood_inf_divergence(
     neighborhood: PartitionNeighborhood,
     p,
     simplex: bool = True,
-    tol: float = 1e-9,
     return_minimizer: bool = False,
 ):
     """Infimum of ``sum_j p_j phi(q_j / p_j)`` over the closed cell box.
@@ -371,13 +357,17 @@ def enumerate_count_vectors(k: int, n: int) -> np.ndarray:
 
 
 def _log_probs_of_counts(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Log multinomial probability of each row of ``counts`` (equal row sums).
+
+    A charged cell of zero probability gives ``-inf``; an empty one adds
+    nothing.
+    """
     from scipy.special import gammaln
 
     n = int(np.sum(counts[0]))
     logcoef = gammaln(n + 1) - np.sum(gammaln(counts + 1), axis=1)
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)
-    terms = np.where(counts > 0, counts * logp, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts > 0, counts * np.log(p), 0.0)
     return logcoef + np.sum(terms, axis=1)
 
 
@@ -396,11 +386,14 @@ class SandwichReport(Record):
     n_members: int
 
 
-def _neighborhood_from_idealized(model, thetaT, part, epsilon, n, zero_cells):
+def _idealized_members(model, thetaT, part, epsilon, n, zero_cells):
+    """The neighborhood of the idealized counts under ``thetaT``, and every
+    count vector of size ``n`` whose empirical masses lie inside it."""
     pT = cell_probabilities(model, thetaT, part)
-    counts_T = largest_remainder_counts(pT, n)
-    center = counts_T / n
-    return PartitionNeighborhood(tuple(center), epsilon, zero_cells)
+    center = largest_remainder_counts(pT, n) / n
+    V = PartitionNeighborhood(tuple(center), epsilon, zero_cells)
+    counts = enumerate_count_vectors(part.k, n)
+    return V, counts[V.contains_rows(counts / n)]
 
 
 def sandwich_check(
@@ -422,12 +415,10 @@ def sandwich_check(
     from scipy.special import logsumexp
 
     k = part.k
-    V = _neighborhood_from_idealized(model, thetaT, part, epsilon, n, zero_cells)
+    V, members = _idealized_members(model, thetaT, part, epsilon, n, zero_cells)
     p = cell_probabilities(model, theta, part)
-    counts = enumerate_count_vectors(k, n)
-    member = V.contains_rows(counts / n)
-    if np.any(member):
-        L = float(logsumexp(_log_probs_of_counts(counts[member], p))) / n
+    if members.shape[0]:
+        L = float(logsumexp(_log_probs_of_counts(members, p))) / n
     else:
         L = -INF
     K = -neighborhood_inf_divergence(KL, V, p)
@@ -443,7 +434,7 @@ def sandwich_check(
         lower_bound=lower,
         gap=gap,
         holds=holds,
-        n_members=int(np.sum(member)),
+        n_members=int(members.shape[0]),
     )
 
 
@@ -470,24 +461,19 @@ def ml_ldp_gap(
     epsilon: float,
     n: int,
     zero_cells: bool = True,
-    box: tuple | None = None,
 ) -> MLLDPReport:
     """Maximize the exact neighborhood log-probability and its rate
     surrogate over the parameter; their exact-likelihood gap obeys
     ``0 <= L(theta_exact) - L(theta_rate) <= (k/n) log(n+1)``.
     """
-    from scipy.special import gammaln, logsumexp
+    from scipy.special import logsumexp
 
     from ._optim import maximize_scalar, nelder_mead_multistart
 
     k = part.k
-    V = _neighborhood_from_idealized(model, thetaT, part, epsilon, n, zero_cells)
-    counts = enumerate_count_vectors(k, n)
-    member = V.contains_rows(counts / n)
-    if not np.any(member):
+    V, members = _idealized_members(model, thetaT, part, epsilon, n, zero_cells)
+    if not members.shape[0]:
         raise ValidationError("the neighborhood contains no empirical measure on this grid")
-    counts_m = counts[member]
-    logcoef = gammaln(n + 1) - np.sum(gammaln(counts_m + 1), axis=1)
 
     def cell_probs(theta_vec):
         return cell_probabilities(model, theta_vec, part)
@@ -499,7 +485,7 @@ def ml_ldp_gap(
             return -INF
         if np.any(p <= 0.0):
             return -INF
-        return float(logsumexp(logcoef + counts_m @ np.log(p))) / n
+        return float(logsumexp(_log_probs_of_counts(members, p))) / n
 
     def K(theta_vec) -> float:
         try:
@@ -509,12 +495,8 @@ def ml_ldp_gap(
         return -neighborhood_inf_divergence(KL, V, p)
 
     dim = model.param_dim
-    if box is None:
-        lo = np.full(dim, 1e-3)
-        hi = np.full(dim, 1.0 - 1e-3)
-    else:
-        lo = np.atleast_1d(np.asarray(box[0], dtype=float))
-        hi = np.atleast_1d(np.asarray(box[1], dtype=float))
+    lo = np.full(dim, 1e-3)
+    hi = np.full(dim, 1.0 - 1e-3)
     if dim == 1:
         theta_ml, _ = maximize_scalar(lambda t: L(np.array([t])), float(lo[0]), float(hi[0]), n_scan=33)
         theta_ldp, _ = maximize_scalar(lambda t: K(np.array([t])), float(lo[0]), float(hi[0]), n_scan=33)
@@ -718,7 +700,6 @@ def shrink_epsilon_limit(
     spec: DivergenceSpec,
     center,
     p,
-    part: Partition | None,
     eps_grid: Sequence[float],
     zero_cells: bool = True,
 ) -> ShrinkTable:
@@ -731,8 +712,7 @@ def shrink_epsilon_limit(
     eps = [float(e) for e in eps_grid]
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValidationError("the radius grid must be strictly decreasing")
-    k = part.k if part is not None else None
-    c = _as_cell_vector(center, k)
+    c = _as_cell_vector(center)
     pv = _as_cell_vector(p, c.shape[0])
     rows = []
     for e in eps:

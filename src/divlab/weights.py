@@ -275,18 +275,6 @@ def cgf(law: WeightLaw, t: float) -> float:
     return float(law.cgf(t))
 
 
-def _clip_to_domain(law: WeightLaw, t: float) -> float:
-    lo, hi = law.cgf_domain
-    lo = max(lo, -CGF_TRUNCATION)
-    hi = min(hi, CGF_TRUNCATION)
-    # stay strictly inside open endpoints such as t < 1 for exponential weights
-    if hi < CGF_TRUNCATION:
-        hi = hi - 1e-12 * max(1.0, abs(hi))
-    if lo > -CGF_TRUNCATION:
-        lo = lo + 1e-12 * max(1.0, abs(lo))
-    return min(max(t, lo), hi)
-
-
 def _bracket_mean(law: WeightLaw, x: float) -> tuple[float, float]:
     """Find ``[t_lo, t_hi]`` with ``M'(t_lo) <= x <= M'(t_hi)``."""
     lo_dom = max(law.cgf_domain[0], -CGF_TRUNCATION)

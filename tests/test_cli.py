@@ -208,6 +208,14 @@ class TestExitCodes:
         rows = json.loads((tmp_path / "trend.json").read_text())["rows"]
         assert [row["n"] for row in rows] == [10, 20, 40]
 
+    def test_constant_estimates_exit_three(self, tmp_path, capsys):
+        """Estimates with zero spread make the variance ratio undefined: exit 3."""
+        argv = ["clt", "--mode", "estimator", "--model", "exp_scale", "--theta_T", "-1.3",
+                "--gamma", "2", "--law", "exp1", "--n", "200", "--reps", "16", "--seed", "3"]
+        assert _run(argv, tmp_path, "x") == 3
+        assert "zero variance" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_induced_gamma_needs_law(self, tmp_path, capsys):
         """The induced generator token requires a weight law."""
         assert _run(["divergence", "--gamma", "induced"], tmp_path, "x") == 2

@@ -153,6 +153,30 @@ class TestArrayPaths:
                 ref = [spec.value(float(x), order) for x in grid]
                 np.testing.assert_allclose(vec, ref, rtol=1e-13, atol=0.0)
 
+    def test_value_array_keeps_its_bits(self):
+        """Every order of the log, xlogx and power branches equals its numpy
+        expression bit for bit on positive points, and the scalar ``value``
+        at zero and below.  (Against the scalar on positive points only
+        ``allclose`` holds: numpy's log and power round differently from
+        the C library's on some inputs.)"""
+        rng = np.random.default_rng(4)
+        xp = np.concatenate([rng.uniform(0.0, 5.0, 200), rng.lognormal(0.0, 3.0, 200), [1.0]])
+        edge = np.array([0.0, -0.5, -3.0])
+        for g in (0.0, 1.0, -1.0, 0.5, 1.5, 3.0):
+            spec = CressieRead(g)
+            expect = {
+                "log": (-np.log(xp) + xp - 1.0, 1.0 - 1.0 / xp, 1.0 / xp ** 2),
+                "xlogx": (xp * np.log(xp) - xp + 1.0, np.log(xp), 1.0 / xp),
+            }.get(spec.branch) or (
+                (xp ** g - g * xp + g - 1.0) / (g * (g - 1.0)),
+                (xp ** (g - 1.0) - 1.0) / (g - 1.0),
+                xp ** (g - 2.0),
+            )
+            for order in (0, 1, 2):
+                out = spec.value_array(np.concatenate([xp, edge]), order)
+                assert np.array_equal(out[: xp.shape[0]], expect[order])
+                assert out[xp.shape[0]:].tolist() == [spec.value(float(x), order) for x in edge]
+
     def test_sharp_array_matches_scalar(self, grid):
         """sharp_array equals elementwise sharp evaluation."""
         for g in GAMMAS:

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammaln, logsumexp
 
 from divlab.divergences import INF, CressieRead
 from divlab.errors import EnumerationLimitError, ValidationError
 from divlab.models import Categorical, GaussianLocation
 from divlab.sanov import (
+    _log_probs_of_counts,
     Partition,
     PartitionNeighborhood,
     cell_probabilities,
@@ -29,6 +33,17 @@ from divlab.sanov import (
 from divlab.weights import PoissonOne
 
 KL = CressieRead(1.0)
+
+
+@st.composite
+def prob_vectors(draw, k_values):
+    """Probability vectors of a length from ``k_values``, some with null cells."""
+    k = draw(st.sampled_from(k_values))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    null = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    null[draw(st.integers(0, k - 1))] = False
+    raw[null] = 0.0
+    return raw / np.sum(raw)
 
 
 # =============================================================================
@@ -135,6 +150,34 @@ class TestOccupation:
         """Counts on a zero-probability cell have log-mass -inf."""
         out = log_occupation_probability(np.array([1.0, 0.0]), np.array([1, 1]))
         assert out == -INF
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=prob_vectors((2, 3)), n=st.integers(0, 60))
+    def test_row_log_pmf_is_a_law(self, p, n):
+        """Over every count vector the log-pmf sums to one, and exactly the
+        vectors that charge a null cell get ``-inf``."""
+        counts = enumerate_count_vectors(p.shape[0], n)
+        lp = _log_probs_of_counts(counts, p)
+        assert abs(float(logsumexp(lp))) <= 1e-12
+        charged_null = np.any((counts > 0) & (p == 0.0), axis=1)
+        assert np.all(lp[charged_null] == -INF)
+        assert np.all(np.isfinite(lp[~charged_null]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=prob_vectors(tuple(range(2, 8))), data=st.data())
+    def test_scalar_log_pmf_is_the_row_routine(self, p, data):
+        """Up to seven cells the scalar log-pmf equals, bit for bit, the row
+        routine and the cell-by-cell sum over charged cells."""
+        k = p.shape[0]
+        counts = np.array(data.draw(st.lists(st.integers(0, 60), min_size=k, max_size=k)))
+        out = log_occupation_probability(p, counts)
+        assert out == _log_probs_of_counts(counts[None, :], p)[0]
+        pos = counts > 0
+        if np.any(pos & (p == 0.0)):
+            assert out == -INF
+        else:
+            direct = gammaln(counts.sum() + 1) - np.sum(gammaln(counts + 1)) + np.sum(counts[pos] * np.log(p[pos]))
+            assert out == direct
 
     def test_kl_on_partition_closed_form(self):
         """Cell-mass relative entropy matches the direct sum."""
@@ -395,7 +438,7 @@ class TestShrinkingRadius:
     def test_monotone_growth_to_point_divergence(self):
         """Shrinking radii drive the infimum up to the center divergence."""
         table = shrink_epsilon_limit(
-            KL, [0.5, 0.5], [0.3, 0.7], None, [0.2, 0.1, 0.05, 0.01, 1e-4, 1e-6]
+            KL, [0.5, 0.5], [0.3, 0.7], [0.2, 0.1, 0.05, 0.01, 1e-4, 1e-6]
         )
         values = [row.inf_value for row in table.rows]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
@@ -407,4 +450,4 @@ class TestShrinkingRadius:
     def test_non_decreasing_grid_rejected(self):
         """The radius grid must strictly decrease."""
         with pytest.raises(ValidationError):
-            shrink_epsilon_limit(KL, [0.5, 0.5], [0.3, 0.7], None, [0.1, 0.1])
+            shrink_epsilon_limit(KL, [0.5, 0.5], [0.3, 0.7], [0.1, 0.1])
