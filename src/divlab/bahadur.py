@@ -29,7 +29,7 @@ from .estimation import (
 )
 from .models import Categorical, ParametricModel
 from .reporting import Record
-from .sanov import wilson_interval
+from .sanov import log_rate
 from .seeding import derived_rng
 from .weights import WeightLaw, induced_divergence
 
@@ -288,29 +288,18 @@ def empirical_slope_trend(
         rng = derived_rng(seed, "tail", n)
         counts = rng.binomial(n, p1, size=int(reps))
         hits = int(np.sum(stat_of_count[counts] >= t))
-        freq = hits / reps
-        lo_f, hi_f = wilson_interval(hits, int(reps))
-        if hits == 0:
-            est = -INF
-            ci = (-INF, 2.0 * math.log(hi_f) / n)
-            one_sided = True
-        else:
-            est = 2.0 * math.log(freq) / n
-            ci = (
-                2.0 * math.log(lo_f) / n if lo_f > 0 else -INF,
-                2.0 * math.log(hi_f) / n,
-            )
-            one_sided = False
+        # a slope is twice the log rate; doubling is exact in floating point
+        est, ci_lo, ci_hi, one_sided = log_rate(hits, int(reps), n)
         rows.append(
             TailTrendRow(
                 n=n,
                 threshold=t,
                 hits=hits,
                 reps=int(reps),
-                slope_estimate=est,
+                slope_estimate=2.0 * est,
                 slope_target=target,
-                ci_lo=ci[0],
-                ci_hi=ci[1],
+                ci_lo=2.0 * ci_lo,
+                ci_hi=2.0 * ci_hi,
                 one_sided=one_sided,
             )
         )

@@ -406,11 +406,11 @@ def _run_estimate(cfg: dict, dry_run: bool) -> list:
     else:
         model = make_model(cfg["model"])
     paths = _out_paths(cfg, "estimate", ("json",))
-    if dry_run:
-        return _plan("estimate", cfg, paths)
     data_path = Path(cfg["data"])
     if not data_path.is_file():
         raise ValidationError(f"field 'data': file not found: {data_path}")
+    if dry_run:
+        return _plan("estimate", cfg, paths)
     points, column = read_data_csv(data_path)
     weights, weight_mode = _resolve_weights(cfg, points.shape[0], column)
     if weights.shape[0] != points.shape[0]:
@@ -435,12 +435,25 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
     model = make_model("categorical", k=k)
     part = Partition.atoms(k)
     paths = _out_paths(cfg, f"sanov_{mode}", ("csv", "json") if mode != "sandwich" and mode != "ml_gap" else ("json",))
+    # every field the mode reads is parsed before the dry-run cut, in the
+    # order the mode reads it, so a dry run rejects what a real run rejects
+    if mode == "shrink":
+        spec, _ = _spec_from(cfg["gamma"], cfg["law"], False)
+        center = _probability_vector(cfg, "center", k)
+        reference = _probability_vector(cfg, "theta", k)
+        eps_grid = _require(cfg, "eps_grid")
+    else:
+        if mode != "ml_gap":
+            theta = tuple(_probability_vector(cfg, "theta", k)[:-1])
+        thetaT = tuple(_probability_vector(cfg, "theta_T", k)[:-1])
+        if mode == "rate":
+            n_grid = _require(cfg, "n_grid")
+        if mode == "mc":
+            law = weight_law(cfg["law"])
     if dry_run:
         return _plan("sanov", cfg, paths)
     if mode == "rate":
-        theta = tuple(_probability_vector(cfg, "theta", k)[:-1])
-        thetaT = tuple(_probability_vector(cfg, "theta_T", k)[:-1])
-        table = sanov_rate_convergence(model, theta, thetaT, _require(cfg, "n_grid"))
+        table = sanov_rate_convergence(model, theta, thetaT, n_grid)
         write_csv(
             paths["csv"],
             ["n", "rate_estimate", "rate_target", "gap"],
@@ -449,26 +462,21 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
         write_json(paths["json"], table.to_dict())
         return [paths["csv"], paths["json"]]
     if mode == "sandwich":
-        theta = tuple(_probability_vector(cfg, "theta", k)[:-1])
-        thetaT = tuple(_probability_vector(cfg, "theta_T", k)[:-1])
         report = sandwich_check(
             model, theta, thetaT, part, cfg["epsilon"], cfg["n"], cfg["zero_cells"]
         )
         write_json(paths["json"], report.to_dict())
         return [paths["json"]]
     if mode == "ml_gap":
-        thetaT = tuple(_probability_vector(cfg, "theta_T", k)[:-1])
         report = ml_ldp_gap(model, thetaT, part, cfg["epsilon"], cfg["n"], cfg["zero_cells"])
         write_json(paths["json"], report.to_dict())
         return [paths["json"]]
     if mode == "mc":
-        theta = tuple(_probability_vector(cfg, "theta", k)[:-1])
-        thetaT = tuple(_probability_vector(cfg, "theta_T", k)[:-1])
         record = conditional_ldp_mc(
             model,
             theta,
             thetaT,
-            weight_law(cfg["law"]),
+            law,
             part,
             cfg["epsilon"],
             cfg["n"],
@@ -485,12 +493,7 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
         write_json(paths["json"], record.to_dict())
         return [paths["csv"], paths["json"]]
     # mode == "shrink"
-    spec, _ = _spec_from(cfg["gamma"], cfg["law"], False)
-    center = _probability_vector(cfg, "center", k)
-    reference = _probability_vector(cfg, "theta", k)
-    table = shrink_epsilon_limit(
-        spec, center, reference, _require(cfg, "eps_grid"), cfg["zero_cells"]
-    )
+    table = shrink_epsilon_limit(spec, center, reference, eps_grid, cfg["zero_cells"])
     write_csv(
         paths["csv"], ["epsilon", "inf_value"], [r.to_dict() for r in table.rows]
     )
@@ -543,6 +546,8 @@ def _run_bahadur(cfg: dict, dry_run: bool) -> list:
     theta = tuple(_probability_vector(cfg, "theta", k)[:-1])
     theta_prime = tuple(_probability_vector(cfg, "theta_prime", k)[:-1])
     paths = _out_paths(cfg, f"bahadur_{mode}", ("json",) if mode == "slopes" else ("csv", "json"))
+    if mode == "trend":
+        n_grid = _require(cfg, "n_grid")
     if dry_run:
         return _plan("bahadur", cfg, paths)
     if mode == "slopes":
@@ -550,9 +555,7 @@ def _run_bahadur(cfg: dict, dry_run: bool) -> list:
         record = efficiency_compare(model, law, stat, theta, theta_prime)
         write_json(paths["json"], record.to_dict())
         return [paths["json"]]
-    table = empirical_slope_trend(
-        model, law, theta, theta_prime, _require(cfg, "n_grid"), cfg["reps"], cfg["seed"]
-    )
+    table = empirical_slope_trend(model, law, theta, theta_prime, n_grid, cfg["reps"], cfg["seed"])
     write_csv(
         paths["csv"],
         ["n", "threshold", "hits", "slope_estimate", "slope_target", "ci_lo", "ci_hi", "one_sided"],

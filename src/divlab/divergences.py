@@ -44,6 +44,39 @@ GAMMA_LIMIT_TOL = 1e-9
 
 _ORDERS = (0, 1, 2)
 
+# Each branch's phi, phi', phi'' and phi# (in that order) on the branch's
+# open domain: x > 0, or every real for "chi2".  ``log`` is math.log for a
+# float and np.log for an array, so the scalar and array paths evaluate the
+# same expression with their own arithmetic.
+_FORMULAS = {
+    "log": (
+        lambda x, g, log: -log(x) + x - 1.0,
+        lambda x, g, log: 1.0 - 1.0 / x,
+        lambda x, g, log: 1.0 / (x * x),
+        lambda x, g, log: log(x),
+    ),
+    "xlogx": (
+        lambda x, g, log: x * log(x) - x + 1.0,
+        lambda x, g, log: log(x),
+        lambda x, g, log: 1.0 / x,
+        lambda x, g, log: x - 1.0,
+    ),
+    "chi2": (
+        lambda x, g, log: 0.5 * (x - 1.0) ** 2,
+        lambda x, g, log: x - 1.0,
+        lambda x, g, log: x ** 0,  # 1.0, shaped like x
+        lambda x, g, log: 0.5 * (x * x - 1.0),
+    ),
+    "power": (
+        lambda x, g, log: (x ** g - g * x + g - 1.0) / (g * (g - 1.0)),
+        lambda x, g, log: (x ** (g - 1.0) - 1.0) / (g - 1.0),
+        lambda x, g, log: x ** (g - 2.0),
+        lambda x, g, log: (x ** g - 1.0) / g,
+    ),
+}
+
+_SHARP = 3  # index of phi# in a _FORMULAS row
+
 
 class DivergenceSpec:
     """Abstract convex generator with evaluation up to second order.
@@ -110,92 +143,53 @@ class CressieRead(DivergenceSpec):
     half chi-square index 2.  ``branch`` names the evaluation branch the
     index selects ("log", "xlogx", "chi2" or "power"), decided once at
     construction.
+
+    Scalar and array evaluation share one formula per branch and form.
+    Where float arithmetic raises or gives NaN (overflow, a square
+    underflowing to zero, ``inf - inf``), the scalar returns what the array
+    path returns; there ``phi`` maps an ``inf - inf`` to ``+inf``, its limit.
     """
 
     gamma: float
 
     def __post_init__(self):
-        # "log" and "xlogx" are the exact limits at 0 and 1.  Not a dataclass
-        # field, so equality, hashing and repr see only the index.
+        # "log" and "xlogx" are the exact limits at 0 and 1.  ``at_zero``
+        # holds (phi, phi', phi'', phi#) at x = 0 by continuity; "chi2"
+        # needs none, its formulas hold on the whole line.  None of the
+        # attributes set here is a dataclass field, so equality, hashing
+        # and repr see only the index.
         g = self.gamma
         if abs(g) < GAMMA_LIMIT_TOL:
-            branch = "log"
+            branch, at_zero = "log", (INF, INF, INF, INF)
         elif abs(g - 1.0) < GAMMA_LIMIT_TOL:
-            branch = "xlogx"
+            branch, at_zero = "xlogx", (1.0, -INF, INF, -1.0)
         elif g == 2.0:
-            branch = "chi2"
+            branch, at_zero = "chi2", None
         else:
-            branch = "power"
+            branch, at_zero = "power", (
+                1.0 / g if g > 0.0 else INF,
+                -1.0 / (g - 1.0) if g > 1.0 else -INF,
+                0.0 if g > 2.0 else INF,
+                -1.0 / g if g > 0.0 else INF,
+            )
         object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "_at_zero", at_zero)
+        object.__setattr__(self, "_forms", _FORMULAS[branch])
+
+    def __reduce__(self):
+        # ``_forms`` holds lambdas, which pickle cannot name: rebuild from the index
+        return CressieRead, (self.gamma,)
 
     def value(self, x: float, order: int = 0) -> float:
-        _check_order(order)
-        g = self.gamma
-        branch = self.branch
-        if branch == "chi2":
-            # Defined on the whole real line (signed arguments allowed).
-            if order == 0:
-                return 0.5 * (x - 1.0) ** 2
-            if order == 1:
-                return x - 1.0
-            return 1.0
-        if branch == "log":
-            if x <= 0.0:
-                return INF
-            if order == 0:
-                return -math.log(x) + x - 1.0
-            if order == 1:
-                return 1.0 - 1.0 / x
-            return 1.0 / (x * x)
-        if branch == "xlogx":
-            if x < 0.0:
-                return INF
-            if x == 0.0:
-                # phi(0) = 1 by continuity; derivatives blow up.
-                return 1.0 if order == 0 else (-INF if order == 1 else INF)
-            if order == 0:
-                return x * math.log(x) - x + 1.0
-            if order == 1:
-                return math.log(x)
-            return 1.0 / x
-        # Generic power branch.
-        if x < 0.0:
-            return INF
-        if x == 0.0:
-            if order == 0:
-                return 1.0 / g if g > 0.0 else INF
-            if order == 1:
-                return -1.0 / (g - 1.0) if g > 1.0 else -INF
-            return 0.0 if g > 2.0 else INF
-        try:
-            if order == 0:
-                return (x ** g - g * x + g - 1.0) / (g * (g - 1.0))
-            if order == 1:
-                return (x ** (g - 1.0) - 1.0) / (g - 1.0)
-            return x ** (g - 2.0)
-        except OverflowError:
-            return INF
+        if order not in _ORDERS:  # checked inline: scalar calls are hot loops
+            _check_order(order)
+        return self._scalar(x, order)
 
     def conjugate(self) -> "CressieRead":
         return CressieRead(1.0 - self.gamma)
 
     def sharp(self, x: float) -> float:
-        g = self.gamma
-        branch = self.branch
-        if branch == "chi2":
-            return 0.5 * (x * x - 1.0)
-        if branch == "log":
-            return math.log(x) if x > 0.0 else INF
-        if branch == "xlogx":
-            return x - 1.0 if x >= 0.0 else INF
-        if x < 0.0:
-            return INF
-        if x == 0.0:
-            return -1.0 / g if g > 0.0 else INF
-        try:
-            return (x ** g - 1.0) / g
-        except OverflowError:
-            return INF
+        return self._scalar(x, _SHARP)
 
     def prime_inverse(self, y: float) -> float:
         g = self.gamma
@@ -214,55 +208,39 @@ class CressieRead(DivergenceSpec):
         except OverflowError:
             return INF
 
-    # Array fast paths (hot loops in the dual criterion).
     def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
         _check_order(order)
-        x = np.asarray(x, dtype=float)
-        branch = self.branch
-        g = self.gamma
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if branch == "chi2":
-                if order == 0:
-                    return 0.5 * (x - 1.0) ** 2
-                return x - 1.0 if order == 1 else np.ones_like(x)
-            out = np.full_like(x, INF)
-            pos = x > 0.0
-            xp = x[pos]
-            if branch == "log":
-                forms = (lambda: -np.log(xp) + xp - 1.0, lambda: 1.0 - 1.0 / xp, lambda: 1.0 / xp ** 2)
-            elif branch == "xlogx":
-                forms = (lambda: xp * np.log(xp) - xp + 1.0, lambda: np.log(xp), lambda: 1.0 / xp)
-            else:
-                forms = (
-                    lambda: (xp ** g - g * xp + g - 1.0) / (g * (g - 1.0)),
-                    lambda: (xp ** (g - 1.0) - 1.0) / (g - 1.0),
-                    lambda: xp ** (g - 2.0),
-                )
-            out[pos] = forms[order]()
-            zero = x == 0.0
-            if np.any(zero):
-                out[zero] = self.value(0.0, order)
-        return out
+        return self._array(x, order)
 
     def sharp_array(self, x: np.ndarray) -> np.ndarray:
+        return self._array(x, _SHARP)
+
+    def _scalar(self, x: float, form: int) -> float:
+        at_zero = self._at_zero
+        if x > 0.0 or at_zero is None:
+            try:
+                v = self._forms[form](x, self.gamma, math.log)
+                if v == v:
+                    return v
+            except (OverflowError, ZeroDivisionError):
+                pass
+            return float(self._array(np.array([x]), form)[0])
+        return at_zero[form] if x == 0.0 else INF
+
+    def _array(self, x: np.ndarray, form: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        branch = self.branch
-        g = self.gamma
+        formula = self._forms[form]
+        at_zero = self._at_zero
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if branch == "chi2":
-                return 0.5 * (x * x - 1.0)
-            out = np.full_like(x, INF)
-            pos = x > 0.0
-            xp = x[pos]
-            if branch == "log":
-                out[pos] = np.log(xp)
-            elif branch == "xlogx":
-                out[pos] = xp - 1.0
-                out[x == 0.0] = -1.0
+            if at_zero is None:
+                out = formula(x, self.gamma, np.log)
             else:
-                out[pos] = (xp ** g - 1.0) / g
-                if g > 0.0:
-                    out[x == 0.0] = -1.0 / g
+                out = np.full_like(x, INF)
+                pos = x > 0.0
+                out[pos] = formula(x[pos], self.gamma, np.log)
+                out[x == 0.0] = at_zero[form]
+        if form == 0:
+            out = np.where(np.isnan(out), INF, out)
         return out
 
 
@@ -281,7 +259,7 @@ class ConjugateSpec(DivergenceSpec):
 
     def value(self, x: float, order: int = 0) -> float:
         _check_order(order)
-        if x <= 0.0:
+        if not x > 0.0:
             return INF
         inv = 1.0 / x
         if order == 0:
@@ -294,30 +272,9 @@ class ConjugateSpec(DivergenceSpec):
         return self.base
 
     def sharp(self, x: float) -> float:
-        if x <= 0.0:
+        if not x > 0.0:
             return INF
         return -self.base.value(1.0 / x, 1)
-
-    def sharp_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, INF)
-        pos = x > 0.0
-        out[pos] = -self.base.value_array(1.0 / x[pos], 1)
-        return out
-
-    def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
-        _check_order(order)
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, INF)
-        pos = x > 0.0
-        inv = 1.0 / x[pos]
-        if order == 0:
-            out[pos] = x[pos] * self.base.value_array(inv, 0)
-        elif order == 1:
-            out[pos] = self.base.value_array(inv, 0) - inv * self.base.value_array(inv, 1)
-        else:
-            out[pos] = self.base.value_array(inv, 2) / x[pos] ** 3
-        return out
 
 
 def eval_phi(spec: DivergenceSpec, x: float, order: int = 0) -> float:

@@ -31,9 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import maximize_scalar, nelder_mead_multistart, batch_golden_max, stencil
+from ._optim import PENALTY, maximize_scalar, nelder_mead_multistart, batch_golden_max, stencil
 from .divergences import INF, CressieRead, DivergenceSpec, FiniteMeasure, cell_divergence
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
 from .reporting import Record
 from .weights import WeightLaw, sample_weights
@@ -295,10 +295,15 @@ class _DualCriterion:
         if kind == "power":
             lead, sharp = _expfam_power_dual(self.model, self.spec, theta, alpha, self.t_stat)
         elif kind == "categorical":
-            # one probability-ratio pass feeds both the lead and the tail
-            p_t = self.model.probs(theta)
-            ratios = p_t / self.model.probs(alpha)
-            lead = _categorical_lead(self.spec, p_t, ratios)
+            # one probability-ratio pass feeds both the lead and the tail;
+            # a parameter off the simplex interior is a rejected point
+            try:
+                p_t = self.model.probs(theta)
+                ratios = p_t / self.model.probs(alpha)
+            except DomainError:
+                lead = INF
+            else:
+                lead = _categorical_lead(self.spec, p_t, ratios)
         else:
             lead = _phi_prime_mean(self.model, self.spec, theta, alpha)
         if not math.isfinite(lead):
@@ -410,7 +415,9 @@ def minimum_dual_estimator(
         evals += 1
         theta_arg = theta if lo.shape[0] > 1 else float(np.atleast_1d(theta)[0])
         _, v = _inner_max(crit, theta_arg, lo, hi)
-        return v
+        # no admissible alpha, as for a theta off the model's domain: the
+        # minimizing search must reject theta, not prefer it
+        return v if v > -PENALTY else INF
 
     if lo.shape[0] == 1:
         theta_hat, _ = maximize_scalar(

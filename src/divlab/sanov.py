@@ -599,6 +599,21 @@ def wilson_interval(hits: int, reps: int) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
+def log_rate(hits: int, reps: int, n: int) -> tuple[float, float, float, bool]:
+    """``(log(hits/reps) / n, ci_lo, ci_hi, one_sided)`` of a hit count.
+
+    The interval is the Wilson interval on the same scale; without hits
+    the estimate and the lower end are ``-inf`` and the interval is
+    one-sided.
+    """
+    lo_f, hi_f = wilson_interval(hits, reps)
+    ci_hi = math.log(hi_f) / n
+    if hits == 0:
+        return -INF, -INF, ci_hi, True
+    ci_lo = math.log(lo_f) / n if lo_f > 0.0 else -INF
+    return math.log(hits / reps) / n, ci_lo, ci_hi, False
+
+
 def conditional_ldp_mc(
     model: ParametricModel,
     theta,
@@ -648,25 +663,15 @@ def conditional_ldp_mc(
         return int(np.sum(V.contains_rows(masses)))
 
     hits = sum(chunked(seed, "rep", reps, chunk_hits, threads))
-    freq = hits / reps
-    lo_f, hi_f = wilson_interval(hits, reps)
+    rate, ci_lo, ci_hi, one_sided = log_rate(hits, reps, n)
     ideal = PartitionNeighborhood(tuple(pT), epsilon, zero_cells)
     target = -neighborhood_inf_divergence(induced_divergence(law), ideal, p)
-    if hits == 0:
-        rate = -INF
-        ci_lo, ci_hi = -INF, math.log(hi_f) / n
-        one_sided = True
-    else:
-        rate = math.log(freq) / n
-        ci_lo = math.log(lo_f) / n if lo_f > 0.0 else -INF
-        ci_hi = math.log(hi_f) / n
-        one_sided = False
     return ConditionalRateRecord(
         n=n,
         epsilon=float(epsilon),
         reps=reps,
         hits=hits,
-        frequency=freq,
+        frequency=hits / reps,
         rate_estimate=rate,
         rate_target=target,
         ci_lo=ci_lo,

@@ -68,6 +68,10 @@ class WeightLaw(abc.ABC):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         ...
 
+    @abc.abstractmethod
+    def sample_sum(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``sum of count_i i.i.d. weights`` for each entry of ``counts``."""
+
     def boundary_log_mass(self, x: float) -> float | None:
         """``log P(W = x)`` at a support endpoint, ``None`` for zero mass."""
         return None
@@ -75,17 +79,6 @@ class WeightLaw(abc.ABC):
     def closed_form_induced(self) -> DivergenceSpec | None:
         """Power-family generator equal to the transform, when one exists."""
         return None
-
-    def sample_sum(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``sum of count_i i.i.d. weights`` for each entry of ``counts``.
-
-        The base implementation sums individual draws; laws with a stable
-        aggregation rule override it with one vectorized draw.
-        """
-        counts = np.asarray(counts)
-        flat = counts.reshape(-1)
-        out = np.array([float(np.sum(self.sample(int(c), rng))) for c in flat])
-        return out.reshape(counts.shape)
 
     def __repr__(self):  # tokens identify laws in configs and reports
         return f"{type(self).__name__}()"

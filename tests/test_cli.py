@@ -216,6 +216,11 @@ class TestExitCodes:
         assert "zero variance" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("gamma,point", [("2", "1e300"), ("0", "1e-300")])
+    def test_extreme_divergence_points_succeed(self, tmp_path, gamma, point):
+        """Points where float arithmetic overflows or a square underflows still exit 0."""
+        assert _run(["divergence", "--gamma", gamma, "--points", point], tmp_path, "x") == 0
+
     def test_induced_gamma_needs_law(self, tmp_path, capsys):
         """The induced generator token requires a weight law."""
         assert _run(["divergence", "--gamma", "induced"], tmp_path, "x") == 2
@@ -225,6 +230,31 @@ class TestExitCodes:
 # =============================================================================
 # Tests: dry-run planning
 # =============================================================================
+
+#: configurations a real run rejects while parsing: (argv, config file
+#: contents or None, a fragment of the error message)
+BAD_CONFIGS = {
+    "sanov_rate_theta_off_simplex": (
+        ["sanov", "--mode", "rate", "--theta", "0.9,0.9", "--theta_T", "0.5,0.5", "--n_grid", "10"],
+        None, "'theta'"),
+    "sanov_rate_no_theta_T": (
+        ["sanov", "--mode", "rate", "--theta", "0.4,0.6", "--n_grid", "10"], None, "'theta_T'"),
+    "sanov_rate_no_n_grid": (
+        ["sanov", "--mode", "rate", "--theta", "0.4,0.6", "--theta_T", "0.5,0.5"], None, "'n_grid'"),
+    "sanov_mc_unknown_law": (
+        ["sanov", "--mode", "mc", "--theta", "0.4,0.6", "--theta_T", "0.5,0.5", "--law", "cauchy"],
+        None, "unknown weight law"),
+    "sanov_shrink_no_center": (
+        ["sanov", "--mode", "shrink", "--theta", "0.5,0.5", "--eps_grid", "0.2,0.1"], None, "'center'"),
+    "sanov_shrink_no_eps_grid": (
+        ["sanov", "--mode", "shrink", "--center", "0.4,0.6", "--theta", "0.5,0.5"], None, "'eps_grid'"),
+    "sanov_shrink_induced_without_law": (
+        ["sanov", "--mode", "shrink", "--gamma", "induced", "--center", "0.4,0.6", "--theta", "0.5,0.5",
+         "--eps_grid", "0.2,0.1"], {"law": None}, "weight law"),
+    "bahadur_trend_no_n_grid": (
+        ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8"], None, "'n_grid'"),
+    "estimate_missing_data": (["estimate", "--model", "gauss_loc", "--data", "absent.csv"], None, "not found"),
+}
 
 
 class TestDryRun:
@@ -240,6 +270,22 @@ class TestDryRun:
         assert plan["threads"] == 1
         assert len(plan["outputs"]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_rejects_what_the_run_rejects(self, name, tmp_path, capsys):
+        """A bad configuration exits 2 with the same message with and without --dry-run."""
+        argv, config, fragment = BAD_CONFIGS[name]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "out"
+        errors = []
+        for flags in ([], ["--dry-run"]):
+            assert main(argv + ["--out", str(out)] + flags) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert fragment in errors[0]
+        assert not out.exists()
 
 
 # =============================================================================

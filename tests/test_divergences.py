@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,12 @@ from divlab.divergences import (
 from divlab.errors import ValidationError
 
 GAMMAS = [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]
+
+#: arguments where float arithmetic overflows, underflows or meets inf - inf
+EXTREMES = [
+    -INF, -1e300, -1.0, 0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-160, 1e-100, 1e-10,
+    0.5, 1.0, 2.0, 1e10, 1e100, 1e160, 1e200, 1e300, sys.float_info.max, INF,
+]
 
 
 @pytest.fixture
@@ -80,6 +88,7 @@ class TestPowerGenerator:
         assert [f.name for f in dataclasses.fields(CressieRead)] == ["gamma"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             CressieRead(0.5).branch = "log"
+        assert pickle.loads(pickle.dumps(CressieRead(0.0))).branch == "log"
 
     def test_limit_switch_near_special_indices(self, grid):
         """Indices within the switch tolerance use the limiting branch."""
@@ -176,6 +185,23 @@ class TestArrayPaths:
                 out = spec.value_array(np.concatenate([xp, edge]), order)
                 assert np.array_equal(out[: xp.shape[0]], expect[order])
                 assert out[xp.shape[0]:].tolist() == [spec.value(float(x), order) for x in edge]
+
+    @pytest.mark.parametrize("g", [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_scalar_and_array_agree_at_the_float_extremes(self, g):
+        """No form raises or is NaN at the float extremes, and each scalar value
+        equals its array entry: the same infinity, or within 1e-13 relative."""
+        spec = CressieRead(g)
+        xs = np.array(EXTREMES)
+        forms = [(lambda x, o=o: spec.value(x, o), spec.value_array(xs, o)) for o in (0, 1, 2)]
+        forms.append((spec.sharp, spec.sharp_array(xs)))
+        for scalar, array in forms:
+            for x, a in zip(EXTREMES, array.tolist()):
+                v = scalar(x)
+                assert not (math.isnan(v) or math.isnan(a)), x
+                if math.isinf(v) or math.isinf(a):
+                    assert v == a, x
+                else:
+                    assert v == pytest.approx(a, rel=1e-13, abs=0.0), x
 
     def test_sharp_array_matches_scalar(self, grid):
         """sharp_array equals elementwise sharp evaluation."""

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import divlab.estimation as estimation
+from divlab._optim import PENALTY
 from divlab.divergences import INF, CressieRead, FiniteMeasure, divergence_finite
 from divlab.errors import ValidationError
 from divlab.estimation import (
@@ -187,6 +189,16 @@ class TestDualCriterion:
         assert math.isfinite(value)
         assert alpha == pytest.approx(float(np.mean(x)), abs=0.05)
 
+    def test_parameters_off_the_simplex_are_rejected(self):
+        """A categorical parameter off the simplex interior is a counted -inf, not an error."""
+        mu = WeightedEmpiricalMeasure.plain((0.0, 1.0, 2.0, 0.0))
+        crit = _DualCriterion(Categorical(3), CressieRead(1.0), mu)
+        assert crit((0.5, 0.5), (0.3, 0.3)) == -INF
+        assert crit((0.3, 0.3), (0.6, 0.5)) == -INF
+        assert crit.rejected == 2
+        assert math.isfinite(crit((0.3, 0.3), (0.4, 0.2)))
+        assert crit.rejected == 2
+
 
 class TestOneKernel:
     """The scalar and batched criteria evaluate one closed form."""
@@ -293,6 +305,22 @@ class TestMinimumDualEstimator:
         report = minimum_dual_estimator(model, CressieRead(-0.5), WeightedEmpiricalMeasure.plain(tuple(points)))
         assert report.value == 0.0
         assert math.copysign(1.0, report.value) == 1.0
+
+    def test_theta_without_admissible_alpha_is_rejected(self, monkeypatch):
+        """The minimizing search scores a theta whose inner search found nothing as +inf."""
+
+        def inner_max(crit, theta, lo, hi):
+            # the multistart maximizer reports -PENALTY when every alpha was rejected,
+            # as for a theta off the simplex
+            theta = np.asarray(theta, dtype=float)
+            if theta.sum() >= 1.0:
+                return theta, -PENALTY
+            return theta, float(np.sum((theta - 0.3) ** 2))
+
+        monkeypatch.setattr(estimation, "_inner_max", inner_max)
+        mu = WeightedEmpiricalMeasure.plain((0.0, 1.0, 2.0, 0.0, 1.0, 2.0))
+        report = minimum_dual_estimator(Categorical(3), CressieRead(1.0), mu)
+        assert report.theta_hat == pytest.approx((0.3, 0.3), abs=1e-4)
 
     def test_score_identity_with_weights(self, gauss_sample):
         """The weighted estimate solves the self-normalized score equation."""
