@@ -256,6 +256,14 @@ def _statistic_by_count(model: Categorical, spec: DivergenceSpec, theta, n: int)
     return values
 
 
+def check_trend(model: Categorical, reps: int) -> None:
+    """The exact tail scan needs two cells and 1000 replications per size."""
+    if reps < 1000:
+        raise ValidationError("tail trends need at least 1000 replications per sample size")
+    if model.k != 2:
+        raise ValidationError("the exact tail scan supports two cells")
+
+
 def empirical_slope_trend(
     model: Categorical,
     law: WeightLaw,
@@ -272,10 +280,7 @@ def empirical_slope_trend(
     tail frequency against minus twice the threshold.  This is a trend
     probe, not a convergence assertion.
     """
-    if reps < 1000:
-        raise ValidationError("tail trends need at least 1000 replications per sample size")
-    if model.k != 2:
-        raise ValidationError("the exact tail scan supports two cells")
+    check_trend(model, reps)
     spec = induced_divergence(law)
     drift = divergence_between(model, spec, theta, theta_prime)
     t = 0.5 * drift

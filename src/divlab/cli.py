@@ -27,6 +27,7 @@ import numpy as np
 
 from .bahadur import (
     FunctionalStatistic,
+    check_trend,
     efficiency_compare,
     empirical_slope_trend,
 )
@@ -43,6 +44,10 @@ from .models import make_model
 from .reporting import read_data_csv, render_json, write_csv, write_json
 from .sanov import (
     Partition,
+    check_enumeration,
+    check_mc_reps,
+    check_radius,
+    check_radius_grid,
     conditional_ldp_mc,
     ml_ldp_gap,
     sandwich_check,
@@ -409,12 +414,12 @@ def _run_estimate(cfg: dict, dry_run: bool) -> list:
     data_path = Path(cfg["data"])
     if not data_path.is_file():
         raise ValidationError(f"field 'data': file not found: {data_path}")
-    if dry_run:
-        return _plan("estimate", cfg, paths)
     points, column = read_data_csv(data_path)
     weights, weight_mode = _resolve_weights(cfg, points.shape[0], column)
     if weights.shape[0] != points.shape[0]:
         raise ValidationError("weights and observations must have equal length")
+    if dry_run:
+        return _plan("estimate", cfg, paths)
     mu = WeightedEmpiricalMeasure(tuple(map(float, points)), tuple(map(float, weights)))
     report = minimum_dual_estimator(model, spec, mu)
     payload = {
@@ -435,13 +440,14 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
     model = make_model("categorical", k=k)
     part = Partition.atoms(k)
     paths = _out_paths(cfg, f"sanov_{mode}", ("csv", "json") if mode != "sandwich" and mode != "ml_gap" else ("json",))
-    # every field the mode reads is parsed before the dry-run cut, in the
-    # order the mode reads it, so a dry run rejects what a real run rejects
+    # every field the mode reads is parsed, and checked by the library's own
+    # checks, before the dry-run cut, in the order the mode reads it, so a
+    # dry run rejects what a real run rejects
     if mode == "shrink":
         spec, _ = _spec_from(cfg["gamma"], cfg["law"], False)
         center = _probability_vector(cfg, "center", k)
         reference = _probability_vector(cfg, "theta", k)
-        eps_grid = _require(cfg, "eps_grid")
+        eps_grid = check_radius_grid(_require(cfg, "eps_grid"))
     else:
         if mode != "ml_gap":
             theta = tuple(_probability_vector(cfg, "theta", k)[:-1])
@@ -450,6 +456,11 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
             n_grid = _require(cfg, "n_grid")
         if mode == "mc":
             law = weight_law(cfg["law"])
+            check_mc_reps(cfg["reps"])
+        if mode != "rate":
+            check_radius(cfg["epsilon"])
+        if mode in ("sandwich", "ml_gap"):
+            check_enumeration(k, cfg["n"])
     if dry_run:
         return _plan("sanov", cfg, paths)
     if mode == "rate":
@@ -548,6 +559,7 @@ def _run_bahadur(cfg: dict, dry_run: bool) -> list:
     paths = _out_paths(cfg, f"bahadur_{mode}", ("json",) if mode == "slopes" else ("csv", "json"))
     if mode == "trend":
         n_grid = _require(cfg, "n_grid")
+        check_trend(model, cfg["reps"])
     if dry_run:
         return _plan("bahadur", cfg, paths)
     if mode == "slopes":

@@ -266,7 +266,10 @@ class ConjugateSpec(DivergenceSpec):
             return x * self.base.value(inv)
         if order == 1:
             return self.base.value(inv) - inv * self.base.value(inv, 1)
-        return self.base.value(inv, 2) / x ** 3
+        # one factor 1/x at a time: x**3 overflows above about 5.6e102, and
+        # inf * 0 at x = inf maps to +inf as phi's NaN does
+        v = self.base.value(inv, 2) * inv * inv * inv
+        return INF if v != v else v
 
     def conjugate(self) -> DivergenceSpec:
         return self.base

@@ -19,11 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    IntegrationError,
-    ValidationError,
-)
+from .errors import DomainError, IntegrationError, ValidationError
 
 INF = math.inf
 
@@ -32,10 +28,6 @@ QUAD_LIMIT = 200
 
 #: absolute and relative tolerance of ``integrate_under``
 INTEGRATE_TOL = 1e-10
-
-#: residual tolerance and Newton step cap of ``solve_score``
-SCORE_TOL = 1e-10
-SCORE_MAX_ITER = 100
 
 #: hard ceiling for series summation over count supports
 SERIES_CAP = 100_000
@@ -86,30 +78,69 @@ class ParametricModel:
 
 
 class ExponentialFamilyModel(ParametricModel):
-    """Natural exponential family with scalar parameter and statistic."""
+    """Natural exponential family with scalar parameter and statistic.
+
+    A family writes its cumulant once, in ``cumulant``: ``C``, ``C'``,
+    ``C''`` and the inverse of ``C'``, each a function ``f(theta, m)`` of a
+    parameter (a mean for the inverse) and a module ``m``.  The scalar
+    methods pass ``math`` and floats, the array methods ``numpy`` and
+    arrays, so both evaluate one expression with their own arithmetic.
+    """
+
+    #: ``(C, C', C'', inverse of C')`` as functions ``f(theta, m)``
+    cumulant: tuple
+
+    #: open natural-parameter interval; the array mask tests only its upper
+    #: end, the one end a shipped family (``exp_scale``) has finite
+    theta_domain: tuple[float, float] = (-INF, INF)
+
+    #: open range of ``C'``: the means ``solve_score`` accepts
+    mean_range: tuple[float, float] = (-INF, INF)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # decided once per family: only a finite upper end of the domain
+        # needs the masked array path, so whole-line families test nothing
+        finite_end = math.isfinite(cls.theta_domain[1])
+        cls._array = cls._masked_array if finite_end else cls._line_array
 
     def sufficient_stat(self, x):
-        raise NotImplementedError
+        return np.asarray(x, dtype=float)
 
     def log_normalizer(self, theta) -> float:
-        raise NotImplementedError
+        return self.cumulant[0](float(theta), math)
 
     def grad_log_normalizer(self, theta) -> float:
-        raise NotImplementedError
+        return self.cumulant[1](float(theta), math)
 
     def hess_log_normalizer(self, theta) -> float:
-        raise NotImplementedError
+        return self.cumulant[2](float(theta), math)
 
     def log_normalizer_array(self, theta: np.ndarray) -> np.ndarray:
         """Vectorized ``C``; ``+inf`` outside the natural-parameter interval."""
-        raise NotImplementedError
+        return self._array(0, theta)
 
     def grad_log_normalizer_array(self, theta: np.ndarray) -> np.ndarray:
         """Vectorized ``grad C``; ``nan`` outside the natural-parameter interval."""
-        raise NotImplementedError
+        return self._array(1, theta)
 
-    #: open natural-parameter interval
-    theta_domain: tuple[float, float] = (-INF, INF)
+    def _line_array(self, form: int, theta) -> np.ndarray:
+        # a float becomes a 0-d array, so ``**`` takes numpy's arithmetic too
+        return self.cumulant[form](np.asarray(theta, dtype=float), np)
+
+    def _masked_array(self, form: int, theta) -> np.ndarray:
+        # the masked evaluation costs several times the plain one on the 0-d
+        # values of the scalar criterion, so it runs only when some theta is
+        # at or above the upper end (or NaN); a 0-d value skips the reduction
+        theta = np.asarray(theta, dtype=float)
+        hi = self.theta_domain[1]
+        formula = self.cumulant[form]
+        if float(theta) < hi if theta.ndim == 0 else (theta < hi).all():
+            return formula(theta, np)
+        out = np.full(theta.shape, INF if form == 0 else np.nan)
+        inside = theta < hi
+        out[inside] = formula(theta[inside], np)
+        return out
 
     def in_domain(self, theta) -> bool:
         lo, hi = self.theta_domain
@@ -135,26 +166,19 @@ class ExponentialFamilyModel(ParametricModel):
         return np.array([[self.hess_log_normalizer(theta)]])
 
     def solve_score(self, target: float) -> float:
-        """Solve ``grad C(theta) = target`` by damped Newton."""
-        theta = self.score_init(float(target))
-        for _ in range(SCORE_MAX_ITER):
-            g = self.grad_log_normalizer(theta) - target
-            if abs(g) <= SCORE_TOL:
-                return theta
-            step = g / self.hess_log_normalizer(theta)
-            new = theta - step
-            # keep iterates inside the open natural-parameter interval
-            while not self.in_domain(new):
-                step *= 0.5
-                new = theta - step
-            theta = new
-        g = self.grad_log_normalizer(theta) - target
-        if abs(g) <= SCORE_TOL:
-            return theta
-        raise IntegrationError(f"score equation solve stalled at residual {g}", theta)
+        """Solve ``grad C(theta) = target`` in closed form.
 
-    def score_init(self, target: float) -> float:
-        raise NotImplementedError
+        A target outside the open range of ``grad C`` (NaN, an infinity, a
+        mean <= 0 for the positive families), or one whose parameter leaves
+        the domain in floating point, raises ``DomainError``.
+        """
+        m = float(target)
+        lo, hi = self.mean_range
+        if not lo < m < hi:
+            raise DomainError(f"mean {m!r} outside the range {self.mean_range} of the {self.token} model")
+        theta = self.cumulant[3](m, math)
+        self.check_domain(theta)
+        return theta
 
     def pilot_estimate(self, points, weights=None):
         points = np.asarray(points, dtype=float)
@@ -171,13 +195,9 @@ class ExponentialFamilyModel(ParametricModel):
             else:
                 mean_t = float(np.sum(weights * t) / total)
         try:
-            return self.solve_score(self.project_mean(mean_t))
-        except (DomainError, ValidationError):
-            return self.solve_score(self.project_mean(float(np.mean(t))))
-
-    def project_mean(self, m: float) -> float:
-        """Clip a raw moment into the open range of ``grad C``."""
-        return m
+            return self.solve_score(mean_t)
+        except DomainError:
+            return self.solve_score(float(np.mean(t)))
 
 
 class GaussianLocation(ExponentialFamilyModel):
@@ -188,27 +208,12 @@ class GaussianLocation(ExponentialFamilyModel):
     """
 
     token = "gauss_loc"
-
-    def sufficient_stat(self, x):
-        return np.asarray(x, dtype=float)
-
-    def log_normalizer(self, theta):
-        return 0.5 * float(theta) ** 2
-
-    def grad_log_normalizer(self, theta):
-        return float(theta)
-
-    def hess_log_normalizer(self, theta):
-        return 1.0
-
-    def log_normalizer_array(self, theta):
-        return 0.5 * np.square(theta)
-
-    def grad_log_normalizer_array(self, theta):
-        return np.asarray(theta, dtype=float)
-
-    def score_init(self, target):
-        return target
+    cumulant = (
+        lambda th, m: 0.5 * th ** 2,
+        lambda th, m: th,
+        lambda th, m: 1.0,
+        lambda mean, m: mean,
+    )
 
     def sample(self, theta, n, seed_or_rng):
         self.check_domain(theta)
@@ -221,7 +226,7 @@ class GaussianLocation(ExponentialFamilyModel):
         def integrand(x):
             return f(x) * math.exp(-0.5 * (x - th) ** 2) / math.sqrt(2.0 * math.pi)
 
-        return _quad_real_line(integrand)
+        return _quad(integrand, -INF)
 
     def cdf(self, theta, x):
         from scipy.special import ndtr
@@ -234,33 +239,13 @@ class PoissonNatural(ExponentialFamilyModel):
     """Poisson counts in natural parametrization: intensity ``exp(theta)``."""
 
     token = "poisson"
-
-    def sufficient_stat(self, x):
-        return np.asarray(x, dtype=float)
-
-    def log_normalizer(self, theta):
-        return math.exp(float(theta))
-
-    def grad_log_normalizer(self, theta):
-        return math.exp(float(theta))
-
-    def hess_log_normalizer(self, theta):
-        return math.exp(float(theta))
-
-    def log_normalizer_array(self, theta):
-        return np.exp(theta)
-
-    grad_log_normalizer_array = log_normalizer_array
-
-    def score_init(self, target):
-        if target <= 0.0:
-            raise DomainError("Poisson score target must be positive")
-        return math.log(target)
-
-    def project_mean(self, m):
-        if m <= 0.0:
-            raise DomainError("Poisson moment target must be positive")
-        return m
+    mean_range = (0.0, INF)
+    cumulant = (
+        lambda th, m: m.exp(th),
+        lambda th, m: m.exp(th),
+        lambda th, m: m.exp(th),
+        lambda mean, m: m.log(mean),
+    )
 
     def sample(self, theta, n, seed_or_rng):
         self.check_domain(theta)
@@ -296,11 +281,6 @@ class PoissonNatural(ExponentialFamilyModel):
         return np.where(x < 0.0, 0.0, gammaincc(np.floor(x) + 1.0, lam))
 
 
-def _all_negative(theta: np.ndarray) -> bool:
-    """``all(theta < 0)``, false for NaN; a 0-d value skips the array reduction."""
-    return float(theta) < 0.0 if theta.ndim == 0 else bool((theta < 0.0).all())
-
-
 class ExponentialScale(ExponentialFamilyModel):
     """Exponential lifetimes in natural parametrization.
 
@@ -310,43 +290,13 @@ class ExponentialScale(ExponentialFamilyModel):
 
     token = "exp_scale"
     theta_domain = (-INF, 0.0)
-
-    def sufficient_stat(self, x):
-        return np.asarray(x, dtype=float)
-
-    def log_normalizer(self, theta):
-        return -math.log(-float(theta))
-
-    def grad_log_normalizer(self, theta):
-        return -1.0 / float(theta)
-
-    def hess_log_normalizer(self, theta):
-        return 1.0 / float(theta) ** 2
-
-    # The masked ufuncs cost several times the plain ones on the 0-d values
-    # of the scalar criterion, so they run only when some theta is outside.
-
-    def log_normalizer_array(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if _all_negative(theta):
-            return -np.log(-theta)
-        return -np.log(-theta, out=np.full(theta.shape, -INF), where=theta < 0.0)
-
-    def grad_log_normalizer_array(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if _all_negative(theta):
-            return -1.0 / theta
-        return np.divide(-1.0, theta, out=np.full(theta.shape, np.nan), where=theta < 0.0)
-
-    def score_init(self, target):
-        if target <= 0.0:
-            raise DomainError("exponential-scale score target must be positive")
-        return -1.0 / target
-
-    def project_mean(self, m):
-        if m <= 0.0:
-            raise DomainError("exponential-scale moment target must be positive")
-        return m
+    mean_range = (0.0, INF)
+    cumulant = (
+        lambda th, m: -m.log(-th),
+        lambda th, m: -1.0 / th,
+        lambda th, m: 1.0 / th ** 2,
+        lambda mean, m: -1.0 / mean,
+    )
 
     def sample(self, theta, n, seed_or_rng):
         self.check_domain(theta)
@@ -359,7 +309,7 @@ class ExponentialScale(ExponentialFamilyModel):
         def integrand(x):
             return f(x) * (-th) * math.exp(th * x)
 
-        return _quad_half_line(integrand)
+        return _quad(integrand, 0.0)
 
     def cdf(self, theta, x):
         self.check_domain(theta)
@@ -471,25 +421,14 @@ class Categorical(ParametricModel):
         return (lo, hi)
 
 
-def _quad_real_line(integrand):
-    from scipy import integrate
-
-    tol = INTEGRATE_TOL
-    value, err, info = integrate.quad(
-        integrand, -np.inf, np.inf, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT, full_output=1
-    )[:3]
-    if err > max(tol, 1e-8 * max(1.0, abs(value))) * 10.0:
-        raise IntegrationError(f"quadrature error estimate {err} above tolerance", value)
-    return value
-
-
-def _quad_half_line(integrand):
+def _quad(integrand, lower: float):
+    """Adaptive quadrature of ``integrand`` from ``lower`` to ``+inf``."""
     from scipy import integrate
 
     tol = INTEGRATE_TOL
     value, err = integrate.quad(
-        integrand, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT
-    )
+        integrand, lower, np.inf, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT, full_output=1
+    )[:2]
     if err > max(tol, 1e-8 * max(1.0, abs(value))) * 10.0:
         raise IntegrationError(f"quadrature error estimate {err} above tolerance", value)
     return value

@@ -140,7 +140,8 @@ def write_csv(path, columns: Sequence[str], rows: Sequence) -> Path:
 def read_data_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Observations from a one-column CSV, optional second weight column.
 
-    A non-numeric first line is treated as a header and skipped.
+    A non-numeric first line is treated as a header and skipped; a NaN or
+    infinite value is rejected with its row number.
     """
     path = Path(path)
     if not path.exists():
@@ -159,6 +160,8 @@ def read_data_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
                 if lineno == 0:
                     continue
                 raise ValidationError(f"non-numeric row {lineno + 1} in {path}") from None
+            if not all(map(math.isfinite, vals)):
+                raise ValidationError(f"non-finite value in row {lineno + 1} of {path}")
             if len(vals) == 1:
                 points.append(vals[0])
             elif len(vals) == 2:

@@ -138,6 +138,22 @@ def project_masses(part: Partition, atom_masses: Sequence[float]) -> np.ndarray:
     return np.array([float(np.sum(m[list(g)])) for g in part.groups])
 
 
+def check_radius(epsilon: float) -> None:
+    """A neighborhood radius must be positive."""
+    if not epsilon > 0.0:
+        raise ValidationError("neighborhood radius must be positive")
+
+
+def check_radius_grid(eps_grid: Sequence[float]) -> list:
+    """The radii of a shrinking grid, checked positive and strictly decreasing."""
+    eps = [float(e) for e in eps_grid]
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValidationError("the radius grid must be strictly decreasing")
+    for e in eps:
+        check_radius(e)
+    return eps
+
+
 @dataclass(frozen=True)
 class PartitionNeighborhood:
     """Max-cell-deviation ball around a cell-mass vector.
@@ -157,8 +173,7 @@ class PartitionNeighborhood:
             raise ValidationError("a neighborhood needs at least two cells")
         if any(c < 0.0 for c in center):
             raise ValidationError("center masses must be nonnegative")
-        if not self.epsilon > 0.0:
-            raise ValidationError("neighborhood radius must be positive")
+        check_radius(self.epsilon)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
@@ -178,12 +193,11 @@ class PartitionNeighborhood:
                 ok &= np.all(rows[:, null] == 0.0, axis=1)
         return ok
 
-    def closed_box(self, cap_at_one: bool) -> tuple[np.ndarray, np.ndarray]:
+    def closed_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh bounds of the closure, clipped to [0, 1]."""
         c = np.asarray(self.center)
         lo = np.maximum(c - self.epsilon, 0.0)
-        hi = c + self.epsilon
-        if cap_at_one:
-            hi = np.minimum(hi, 1.0)
+        hi = np.minimum(c + self.epsilon, 1.0)
         if self.zero_cells:
             null = c == 0.0
             lo[null] = 0.0
@@ -261,31 +275,23 @@ def neighborhood_inf_divergence(
     spec: DivergenceSpec,
     neighborhood: PartitionNeighborhood,
     p,
-    simplex: bool = True,
     return_minimizer: bool = False,
 ):
-    """Infimum of ``sum_j p_j phi(q_j / p_j)`` over the closed cell box.
+    """Infimum of ``sum_j p_j phi(q_j / p_j)`` over the probability vectors
+    in the closed cell box.
 
-    With ``simplex`` set the candidates are probability vectors; without
-    it each cell mass moves freely inside the box.  The sum constraint is
-    handled by bisection on the multiplier of the total mass, exact for
-    this separable convex objective.
+    The sum constraint is handled by bisection on the multiplier of the
+    total mass, exact for this separable convex objective.
     """
     p = _as_cell_vector(p, neighborhood.k)
-    lo, hi = neighborhood.closed_box(cap_at_one=simplex)
+    lo, hi = neighborhood.closed_box()
 
     null = p == 0.0
     # a cell that the reference never charges forces the candidate to zero
     if np.any(null & (lo > 0.0)):
         value = INF
         q = None
-    elif not simplex:
-        q = np.clip(p, lo, hi)
-        q[null] = 0.0
-        value = cell_divergence(spec, q, p)
     else:
-        lo = lo.copy()
-        hi = hi.copy()
         hi[null] = 0.0
         if float(np.sum(lo)) > 1.0 + 1e-12 or float(np.sum(hi)) < 1.0 - 1e-12:
             raise ValidationError("no probability vector lies in the neighborhood box")
@@ -341,12 +347,17 @@ def largest_remainder_counts(probs, n: int) -> np.ndarray:
     return counts
 
 
-def enumerate_count_vectors(k: int, n: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``k`` summing to ``n``."""
+def check_enumeration(k: int, n: int) -> None:
+    """Exact enumeration of count vectors is capped in cells and sample size."""
     if k > MAX_CELLS_EXACT or n > MAX_N_EXACT:
         raise EnumerationLimitError(
             f"exact enumeration is capped at k <= {MAX_CELLS_EXACT}, n <= {MAX_N_EXACT}"
         )
+
+
+def enumerate_count_vectors(k: int, n: int) -> np.ndarray:
+    """All nonnegative integer vectors of length ``k`` summing to ``n``."""
+    check_enumeration(k, n)
     if k == 2:
         j = np.arange(n + 1, dtype=np.int64)
         return np.stack([j, n - j], axis=1)
@@ -614,6 +625,12 @@ def log_rate(hits: int, reps: int, n: int) -> tuple[float, float, float, bool]:
     return math.log(hits / reps) / n, ci_lo, ci_hi, False
 
 
+def check_mc_reps(reps: int) -> None:
+    """The conditional Monte Carlo needs at least 100 replications."""
+    if reps < 100:
+        raise ValidationError("at least 100 replications are required")
+
+
 def conditional_ldp_mc(
     model: ParametricModel,
     theta,
@@ -636,8 +653,7 @@ def conditional_ldp_mc(
     rate and compared to the negative neighborhood infimum of the
     weight-induced divergence around the idealized cell probabilities.
     """
-    if reps < 100:
-        raise ValidationError("at least 100 replications are required")
+    check_mc_reps(reps)
     n = int(n)
     reps = int(reps)
     p = cell_probabilities(model, theta, part)
@@ -714,9 +730,7 @@ def shrink_epsilon_limit(
     the center from the reference; convergence is checked at the last
     grid entry within 1e-6.
     """
-    eps = [float(e) for e in eps_grid]
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValidationError("the radius grid must be strictly decreasing")
+    eps = check_radius_grid(eps_grid)
     c = _as_cell_vector(center)
     pv = _as_cell_vector(p, c.shape[0])
     rows = []

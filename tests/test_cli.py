@@ -254,6 +254,30 @@ BAD_CONFIGS = {
     "bahadur_trend_no_n_grid": (
         ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8"], None, "'n_grid'"),
     "estimate_missing_data": (["estimate", "--model", "gauss_loc", "--data", "absent.csv"], None, "not found"),
+    "sanov_shrink_grid_increasing": (
+        ["sanov", "--mode", "shrink", "--theta", "0.4,0.6", "--center", "0.5,0.5", "--eps_grid", "0.1,0.2"],
+        None, "strictly decreasing"),
+    "bahadur_trend_three_cells": (
+        ["bahadur", "--mode", "trend", "--cells", "3", "--theta", "0.3,0.3,0.4", "--theta_prime", "0.2,0.4,0.4",
+         "--n_grid", "10"], None, "two cells"),
+    "sanov_mc_few_reps": (
+        ["sanov", "--mode", "mc", "--theta", "0.37,0.63", "--theta_T", "0.5,0.5", "--reps", "50"],
+        None, "100 replications"),
+    "bahadur_trend_few_reps": (
+        ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8", "--n_grid", "10",
+         "--reps", "50"], None, "1000 replications"),
+    "sanov_sandwich_four_cells": (
+        ["sanov", "--mode", "sandwich", "--cells", "4", "--theta", "0.25,0.25,0.25,0.25",
+         "--theta_T", "0.25,0.25,0.25,0.25"], None, "capped"),
+    "sanov_sandwich_large_n": (
+        ["sanov", "--mode", "sandwich", "--theta", "0.4,0.6", "--theta_T", "0.5,0.5", "--n", "400"],
+        None, "capped"),
+    "sanov_sandwich_zero_radius": (
+        ["sanov", "--mode", "sandwich", "--theta", "0.4,0.6", "--theta_T", "0.5,0.5", "--epsilon", "0"],
+        None, "radius must be positive"),
+    "estimate_column_weights_one_column": (
+        ["estimate", "--model", "gauss_loc", "--data", str(DATA_DIR / "regression_points.csv"),
+         "--weights", "column"], None, "two-column"),
 }
 
 

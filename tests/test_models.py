@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from divlab.divergences import INF, CressieRead
@@ -260,9 +262,36 @@ class TestScoreSolve:
         assert PoissonNatural().solve_score(2.5) == pytest.approx(math.log(2.5), abs=1e-10)
 
     def test_invalid_target_rejected(self):
-        """Nonpositive targets are outside the Poisson mean range."""
-        with pytest.raises(DomainError):
-            PoissonNatural().solve_score(-1.0)
+        """NaN, infinite and (for the positive families) nonpositive targets
+        are outside the mean range and raise DomainError at once."""
+        for model in (ExponentialScale(), PoissonNatural(), GaussianLocation()):
+            bad = [math.inf, -math.inf, math.nan]
+            if not isinstance(model, GaussianLocation):
+                bad += [0.0, -0.0, -1e-300, -1.0]
+            for mean in bad:
+                with pytest.raises(DomainError):
+                    model.solve_score(mean)
+
+    @pytest.mark.parametrize("model, thetas", [
+        (GaussianLocation(), st.floats(-1e300, 1e300)),
+        (PoissonNatural(), st.floats(-700.0, 700.0)),
+        (ExponentialScale(), st.floats(-300.0, 300.0).map(lambda e: -(10.0 ** e))),
+    ])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_across_the_domain(self, model, thetas, data):
+        """solve_score(grad C(theta)) returns theta within 1e-12 relative
+        (1e-15 absolute near 0) wherever grad C is a finite positive float."""
+        theta = data.draw(thetas)
+        got = model.solve_score(model.grad_log_normalizer(theta))
+        assert got == pytest.approx(theta, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SCALAR_MODELS), st.floats(-300.0, 300.0))
+    def test_every_mean_gives_a_finite_parameter(self, model, log_mean):
+        """Each mean in [1e-300, 1e300] maps to a finite parameter in the domain."""
+        theta = model.solve_score(10.0 ** log_mean)
+        assert math.isfinite(theta) and model.in_domain(theta)
 
     def test_pilot_matches_moment_equation(self, rng):
         """Unweighted pilots solve the score equation at the sample mean."""

@@ -225,6 +225,14 @@ class TestReadDataCsv:
         with pytest.raises(ValidationError, match="row 2"):
             read_data_csv(f)
 
+    @pytest.mark.parametrize("text", ["1.0\nnan\n", "1.0\n-inf\n", "1.0,1.0\n2.0,inf\n", "1.0\n1e999\n"])
+    def test_non_finite_rejected(self, tmp_path, text):
+        """NaN and infinite points or weights raise with the row number."""
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(ValidationError, match="non-finite value in row 2"):
+            read_data_csv(f)
+
     def test_too_many_columns_rejected(self, tmp_path):
         """Three columns are out of contract."""
         f = tmp_path / "d.csv"

@@ -116,7 +116,7 @@ class TestNeighborhood:
     def test_closed_box_caps(self):
         """Box bounds clip to [0, 1] on the simplex."""
         ball = PartitionNeighborhood((0.05, 0.95), 0.1)
-        lo, hi = ball.closed_box(cap_at_one=True)
+        lo, hi = ball.closed_box()
         assert lo[0] == 0.0 and hi[1] == 1.0
 
     def test_invalid_radius(self):
@@ -272,14 +272,6 @@ class TestNeighborhoodInfimum:
         ball = PartitionNeighborhood((0.05, 0.05), 0.02)
         with pytest.raises(ValidationError):
             neighborhood_inf_divergence(KL, ball, [0.5, 0.5])
-
-    def test_free_box_mode_clips_reference(self):
-        """Without the simplex constraint each cell clips independently."""
-        ball = PartitionNeighborhood((0.5, 0.5), 0.1)
-        value, q = neighborhood_inf_divergence(
-            KL, ball, [0.3, 0.7], simplex=False, return_minimizer=True
-        )
-        np.testing.assert_allclose(q, [0.4, 0.6], atol=1e-12)
 
     def test_other_generator_indices(self):
         """The waterfilling solve handles non-logarithmic generators."""

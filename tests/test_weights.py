@@ -257,3 +257,14 @@ class TestInducedDivergence:
         conj = spec.conjugate()
         for x in [0.6, 1.0, 1.7]:
             assert conj.value(x) == pytest.approx(x * spec.value(1.0 / x), rel=1e-9, abs=1e-10)
+
+    def test_induced_conjugate_curvature_at_large_arguments(self):
+        """conj''(x) = phi''(1/x) / x**3 stays defined where x**3 overflows:
+        it underflows to 0 at 1e200, keeps phi's own inf from 1e300 on, and
+        x = inf (an inf * 0) gives +inf."""
+        conj = induced_divergence(ShiftedBernoulli(0.5)).conjugate()
+        tiny = conj.value(1e103, 2)
+        assert 0.0 < tiny < 1e-200
+        assert conj.value(1e200, 2) == 0.0
+        for x in (1e300, 1.7976931348623157e308, INF):
+            assert conj.value(x, 2) == INF
