@@ -265,6 +265,10 @@ class ConjugateSpec(DivergenceSpec):
         if order == 0:
             return x * self.base.value(inv)
         if order == 1:
+            if inv == 0.0:
+                # x = inf: inv * base'(inv) is 0 * (-inf) when base'(0) = -inf,
+                # but for a convex base finite at 0 it tends to 0
+                return self.base.value(0.0)
             return self.base.value(inv) - inv * self.base.value(inv, 1)
         # one factor 1/x at a time: x**3 overflows above about 5.6e102, and
         # inf * 0 at x = inf maps to +inf as phi's NaN does

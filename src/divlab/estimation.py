@@ -169,7 +169,7 @@ def _guarded_ratio_eval(model, spec, theta, alpha, x, order: int) -> float:
     return v
 
 
-def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, t=None, out=None):
+def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, t=None):
     """Closed-form pieces ``(lead, sharp)`` of the dual criterion.
 
     For a natural exponential family the log ratio ``log(p_theta/p_alpha)``
@@ -182,40 +182,41 @@ def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, 
     ``int phi_g'(p_theta/p_alpha) dP_theta`` and the sharp transform
     ``phi_g#((p_theta/p_alpha)(x))`` at sufficient statistics ``t`` are
     both functions of ``C``.  ``theta`` and ``alpha`` broadcast against
-    ``t``: scalars for one criterion, a column per row for a batch.  The
-    lead is infinite when the tilted parameter leaves the natural domain
-    or its integral overflows; ``sharp`` is ``None`` without ``t``.  Given
-    ``out``, an array of the broadcast shape, ``sharp`` is written into it
-    instead of fresh temporaries, with the same ufuncs in the same order.
+    ``t``.  The lead is infinite when the tilted parameter leaves the
+    natural domain or its integral overflows; ``sharp`` is ``None``
+    without ``t``.
     """
-    branch = spec.branch
+    lead, C_t, C_a = _expfam_power_lead(model, spec, theta, alpha)
+    if t is None:
+        return lead, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        lr = (theta - alpha) * t - C_t + C_a
+        if spec.branch == "log":
+            sharp = lr
+        elif spec.branch == "xlogx":
+            sharp = np.expm1(lr)
+        else:
+            sharp = np.expm1(spec.gamma * lr) / spec.gamma
+    return lead, sharp
+
+
+def _expfam_power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha):
+    """The lead of :func:`_expfam_power_dual` and the normalizers ``C(theta)``,
+    ``C(alpha)`` it is built from, as ``(lead, C_t, C_a)``."""
     with np.errstate(over="ignore", invalid="ignore"):
         C_t = model.log_normalizer_array(theta)
         C_a = model.log_normalizer_array(alpha)
         delta = theta - alpha
-        if branch == "xlogx":
+        if spec.branch == "xlogx":
             lead = delta * model.grad_log_normalizer_array(theta) - C_t + C_a
-        elif branch == "log":
+        elif spec.branch == "log":
             # int (1 - p_alpha/p_theta) dP_theta = 0 on a common support
             lead = 0.0
         else:
             u = spec.gamma - 1.0
             expo = u * (C_a - C_t) + model.log_normalizer_array(theta + u * delta) - C_t
             lead = np.expm1(expo) / u
-        if t is None:
-            return lead, None
-        lr = np.multiply(delta, t, out=out)
-        lr -= C_t
-        lr += C_a
-        if branch == "log":
-            sharp = lr
-        elif branch == "xlogx":
-            sharp = np.expm1(lr, out=lr)
-        else:
-            lr *= spec.gamma
-            sharp = np.expm1(lr, out=lr)
-            sharp /= spec.gamma
-    return lead, sharp
+    return lead, C_t, C_a
 
 
 def _phi_prime_mean(model: ParametricModel, spec: DivergenceSpec, theta, alpha) -> float:
@@ -464,14 +465,26 @@ def minimum_dual_estimator(
 def _line_aligned_empty(shape) -> np.ndarray:
     """An uninitialised float64 array whose data starts on a 64-byte cache line.
 
-    The batched criterion streams through its work array on every call.  Left
-    where malloc puts it, the offset follows the heap's history, and the same
-    comparison runs 10-15% slower at some offsets than on a line.
+    The batched criterion streams through its rows on every call.  Left
+    where malloc puts them, their offset follows the heap's history, and the
+    same comparison runs 10-15% slower at some offsets than on a line.
     """
     size = math.prod(shape)
     raw = np.empty(size + 8)
     skip = (-raw.ctypes.data % 64) // 8
     return raw[skip:skip + size].reshape(shape)
+
+
+def _aligned_rows(a: np.ndarray) -> np.ndarray:
+    """``a``, a (rows, n) array, from a line-aligned copy of its distinct rows.
+
+    A row every row shares (stride 0, as ``np.broadcast_to`` makes) is
+    stored once.
+    """
+    distinct = a[:1] if a.strides[0] == 0 else a
+    buf = _line_aligned_empty(distinct.shape)
+    buf[...] = distinct
+    return np.broadcast_to(buf, a.shape)
 
 
 class _BatchCriterion:
@@ -480,6 +493,18 @@ class _BatchCriterion:
     Restricted to scalar-parameter exponential families with power-family
     generators, which covers the Monte Carlo studies; each call evaluates
     the criterion at one ``(theta_r, alpha_r)`` pair per row.
+
+    Row ``r`` is ``wbar_r * lead - (1/n) sum_i w_ri phi#(r_ri)`` with
+    ``log r_ri = delta_r t_ri + C(alpha_r) - C(theta_r)``.  For the
+    likelihood index ``g = 0``, ``phi#`` is the log itself, so the tail is
+    ``delta_r mean(w t)_r - (C(theta_r) - C(alpha_r)) wbar_r``: two weighted
+    sums fixed at construction, and no pass over the sample per call.  For
+    other indices ``g phi#(r) = expm1(g log r)``: ``g log r`` is written into
+    one work array (one rank-2 product with ``[t; 1]`` when the rows share
+    their points, a multiply and an add otherwise), exponentiated in place
+    and summed against ``w`` in one pass.  The sums run in another order than
+    those of the scalar :class:`_DualCriterion`, which stays the bit-exact
+    reference; a row differs from it by rounding only.
     """
 
     def __init__(self, model: ExponentialFamilyModel, spec: CressieRead,
@@ -490,23 +515,46 @@ class _BatchCriterion:
             raise ValidationError("batched estimation requires a power-family generator")
         self.model = model
         self.spec = spec
-        self.t = np.atleast_2d(model.sufficient_stat(points))
-        self.w = np.atleast_2d(weights)
-        self.wbar = np.mean(self.w, axis=1, keepdims=True)
-        # one (rows, n) work array for all calls: fresh temporaries of this
-        # size can go back to the OS when freed and fault in again on the
-        # next call (about a million minor faults per spread comparison)
-        self._work = _line_aligned_empty(np.broadcast_shapes(self.t.shape, self.w.shape))
+        points = np.atleast_2d(points)
+        weights = np.atleast_2d(weights)
+        shape = np.broadcast_shapes(points.shape, weights.shape)
+        self.t = np.broadcast_to(model.sufficient_stat(points), shape)
+        self.w = np.broadcast_to(weights, shape)
+        self.wbar = np.mean(self.w, axis=1)
+        if spec.branch == "log":
+            self._wt_mean = np.mean(self.w * self.t, axis=1)
+            return
+        # the rows every call streams, and one (rows, n) work array for all
+        # calls: fresh temporaries of this size can go back to the OS when
+        # freed and fault in again on the next call (about a million minor
+        # faults per spread comparison)
+        self.t, self.w = _aligned_rows(self.t), _aligned_rows(self.w)
+        self._work = _line_aligned_empty(shape)
+        # rows that share their points get g log r from one rank-2 product,
+        # (slope, shift) times [t; 1]: one pass over the work array, not two
+        self._t1 = None
+        if self.t.strides[0] == 0:
+            self._t1 = _line_aligned_empty((2, shape[1]))
+            self._t1[0], self._t1[1] = self.t[0], 1.0
 
     def value(self, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Criterion per row, as a fresh array (callers keep earlier results)."""
-        lead, sharp = _expfam_power_dual(
-            self.model, self.spec, theta[:, None], alpha[:, None], self.t, self._work
-        )
+        lead, C_t, C_a = _expfam_power_lead(self.model, self.spec, theta, alpha)
         with np.errstate(over="ignore", invalid="ignore"):
-            sharp *= self.w
-            out = self.wbar * lead - np.mean(sharp, axis=1, keepdims=True)
-        return np.where(np.isfinite(out), out, -INF)[:, 0]
+            if self.spec.branch == "log":
+                out = (C_t - C_a) * self.wbar - (theta - alpha) * self._wt_mean
+            else:
+                g = self.spec.gamma
+                slope, shift = g * (theta - alpha), g * (C_a - C_t)
+                if self._t1 is not None:
+                    work = np.matmul(np.stack((slope, shift), axis=1), self._t1, out=self._work)
+                else:
+                    work = np.multiply(slope[:, None], self.t, out=self._work)
+                    work += shift[:, None]
+                np.expm1(work, out=work)
+                tail = np.einsum("ij,ij->i", work, self.w) / (work.shape[1] * g)
+                out = self.wbar * lead - tail
+        return np.where(np.isfinite(out), out, -INF)
 
 
 def minimum_dual_estimator_batch(

@@ -71,6 +71,11 @@ class ParametricModel:
         """Search box: half-width 3 around the pilot, clipped to the domain."""
         lo = float(pilot) - 3.0
         hi = float(pilot) + 3.0
+        if not lo < hi:
+            raise ValidationError(
+                f"search box collapses: pilot {float(pilot)!r} +/- 3 rounds to one float"
+                " (the half-width is below the float resolution there)"
+            )
         return self.clip_box(lo, hi)
 
     def clip_box(self, lo: float, hi: float):

@@ -190,6 +190,15 @@ class TestExitCodes:
         assert _run(["chernoff", "--law", "poisson1", "--points", "nan"], tmp_path, "x") == 2
         assert "nan" in capsys.readouterr().err
 
+    def test_mean_beyond_float_resolution_exits_two(self, tmp_path, capsys):
+        """A pilot whose +/- 3 box rounds to the pilot itself names the float
+        resolution, not the domain, and exits 2."""
+        data = tmp_path / "big.csv"
+        data.write_text("x\n" + "4e16\n" * 4)
+        assert _run(["estimate", "--model", "gauss_loc", "--data", str(data)], tmp_path, "x") == 2
+        err = capsys.readouterr().err
+        assert "float resolution" in err and "domain" not in err
+
     def test_numeric_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         """Numeric breakdowns map to exit code 3."""
 

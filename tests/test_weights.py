@@ -268,3 +268,11 @@ class TestInducedDivergence:
         assert conj.value(1e200, 2) == 0.0
         for x in (1e300, 1.7976931348623157e308, INF):
             assert conj.value(x, 2) == INF
+
+    def test_induced_conjugate_slope_at_infinity(self):
+        """conj'(inf) is its limit phi(0), not the NaN of 0 * phi'(0) = 0 * (-inf),
+        and conj'(1e300) already agrees with it."""
+        spec = induced_divergence(ShiftedBernoulli(0.5))
+        conj = spec.conjugate()
+        assert conj.value(INF, 1) == spec.value(0.0)
+        assert conj.value(INF, 1) == pytest.approx(conj.value(1e300, 1), rel=1e-15)
