@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .estimation import (
     WeightedEmpiricalMeasure,
     divergence_between,
-    estimate_phi_dual,
+    estimate_phi_dual_rows,
 )
 from .models import Categorical, ParametricModel
 from .reporting import Record
@@ -244,16 +244,21 @@ class TailTrendTable(Record):
     rows: tuple
 
 
-def _statistic_by_count(model: Categorical, spec: DivergenceSpec, theta, n: int) -> np.ndarray:
-    """Exact statistic value for every first-cell count (two cells only)."""
-    values = np.empty(n + 1)
-    for c in range(n + 1):
-        freqs = np.array([c / n, 1.0 - c / n])
-        mu = WeightedEmpiricalMeasure.from_finite_measure(
-            FiniteMeasure(model.atoms, tuple(freqs))
-        )
-        values[c], _ = estimate_phi_dual(model, spec, theta, mu)
-    return values
+def _count_statistics(model: Categorical, spec: DivergenceSpec, theta, n_grid) -> list:
+    """Exact statistic value for every first-cell count ``c <= n``, one array
+    per ``n`` of the grid (two cells only).
+
+    One row search covers the distinct fractions ``c / n`` of the whole grid:
+    ``c / n`` is correctly rounded, so 1/10 and 2/20 are one row.
+    """
+    fractions = sorted({c / n for n in n_grid for c in range(n + 1)})
+    measures = [
+        WeightedEmpiricalMeasure.from_finite_measure(FiniteMeasure(model.atoms, (f, 1.0 - f)))
+        for f in fractions
+    ]
+    statistic, _ = estimate_phi_dual_rows(model, spec, theta, measures)
+    row = {f: r for r, f in enumerate(fractions)}
+    return [statistic[[row[c / n] for c in range(n + 1)]] for n in n_grid]
 
 
 def check_trend(model: Categorical, reps: int) -> None:
@@ -286,10 +291,9 @@ def empirical_slope_trend(
     t = 0.5 * drift
     target = -2.0 * t
     p1 = float(model.probs(theta)[0])
+    n_grid = [int(n) for n in n_grid]
     rows = []
-    for n in n_grid:
-        n = int(n)
-        stat_of_count = _statistic_by_count(model, spec, theta, n)
+    for n, stat_of_count in zip(n_grid, _count_statistics(model, spec, theta, n_grid)):
         rng = derived_rng(seed, "tail", n)
         counts = rng.binomial(n, p1, size=int(reps))
         hits = int(np.sum(stat_of_count[counts] >= t))

@@ -128,6 +128,10 @@ class DivergenceSpec:
     def sharp_array(self, x: np.ndarray) -> np.ndarray:
         return np.array([self.sharp(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
 
+    def prime_sharp_array(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(value_array(x, 1), sharp_array(x))``, for callers that need both."""
+        return self.value_array(x, 1), self.sharp_array(x)
+
 
 def _check_order(order: int) -> None:
     if order not in _ORDERS:

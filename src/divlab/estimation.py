@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import PENALTY, maximize_scalar, nelder_mead_multistart, batch_golden_max, stencil
+from ._optim import PENALTY, batch_golden_max, maximize_rows, maximize_scalar, nelder_mead_multistart, stencil
 from .divergences import INF, CressieRead, DivergenceSpec, FiniteMeasure, cell_divergence
 from .errors import DomainError, ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
@@ -223,7 +223,7 @@ def _phi_prime_mean(model: ParametricModel, spec: DivergenceSpec, theta, alpha) 
     """``int phi'(p_theta/p_alpha) dP_theta`` with closed forms where possible."""
     if isinstance(model, Categorical):
         p_t = model.probs(theta)
-        return _categorical_lead(spec, p_t, p_t / model.probs(alpha))
+        return float(_categorical_lead(spec.value_array(p_t / model.probs(alpha), 1)[None], p_t)[0])
     if isinstance(spec, CressieRead) and isinstance(model, ExponentialFamilyModel):
         model.check_domain(theta)
         model.check_domain(alpha)
@@ -238,12 +238,47 @@ def _phi_prime_mean(model: ParametricModel, spec: DivergenceSpec, theta, alpha) 
         return INF
 
 
-def _categorical_lead(spec: DivergenceSpec, p_t: np.ndarray, ratios: np.ndarray) -> float:
-    """``sum_j phi'(ratio_j) p_theta_j``, ``+inf`` when any term is."""
-    vals = spec.value_array(ratios, 1)
-    if not np.all(np.isfinite(vals)):
-        return INF
-    return float(np.sum(vals * p_t))
+def _categorical_lead(prime: np.ndarray, p_t: np.ndarray) -> np.ndarray:
+    """``sum_j phi'(ratio_rj) p_theta_j`` per row of the ``phi'`` values
+    ``prime``, ``+inf`` where any term is not finite."""
+    with np.errstate(invalid="ignore"):
+        lead = np.sum(prime * p_t, axis=1)
+    return np.where(np.all(np.isfinite(prime), axis=1), lead, INF)
+
+
+def _categorical_dual_rows(model: Categorical, spec: DivergenceSpec, theta, alpha: np.ndarray,
+                           masses: np.ndarray, wbar) -> np.ndarray:
+    """Categorical dual criterion at ``(theta, alpha[r])`` for each row ``r``.
+
+    Row ``r`` integrates against cell masses ``masses[r]`` with mean weight
+    ``wbar[r]``: ``wbar lead - sum_j masses_j phi#(ratio_j)``.  The ratios,
+    the lead and the sharp terms are formed once per distinct ``alpha`` of a
+    scalar parameter, so rows scanning the same points share them.  A
+    parameter off the simplex interior, an infinite lead or a non-finite
+    value gives ``-inf``, a rejected point.
+    """
+    try:
+        p_t = model.probs(theta)
+    except DomainError:
+        return np.full(alpha.shape[0], -INF)
+    if alpha.shape[0] > 1 and alpha.shape[1] == 1:
+        # a dict, not np.unique, which imports numpy.ma (10 ms and 1.6 MB)
+        index = {}
+        inverse = np.array([index.setdefault(a, len(index)) for a in alpha[:, 0].tolist()])
+        distinct = np.array(list(index))[:, None]
+    else:
+        distinct, inverse = alpha, slice(None)
+    p_a, inside = model.probs_rows(distinct)
+    lead = np.full(distinct.shape[0], INF)
+    sharp = np.zeros(p_a.shape)
+    prime, sharp[inside] = spec.prime_sharp_array(p_t / p_a[inside])
+    lead[inside] = _categorical_lead(prime, p_t)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # the one-pair matmul rounds as np.dot does (a fused multiply-add);
+        # an einsum or the written-out sum differs in the last bit
+        tail = np.matmul(masses[:, None, :], sharp[inverse][:, :, None])[:, 0, 0]
+        value = wbar * lead[inverse] - tail
+    return np.where(np.isfinite(value), value, -INF)
 
 
 def h_value(model: ParametricModel, spec: DivergenceSpec, theta, alpha, x) -> float:
@@ -269,7 +304,8 @@ class _DualCriterion:
     The integral splits as ``mu(S) * mean-phi'(theta, alpha) - (1/n) sum
     W_i phi#(ratio_i)``; the second term is vectorized over the sample.
     Non-finite evaluations are rejected (returned as ``-inf`` to the
-    maximizer) and counted.
+    maximizer) and counted.  On a categorical model the criterion is one
+    row of :func:`_categorical_dual_rows`.
     """
 
     def __init__(self, model: ParametricModel, spec: DivergenceSpec, mu: WeightedEmpiricalMeasure):
@@ -293,34 +329,30 @@ class _DualCriterion:
 
     def __call__(self, theta, alpha) -> float:
         kind = self._kind
+        if kind == "categorical":
+            alpha_row = np.atleast_1d(np.asarray(alpha, dtype=float))[None]
+            value = float(_categorical_dual_rows(
+                self.model, self.spec, theta, alpha_row, self.atom_masses[None], self.wbar
+            )[0])
+            self.rejected += int(value == -INF)
+            return value
         if kind == "power":
             lead, sharp = _expfam_power_dual(self.model, self.spec, theta, alpha, self.t_stat)
-        elif kind == "categorical":
-            # one probability-ratio pass feeds both the lead and the tail;
-            # a parameter off the simplex interior is a rejected point
-            try:
-                p_t = self.model.probs(theta)
-                ratios = p_t / self.model.probs(alpha)
-            except DomainError:
-                lead = INF
-            else:
-                lead = _categorical_lead(self.spec, p_t, ratios)
         else:
             lead = _phi_prime_mean(self.model, self.spec, theta, alpha)
         if not math.isfinite(lead):
             self.rejected += 1
             return -INF
-        if kind == "categorical":
-            tail = float(np.dot(self.atom_masses, self.spec.sharp_array(ratios)))
-        else:
-            if kind == "expfam":
-                lr = (
-                    (theta - alpha) * self.t_stat
-                    - self.model.log_normalizer(theta)
-                    + self.model.log_normalizer(alpha)
-                )
-                sharp = self.spec.sharp_array(np.exp(lr))
-            # np.mean's bits (pairwise sum, then divide) without its overhead
+        if kind == "expfam":
+            lr = (
+                (theta - alpha) * self.t_stat
+                - self.model.log_normalizer(theta)
+                + self.model.log_normalizer(alpha)
+            )
+            sharp = self.spec.sharp_array(np.exp(lr))
+        # np.mean's bits (pairwise sum, then divide) without its overhead; a
+        # zero weight on an infinite term is NaN, a rejected point, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
             tail = float(np.add.reduce(self.w * sharp)) / self.mu.n
         value = self.wbar * lead - tail
         if not math.isfinite(value):
@@ -368,6 +400,29 @@ def estimate_phi_dual(
     lo, hi = _resolve_box(model, mu)
     alpha, value = _inner_max(crit, _scalar_or_vec(theta, lo), lo, hi)
     return value, _scalar_or_vec(alpha, lo)
+
+
+def estimate_phi_dual_rows(model: Categorical, spec: DivergenceSpec, theta, measures):
+    """:func:`estimate_phi_dual` at one ``theta`` for each of ``measures``, in
+    one row search.
+
+    For a categorical model with a scalar parameter (two cells).  Returns the
+    values and the maximizing ``alpha`` as arrays; entry ``r`` is, bit for
+    bit, what ``estimate_phi_dual(model, spec, theta, measures[r])`` returns.
+    """
+    if not (isinstance(model, Categorical) and model.param_dim == 1):
+        raise ValidationError("row searches of the dual criterion need a two-cell categorical model")
+    crits = [_DualCriterion(model, spec, mu) for mu in measures]
+    boxes = np.array([np.concatenate(_resolve_box(model, mu)) for mu in measures])
+    masses = np.array([crit.atom_masses for crit in crits])
+    wbar = np.array([crit.wbar for crit in crits])
+    theta = _scalar_or_vec(theta, boxes[0, :1])
+
+    def rows_value(rows, alpha):
+        return _categorical_dual_rows(model, spec, theta, alpha[:, None], masses[rows], wbar[rows])
+
+    alpha, value = maximize_rows(rows_value, boxes[:, 0], boxes[:, 1], n_scan=_N_SCAN, xtol=_INNER_XTOL)
+    return value, alpha
 
 
 def _scalar_or_vec(x, lo):

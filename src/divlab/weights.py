@@ -379,13 +379,21 @@ class WeightInducedDivergence(DivergenceSpec):
         return ConjugateSpec(self)
 
     def sharp(self, x: float) -> float:
+        return self._prime_sharp(x)[1]
+
+    def prime_sharp_array(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(value_array(x, 1), sharp_array(x))`` from one Chernoff solve per point."""
+        pairs = np.array([self._prime_sharp(float(v)) for v in np.ravel(x)], dtype=float).reshape(-1, 2)
+        return pairs[:, 0].reshape(np.shape(x)), pairs[:, 1].reshape(np.shape(x))
+
+    def _prime_sharp(self, x: float) -> tuple[float, float]:
         val, t = chernoff_argmax(self.law, x)
         if math.isinf(val):
-            return INF
+            return INF, INF
         if math.isinf(t):
             # boundary atom: x*phi'(x) - phi(x) degenerates to M at the limit
-            return x * t - val if x != 0.0 else -val
-        return cgf(self.law, t)
+            return t, (x * t - val if x != 0.0 else -val)
+        return t, cgf(self.law, t)
 
     def prime_inverse(self, y: float) -> float:
         lo, hi = self.law.cgf_domain

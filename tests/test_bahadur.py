@@ -9,18 +9,20 @@ from divlab.bahadur import (
     GRID_STEP,
     FunctionalStatistic,
     _cell_divergence_rows,
+    _count_statistics,
     _simplex_grid,
     efficiency_compare,
     empirical_slope_trend,
     slope_generic,
     slope_min_divergence,
 )
-from divlab.divergences import INF, CressieRead, cell_divergence
+from divlab.divergences import INF, CressieRead, FiniteMeasure, cell_divergence
 from divlab.errors import ValidationError
+from divlab.estimation import WeightedEmpiricalMeasure, estimate_phi_dual
 from divlab.models import Categorical, GaussianLocation
 from divlab import weights
 from divlab.sanov import kl_on_partition
-from divlab.weights import ExponentialOne, PoissonOne, ShiftedBernoulli, induced_divergence
+from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli, induced_divergence
 
 
 @pytest.fixture
@@ -244,6 +246,23 @@ class TestEfficiencyComparison:
 
 class TestTailTrend:
     """Monte Carlo tail frequencies of the statistic under the null."""
+
+    @pytest.mark.parametrize(
+        "law", [PoissonOne(), ExponentialOne(), ShiftedBernoulli(), NormalOneOne()], ids=lambda law: law.token
+    )
+    def test_statistic_table_is_the_per_count_search(self, law):
+        """The one row search over the grid's distinct fractions gives, for
+        every count, exactly the scalar search on that count's measure."""
+        model, spec, grid = Categorical(2), induced_divergence(law), [7, 10, 20, 77]
+        tables = _count_statistics(model, spec, (0.4,), grid)
+        for n, table in zip(grid, tables):
+            per_count = [
+                estimate_phi_dual(model, spec, (0.4,), WeightedEmpiricalMeasure.from_finite_measure(
+                    FiniteMeasure(model.atoms, (c / n, 1.0 - c / n))
+                ))[0]
+                for c in range(n + 1)
+            ]
+            assert table.tolist() == per_count
 
     def test_estimates_approach_the_target(self):
         """Absolute rate errors shrink along the sample-size grid."""

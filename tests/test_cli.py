@@ -534,6 +534,11 @@ class TestImportHygiene:
         run = f"import divlab.cli\nassert divlab.cli.main({CHERNOFF_ARGS + ['--out', str(tmp_path)]!r}) == 0"
         assert _scipy_modules_after(run) == set()
 
+    def test_trend_loads_no_scipy(self, tmp_path):
+        run = (f"import divlab.cli\nassert divlab.cli.main("
+               f"{RERUN_CONFIGS['bahadur_trend'] + ['--law', 'twopoint', '--out', str(tmp_path)]!r}) == 0")
+        assert _scipy_modules_after(run) == set()
+
     def test_sandwich_loads_only_scipy_special(self, tmp_path):
         run = (f"import divlab.cli\nassert divlab.cli.main("
                f"{RERUN_CONFIGS['sanov_sandwich'] + ['--out', str(tmp_path)]!r}) == 0")

@@ -276,3 +276,38 @@ class TestInducedDivergence:
         conj = spec.conjugate()
         assert conj.value(INF, 1) == spec.value(0.0)
         assert conj.value(INF, 1) == pytest.approx(conj.value(1e300, 1), rel=1e-15)
+
+
+class TestPrimeSharp:
+    """``prime_sharp_array`` returns ``(value_array(x, 1), sharp_array(x))``."""
+
+    def test_two_point_pair_from_one_solve_per_point(self, monkeypatch):
+        """Inside the support [0, 2], at both endpoints and beyond them the pair
+        matches the two separate evaluations, from one Chernoff solve per point."""
+        from divlab import weights
+
+        spec = induced_divergence(ShiftedBernoulli(0.5))
+        x = np.array([[0.0, 1e-12, 0.3, 1.0], [1.7, 2.0 - 1e-12, 2.0, 2.5], [-0.5, -1e-300, 1e300, INF]])
+        solves = []
+        solve = weights.chernoff_argmax
+
+        def counted(law, v):
+            solves.append(v)
+            return solve(law, v)
+
+        monkeypatch.setattr(weights, "chernoff_argmax", counted)
+        prime, sharp = spec.prime_sharp_array(x)
+        assert solves == x.ravel().tolist()
+        assert prime.shape == sharp.shape == x.shape
+        assert np.array_equal(prime, spec.value_array(x, 1))
+        assert np.array_equal(sharp, spec.sharp_array(x))
+        assert np.all(np.isfinite(sharp[0])) and prime[1, 2] == INF and sharp[2, 0] == INF
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, -1.0, 3.0])
+    def test_power_generator_pair(self, gamma):
+        """A power generator's pair is its two array forms, on and off its domain."""
+        spec = CressieRead(gamma)
+        x = np.array([-1.0, 0.0, 1e-300, 0.4, 1.0, 3.0, 1e300, INF])
+        prime, sharp = spec.prime_sharp_array(x)
+        assert np.array_equal(prime, spec.value_array(x, 1))
+        assert np.array_equal(sharp, spec.sharp_array(x))
