@@ -29,7 +29,7 @@ from .estimation import (
 )
 from .models import Categorical, ParametricModel
 from .reporting import Record
-from .sanov import log_rate
+from .sanov import check_sample_sizes, log_rate
 from .seeding import derived_rng
 from .weights import WeightLaw, induced_divergence
 
@@ -261,8 +261,10 @@ def _count_statistics(model: Categorical, spec: DivergenceSpec, theta, n_grid) -
     return [statistic[[row[c / n] for c in range(n + 1)]] for n in n_grid]
 
 
-def check_trend(model: Categorical, reps: int) -> None:
-    """The exact tail scan needs two cells and 1000 replications per size."""
+def check_trend(model: Categorical, n_grid, reps: int) -> None:
+    """The exact tail scan needs two cells, positive sample sizes and 1000
+    replications per size."""
+    check_sample_sizes(n_grid)
     if reps < 1000:
         raise ValidationError("tail trends need at least 1000 replications per sample size")
     if model.k != 2:
@@ -285,7 +287,7 @@ def empirical_slope_trend(
     tail frequency against minus twice the threshold.  This is a trend
     probe, not a convergence assertion.
     """
-    check_trend(model, reps)
+    check_trend(model, n_grid, reps)
     spec = induced_divergence(law)
     drift = divergence_between(model, spec, theta, theta_prime)
     t = 0.5 * drift

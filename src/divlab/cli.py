@@ -33,6 +33,7 @@ from .bahadur import (
 )
 from .clt import (
     STATISTIC_MAP,
+    check_sizes,
     estimator_distribution_compare,
     weighted_clt_check,
     weighted_lln_check,
@@ -48,6 +49,7 @@ from .sanov import (
     check_mc_reps,
     check_radius,
     check_radius_grid,
+    check_sample_sizes,
     conditional_ldp_mc,
     ml_ldp_gap,
     sandwich_check,
@@ -453,11 +455,12 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
             theta = tuple(_probability_vector(cfg, "theta", k)[:-1])
         thetaT = tuple(_probability_vector(cfg, "theta_T", k)[:-1])
         if mode == "rate":
-            n_grid = _require(cfg, "n_grid")
+            n_grid = check_sample_sizes(_require(cfg, "n_grid"))
         if mode == "mc":
             law = weight_law(cfg["law"])
             check_mc_reps(cfg["reps"])
         if mode != "rate":
+            check_sample_sizes([cfg["n"]])
             check_radius(cfg["epsilon"])
         if mode in ("sandwich", "ml_gap"):
             check_enumeration(k, cfg["n"])
@@ -559,7 +562,7 @@ def _run_bahadur(cfg: dict, dry_run: bool) -> list:
     paths = _out_paths(cfg, f"bahadur_{mode}", ("json",) if mode == "slopes" else ("csv", "json"))
     if mode == "trend":
         n_grid = _require(cfg, "n_grid")
-        check_trend(model, cfg["reps"])
+        check_trend(model, n_grid, cfg["reps"])
     if dry_run:
         return _plan("bahadur", cfg, paths)
     if mode == "slopes":
@@ -583,6 +586,7 @@ def _run_clt(cfg: dict, dry_run: bool) -> list:
         raise ValidationError("field 'model': the harness needs a scalar-parameter model")
     model = make_model(cfg["model"])
     law = weight_law(cfg["law"])
+    check_sizes(cfg["n"], cfg["reps"])
     paths = _out_paths(cfg, f"clt_{mode}", ("csv", "json"))
     if dry_run:
         return _plan("clt", cfg, paths)

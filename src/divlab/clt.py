@@ -20,6 +20,7 @@ from .divergences import CressieRead, DivergenceSpec
 from .errors import DomainError, NumericError, ValidationError
 from .estimation import minimum_dual_estimator_batch
 from .models import ExponentialFamilyModel
+from .sanov import check_sample_sizes
 from .seeding import chunked, derived_rng
 from .weights import WeightLaw
 
@@ -62,6 +63,14 @@ class MCReport:
         }
 
 
+def check_sizes(n: int, reps: int) -> None:
+    """The harnesses need at least one point and two replications, the
+    fewest that form a sample variance."""
+    check_sample_sizes([n])
+    if reps < 2:
+        raise ValidationError(f"at least 2 replications are required to form a variance, got {reps}")
+
+
 def _weighted_sums(points: np.ndarray, law: WeightLaw, reps: int, seed: int, tag: str, f) -> np.ndarray:
     """Per-replication values of ``(1/n) sum_i W_i f(x_i)``."""
     fv = np.asarray(f(points), dtype=float)
@@ -91,6 +100,7 @@ def weighted_lln_check(points, law: WeightLaw, f, reps: int, seed: int) -> MCRep
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
+    check_sizes(n, reps)
     reps = int(reps)
     mu1, mu2 = _fixed_point_moments(points, f)
     u = _weighted_sums(points, law, reps, seed, "lln", f)
@@ -151,6 +161,7 @@ def weighted_clt_check(
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
+    check_sizes(n, reps)
     reps = int(reps)
     mu1, mu2 = _fixed_point_moments(points, f)
     spread = mu2 - mu1 * mu1
@@ -212,6 +223,7 @@ def estimator_distribution_compare(
     """
     if not isinstance(spec, CressieRead):
         raise ValidationError("the batched comparison needs a power-family generator")
+    check_sizes(n, reps)
     n = int(n)
     reps = int(reps)
 

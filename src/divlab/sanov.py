@@ -13,6 +13,7 @@ Lagrange multiplier of the total-mass constraint.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -347,6 +348,15 @@ def largest_remainder_counts(probs, n: int) -> np.ndarray:
     return counts
 
 
+def check_sample_sizes(n_grid: Sequence[int]) -> list:
+    """The sample sizes of a grid as ints, each checked to be at least 1."""
+    sizes = [int(n) for n in n_grid]
+    for n in sizes:
+        if n < 1:
+            raise ValidationError(f"sample sizes must be at least 1, got {n}")
+    return sizes
+
+
 def check_enumeration(k: int, n: int) -> None:
     """Exact enumeration of count vectors is capped in cells and sample size."""
     if k > MAX_CELLS_EXACT or n > MAX_N_EXACT:
@@ -367,16 +377,81 @@ def enumerate_count_vectors(k: int, n: int) -> np.ndarray:
     return np.stack([a, b, n - a - b], axis=1).astype(np.int64)
 
 
+#: coefficients of the cephes ``lgam`` Stirling correction, and log sqrt(2 pi)
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178
+
+
+def _log_gamma_of_integer(x: int) -> float:
+    """log Gamma(x) for an integer ``x >= 1``: cephes ``lgam``, the routine
+    behind ``scipy.special.gammaln``, with the same operations and so the
+    same bits.  ``math.log`` is libm's, like cephes'; numpy's SIMD ``log``
+    rounds some arguments differently."""
+    if x < 13:
+        return math.log(float(math.factorial(x - 1)))
+    x = float(x)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    return q + poly / x
+
+
+@functools.cache
+def _log_factorial_table() -> np.ndarray:
+    """Read-only ``log j!`` for ``j = 0..MAX_N_EXACT``, every count an exact
+    enumeration can hold."""
+    table = np.array([_log_gamma_of_integer(j + 1) for j in range(MAX_N_EXACT + 1)])
+    table.setflags(write=False)
+    return table
+
+
+def _log_factorials(counts: np.ndarray) -> np.ndarray:
+    """``log j!`` for each entry ``j`` of an integer array: looked up in the
+    table, or computed entry by entry when some count lies past it (only a
+    single count vector, whose size is not capped, can)."""
+    table = _log_factorial_table()
+    if np.max(counts) < table.shape[0]:
+        return table[counts]
+    return np.array([_log_gamma_of_integer(j + 1) for j in np.ravel(counts).tolist()]).reshape(np.shape(counts))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` of a 1-D array, as ``scipy.special.logsumexp``
+    computes it in scipy 1.17: the ``m`` tied maxima split off, then
+    ``log1p(s/m) + log(m) + max`` with ``s`` the sum over the rest, falling
+    back to the direct sum where that is not finite (every entry ``-inf``)."""
+    a_max = np.max(a)
+    tied = a == a_max
+    m = np.sum(tied, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max)) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def _log_probs_of_counts(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Log multinomial probability of each row of ``counts`` (equal row sums).
 
     A charged cell of zero probability gives ``-inf``; an empty one adds
     nothing.
     """
-    from scipy.special import gammaln
-
-    n = int(np.sum(counts[0]))
-    logcoef = gammaln(n + 1) - np.sum(gammaln(counts + 1), axis=1)
+    n = np.sum(counts[0])
+    logcoef = _log_factorials(n) - np.sum(_log_factorials(counts), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, counts * np.log(p), 0.0)
     return logcoef + np.sum(terms, axis=1)
@@ -400,6 +475,7 @@ class SandwichReport(Record):
 def _idealized_members(model, thetaT, part, epsilon, n, zero_cells):
     """The neighborhood of the idealized counts under ``thetaT``, and every
     count vector of size ``n`` whose empirical masses lie inside it."""
+    check_sample_sizes([n])
     pT = cell_probabilities(model, thetaT, part)
     center = largest_remainder_counts(pT, n) / n
     V = PartitionNeighborhood(tuple(center), epsilon, zero_cells)
@@ -423,13 +499,11 @@ def sandwich_check(
     ``L`` is the exact normalized log-probability and ``K`` the negative
     infimum of the cell divergence over the closed neighborhood box.
     """
-    from scipy.special import logsumexp
-
     k = part.k
     V, members = _idealized_members(model, thetaT, part, epsilon, n, zero_cells)
     p = cell_probabilities(model, theta, part)
     if members.shape[0]:
-        L = float(logsumexp(_log_probs_of_counts(members, p))) / n
+        L = _logsumexp(_log_probs_of_counts(members, p)) / n
     else:
         L = -INF
     K = -neighborhood_inf_divergence(KL, V, p)
@@ -477,8 +551,6 @@ def ml_ldp_gap(
     surrogate over the parameter; their exact-likelihood gap obeys
     ``0 <= L(theta_exact) - L(theta_rate) <= (k/n) log(n+1)``.
     """
-    from scipy.special import logsumexp
-
     from ._optim import maximize_scalar, nelder_mead_multistart
 
     k = part.k
@@ -496,7 +568,7 @@ def ml_ldp_gap(
             return -INF
         if np.any(p <= 0.0):
             return -INF
-        return float(logsumexp(_log_probs_of_counts(members, p))) / n
+        return _logsumexp(_log_probs_of_counts(members, p)) / n
 
     def K(theta_vec) -> float:
         try:
@@ -563,8 +635,7 @@ def sanov_rate_convergence(model: Categorical, theta, thetaT, n_grid: Sequence[i
     target = -kl_on_partition(pT, p)
     rows = []
     gaps_scaled = []
-    for n in n_grid:
-        n = int(n)
+    for n in check_sample_sizes(n_grid):
         counts = largest_remainder_counts(pT, n)
         rate = log_occupation_probability(p, counts) / n
         gap = abs(rate - target)
@@ -653,6 +724,7 @@ def conditional_ldp_mc(
     rate and compared to the negative neighborhood infimum of the
     weight-induced divergence around the idealized cell probabilities.
     """
+    check_sample_sizes([n])
     check_mc_reps(reps)
     n = int(n)
     reps = int(reps)

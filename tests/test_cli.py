@@ -289,6 +289,30 @@ BAD_CONFIGS = {
          "--weights", "column"], None, "two-column"),
 }
 
+#: sample sizes and replication counts below what the computation divides
+#: by or forms a variance from: (argv, a fragment of the error message)
+BAD_SIZES = {
+    "bahadur_trend_zero_n": (
+        ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8", "--n_grid", "0"],
+        "at least 1, got 0"),
+    "bahadur_trend_negative_n": (
+        ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8", "--n_grid=-3"],
+        "at least 1, got -3"),
+    "sanov_rate_zero_n": (
+        ["sanov", "--mode", "rate", "--theta", "0.37,0.63", "--theta_T", "0.5,0.5", "--n_grid", "0"],
+        "at least 1, got 0"),
+    "sanov_mc_zero_n": (
+        ["sanov", "--mode", "mc", "--theta", "0.37,0.63", "--theta_T", "0.5,0.5", "--n", "0"],
+        "at least 1, got 0"),
+    "sanov_sandwich_zero_n": (
+        ["sanov", "--mode", "sandwich", "--theta", "0.37,0.63", "--theta_T", "0.5,0.5", "--n", "0"],
+        "at least 1, got 0"),
+    "clt_moments_zero_n": (
+        ["clt", "--mode", "moments", "--law", "normal11", "--n", "0", "--reps", "200"], "at least 1, got 0"),
+    "clt_estimator_one_rep": (
+        ["clt", "--mode", "estimator", "--law", "poisson1", "--n", "50", "--reps", "1"], "2 replications"),
+}
+
 
 class TestDryRun:
     """Plan printing without computation."""
@@ -318,6 +342,19 @@ class TestDryRun:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert fragment in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(BAD_SIZES))
+    def test_sizes_out_of_range_exit_two(self, name, tmp_path, capsys):
+        """A sample size below 1, or a single replication where a variance is
+        formed, exits 2 with one message line (no exception escapes), with
+        and without --dry-run."""
+        argv, fragment = BAD_SIZES[name]
+        out = tmp_path / "out"
+        for flags in ([], ["--dry-run"]):
+            assert main(argv + ["--out", str(out)] + flags) == 2
+            err = capsys.readouterr().err
+            assert fragment in err and len(err.splitlines()) == 1
         assert not out.exists()
 
 
@@ -539,9 +576,19 @@ class TestImportHygiene:
                f"{RERUN_CONFIGS['bahadur_trend'] + ['--law', 'twopoint', '--out', str(tmp_path)]!r}) == 0")
         assert _scipy_modules_after(run) == set()
 
-    def test_sandwich_loads_only_scipy_special(self, tmp_path):
-        run = (f"import divlab.cli\nassert divlab.cli.main("
-               f"{RERUN_CONFIGS['sanov_sandwich'] + ['--out', str(tmp_path)]!r}) == 0")
-        loaded = _scipy_modules_after(run)
-        assert "scipy.special" in loaded
-        assert loaded <= _scipy_modules_after("import scipy.special")
+    @pytest.mark.parametrize("argv", [
+        RERUN_CONFIGS["bahadur_slopes"],
+        ["bahadur", "--mode", "slopes", "--cells", "3", "--psi", "divergence", "--theta", "0.3,0.3,0.4",
+         "--theta_prime", "0.2,0.4,0.4", "--law", "twopoint"],
+        RERUN_CONFIGS["sanov_sandwich"],
+        RERUN_CONFIGS["sanov_rate"],
+        RERUN_CONFIGS["sanov_ml_gap"],
+        ["estimate", "--model", "categorical", "--cells", "2", "--data", "cells.csv"],
+    ], ids=["slopes_k2_cell_mass", "slopes_k3_divergence", "sandwich", "rate", "ml_gap", "categorical_k2"])
+    def test_exact_and_search_paths_load_no_scipy(self, argv, tmp_path):
+        """Nelder-Mead, the multinomial log-pmf and its log-sum-exp are in-package."""
+        data = tmp_path / "cells.csv"
+        data.write_text("x\n" + "0\n1\n1\n" * 20)
+        argv = [str(data) if a == "cells.csv" else a for a in argv]
+        run = f"import divlab.cli\nassert divlab.cli.main({argv + ['--out', str(tmp_path)]!r}) == 0"
+        assert _scipy_modules_after(run) == set()

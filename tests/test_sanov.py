@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln, logsumexp
@@ -13,7 +13,10 @@ from divlab.divergences import INF, CressieRead
 from divlab.errors import EnumerationLimitError, ValidationError
 from divlab.models import Categorical, GaussianLocation
 from divlab.sanov import (
+    MAX_N_EXACT,
+    _log_factorials,
     _log_probs_of_counts,
+    _logsumexp,
     Partition,
     PartitionNeighborhood,
     cell_probabilities,
@@ -185,6 +188,32 @@ class TestOccupation:
         p = np.array([0.3, 0.7])
         expect = 0.5 * math.log(0.5 / 0.3) + 0.5 * math.log(0.5 / 0.7)
         assert kl_on_partition(q, p) == pytest.approx(expect, abs=1e-13)
+
+
+class TestScipyReferences:
+    """The exact paths' log-factorials and log-sum-exp are scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("top", [MAX_N_EXACT, 200_000])
+    def test_log_factorials_are_gammaln(self, top):
+        """``log j!`` equals ``gammaln(j + 1)`` for j = 0..200,000, from the
+        table up to the enumeration cap and computed entry by entry past it."""
+        j = np.arange(top + 1)
+        assert np.array_equal(_log_factorials(j), gammaln(j + 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.floats(-800.0, 50.0), st.just(-INF), st.sampled_from([-2.5, 0.0, 3.0])),
+                 min_size=1, max_size=40)
+    )
+    @example([-INF, -1.0, -2.5])
+    @example([-3.0, -7.25, -3.0, -INF])
+    @example([0.125])
+    @example([-INF])
+    @example([-INF, -INF, -INF])
+    def test_logsumexp_is_scipys(self, values):
+        """Arrays with ``-inf`` entries, tied maxima, one element, or only ``-inf``."""
+        a = np.array(values)
+        assert _logsumexp(a) == float(logsumexp(a))
 
 
 class TestCountEnumeration:
