@@ -264,6 +264,24 @@ class TestTailTrend:
             ]
             assert table.tolist() == per_count
 
+    @pytest.mark.parametrize(
+        "law, hits",
+        [
+            (PoissonOne(), [674, 385, 122, 11]),
+            (ExponentialOne(), [674, 385, 122, 11]),
+            (ShiftedBernoulli(), [674, 233, 58, 2]),
+            (NormalOneOne(), [674, 233, 80, 5]),
+        ],
+        ids=lambda v: getattr(v, "token", ""),
+    )
+    def test_benchmark_config_hits_are_pinned(self, law, hits):
+        """The benchmark's trend (theta 0.4 against 0.2, n = 10 to 80, 2000
+        replications) keeps its hit counts at a fixed seed."""
+        table = empirical_slope_trend(
+            Categorical(2), law, (0.4,), (0.2,), [10, 20, 40, 80], 2000, seed=5
+        )
+        assert [row.hits for row in table.rows] == hits
+
     def test_estimates_approach_the_target(self):
         """Absolute rate errors shrink along the sample-size grid."""
         table = empirical_slope_trend(
