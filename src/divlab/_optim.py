@@ -52,12 +52,7 @@ def stencil(x, lo, hi):
     The step is ``1e-6 * max(1, |x|)``.  The centre is ``x`` itself unless
     ``x - h`` or ``x + h`` would leave ``[lo, hi]``; then it moves inward
     just far enough, so the objective is never probed outside its box.
-    Floats give floats; arrays give one stencil per entry, with the same
-    roundings.
     """
-    if isinstance(x, np.ndarray):
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        return np.minimum(np.maximum(x, lo + h), hi - h), h
     h = 1e-6 * max(1.0, abs(x))
     return min(max(x, lo + h), hi - h), h
 
@@ -110,105 +105,6 @@ def maximize_scalar(
     winners = [xi for xi, vi in candidates if vi >= top - _TIE_TOL]
     x_win = min(winners)
     return (x, fx) if x_win == x else (x_win, f(x_win))
-
-
-def maximize_rows(
-    f,
-    lo,
-    hi,
-    n_scan: int = 9,
-    xtol: float = 1e-10,
-):
-    """:func:`maximize_scalar` for many objectives at once.  Returns ``(x, f(x))``
-    arrays, one entry per row.
-
-    ``f(rows, x)`` evaluates objective ``rows[i]`` at ``x[i]`` for every ``i``
-    and returns the values as an array; objectives give numbers or ``-inf``,
-    never NaN.  Row ``r`` searches ``[lo[r], hi[r]]`` and takes exactly the
-    steps :func:`maximize_scalar` takes on its objective: the same scan, the
-    same golden contraction until its own bracket is small enough, the same
-    Newton polish until its own break, the same tie rule.  So every row's
-    result is that search's, bit for bit.  Each call of ``f`` carries only
-    the rows still searching.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    x, fx = lo.copy(), np.empty(lo.shape)
-    flat = np.flatnonzero(~(lo < hi))
-    if flat.size:
-        fx[flat] = f(flat, lo[flat])
-    rows = np.flatnonzero(lo < hi)
-    if rows.size == 0:
-        return x, fx
-    lo, hi = lo[rows], hi[rows]
-    n = max(n_scan, 3)
-    scans = {}
-    xs = np.array([scans.setdefault(box, np.linspace(*box, n)) for box in zip(lo.tolist(), hi.tolist())])
-    vals = f(np.repeat(rows, n), xs.ravel()).reshape(xs.shape)
-    best = np.argmax(vals, axis=1)
-    at = np.arange(rows.size)
-    a = xs[at, np.maximum(best - 1, 0)]
-    b = xs[at, np.minimum(best + 1, n - 1)]
-    xr, fxr = _golden_rows(f, rows, a, b, xtol)
-    xr, fxr = _newton_polish_rows(f, rows, xr, fxr, lo, hi)
-    cand_x = np.column_stack((xr, xs))
-    cand_v = np.column_stack((fxr, vals))
-    top = np.max(cand_v, axis=1)
-    x_win = np.min(np.where(cand_v >= (top - _TIE_TOL)[:, None], cand_x, np.inf), axis=1)
-    moved = np.flatnonzero(x_win != xr)
-    xr[moved] = x_win[moved]
-    fxr[moved] = f(rows[moved], x_win[moved])
-    x[rows], fx[rows] = xr, fxr
-    return x, fx
-
-
-def _golden_rows(f, rows, a, b, xtol):
-    """:func:`golden_max` on the bracket ``[a[i], b[i]]`` of each row ``rows[i]``."""
-    a, b = a.copy(), b.copy()
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(rows, c), f(rows, d)
-    live = np.arange(rows.size)
-    for _ in range(200):
-        live = live[~(b[live] - a[live] <= xtol * np.maximum(1.0, np.abs(a[live]) + np.abs(b[live])))]
-        if live.size == 0:
-            break
-        left = fc[live] >= fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - _INVPHI * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + _INVPHI * (b[rt] - a[rt])
-        fresh = f(rows[live], np.where(left, c[live], d[live]))
-        fc[lt], fd[rt] = fresh[left], fresh[~left]
-    keep_c = fc >= fd
-    return np.where(keep_c, c, d), np.where(keep_c, fc, fd)
-
-
-def _newton_polish_rows(f, rows, x, fx, lo, hi):
-    """:func:`_newton_polish_max` on each row ``rows[i]`` from ``x[i]``."""
-    live = np.arange(rows.size)
-    for _ in range(4):
-        xl, fl = x[live], fx[live]
-        c, h = stencil(xl, lo[live], hi[live])
-        fc = fl.copy()
-        off = np.flatnonzero(c != xl)
-        fc[off] = f(rows[live[off]], c[off])
-        f_up, f_dn = f(rows[live], c + h), f(rows[live], c - h)
-        # float arithmetic overflows to inf and gives NaN without a word
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = (f_up - f_dn) / (2.0 * h)
-            curv = (f_up - 2.0 * fc + f_dn) / (h * h)
-            ok = np.isfinite(f_up) & np.isfinite(f_dn) & np.isfinite(fc) & ~(curv >= 0.0)
-            step = live[ok]
-            x_new = np.minimum(np.maximum(c[ok] - g[ok] / curv[ok], lo[step]), hi[step])
-        f_new = f(rows[step], x_new)
-        up = ~(f_new <= fl[ok])
-        live = step[up]
-        x[live], fx[live] = x_new[up], f_new[up]
-        if live.size == 0:
-            break
-    return x, fx
 
 
 def lattice_starts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

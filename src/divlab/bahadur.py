@@ -20,13 +20,9 @@ from typing import Callable
 import numpy as np
 
 from ._optim import PENALTY, nelder_mead
-from .divergences import DivergenceSpec, FiniteMeasure, INF, cell_divergence
+from .divergences import DivergenceSpec, INF, cell_divergence
 from .errors import ValidationError
-from .estimation import (
-    WeightedEmpiricalMeasure,
-    divergence_between,
-    estimate_phi_dual_rows,
-)
+from .estimation import divergence_between
 from .models import Categorical, ParametricModel
 from .reporting import Record
 from .sanov import check_sample_sizes, log_rate
@@ -244,23 +240,6 @@ class TailTrendTable(Record):
     rows: tuple
 
 
-def _count_statistics(model: Categorical, spec: DivergenceSpec, theta, n_grid) -> list:
-    """Exact statistic value for every first-cell count ``c <= n``, one array
-    per ``n`` of the grid (two cells only).
-
-    One row search covers the distinct fractions ``c / n`` of the whole grid:
-    ``c / n`` is correctly rounded, so 1/10 and 2/20 are one row.
-    """
-    fractions = sorted({c / n for n in n_grid for c in range(n + 1)})
-    measures = [
-        WeightedEmpiricalMeasure.from_finite_measure(FiniteMeasure(model.atoms, (f, 1.0 - f)))
-        for f in fractions
-    ]
-    statistic, _ = estimate_phi_dual_rows(model, spec, theta, measures)
-    row = {f: r for r, f in enumerate(fractions)}
-    return [statistic[[row[c / n] for c in range(n + 1)]] for n in n_grid]
-
-
 def check_trend(model: Categorical, n_grid, reps: int) -> None:
     """The exact tail scan needs two cells, positive sample sizes and 1000
     replications per size."""
@@ -286,18 +265,25 @@ def empirical_slope_trend(
     large-deviation regime; each row reports twice the normalized log
     tail frequency against minus twice the threshold.  This is a trend
     probe, not a convergence assertion.
+
+    The statistic of a sample with ``c`` first-cell counts is the plug-in
+    cell divergence at the masses ``(c / n, 1 - c / n)``: on a finite
+    support that is the supremum of the dual criterion.  It is ``+inf``
+    where a cell leaves the generator's domain.  At ``theta_prime = theta``
+    the threshold is 0, so every replication hits.
     """
     check_trend(model, n_grid, reps)
     spec = induced_divergence(law)
     drift = divergence_between(model, spec, theta, theta_prime)
     t = 0.5 * drift
-    target = -2.0 * t
-    p1 = float(model.probs(theta)[0])
-    n_grid = [int(n) for n in n_grid]
+    target = -2.0 * t + 0.0  # -0.0 + 0.0 is +0.0: a null target prints 0, never -0
+    p = model.probs(theta)
     rows = []
-    for n, stat_of_count in zip(n_grid, _count_statistics(model, spec, theta, n_grid)):
+    for n in (int(n) for n in n_grid):
+        # one row per first-cell count c: the masses (c / n, 1 - c / n)
+        stat_of_count = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n))
         rng = derived_rng(seed, "tail", n)
-        counts = rng.binomial(n, p1, size=int(reps))
+        counts = rng.binomial(n, float(p[0]), size=int(reps))
         hits = int(np.sum(stat_of_count[counts] >= t))
         # a slope is twice the log rate; doubling is exact in floating point
         est, ci_lo, ci_hi, one_sided = log_rate(hits, int(reps), n)

@@ -113,6 +113,14 @@ def _as_int(value, key):
         ) from None
 
 
+def _as_seed(value, key):
+    # numpy seeds only from non-negative entropy
+    seed = _as_int(value, key)
+    if seed < 0:
+        raise ValidationError(f"field {key!r}: expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _as_float(value, key):
     if isinstance(value, bool):
         raise ValidationError(f"field {key!r}: expected a real number, got {value!r}")
@@ -201,7 +209,7 @@ SCHEMAS = {
         "law": (_as_str, None),
         "data": (_as_str, _REQUIRED),
         "weights": (_as_str, "unit"),
-        "seed": (_as_int, 0),
+        "seed": (_as_seed, 0),
         **_COMMON,
     },
     "sanov": {
@@ -214,7 +222,7 @@ SCHEMAS = {
         "n_grid": (_as_ints, None),
         "law": (_as_str, "poisson1"),
         "reps": (_as_int, 10000),
-        "seed": (_as_int, 0),
+        "seed": (_as_seed, 0),
         "zero_cells": (_as_bool, True),
         "gamma": (_as_gamma, 1.0),
         "center": (_as_floats, None),
@@ -230,7 +238,7 @@ SCHEMAS = {
         "psi": (_as_choice({"cell_mass", "divergence"}), "cell_mass"),
         "n_grid": (_as_ints, None),
         "reps": (_as_int, 10000),
-        "seed": (_as_int, 0),
+        "seed": (_as_seed, 0),
         **_COMMON,
     },
     "clt": {
@@ -242,7 +250,7 @@ SCHEMAS = {
         "gamma": (_as_float, 1.0),
         "n": (_as_int, 500),
         "reps": (_as_int, 2000),
-        "seed": (_as_int, 0),
+        "seed": (_as_seed, 0),
         **_COMMON,
     },
 }

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import PENALTY, batch_golden_max, maximize_rows, maximize_scalar, nelder_mead_multistart, stencil
+from ._optim import PENALTY, batch_golden_max, maximize_scalar, nelder_mead_multistart, stencil
 from .divergences import INF, CressieRead, DivergenceSpec, FiniteMeasure, cell_divergence
 from .errors import DomainError, ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
@@ -251,33 +251,24 @@ def _categorical_dual_rows(model: Categorical, spec: DivergenceSpec, theta, alph
     """Categorical dual criterion at ``(theta, alpha[r])`` for each row ``r``.
 
     Row ``r`` integrates against cell masses ``masses[r]`` with mean weight
-    ``wbar[r]``: ``wbar lead - sum_j masses_j phi#(ratio_j)``.  The ratios,
-    the lead and the sharp terms are formed once per distinct ``alpha`` of a
-    scalar parameter, so rows scanning the same points share them.  A
-    parameter off the simplex interior, an infinite lead or a non-finite
-    value gives ``-inf``, a rejected point.
+    ``wbar[r]``: ``wbar lead - sum_j masses_j phi#(ratio_j)``.  A parameter
+    off the simplex interior, an infinite lead or a non-finite value gives
+    ``-inf``, a rejected point.
     """
     try:
         p_t = model.probs(theta)
     except DomainError:
         return np.full(alpha.shape[0], -INF)
-    if alpha.shape[0] > 1 and alpha.shape[1] == 1:
-        # a dict, not np.unique, which imports numpy.ma (10 ms and 1.6 MB)
-        index = {}
-        inverse = np.array([index.setdefault(a, len(index)) for a in alpha[:, 0].tolist()])
-        distinct = np.array(list(index))[:, None]
-    else:
-        distinct, inverse = alpha, slice(None)
-    p_a, inside = model.probs_rows(distinct)
-    lead = np.full(distinct.shape[0], INF)
+    p_a, inside = model.probs_rows(alpha)
+    lead = np.full(alpha.shape[0], INF)
     sharp = np.zeros(p_a.shape)
     prime, sharp[inside] = spec.prime_sharp_array(p_t / p_a[inside])
     lead[inside] = _categorical_lead(prime, p_t)
     with np.errstate(invalid="ignore", over="ignore"):
         # the one-pair matmul rounds as np.dot does (a fused multiply-add);
         # an einsum or the written-out sum differs in the last bit
-        tail = np.matmul(masses[:, None, :], sharp[inverse][:, :, None])[:, 0, 0]
-        value = wbar * lead[inverse] - tail
+        tail = np.matmul(masses[:, None, :], sharp[:, :, None])[:, 0, 0]
+        value = wbar * lead - tail
     return np.where(np.isfinite(value), value, -INF)
 
 
@@ -400,29 +391,6 @@ def estimate_phi_dual(
     lo, hi = _resolve_box(model, mu)
     alpha, value = _inner_max(crit, _scalar_or_vec(theta, lo), lo, hi)
     return value, _scalar_or_vec(alpha, lo)
-
-
-def estimate_phi_dual_rows(model: Categorical, spec: DivergenceSpec, theta, measures):
-    """:func:`estimate_phi_dual` at one ``theta`` for each of ``measures``, in
-    one row search.
-
-    For a categorical model with a scalar parameter (two cells).  Returns the
-    values and the maximizing ``alpha`` as arrays; entry ``r`` is, bit for
-    bit, what ``estimate_phi_dual(model, spec, theta, measures[r])`` returns.
-    """
-    if not (isinstance(model, Categorical) and model.param_dim == 1):
-        raise ValidationError("row searches of the dual criterion need a two-cell categorical model")
-    crits = [_DualCriterion(model, spec, mu) for mu in measures]
-    boxes = np.array([np.concatenate(_resolve_box(model, mu)) for mu in measures])
-    masses = np.array([crit.atom_masses for crit in crits])
-    wbar = np.array([crit.wbar for crit in crits])
-    theta = _scalar_or_vec(theta, boxes[0, :1])
-
-    def rows_value(rows, alpha):
-        return _categorical_dual_rows(model, spec, theta, alpha[:, None], masses[rows], wbar[rows])
-
-    alpha, value = maximize_rows(rows_value, boxes[:, 0], boxes[:, 1], n_scan=_N_SCAN, xtol=_INNER_XTOL)
-    return value, alpha
 
 
 def _scalar_or_vec(x, lo):

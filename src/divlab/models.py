@@ -33,6 +33,14 @@ INTEGRATE_TOL = 1e-10
 SERIES_CAP = 100_000
 
 
+def _param_text(theta) -> str:
+    """``theta`` in plain floats for a message: ``0.5`` or ``(1.0, 0.0)``."""
+    values = np.asarray(theta, dtype=float)
+    if values.ndim == 0:
+        return repr(float(values))
+    return repr(tuple(values.ravel().tolist()))
+
+
 def _as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
@@ -47,7 +55,7 @@ class ParametricModel:
 
     def check_domain(self, theta) -> None:
         if not self.in_domain(theta):
-            raise DomainError(f"parameter {theta!r} outside the domain of {self!r}")
+            raise DomainError(f"parameter {_param_text(theta)} outside the domain of the {self.token} model")
 
     def log_density_ratio(self, theta, alpha, x):
         """``log(p_theta / p_alpha)`` at ``x`` (vectorized over ``x``)."""
@@ -354,7 +362,7 @@ class Categorical(ParametricModel):
     def probs(self, theta) -> np.ndarray:
         p, inside = self.probs_rows(self._theta_vec(theta)[None])
         if not inside[0]:
-            raise DomainError(f"parameter {theta!r} does not map to an interior probability vector")
+            raise DomainError(f"parameter {_param_text(theta)} does not map to an interior probability vector")
         return p[0]
 
     def probs_rows(self, thetas: np.ndarray):

@@ -9,7 +9,6 @@ from divlab.bahadur import (
     GRID_STEP,
     FunctionalStatistic,
     _cell_divergence_rows,
-    _count_statistics,
     _simplex_grid,
     efficiency_compare,
     empirical_slope_trend,
@@ -250,29 +249,48 @@ class TestTailTrend:
     @pytest.mark.parametrize(
         "law", [PoissonOne(), ExponentialOne(), ShiftedBernoulli(), NormalOneOne()], ids=lambda law: law.token
     )
-    def test_statistic_table_is_the_per_count_search(self, law):
-        """The one row search over the grid's distinct fractions gives, for
-        every count, exactly the scalar search on that count's measure."""
-        model, spec, grid = Categorical(2), induced_divergence(law), [7, 10, 20, 77]
-        tables = _count_statistics(model, spec, (0.4,), grid)
-        for n, table in zip(grid, tables):
-            per_count = [
-                estimate_phi_dual(model, spec, (0.4,), WeightedEmpiricalMeasure.from_finite_measure(
+    def test_statistic_table_is_the_dual_estimate(self, law):
+        """Per count, the plug-in cell divergence agrees with the scalar dual
+        estimate on that count's measure where it is finite; where it is
+        ``+inf`` the box-limited dual is finite but above the threshold of
+        the theta 0.4 against 0.2 trend, so the count hits either way."""
+        model, spec = Categorical(2), induced_divergence(law)
+        p = model.probs((0.4,))
+        t = 0.5 * cell_divergence(spec, p, model.probs((0.2,)))
+        for n in [7, 10, 20, 77]:
+            table = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n))
+            for c in range(n + 1):
+                dual, _ = estimate_phi_dual(model, spec, (0.4,), WeightedEmpiricalMeasure.from_finite_measure(
                     FiniteMeasure(model.atoms, (c / n, 1.0 - c / n))
-                ))[0]
-                for c in range(n + 1)
-            ]
-            assert table.tolist() == per_count
+                ))
+                if math.isfinite(table[c]):
+                    assert table[c] == pytest.approx(dual, abs=1e-9)
+                else:
+                    assert dual > t
+
+    @pytest.mark.parametrize(
+        "law", [PoissonOne(), ExponentialOne(), ShiftedBernoulli(), NormalOneOne()], ids=lambda law: law.token
+    )
+    def test_null_alternative_hits_every_replication(self, law):
+        """At theta_prime = theta the threshold is 0, which every value of the
+        statistic reaches; the slope and its target are +0, never -0."""
+        table = empirical_slope_trend(
+            Categorical(2), law, (0.4,), (0.4,), [10, 20, 40, 80], 1000, seed=3
+        )
+        for row in table.rows:
+            assert row.threshold == 0.0
+            assert row.hits == row.reps
+            assert row.slope_estimate == 0.0
+            assert math.copysign(1.0, row.slope_target) == 1.0 and row.slope_target == 0.0
 
     @pytest.mark.parametrize(
         "law, hits",
         [
-            (PoissonOne(), [674, 385, 122, 11]),
-            (ExponentialOne(), [674, 385, 122, 11]),
-            (ShiftedBernoulli(), [674, 233, 58, 2]),
-            (NormalOneOne(), [674, 233, 80, 5]),
+            pytest.param(PoissonOne(), [674, 385, 122, 11], id="poisson1"),
+            pytest.param(ExponentialOne(), [674, 385, 122, 11], id="exp1"),
+            pytest.param(ShiftedBernoulli(), [674, 233, 58, 2], id="twopoint"),
+            pytest.param(NormalOneOne(), [674, 233, 80, 5], id="normal11"),
         ],
-        ids=lambda v: getattr(v, "token", ""),
     )
     def test_benchmark_config_hits_are_pinned(self, law, hits):
         """The benchmark's trend (theta 0.4 against 0.2, n = 10 to 80, 2000

@@ -311,7 +311,34 @@ BAD_SIZES = {
         ["clt", "--mode", "moments", "--law", "normal11", "--n", "0", "--reps", "200"], "at least 1, got 0"),
     "clt_estimator_one_rep": (
         ["clt", "--mode", "estimator", "--law", "poisson1", "--n", "50", "--reps", "1"], "2 replications"),
+    "bahadur_trend_negative_seed": (
+        ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8", "--n_grid", "10",
+         "--reps", "1000", "--seed", "-1"],
+        "non-negative integer, got -1"),
+    "sanov_mc_negative_seed": (
+        ["sanov", "--mode", "mc", "--theta", "0.37,0.63", "--theta_T", "0.5,0.5", "--n", "60", "--reps", "2000",
+         "--seed", "-1"],
+        "non-negative integer, got -1"),
+    "clt_moments_negative_seed": (
+        ["clt", "--mode", "moments", "--law", "normal11", "--n", "500", "--reps", "200", "--seed", "-1"],
+        "non-negative integer, got -1"),
+    "clt_estimator_negative_seed": (
+        ["clt", "--mode", "estimator", "--law", "poisson1", "--n", "50", "--reps", "16", "--seed", "-1"],
+        "non-negative integer, got -1"),
+    "estimate_weights_negative_seed": (
+        ["estimate", "--model", "gauss_loc", "--gamma", "0", "--data", str(DATA_DIR / "regression_points.csv"),
+         "--weights", "poisson1", "--seed", "-1"],
+        "non-negative integer, got -1"),
 }
+
+
+def test_domain_error_prints_plain_floats(tmp_path, capsys):
+    """A parameter off the simplex interior exits 2 naming it in plain floats."""
+    argv = ["sanov", "--mode", "mc", "--theta", "1,0", "--theta_T", "0.5,0.5", "--n", "60", "--reps", "2000"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "parameter (1.0,) does not map to an interior probability vector" in err
+    assert "np.float64" not in err
 
 
 class TestDryRun:
@@ -346,9 +373,9 @@ class TestDryRun:
 
     @pytest.mark.parametrize("name", sorted(BAD_SIZES))
     def test_sizes_out_of_range_exit_two(self, name, tmp_path, capsys):
-        """A sample size below 1, or a single replication where a variance is
-        formed, exits 2 with one message line (no exception escapes), with
-        and without --dry-run."""
+        """A sample size below 1, a single replication where a variance is
+        formed, or a negative seed exits 2 with one message line (no
+        exception escapes), with and without --dry-run."""
         argv, fragment = BAD_SIZES[name]
         out = tmp_path / "out"
         for flags in ([], ["--dry-run"]):

@@ -89,6 +89,16 @@ class TestDomains:
         with pytest.raises(DomainError):
             model.check_domain(0.2)
 
+    def test_domain_message_prints_plain_floats(self):
+        """Messages name the parameter as plain floats and the model by its
+        token, never as numpy reprs or object addresses."""
+        with pytest.raises(DomainError) as err:
+            ExponentialScale().check_domain(np.float64(0.2))
+        assert str(err.value) == "parameter 0.2 outside the domain of the exp_scale model"
+        with pytest.raises(DomainError) as err:
+            Categorical(2).probs((np.float64(1.0),))
+        assert str(err.value) == "parameter (1.0,) does not map to an interior probability vector"
+
     def test_clip_box_respects_domain(self):
         """Search boxes shrink to the open parameter interval."""
         lo, hi = ExponentialScale().clip_box(-5.0, 4.0)
