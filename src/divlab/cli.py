@@ -41,7 +41,7 @@ from .clt import (
 from .divergences import CressieRead, cell_divergence, conjugate, eval_phi
 from .errors import DivlabError, NumericError, ValidationError
 from .estimation import WeightedEmpiricalMeasure, minimum_dual_estimator
-from .models import make_model
+from .models import Categorical, make_model
 from .reporting import read_data_csv, render_json, write_csv, write_json
 from .sanov import (
     Partition,
@@ -339,6 +339,14 @@ def _probability_vector(cfg: dict, key: str, k: int) -> np.ndarray:
     return vec
 
 
+def _model_parameter(cfg: dict, key: str, model: Categorical) -> tuple:
+    """The free masses of ``key``, checked against the model's open simplex
+    here, before the dry-run cut, so a dry run rejects what a run rejects."""
+    theta = tuple(_probability_vector(cfg, key, model.k)[:-1])
+    model.probs(theta)
+    return theta
+
+
 def _require(cfg: dict, key: str):
     if cfg.get(key) is None:
         raise ValidationError(f"field {key!r} is required for mode {cfg.get('mode')!r}")
@@ -460,8 +468,8 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
         eps_grid = check_radius_grid(_require(cfg, "eps_grid"))
     else:
         if mode != "ml_gap":
-            theta = tuple(_probability_vector(cfg, "theta", k)[:-1])
-        thetaT = tuple(_probability_vector(cfg, "theta_T", k)[:-1])
+            theta = _model_parameter(cfg, "theta", model)
+        thetaT = _model_parameter(cfg, "theta_T", model)
         if mode == "rate":
             n_grid = check_sample_sizes(_require(cfg, "n_grid"))
         if mode == "mc":
@@ -565,8 +573,8 @@ def _run_bahadur(cfg: dict, dry_run: bool) -> list:
     k = cfg["cells"]
     model = make_model("categorical", k=k)
     law = weight_law(cfg["law"])
-    theta = tuple(_probability_vector(cfg, "theta", k)[:-1])
-    theta_prime = tuple(_probability_vector(cfg, "theta_prime", k)[:-1])
+    theta = _model_parameter(cfg, "theta", model)
+    theta_prime = _model_parameter(cfg, "theta_prime", model)
     paths = _out_paths(cfg, f"bahadur_{mode}", ("json",) if mode == "slopes" else ("csv", "json"))
     if mode == "trend":
         n_grid = _require(cfg, "n_grid")
@@ -594,6 +602,7 @@ def _run_clt(cfg: dict, dry_run: bool) -> list:
         raise ValidationError("field 'model': the harness needs a scalar-parameter model")
     model = make_model(cfg["model"])
     law = weight_law(cfg["law"])
+    model.check_domain(cfg["theta_T"])
     check_sizes(cfg["n"], cfg["reps"])
     paths = _out_paths(cfg, f"clt_{mode}", ("csv", "json"))
     if dry_run:

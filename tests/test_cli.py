@@ -246,6 +246,34 @@ BAD_CONFIGS = {
     "sanov_rate_theta_off_simplex": (
         ["sanov", "--mode", "rate", "--theta", "0.9,0.9", "--theta_T", "0.5,0.5", "--n_grid", "10"],
         None, "'theta'"),
+    "sanov_mc_theta_on_boundary": (
+        ["sanov", "--mode", "mc", "--theta", "1,0", "--theta_T", "0.5,0.5", "--n", "60", "--reps", "2000"],
+        None, "parameter (1.0,) does not map to an interior probability vector"),
+    "sanov_rate_theta_on_boundary": (
+        ["sanov", "--mode", "rate", "--theta", "1,0", "--theta_T", "0.5,0.5", "--n_grid", "10,20"],
+        None, "parameter (1.0,) does not map to an interior probability vector"),
+    "sanov_sandwich_theta_on_boundary": (
+        ["sanov", "--mode", "sandwich", "--theta", "1,0", "--theta_T", "0.5,0.5", "--n", "20"],
+        None, "parameter (1.0,) does not map to an interior probability vector"),
+    "sanov_mc_theta_T_on_boundary": (
+        ["sanov", "--mode", "mc", "--theta", "0.4,0.6", "--theta_T", "0,1", "--n", "60", "--reps", "2000"],
+        None, "parameter (0.0,) does not map to an interior probability vector"),
+    "sanov_ml_gap_theta_T_on_boundary": (
+        ["sanov", "--mode", "ml_gap", "--cells", "3", "--theta_T", "0.5,0.5,0", "--n", "20", "--epsilon", "0.1"],
+        None, "parameter (0.5, 0.5) does not map to an interior probability vector"),
+    "bahadur_slopes_theta_on_boundary": (
+        ["bahadur", "--mode", "slopes", "--theta", "1,0", "--theta_prime", "0.2,0.8"],
+        None, "parameter (1.0,) does not map to an interior probability vector"),
+    "bahadur_slopes_theta_prime_on_boundary": (
+        ["bahadur", "--mode", "slopes", "--theta", "0.4,0.6", "--theta_prime", "0,1"],
+        None, "parameter (0.0,) does not map to an interior probability vector"),
+    "bahadur_trend_theta_prime_on_boundary": (
+        ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "1,0", "--n_grid", "10"],
+        None, "parameter (1.0,) does not map to an interior probability vector"),
+    "clt_moments_theta_T_outside_domain": (
+        ["clt", "--mode", "moments", "--model", "exp_scale", "--theta_T", "1", "--law", "poisson1",
+         "--n", "50", "--reps", "100"],
+        None, "parameter 1.0 outside the domain of the exp_scale model"),
     "sanov_rate_no_theta_T": (
         ["sanov", "--mode", "rate", "--theta", "0.4,0.6", "--n_grid", "10"], None, "'theta_T'"),
     "sanov_rate_no_n_grid": (
@@ -368,7 +396,7 @@ class TestDryRun:
             assert main(argv + ["--out", str(out)] + flags) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
-        assert fragment in errors[0]
+        assert fragment in errors[0] and len(errors[0].splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("name", sorted(BAD_SIZES))

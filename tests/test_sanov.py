@@ -33,7 +33,7 @@ from divlab.sanov import (
     sanov_rate_convergence,
     shrink_epsilon_limit,
 )
-from divlab.weights import PoissonOne
+from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli
 
 KL = CressieRead(1.0)
 
@@ -109,6 +109,8 @@ class TestNeighborhood:
         assert ball.contains((0.55, 0.45))
         assert not ball.contains((0.625, 0.375))
         assert not ball.contains((0.7, 0.3))
+        with pytest.raises(ValidationError):
+            ball.contains((0.5, 0.3, 0.2))
 
     def test_zero_cell_constraint(self):
         """Null center cells force members to vanish there."""
@@ -126,6 +128,29 @@ class TestNeighborhood:
         """A nonpositive radius fails validation."""
         with pytest.raises(ValidationError):
             PartitionNeighborhood((0.5, 0.5), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 5), zero_cells=st.booleans())
+    def test_rows_match_the_max_deviation_rule(self, data, k, zero_cells):
+        """Row membership is ``max_j |q_j - c_j| < epsilon``, plus zero rows
+        on empty center cells under ``zero_cells``, for any row values."""
+        center = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.125, 0.3, 0.5]) | st.floats(0.0, 1.0), min_size=k, max_size=k
+        )))
+        eps = data.draw(st.sampled_from([0.125, 0.05]) | st.floats(1e-6, 1.0))
+        cells = [
+            st.sampled_from([c, c + eps, c - eps, 0.0, -0.0, np.nan, np.inf, -np.inf])
+            | st.floats(c - 2.0 * eps, c + 2.0 * eps)
+            for c in center
+        ]
+        rows = np.array(data.draw(st.lists(st.tuples(*cells), min_size=1, max_size=20)), dtype=float)
+        expected = np.max(np.abs(rows - center), axis=1) < eps
+        if zero_cells:
+            expected &= np.all(rows[:, center == 0.0] == 0.0, axis=1)
+        ball = PartitionNeighborhood(tuple(center), eps, zero_cells)
+        got = ball.contains_rows(rows)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, expected)
 
 
 # =============================================================================
@@ -414,7 +439,7 @@ class TestConditionalMC:
             Categorical(2), (0.37,), (0.5,), PoissonOne(), Partition.atoms(2),
             0.05, 60, 2000, seed=3,
         )
-        assert record.hits == 187
+        assert record.hits == 187 and type(record.hits) is int
         assert record.rate_estimate == pytest.approx(-0.039496564044791599, abs=1e-14)
         assert not record.one_sided
 
@@ -443,6 +468,28 @@ class TestConditionalMC:
             0.08, 50, 3000, seed=9,
         )
         assert record.ci_lo <= record.rate_estimate <= record.ci_hi
+
+    @pytest.mark.parametrize(
+        "law, hits",
+        [
+            pytest.param(PoissonOne(), [1216, 643], id="poisson1"),
+            pytest.param(ExponentialOne(), [92, 7059], id="exp1"),
+            pytest.param(ShiftedBernoulli(), [178, 37], id="twopoint"),
+            pytest.param(NormalOneOne(), [4450, 5261], id="normal11"),
+        ],
+    )
+    def test_benchmark_shape_hits_are_pinned(self, law, hits):
+        """The benchmark's shape (theta 0.37 against 0.5, radius 0.05,
+        n = 400) keeps its hit counts at two seeds."""
+        args = (Categorical(2), (0.37,), (0.5,), law, Partition.atoms(2), 0.05, 400, 200_000)
+        assert [conditional_ldp_mc(*args, seed=s).hits for s in (5, 11)] == hits
+
+    def test_empty_center_cell_hits_are_pinned(self):
+        """A three-cell center with an empty cell keeps its hit counts; the
+        empty-cell rule is what separates the two counts."""
+        args = (Categorical(3), (0.55, 0.43), (0.6, 0.38), PoissonOne(), Partition.atoms(3), 0.1, 40, 20_000)
+        assert conditional_ldp_mc(*args, seed=1, zero_cells=True).hits == 2154
+        assert conditional_ldp_mc(*args, seed=1, zero_cells=False).hits == 3636
 
     def test_small_replication_count_rejected(self):
         """Fewer than one hundred replications is a validation error."""
