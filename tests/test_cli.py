@@ -590,8 +590,20 @@ class TestReproducibility:
                 ("json",),
             ),
             (SANOV_MC_ARGS, "sanov_mc_small", ("csv", "json")),
+            (
+                ["bahadur", "--mode", "slopes", "--cells", "3", "--theta", "0.3,0.3,0.4",
+                 "--theta_prime", "0.2,0.4,0.4"],
+                "slopes_k3_poisson1",
+                ("json",),
+            ),
+            (
+                ["bahadur", "--mode", "slopes", "--cells", "3", "--law", "twopoint",
+                 "--theta", "0.2,0.4,0.4", "--theta_prime", "0.55,0.225,0.225"],
+                "slopes_k3_twopoint",
+                ("json",),
+            ),
         ],
-        ids=["chernoff", "divergence", "estimate", "sanov_mc"],
+        ids=["chernoff", "divergence", "estimate", "sanov_mc", "slopes_k3_poisson1", "slopes_k3_twopoint"],
     )
     def test_golden_artifacts_reproduced(self, tmp_path, argv, label, suffixes):
         """Stored golden artifacts regenerate byte for byte."""
