@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,10 @@ GRID_STEP = 1e-3
 #: local refinements launched from the best scan points
 REFINE_STARTS = 3
 
+#: scan points ranked by a partial selection before the start walk falls
+#: back to a full sort; a walk reads about a dozen
+_START_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class FunctionalStatistic:
@@ -51,7 +56,7 @@ def slope_min_divergence(model: ParametricModel, law: WeightLaw, theta, theta_pr
     value = divergence_between(model, spec, theta, theta_prime)
     if math.isinf(value):
         return -INF
-    return -2.0 * value
+    return -2.0 * value + 0.0  # -0.0 + 0.0 is +0.0: a null alternative prints 0, never -0
 
 
 def _cell_divergence_rows(spec: DivergenceSpec, p_theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -72,16 +77,69 @@ def _cell_divergence_rows(spec: DivergenceSpec, p_theta: np.ndarray, rows: np.nd
 
 
 def _simplex_grid(k: int, step: float) -> np.ndarray:
+    """Cell masses ``(a, b, m - a - b) / m`` with ``m = 1 / step`` (``(a, m - a) / m``
+    for two cells), ``a`` outer and ``b`` inner, both ascending.
+
+    :func:`check_slopes` bounds ``k``.
+    """
     m = int(round(1.0 / step))
     if k == 2:
         q1 = np.arange(m + 1) / m
         return np.stack([q1, 1.0 - q1], axis=1)
-    if k == 3:
-        a, b = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-        mask = a + b <= m
-        a, b = a[mask], b[mask]
-        return np.stack([a / m, b / m, (m - a - b) / m], axis=1)
-    raise ValidationError("constrained slopes support at most three cells")
+    # block a holds the m + 1 - a rows b = 0 .. m - a
+    lengths = np.arange(m + 1, 0, -1)
+    a = np.repeat(np.arange(m + 1), lengths)
+    b = np.arange(a.shape[0])
+    b -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    grid = np.empty((a.shape[0], 3))
+    np.divide(a, m, out=grid[:, 0])
+    np.divide(b, m, out=grid[:, 1])
+    a += b
+    np.subtract(m, a, out=a)
+    np.divide(a, m, out=grid[:, 2])
+    return grid
+
+
+def _ascending(values: np.ndarray, head: int):
+    """Indices of ``values`` in ``np.argsort(values, kind="stable")`` order.
+
+    The first ``head`` come from a partial selection of the smallest
+    values, ranked by (value, index); only a caller that reads past them
+    pays for the full sort.  ``values`` holds no NaN.
+    """
+    if head < values.shape[0]:
+        kth = np.partition(values, head - 1)[head - 1]
+        below = np.flatnonzero(values < kth)
+        block = np.concatenate([below, np.flatnonzero(values == kth)[: head - below.shape[0]]])
+        # ``below`` is in index order and every value in it is under ``kth``
+        yield from block[np.argsort(values[block], kind="stable")]
+    else:
+        head = 0
+    yield from np.argsort(values, kind="stable")[head:]
+
+
+def _start_indices(cand: np.ndarray, values: np.ndarray, head: int = _START_BLOCK) -> list:
+    """Up to :data:`REFINE_STARTS` rows of ``cand`` to refine from.
+
+    Rows are read by ascending ``values``, ties by index; each start is
+    more than five grid steps, in some cell, from every earlier one.
+    """
+    starts = []
+    for idx in _ascending(values, head):
+        q = cand[idx]
+        if all(np.max(np.abs(q - cand[s])) > 5 * GRID_STEP for s in starts):
+            starts.append(idx)
+            if len(starts) == REFINE_STARTS:
+                break
+    return starts
+
+
+def check_slopes(model: ParametricModel) -> None:
+    """Constrained slopes scan the simplex of a categorical model with two or three cells."""
+    if not isinstance(model, Categorical):
+        raise ValidationError("generic slopes require a finite-support model")
+    if model.k > 3:
+        raise ValidationError("constrained slopes support at most three cells")
 
 
 @dataclass(frozen=True)
@@ -107,8 +165,7 @@ def slope_generic(
     probability vectors whose functional value reaches the alternative's,
     found by a dense simplex scan refined with local descent.
     """
-    if not isinstance(model, Categorical):
-        raise ValidationError("generic slopes require a finite-support model")
+    check_slopes(model)
     spec = induced_divergence(law)
     p = model.probs(theta)
     p_alt = model.probs(theta_prime)
@@ -116,30 +173,22 @@ def slope_generic(
     _check_functional_zero(stat, theta, p)
 
     grid = _simplex_grid(model.k, GRID_STEP)
-    psi_vals = np.array([stat.evaluator(theta, q) for q in grid])
+    psi_vals = np.fromiter(map(stat.evaluator, repeat(theta), grid), float, count=grid.shape[0])
     feasible = psi_vals >= level - 1e-12
     if not np.any(feasible):
         raise ValidationError("no probability vector satisfies the slope constraint")
-    div_vals = _cell_divergence_rows(spec, p, grid[feasible])
     cand = grid[feasible]
-    order = np.argsort(div_vals, kind="stable")
-    starts = []
-    for idx in order:
-        q = cand[idx]
-        if all(np.max(np.abs(q - s)) > 5 * GRID_STEP for s in starts):
-            starts.append(q)
-        if len(starts) == REFINE_STARTS:
-            break
-
-    best_q = cand[order[0]]
-    best_v = float(div_vals[order[0]])
-    for q0 in starts:
-        q_ref, v_ref = _refine_constrained(spec, p, stat, theta, level, q0)
+    div_vals = _cell_divergence_rows(spec, p, cand)
+    starts = _start_indices(cand, div_vals)
+    best_q, best_v = cand[starts[0]], float(div_vals[starts[0]])
+    for i in starts:
+        q_ref, v_ref = _refine_constrained(spec, p, stat, theta, level, cand[i])
         if v_ref < best_v - 1e-12 or (
             v_ref <= best_v + 1e-12 and tuple(q_ref) < tuple(best_q)
         ):
             best_q, best_v = q_ref, v_ref
-    slope = -2.0 * best_v if math.isfinite(best_v) else -INF
+    # -0.0 + 0.0 is +0.0: a null alternative prints 0, never -0
+    slope = -2.0 * best_v + 0.0 if math.isfinite(best_v) else -INF
     return GenericSlopeRecord(
         slope=slope,
         minimizer=tuple(float(v) for v in best_q),

@@ -27,6 +27,7 @@ import numpy as np
 
 from .bahadur import (
     FunctionalStatistic,
+    check_slopes,
     check_trend,
     efficiency_compare,
     empirical_slope_trend,
@@ -531,39 +532,40 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
     return [paths["csv"], paths["json"]]
 
 
-def _last_value_memo(fn):
-    """``fn(theta)`` that reuses its last result while the value of ``theta`` repeats.
-
-    A slope scan calls the statistic once per grid point with the same
-    ``theta``.  The memo is keyed on the value, not the object, so an array
-    changed in place gets a fresh result; repeated calls share one result
-    object, which callers only read.
-    """
-    key, result = None, None
-
-    def memo(theta):
-        nonlocal key, result
-        value = theta if type(theta) is tuple else tuple(np.atleast_1d(theta).tolist())
-        if value != key:
-            result, key = fn(theta), value
-        return result
-
-    return memo
-
-
 def _make_statistic(token: str, model, law) -> FunctionalStatistic:
-    if token == "cell_mass":
-        first_mass = _last_value_memo(lambda theta: float(model.probs(theta)[0]))
+    """The ``--psi`` statistic, evaluated once per scan point with one ``theta``.
+
+    Both statistics read ``model.probs(theta)`` through one θ cache.  A
+    tuple ``theta`` seen on the last call costs an identity test and no
+    further call.  Any other ``theta`` is looked up by value (a tuple is
+    its own key, anything else its float list), so an array changed in
+    place gets a fresh result.  Repeated calls share one result object,
+    which the statistics only read.
+    """
+    cell_mass = token == "cell_mass"
+    unseen = object()
+    seen, key, value = unseen, None, None
+
+    def at(theta):
+        nonlocal seen, key, value
+        is_tuple = type(theta) is tuple
+        new_key = theta if is_tuple else tuple(np.atleast_1d(theta).tolist())
+        if new_key != key:
+            p = model.probs(theta)
+            value, key = float(p[0]) if cell_mass else p, new_key
+        seen = theta if is_tuple else unseen
+        return value
+
+    if cell_mass:
 
         def first_cell_gap(theta, q):
-            return abs(float(q[0]) - first_mass(theta))
+            return abs(float(q[0]) - (value if theta is seen else at(theta)))
 
         return FunctionalStatistic(first_cell_gap, "first_cell_gap")
     spec = induced_divergence(law)
-    probs = _last_value_memo(model.probs)
 
     def divergence_value(theta, q):
-        return cell_divergence(spec, probs(theta), np.asarray(q, dtype=float))
+        return cell_divergence(spec, value if theta is seen else at(theta), np.asarray(q, dtype=float))
 
     return FunctionalStatistic(divergence_value, "induced_divergence")
 
@@ -579,6 +581,8 @@ def _run_bahadur(cfg: dict, dry_run: bool) -> list:
     if mode == "trend":
         n_grid = _require(cfg, "n_grid")
         check_trend(model, n_grid, cfg["reps"])
+    else:
+        check_slopes(model)
     if dry_run:
         return _plan("bahadur", cfg, paths)
     if mode == "slopes":

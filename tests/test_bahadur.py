@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divlab.bahadur import (
     GRID_STEP,
+    REFINE_STARTS,
     FunctionalStatistic,
+    _ascending,
     _cell_divergence_rows,
     _simplex_grid,
+    _start_indices,
     efficiency_compare,
     empirical_slope_trend,
     slope_generic,
@@ -52,6 +57,67 @@ def _reference_cell_divergence(spec, p_theta, q):
             return INF
         total += qj * v
     return total
+
+
+def _reference_simplex_grid(m):
+    """The meshgrid-and-mask k=3 grid construction, kept as the reference."""
+    a, b = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
+    mask = a + b <= m
+    a, b = a[mask], b[mask]
+    return np.stack([a / m, b / m, (m - a - b) / m], axis=1)
+
+
+def _reference_start_indices(cand, values):
+    """The start walk over a full stable argsort, kept as the reference."""
+    starts = []
+    for idx in np.argsort(values, kind="stable"):
+        if all(np.max(np.abs(cand[idx] - cand[s])) > 5 * GRID_STEP for s in starts):
+            starts.append(idx)
+            if len(starts) == REFINE_STARTS:
+                break
+    return starts
+
+
+@st.composite
+def _scan_candidates(draw):
+    """Candidate rows on a small lattice of grid steps, their values (ties and
+    +inf likely) and a selection block that may be shorter than the walk."""
+    n = draw(st.integers(1, 40))
+    spread = draw(st.integers(0, 14))
+    cells = draw(st.lists(st.integers(0, spread), min_size=2 * n, max_size=2 * n))
+    cand = np.array(cells, dtype=float).reshape(n, 2) * GRID_STEP
+    value = st.one_of(st.sampled_from([0.0, 0.25, 1.0, INF]), st.floats(0.0, 4.0))
+    values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return cand, values, draw(st.integers(1, n + 2))
+
+
+# =============================================================================
+# Tests: the simplex scan's grid and start selection
+# =============================================================================
+
+
+class TestScanPieces:
+    """The k=3 grid and the refinement starts against their reference constructions."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 1000])
+    def test_k3_grid_equals_the_meshgrid_construction(self, m):
+        """Same rows, same order, same bits."""
+        grid, ref = _simplex_grid(3, 1.0 / m), _reference_simplex_grid(m)
+        assert grid.shape == ref.shape and grid.dtype == ref.dtype
+        assert grid.tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_candidates())
+    # ties at the block's edge; +inf; one cluster, so fewer than three starts
+    # and a walk through the whole order past a one-row block
+    @example((np.zeros((5, 2)), np.array([1.0, 0.0, 1.0, INF, 1.0]), 2))
+    # three separated starts, the third found past a two-row block
+    @example((np.array([[0.0, 0.0], [0.0, 0.001], [0.01, 0.0], [0.0, 0.01]]), np.array([0.0, 0.0, 1.0, INF]), 2))
+    def test_starts_follow_the_stable_argsort_order(self, case):
+        """Partial selection yields the stable argsort order, so the walk picks the reference starts."""
+        cand, values, head = case
+        assert list(_ascending(values, head)) == np.argsort(values, kind="stable").tolist()
+        assert _start_indices(cand, values, head) == _reference_start_indices(cand, values)
 
 
 # =============================================================================
@@ -198,6 +264,12 @@ class TestGenericSlope:
         )
         expect = slope_min_divergence(model, PoissonOne(), theta, theta_prime)
         assert rec.slope == pytest.approx(expect, abs=2e-3)
+
+    def test_more_than_three_cells_rejected(self):
+        """The scan covers the two- and three-cell simplex only."""
+        model = Categorical(4)
+        with pytest.raises(ValidationError, match="at most three cells"):
+            slope_generic(model, PoissonOne(), _mass_gap_statistic(model), (0.25,) * 3, (0.1, 0.2, 0.3))
 
     def test_nonvanishing_null_statistic_rejected(self, pair_model):
         """Functionals that do not vanish at the null fail validation."""

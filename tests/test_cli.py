@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import divlab.bahadur as bahadur
 import divlab.cli as cli
 from divlab.bahadur import GRID_STEP, FunctionalStatistic, _simplex_grid, efficiency_compare, slope_generic
 from divlab.cli import build_parser, main, parse_grid, resolve_config, thread_count
@@ -300,6 +301,9 @@ BAD_CONFIGS = {
     "sanov_mc_few_reps": (
         ["sanov", "--mode", "mc", "--theta", "0.37,0.63", "--theta_T", "0.5,0.5", "--reps", "50"],
         None, "100 replications"),
+    "bahadur_slopes_four_cells": (
+        ["bahadur", "--mode", "slopes", "--cells", "4", "--theta", "0.25,0.25,0.25,0.25",
+         "--theta_prime", "0.1,0.2,0.3,0.4"], None, "constrained slopes support at most three cells"),
     "bahadur_trend_few_reps": (
         ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8", "--n_grid", "10",
          "--reps", "50"], None, "1000 replications"),
@@ -508,8 +512,14 @@ class TestSlopeStatistics:
         stat = cli._make_statistic(token, model, law)
         q = np.array([0.1, 0.5, 0.4])
         theta = np.array([0.3, 0.3])
-        for th in [(0.3, 0.3), (0.2, 0.5), theta, (0.3, 0.3), [0.2, 0.5]]:
+        after_array = (0.2, 0.5)
+        fresh = tuple(np.array([0.2, 0.5]).tolist())
+        # after [0.2, 0.5]: a tuple after an equal array, a fresh equal
+        # tuple, and a list, after which the tuple seen last must not hit
+        for th in [(0.3, 0.3), (0.2, 0.5), theta, (0.3, 0.3), [0.2, 0.5],
+                   np.array([0.2, 0.5]), after_array, fresh, [0.3, 0.3], fresh]:
             assert stat.evaluator(th, q) == cli._make_statistic(token, model, law).evaluator(th, q)
+        assert fresh == after_array and fresh is not after_array
         assert stat.evaluator((0.3, 0.3), q) == stat.evaluator(theta, q)
         theta[0] = 0.2
         assert stat.evaluator(theta, q) == cli._make_statistic(token, model, law).evaluator((0.2, 0.3), q)
@@ -524,6 +534,23 @@ class TestSlopeStatistics:
         slope_generic(model, law, stat, (0.3, 0.3), (0.2, 0.4))
         assert len(evaluator_calls) >= _simplex_grid(3, GRID_STEP).shape[0] == 501501
         assert len(probs_calls) <= 10
+
+    @pytest.mark.parametrize("token", ["cell_mass", "divergence"])
+    @pytest.mark.parametrize("theta", ["0.4,0.6", "0.3,0.3,0.4"], ids=["k2", "k3"])
+    def test_null_alternative_slopes_print_zero(self, token, theta, tmp_path, monkeypatch):
+        """At theta_prime = theta both slopes are written as 0, not -0.
+
+        A coarser scan keeps the k=3 divergence statistic, one scalar cell
+        divergence per point, quick; the sign does not depend on the step.
+        """
+        monkeypatch.setattr(bahadur, "GRID_STEP", 0.01)
+        k = str(len(theta.split(",")))
+        argv = ["bahadur", "--mode", "slopes", "--cells", k, "--psi", token, "--theta", theta,
+                "--theta_prime", theta]
+        assert _run(argv, tmp_path, "null") == 0
+        # each slope is written as a bare integer token, "0" or "-0"
+        record = json.loads((tmp_path / "null.json").read_text(), parse_int=str)
+        assert record["slope_min_divergence"] == record["slope_generic"] == "0"
 
     @pytest.mark.parametrize(
         "law, theta, theta_prime, generic, min_div, minimizer",
