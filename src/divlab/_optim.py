@@ -246,23 +246,20 @@ def batch_golden_max(f_batch, lo, hi):
     width = (hi - lo) / (_BATCH_SCAN - 1)
     a = lo + np.maximum(best - 1, 0) * width
     b = lo + np.minimum(best + 1, _BATCH_SCAN - 1) * width
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = f_batch(c)
-    fd = f_batch(d)
+    step = _INVPHI * (b - a)
+    c, d = b - step, a + step
+    fc, fd = f_batch(c), f_batch(d)
     for _ in range(_BATCH_ITERS):
         left = fc >= fd
         b = np.where(left, d, b)
         a = np.where(left, a, c)
-        c_new = b - _INVPHI * (b - a)
-        d_new = a + _INVPHI * (b - a)
+        step = _INVPHI * (b - a)
+        c, d = b - step, a + step
         # only one interior point is fresh per row, yet both slots are
         # evaluated: reusing the kept one would take 5 + 2 + 32 = 39 calls
         # instead of 71, but the benchmark's self-checks pin 71 (10,082 per
         # estimator comparison) until they stop pinning schedule counts
-        fc = f_batch(c_new)
-        fd = f_batch(d_new)
-        c, d = c_new, d_new
+        fc, fd = f_batch(c), f_batch(d)
     x = np.where(fc >= fd, c, d)
     fx = np.maximum(fc, fd)
     return x, fx

@@ -59,21 +59,38 @@ def slope_min_divergence(model: ParametricModel, law: WeightLaw, theta, theta_pr
     return -2.0 * value + 0.0  # -0.0 + 0.0 is +0.0: a null alternative prints 0, never -0
 
 
-def _cell_divergence_rows(spec: DivergenceSpec, p_theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _cell_divergence_rows(spec: DivergenceSpec, p_theta: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
     """:func:`cell_divergence` of ``p_theta`` from each row, vectorized.
 
-    Each cell's term is evaluated once per distinct positive mass in its
-    column: a simplex grid repeats each mass across many rows.
+    Every mass in ``rows`` lies on the lattice ``i / m``, as a simplex
+    grid's do.  Each cell's term is evaluated once per distinct positive
+    mass in its column, in ascending order, and looked up by the count
+    ``i``; a column whose counts do not give back its masses bit for bit
+    raises ``ValueError``.
     """
-    terms = np.empty(rows.shape)
+    out = None
     for j, pj in enumerate(p_theta):
-        masses, inverse = np.unique(rows[:, j], return_inverse=True)
-        charged = masses > 0.0
-        column = np.full(masses.shape, INF if pj > 0.0 else 0.0)
-        column[charged] = masses[charged] * spec.value_array(pj / masses[charged])
-        terms[:, j] = column[inverse]
-    out = np.sum(terms, axis=1)
-    return np.where(np.isfinite(out), out, INF)
+        column = rows[:, j]
+        codes = np.rint(column * m).astype(np.intp)
+        if codes.size and (codes.min() < 0 or codes.max() > m):
+            raise ValueError(f"cell {j} holds masses outside [0, 1]")
+        masses = np.zeros(m + 1)
+        masses[codes] = column
+        if not np.array_equal(masses[codes].view(np.int64), column.view(np.int64)):
+            raise ValueError(f"cell {j} holds masses off the lattice i / {m}")
+        present = np.zeros(m + 1, dtype=bool)
+        present[codes] = True
+        charged = present & (masses > 0.0)
+        terms = np.full(m + 1, INF if pj > 0.0 else 0.0)
+        terms[charged] = masses[charged] * spec.value_array(pj / masses[charged])
+        # the first cell's terms as they are, the others added in cell order:
+        # the rounding of ``np.sum`` over a row
+        if out is None:
+            out = terms[codes]
+        else:
+            out += terms[codes]
+    out[~np.isfinite(out)] = INF
+    return out
 
 
 def _simplex_grid(k: int, step: float) -> np.ndarray:
@@ -172,13 +189,17 @@ def slope_generic(
     level = float(stat.evaluator(theta, p_alt))
     _check_functional_zero(stat, theta, p)
 
+    m = int(round(1.0 / GRID_STEP))
     grid = _simplex_grid(model.k, GRID_STEP)
     psi_vals = np.fromiter(map(stat.evaluator, repeat(theta), grid), float, count=grid.shape[0])
     feasible = psi_vals >= level - 1e-12
+    del psi_vals
     if not np.any(feasible):
         raise ValidationError("no probability vector satisfies the slope constraint")
     cand = grid[feasible]
-    div_vals = _cell_divergence_rows(spec, p, cand)
+    # released before the divergence pass, which reads only the feasible rows
+    del grid, feasible
+    div_vals = _cell_divergence_rows(spec, p, cand, m)
     starts = _start_indices(cand, div_vals)
     best_q, best_v = cand[starts[0]], float(div_vals[starts[0]])
     for i in starts:
@@ -330,7 +351,7 @@ def empirical_slope_trend(
     rows = []
     for n in (int(n) for n in n_grid):
         # one row per first-cell count c: the masses (c / n, 1 - c / n)
-        stat_of_count = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n))
+        stat_of_count = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n), n)
         rng = derived_rng(seed, "tail", n)
         counts = rng.binomial(n, float(p[0]), size=int(reps))
         hits = int(np.sum(stat_of_count[counts] >= t))

@@ -204,18 +204,31 @@ def _expfam_power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, 
     """The lead of :func:`_expfam_power_dual` and the normalizers ``C(theta)``,
     ``C(alpha)`` it is built from, as ``(lead, C_t, C_a)``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        C_t = model.log_normalizer_array(theta)
-        C_a = model.log_normalizer_array(alpha)
-        delta = theta - alpha
-        if spec.branch == "xlogx":
-            lead = delta * model.grad_log_normalizer_array(theta) - C_t + C_a
-        elif spec.branch == "log":
-            # int (1 - p_alpha/p_theta) dP_theta = 0 on a common support
-            lead = 0.0
-        else:
-            u = spec.gamma - 1.0
-            expo = u * (C_a - C_t) + model.log_normalizer_array(theta + u * delta) - C_t
-            lead = np.expm1(expo) / u
+        return _power_lead(model, spec, theta, alpha, _theta_terms(model, spec, theta))
+
+
+def _theta_terms(model: ExponentialFamilyModel, spec: CressieRead, theta):
+    """``(C(theta), C'(theta))``, the derivative on the ``xlogx`` branch only:
+    what the lead takes from ``theta`` alone.  The caller sets the error state."""
+    grad = model.grad_log_normalizer_array(theta) if spec.branch == "xlogx" else None
+    return model.log_normalizer_array(theta), grad
+
+
+def _power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, theta_terms):
+    """:func:`_expfam_power_lead` from ``_theta_terms(model, spec, theta)``.
+    The caller sets the error state."""
+    C_t, grad_t = theta_terms
+    C_a = model.log_normalizer_array(alpha)
+    delta = theta - alpha
+    if spec.branch == "xlogx":
+        lead = delta * grad_t - C_t + C_a
+    elif spec.branch == "log":
+        # int (1 - p_alpha/p_theta) dP_theta = 0 on a common support
+        lead = 0.0
+    else:
+        u = spec.gamma - 1.0
+        expo = u * (C_a - C_t) + model.log_normalizer_array(theta + u * delta) - C_t
+        lead = np.expm1(expo) / u
     return lead, C_t, C_a
 
 
@@ -544,6 +557,9 @@ class _BatchCriterion:
         self.t = np.broadcast_to(model.sufficient_stat(points), shape)
         self.w = np.broadcast_to(weights, shape)
         self.wbar = np.mean(self.w, axis=1)
+        # the theta of the last call and its terms: an inner search holds
+        # theta fixed over its 71 calls
+        self._theta, self._theta_terms = None, None
         if spec.branch == "log":
             self._wt_mean = np.mean(self.w * self.t, axis=1)
             return
@@ -559,25 +575,36 @@ class _BatchCriterion:
         if self.t.strides[0] == 0:
             self._t1 = _line_aligned_empty((2, shape[1]))
             self._t1[0], self._t1[1] = self.t[0], 1.0
+            self._slope_shift = np.empty((shape[0], 2))
 
     def value(self, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """Criterion per row, as a fresh array (callers keep earlier results)."""
-        lead, C_t, C_a = _expfam_power_lead(self.model, self.spec, theta, alpha)
+        """Criterion per row, as a fresh array (callers keep earlier results).
+
+        ``C(theta)``, and ``C'(theta)`` at ``g = 1``, are kept from the last
+        call while ``theta`` is the same array object; callers do not change
+        ``theta`` in place between calls.
+        """
         with np.errstate(over="ignore", invalid="ignore"):
+            if theta is not self._theta:
+                self._theta, self._theta_terms = theta, _theta_terms(self.model, self.spec, theta)
+            lead, C_t, C_a = _power_lead(self.model, self.spec, theta, alpha, self._theta_terms)
             if self.spec.branch == "log":
                 out = (C_t - C_a) * self.wbar - (theta - alpha) * self._wt_mean
             else:
                 g = self.spec.gamma
-                slope, shift = g * (theta - alpha), g * (C_a - C_t)
                 if self._t1 is not None:
-                    work = np.matmul(np.stack((slope, shift), axis=1), self._t1, out=self._work)
+                    slope_shift = self._slope_shift
+                    np.multiply(g, theta - alpha, out=slope_shift[:, 0])
+                    np.subtract(C_a, C_t, out=slope_shift[:, 1])
+                    slope_shift[:, 1] *= g
+                    work = np.matmul(slope_shift, self._t1, out=self._work)
                 else:
-                    work = np.multiply(slope[:, None], self.t, out=self._work)
-                    work += shift[:, None]
+                    work = np.multiply((g * (theta - alpha))[:, None], self.t, out=self._work)
+                    work += (g * (C_a - C_t))[:, None]
                 np.expm1(work, out=work)
                 tail = np.einsum("ij,ij->i", work, self.w) / (work.shape[1] * g)
                 out = self.wbar * lead - tail
-        return np.where(np.isfinite(out), out, -INF)
+            return np.where(np.isfinite(out), out, -INF)
 
 
 def minimum_dual_estimator_batch(

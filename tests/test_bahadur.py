@@ -1,6 +1,7 @@
 """Unit tests for test-statistic slopes and the efficiency ordering."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,13 +21,20 @@ from divlab.bahadur import (
     slope_generic,
     slope_min_divergence,
 )
+from divlab.cli import _make_statistic
 from divlab.divergences import INF, CressieRead, FiniteMeasure, cell_divergence
 from divlab.errors import ValidationError
 from divlab.estimation import WeightedEmpiricalMeasure, estimate_phi_dual
 from divlab.models import Categorical, GaussianLocation
 from divlab import weights
 from divlab.sanov import kl_on_partition
-from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli, induced_divergence
+from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli, induced_divergence, weight_law
+
+
+#: the scan's lattice: every grid mass is a count over ``M``
+M = round(1 / GRID_STEP)
+
+LAW_TOKENS = ("poisson1", "exp1", "twopoint", "normal11")
 
 
 @pytest.fixture
@@ -57,6 +65,19 @@ def _reference_cell_divergence(spec, p_theta, q):
             return INF
         total += qj * v
     return total
+
+
+def _reference_cell_divergence_rows(spec, p_theta, rows):
+    """The per-column ``np.unique`` grid kernel, kept as the reference."""
+    terms = np.empty(rows.shape)
+    for j, pj in enumerate(p_theta):
+        masses, inverse = np.unique(rows[:, j], return_inverse=True)
+        charged = masses > 0.0
+        column = np.full(masses.shape, INF if pj > 0.0 else 0.0)
+        column[charged] = masses[charged] * spec.value_array(pj / masses[charged])
+        terms[:, j] = column[inverse]
+    out = np.sum(terms, axis=1)
+    return np.where(np.isfinite(out), out, INF)
 
 
 def _reference_simplex_grid(m):
@@ -138,7 +159,7 @@ class TestCellDivergenceRows:
         assert np.any(rows == 0.0)
         scalar = [cell_divergence(spec, p, q) for q in rows]
         assert scalar == [_reference_cell_divergence(spec, p, q) for q in rows]
-        np.testing.assert_allclose(_cell_divergence_rows(spec, p, rows), scalar, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(_cell_divergence_rows(spec, p, rows, M), scalar, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
         "spec",
@@ -154,7 +175,58 @@ class TestCellDivergenceRows:
         scalar = np.array([cell_divergence(spec, p, q) for q in rows])
         if p_theta[2] == 0.0:
             assert np.any(np.isfinite(scalar)) and np.any(np.isinf(scalar))
-        np.testing.assert_array_equal(_cell_divergence_rows(spec, p, rows), scalar)
+        np.testing.assert_array_equal(_cell_divergence_rows(spec, p, rows, M), scalar)
+
+    @pytest.mark.parametrize("token", LAW_TOKENS)
+    @pytest.mark.parametrize("p_theta", [(0.3, 0.3, 0.4), (0.6, 0.4, 0.0)], ids=["full", "empty_cell"])
+    def test_count_lookup_equals_the_unique_kernel_on_the_k3_grid(self, token, p_theta):
+        """Same bits as the ``np.unique`` kernel on all 501,501 rows."""
+        spec, p = induced_divergence(weight_law(token)), np.asarray(p_theta)
+        grid = _simplex_grid(3, GRID_STEP)
+        got = _cell_divergence_rows(spec, p, grid, M)
+        assert got.tobytes() == _reference_cell_divergence_rows(spec, p, grid).tobytes()
+
+    @pytest.mark.parametrize("token", LAW_TOKENS)
+    @pytest.mark.parametrize(
+        "theta, theta_prime", [((0.3, 0.3), (0.2, 0.4)), ((0.2, 0.4), (0.55, 0.225))], ids=["poisson1", "twopoint"]
+    )
+    def test_count_lookup_equals_the_unique_kernel_on_feasible_rows(self, token, theta, theta_prime):
+        """Same bits on the rows the benchmark's k=3 cell-mass scans keep.
+
+        The mask is the first-cell gap ``|q_0 - p_0| >= level``, the
+        feasibility test of :func:`slope_generic`, written over the columns.
+        """
+        model = Categorical(3)
+        spec, p = induced_divergence(weight_law(token)), model.probs(theta)
+        level = abs(float(model.probs(theta_prime)[0]) - float(p[0]))
+        grid = _simplex_grid(3, GRID_STEP)
+        cand = grid[np.abs(grid[:, 0] - p[0]) >= level - 1e-12]
+        assert 0 < cand.shape[0] < grid.shape[0]
+        got = _cell_divergence_rows(spec, p, cand, M)
+        assert got.tobytes() == _reference_cell_divergence_rows(spec, p, cand).tobytes()
+
+    @pytest.mark.parametrize("token", LAW_TOKENS)
+    @pytest.mark.parametrize("p_theta", [(0.4, 0.6), (1.0, 0.0)], ids=["full", "empty_cell"])
+    def test_count_lookup_equals_the_unique_kernel_on_k2_grids(self, token, p_theta):
+        """Same bits on the tail trend's tables, looked up by the sample size."""
+        spec, p = induced_divergence(weight_law(token)), np.asarray(p_theta)
+        for n in [7, 10, 20, 40, 77, 80, 400, 1000]:
+            grid = _simplex_grid(2, 1.0 / n)
+            got = _cell_divergence_rows(spec, p, grid, n)
+            assert got.tobytes() == _reference_cell_divergence_rows(spec, p, grid).tobytes()
+
+    @pytest.mark.parametrize(
+        "shift", [lambda x: np.nextafter(x, 1.0), lambda x: np.nextafter(x, 0.0), lambda x: x + 1.0],
+        ids=["ulp_up", "ulp_down", "past_one"],
+    )
+    def test_mass_off_the_lattice_raises(self, shift):
+        """A mass one ulp from another row's mass of the same count, or above 1, raises."""
+        spec, p = induced_divergence(PoissonOne()), np.array([0.3, 0.3, 0.4])
+        # the blocks a = 0 and a = 1 both hold the second-cell mass 7 / M
+        rows = _simplex_grid(3, GRID_STEP)[: 2 * M + 1].copy()
+        rows[7, 1] = shift(rows[7, 1])
+        with pytest.raises(ValueError, match="cell 1"):
+            _cell_divergence_rows(spec, p, rows, M)
 
     def test_one_chernoff_solve_per_distinct_mass_of_each_cell(self, monkeypatch):
         """A full k=3 grid call solves each cell's term once per distinct positive mass.
@@ -172,7 +244,7 @@ class TestCellDivergenceRows:
         monkeypatch.setattr(weights, "chernoff_argmax", counted)
         grid = _simplex_grid(3, GRID_STEP)
         p = np.array([0.2, 0.4, 0.4])
-        out = _cell_divergence_rows(induced_divergence(ShiftedBernoulli(0.5)), p, grid)
+        out = _cell_divergence_rows(induced_divergence(ShiftedBernoulli(0.5)), p, grid, M)
         assert out.shape == (501501,)
         masses = [np.unique(grid[:, j]) for j in range(3)]
         assert [m.size for m in masses] == [1001, 1001, 1001]
@@ -265,6 +337,27 @@ class TestGenericSlope:
         expect = slope_min_divergence(model, PoissonOne(), theta, theta_prime)
         assert rec.slope == pytest.approx(expect, abs=2e-3)
 
+    def test_k3_scan_peak_memory(self):
+        """One k=3 cell-mass slope peaks at 30 MB of traced allocations or less.
+
+        The grid (12 MB) is released before the divergence pass, which looks
+        cell terms up by count instead of sorting each column.
+        """
+        model, law = Categorical(3), PoissonOne()
+        stat = _make_statistic("cell_mass", model, law)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            slope_generic(model, law, stat, (0.3, 0.3), (0.2, 0.4))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 30e6
+
     def test_more_than_three_cells_rejected(self):
         """The scan covers the two- and three-cell simplex only."""
         model = Categorical(4)
@@ -330,7 +423,7 @@ class TestTailTrend:
         p = model.probs((0.4,))
         t = 0.5 * cell_divergence(spec, p, model.probs((0.2,)))
         for n in [7, 10, 20, 77]:
-            table = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n))
+            table = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n), n)
             for c in range(n + 1):
                 dual, _ = estimate_phi_dual(model, spec, (0.4,), WeightedEmpiricalMeasure.from_finite_measure(
                     FiniteMeasure(model.atoms, (c / n, 1.0 - c / n))

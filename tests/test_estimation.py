@@ -449,6 +449,21 @@ class TestBatchWorkArray:
         assert not np.shares_memory(first, crit._work)
         assert np.array_equal(first, kept) and not np.array_equal(first, second)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_theta_terms_follow_each_new_theta(self, gamma):
+        """The terms of theta kept between calls belong to the theta passed:
+        a call with another array, equal or not, gets the bits of a fresh criterion."""
+        model = PoissonNatural()
+        rng = np.random.default_rng(8)
+        points = np.broadcast_to(model.sample(0.1, 40, rng), (3, 40))
+        weights = np.vstack([PoissonOne().sample(40, rng) for _ in range(3)])
+        crit = _BatchCriterion(model, CressieRead(gamma), points, weights)
+        alpha = np.array([0.0, 0.2, -0.1])
+        thetas = [np.array([0.1, 0.3, -0.2]), np.array([0.4, -0.1, 0.0])]
+        for theta in [thetas[0], thetas[0], thetas[1], thetas[0].copy(), thetas[0]]:
+            fresh = _BatchCriterion(model, CressieRead(gamma), points, weights).value(theta, alpha)
+            assert crit.value(theta, alpha).tobytes() == fresh.tobytes()
+
     def test_streamed_rows_start_on_a_cache_line(self):
         """A shared row is stored once, and every array a call streams starts
         on a 64-byte line, wherever malloc put the caller's arrays."""
