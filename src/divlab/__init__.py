@@ -18,7 +18,6 @@ from .divergences import (
     conjugate,
     divergence_finite,
     eval_phi,
-    phi_sharp,
 )
 from .errors import (
     DivlabError,
@@ -73,13 +72,11 @@ from .sanov import (
     cell_probabilities,
     conditional_ldp_mc,
     enumerate_count_vectors,
-    exact_occupation_probability,
     kl_on_partition,
     largest_remainder_counts,
     log_occupation_probability,
     ml_ldp_gap,
     neighborhood_inf_divergence,
-    project_masses,
     sandwich_check,
     sanov_rate_convergence,
     shrink_epsilon_limit,

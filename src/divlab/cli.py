@@ -11,15 +11,13 @@ Configuration resolves in three layers: built-in defaults, then a JSON
 config file (``--config``), then individual flags.  Unknown config keys
 are rejected.  Every subcommand accepts ``--dry-run`` to print the
 resolved plan without computing.  Exit codes: 0 success, 2 validation
-failure, 3 numeric failure.  ``DIVLAB_THREADS`` caps worker threads for
-the Monte Carlo loops; outputs never depend on the worker count.
+failure, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -60,23 +58,9 @@ from .sanov import (
 from .seeding import derive_seed, derived_rng
 from .weights import chernoff_argmax, induced_divergence, sample_weights, weight_law
 
-__all__ = ["main", "thread_count", "parse_grid"]
+__all__ = ["main", "parse_grid"]
 
 _REQUIRED = object()
-
-
-def thread_count() -> int:
-    """Worker-thread cap from the DIVLAB_THREADS environment variable."""
-    raw = os.environ.get("DIVLAB_THREADS", "1").strip() or "1"
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"DIVLAB_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValidationError(f"DIVLAB_THREADS must be at least 1, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +319,8 @@ def _probability_vector(cfg: dict, key: str, k: int) -> np.ndarray:
     vec = np.asarray(value, dtype=float)
     if vec.shape != (k,):
         raise ValidationError(f"field {key!r}: expected {k} cell masses, got {vec.shape[0]}")
+    if not np.all(np.isfinite(vec)):
+        raise ValidationError(f"field {key!r}: cell masses must be finite")
     if np.any(vec < 0.0) or abs(float(vec.sum()) - 1.0) > 1e-8:
         raise ValidationError(f"field {key!r}: cell masses must be nonnegative and sum to 1")
     return vec
@@ -514,7 +500,6 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
             cfg["reps"],
             cfg["seed"],
             cfg["zero_cells"],
-            threads=thread_count(),
         )
         write_csv(
             paths["csv"],
@@ -608,6 +593,8 @@ def _run_clt(cfg: dict, dry_run: bool) -> list:
     law = weight_law(cfg["law"])
     model.check_domain(cfg["theta_T"])
     check_sizes(cfg["n"], cfg["reps"])
+    if mode == "estimator":
+        spec = CressieRead(cfg["gamma"])
     paths = _out_paths(cfg, f"clt_{mode}", ("csv", "json"))
     if dry_run:
         return _plan("clt", cfg, paths)
@@ -630,7 +617,7 @@ def _run_clt(cfg: dict, dry_run: bool) -> list:
     report = estimator_distribution_compare(
         model,
         law,
-        CressieRead(cfg["gamma"]),
+        spec,
         cfg["theta_T"],
         cfg["n"],
         cfg["reps"],
@@ -664,7 +651,6 @@ def _plan(subcommand: str, cfg: dict, paths: dict) -> list:
         "subcommand": subcommand,
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
         "outputs": [str(p) for p in paths.values()],
-        "threads": thread_count(),
     }
     sys.stdout.write(render_json(plan))
     return []

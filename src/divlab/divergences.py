@@ -140,7 +140,7 @@ def _check_order(order: int) -> None:
 
 @dataclass(frozen=True)
 class CressieRead(DivergenceSpec):
-    """Power-family generator with index ``gamma``.
+    """Power-family generator with a finite index ``gamma``.
 
     Domain: positive reals for every index, with 0 included when the
     generator stays finite there (indices above 0); all reals for the
@@ -163,6 +163,8 @@ class CressieRead(DivergenceSpec):
         # attributes set here is a dataclass field, so equality, hashing
         # and repr see only the index.
         g = self.gamma
+        if not math.isfinite(g):
+            raise ValidationError(f"the power index must be finite, got {g!r}")
         if abs(g) < GAMMA_LIMIT_TOL:
             branch, at_zero = "log", (INF, INF, INF, INF)
         elif abs(g - 1.0) < GAMMA_LIMIT_TOL:
@@ -297,11 +299,6 @@ def eval_phi(spec: DivergenceSpec, x: float, order: int = 0) -> float:
 def conjugate(spec: DivergenceSpec) -> DivergenceSpec:
     """Return the conjugate generator ``x * phi(1/x)``."""
     return spec.conjugate()
-
-
-def phi_sharp(spec: DivergenceSpec, x: float) -> float:
-    """Return ``x * phi'(x) - phi(x)`` at ``x`` (``+inf`` outside the domain)."""
-    return spec.sharp(float(x))
 
 
 @dataclass(frozen=True)

@@ -241,12 +241,6 @@ class GaussianLocation(ExponentialFamilyModel):
 
         return _quad(integrand, -INF)
 
-    def cdf(self, theta, x):
-        from scipy.special import ndtr
-
-        self.check_domain(theta)
-        return ndtr(np.asarray(x, dtype=float) - float(theta))
-
 
 class PoissonNatural(ExponentialFamilyModel):
     """Poisson counts in natural parametrization: intensity ``exp(theta)``."""
@@ -284,15 +278,6 @@ class PoissonNatural(ExponentialFamilyModel):
             log_mass += math.log(lam) - math.log(j)
         raise IntegrationError("Poisson series did not settle below tolerance", acc)
 
-    def cdf(self, theta, x):
-        from scipy.special import gammaincc
-
-        self.check_domain(theta)
-        lam = math.exp(float(theta))
-        x = np.asarray(x, dtype=float)
-        # regularized upper incomplete gamma gives the Poisson cdf exactly
-        return np.where(x < 0.0, 0.0, gammaincc(np.floor(x) + 1.0, lam))
-
 
 class ExponentialScale(ExponentialFamilyModel):
     """Exponential lifetimes in natural parametrization.
@@ -323,12 +308,6 @@ class ExponentialScale(ExponentialFamilyModel):
             return f(x) * (-th) * math.exp(th * x)
 
         return _quad(integrand, 0.0)
-
-    def cdf(self, theta, x):
-        self.check_domain(theta)
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return np.where(x <= 0.0, 0.0, -np.expm1(float(theta) * x))
 
 
 class Categorical(ParametricModel):
@@ -378,7 +357,8 @@ class Categorical(ParametricModel):
         p = np.empty((thetas.shape[0], self.k))
         p[:, :-1] = thetas
         p[:, -1] = 1.0 - thetas.sum(axis=1)
-        return p, ~((p <= 0.0).any(axis=1) | (abs(p.sum(axis=1) - 1.0) > 1e-9))
+        # written so that a NaN entry fails both tests
+        return p, (p > 0.0).all(axis=1) & (abs(p.sum(axis=1) - 1.0) <= 1e-9)
 
     def in_domain(self, theta) -> bool:
         try:

@@ -1,6 +1,6 @@
 """Large-deviation laboratory for empirical and weighted empirical measures.
 
-Everything here works on a finite partition of the sample space: exact
+Everything here works on the cells of a categorical model, one per atom: exact
 multinomial occupation probabilities, divergences between cell-mass
 vectors, infima over max-deviation neighborhoods, the exact sandwich
 between log-likelihood of a neighborhood and its rate surrogate, and a
@@ -41,102 +41,27 @@ KL = CressieRead(1.0)
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint cells covering the support.
+    """The atoms of a ``k``-cell categorical model, one cell each."""
 
-    Exactly one representation is set: ``groups`` partitions the atom
-    indices of a finite model; ``edges`` holds increasing interior
-    breakpoints splitting the real line into ``len(edges) + 1`` intervals
-    (left-open, right-closed at each edge).
-    """
-
-    groups: tuple | None = None
-    edges: tuple | None = None
+    k: int
 
     def __post_init__(self):
-        if (self.groups is None) == (self.edges is None):
-            raise ValidationError("a partition needs exactly one of groups or edges")
-        if self.groups is not None:
-            groups = tuple(tuple(int(i) for i in g) for g in self.groups)
-            seen: set[int] = set()
-            for g in groups:
-                if not g:
-                    raise ValidationError("partition cells must be nonempty")
-                if seen.intersection(g):
-                    raise ValidationError("partition cells must be disjoint")
-                seen.update(g)
-            if min(seen) != 0 or max(seen) != len(seen) - 1:
-                raise ValidationError("partition groups must cover atom indices 0..m-1")
-            object.__setattr__(self, "groups", groups)
-        else:
-            edges = tuple(float(e) for e in self.edges)
-            if any(b <= a for a, b in zip(edges, edges[1:])):
-                raise ValidationError("partition edges must be strictly increasing")
-            object.__setattr__(self, "edges", edges)
         if self.k < 2:
             raise ValidationError("a partition needs at least two cells")
-
-    @property
-    def k(self) -> int:
-        if self.groups is not None:
-            return len(self.groups)
-        return len(self.edges) + 1
 
     @classmethod
     def atoms(cls, k: int) -> "Partition":
         """One cell per atom."""
-        return cls(groups=tuple((i,) for i in range(int(k))))
-
-    @classmethod
-    def from_edges(cls, edges: Sequence[float]) -> "Partition":
-        return cls(edges=tuple(edges))
-
-    @classmethod
-    def equal_mass(cls, points: Sequence[float], k: int | None = None) -> "Partition":
-        """Interval cells with equal empirical mass; default cell count
-        grows like the cube root of the sample size."""
-        pts = np.sort(np.asarray(points, dtype=float))
-        n = pts.shape[0]
-        if k is None:
-            k = max(2, math.ceil(n ** (1.0 / 3.0)))
-        if n < k:
-            raise ValidationError("not enough points for the requested cell count")
-        qs = np.arange(1, k) / k
-        edges = np.quantile(pts, qs)
-        edges = np.unique(edges)
-        if edges.shape[0] + 1 < 2:
-            raise ValidationError("degenerate sample: all points equal")
-        return cls(edges=tuple(edges))
-
-    def cell_index(self, model: ParametricModel, points) -> np.ndarray:
-        """Cell number of each point."""
-        if self.edges is not None:
-            return np.searchsorted(np.asarray(self.edges), np.asarray(points, dtype=float), side="left")
-        if not isinstance(model, Categorical):
-            raise ValidationError("group partitions require a finite-support model")
-        lookup = np.empty(sum(len(g) for g in self.groups), dtype=int)
-        for c, g in enumerate(self.groups):
-            lookup[list(g)] = c
-        return lookup[model.atom_index(np.asarray(points))]
+        return cls(int(k))
 
 
 def cell_probabilities(model: ParametricModel, theta, part: Partition) -> np.ndarray:
     """Model probabilities of the partition cells."""
-    if part.groups is not None:
-        if not isinstance(model, Categorical):
-            raise ValidationError("group partitions require a finite-support model")
-        if sum(len(g) for g in part.groups) != model.k:
-            raise ValidationError("partition groups must cover every atom of the model")
-        return project_masses(part, model.probs(theta))
-    cdf_vals = np.concatenate([[0.0], np.asarray(model.cdf(theta, np.asarray(part.edges)), dtype=float), [1.0]])
-    return np.diff(cdf_vals)
-
-
-def project_masses(part: Partition, atom_masses: Sequence[float]) -> np.ndarray:
-    """Aggregate atom masses into partition cells (group partitions only)."""
-    if part.groups is None:
-        raise ValidationError("mass projection requires a group partition")
-    m = np.asarray(atom_masses, dtype=float)
-    return np.array([float(np.sum(m[list(g)])) for g in part.groups])
+    if not isinstance(model, Categorical):
+        raise ValidationError("partitions require a categorical model")
+    if part.k != model.k:
+        raise ValidationError(f"a {part.k}-cell partition does not fit a {model.k}-atom model")
+    return model.probs(theta)
 
 
 def check_radius(epsilon: float) -> None:
@@ -233,12 +158,6 @@ def log_occupation_probability(p, counts) -> float:
         raise ValidationError("counts must be integers")
     _check_prob_vector(p)
     return float(_log_probs_of_counts(counts.astype(np.int64)[None, :], p)[0])
-
-
-def exact_occupation_probability(p, counts) -> float:
-    """Multinomial probability that the empirical counts equal ``counts``."""
-    lp = log_occupation_probability(p, counts)
-    return math.exp(lp) if lp > -INF else 0.0
 
 
 def _as_cell_vector(measure, k: int | None = None) -> np.ndarray:
@@ -716,7 +635,6 @@ def conditional_ldp_mc(
     reps: int,
     seed: int,
     zero_cells: bool = True,
-    threads: int = 1,
 ) -> ConditionalRateRecord:
     """Estimate the conditional rate of landing in a neighborhood of the
     observed weighted empirical measure.
@@ -737,7 +655,7 @@ def conditional_ldp_mc(
 
     data_rng = derived_rng(seed, "data")
     points = model.sample(thetaT, n, data_rng)
-    cells = part.cell_index(model, points)
+    cells = model.atom_index(points)
     w_rng = derived_rng(seed, "weights")
     w_obs = law.sample(n, w_rng)
     center = np.zeros(k)
@@ -753,7 +671,7 @@ def conditional_ldp_mc(
         masses = law.sample_sum(counts, rng) / n
         return int(np.count_nonzero(V.contains_rows(masses)))
 
-    hits = sum(chunked(seed, "rep", reps, chunk_hits, threads))
+    hits = sum(chunked(seed, "rep", reps, chunk_hits))
     rate, ci_lo, ci_hi, one_sided = log_rate(hits, reps, n)
     ideal = PartitionNeighborhood(tuple(pT), epsilon, zero_cells)
     target = -neighborhood_inf_divergence(induced_divergence(law), ideal, p)

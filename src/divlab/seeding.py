@@ -31,21 +31,14 @@ def derived_rng(root: int, tag: str, index: int = 0) -> np.random.Generator:
 MC_CHUNK = 2048
 
 
-def chunked(root: int, tag: str, reps: int, draw, threads: int = 1) -> list:
+def chunked(root: int, tag: str, reps: int, draw) -> list:
     """Run ``draw(rng, size)`` over ``reps`` replications in fixed blocks.
 
     Block ``i`` holds up to ``MC_CHUNK`` replications and draws from the
-    stream ``(root, tag, i)``, so the per-block results, returned in block
-    order, are the same for any worker count.
+    stream ``(root, tag, i)``; the per-block results come back in block
+    order.
     """
-    sizes = [min(MC_CHUNK, reps - start) for start in range(0, reps, MC_CHUNK)]
-
-    def block(i: int):
-        return draw(derived_rng(root, tag, i), sizes[i])
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(block, range(len(sizes))))
-    return [block(i) for i in range(len(sizes))]
+    return [
+        draw(derived_rng(root, tag, i), min(MC_CHUNK, reps - start))
+        for i, start in enumerate(range(0, reps, MC_CHUNK))
+    ]

@@ -13,7 +13,7 @@ import pytest
 import divlab.bahadur as bahadur
 import divlab.cli as cli
 from divlab.bahadur import GRID_STEP, FunctionalStatistic, _simplex_grid, efficiency_compare, slope_generic
-from divlab.cli import build_parser, main, parse_grid, resolve_config, thread_count
+from divlab.cli import build_parser, main, parse_grid, resolve_config
 from divlab.errors import NumericError, ValidationError
 from divlab.models import make_model
 from divlab.weights import weight_law
@@ -58,34 +58,8 @@ def _run(argv, tmp_path, label):
 
 
 # =============================================================================
-# Tests: environment and config plumbing
+# Tests: config plumbing
 # =============================================================================
-
-
-class TestThreadCount:
-    """Worker cap resolution from the environment."""
-
-    def test_default_is_one(self, monkeypatch):
-        """Unset variable means a single worker."""
-        monkeypatch.delenv("DIVLAB_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_reads_value(self, monkeypatch):
-        """A positive integer is honored, whitespace tolerated."""
-        monkeypatch.setenv("DIVLAB_THREADS", " 6 ")
-        assert thread_count() == 6
-
-    def test_empty_string_is_default(self, monkeypatch):
-        """An empty value falls back to one."""
-        monkeypatch.setenv("DIVLAB_THREADS", "")
-        assert thread_count() == 1
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-    def test_invalid_values_rejected(self, monkeypatch, raw):
-        """Non-positive or non-integer values raise a validation error."""
-        monkeypatch.setenv("DIVLAB_THREADS", raw)
-        with pytest.raises(ValidationError):
-            thread_count()
 
 
 class TestParseGrid:
@@ -153,8 +127,56 @@ class TestResolveConfig:
 # =============================================================================
 
 
+#: non-finite cell masses and power indices, each invalid input
+NON_FINITE_INPUTS = {
+    "sanov_rate_theta": ["sanov", "--mode", "rate", "--theta", "nan,nan", "--theta_T", "0.5,0.5",
+                         "--n_grid", "10,20"],
+    "sanov_rate_theta_T": ["sanov", "--mode", "rate", "--theta", "0.4,0.6", "--theta_T", "nan,nan",
+                           "--n_grid", "10,20"],
+    "sanov_sandwich_theta": ["sanov", "--mode", "sandwich", "--theta", "nan,nan", "--theta_T", "0.5,0.5",
+                             "--n", "30"],
+    "sanov_ml_gap_theta_T": ["sanov", "--mode", "ml_gap", "--theta_T", "nan,nan", "--n", "30"],
+    "sanov_mc_theta": ["sanov", "--mode", "mc", "--theta", "nan,nan", "--theta_T", "0.5,0.5",
+                       "--n", "60", "--reps", "2000"],
+    "sanov_shrink_center": ["sanov", "--mode", "shrink", "--center", "nan,nan", "--theta", "0.5,0.5",
+                            "--eps_grid", "0.2,0.1"],
+    "sanov_shrink_theta": ["sanov", "--mode", "shrink", "--center", "0.4,0.6", "--theta", "nan,nan",
+                           "--eps_grid", "0.2,0.1"],
+    "bahadur_slopes_theta_prime": ["bahadur", "--mode", "slopes", "--theta", "0.4,0.6",
+                                   "--theta_prime", "nan,nan"],
+    "bahadur_trend_theta_prime": ["bahadur", "--mode", "trend", "--theta", "0.4,0.6",
+                                  "--theta_prime", "nan,nan", "--n_grid", "10", "--reps", "1000"],
+    "bahadur_trend_theta": ["bahadur", "--mode", "trend", "--theta", "nan,nan",
+                            "--theta_prime", "0.2,0.8", "--n_grid", "10", "--reps", "1000"],
+    "divergence_gamma_nan": ["divergence", "--gamma", "nan"],
+    "divergence_gamma_inf": ["divergence", "--gamma", "inf"],
+    "divergence_gamma_minus_inf": ["divergence", "--gamma=-inf", "--conjugate", "true"],
+    "estimate_gamma_nan": ["estimate", "--model", "gauss_loc", "--gamma", "nan",
+                           "--data", str(DATA_DIR / "regression_points.csv")],
+    "estimate_gamma_inf": ["estimate", "--model", "gauss_loc", "--gamma", "inf",
+                           "--data", str(DATA_DIR / "regression_points.csv")],
+    "clt_estimator_gamma_nan": ["clt", "--mode", "estimator", "--law", "poisson1", "--gamma", "nan",
+                                "--n", "50", "--reps", "100"],
+    "clt_estimator_gamma_inf": ["clt", "--mode", "estimator", "--law", "poisson1", "--gamma", "inf",
+                                "--n", "50", "--reps", "100"],
+}
+
+
 class TestExitCodes:
     """The 0/2/3 exit contract."""
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+    def test_non_finite_input_exits_two(self, name, tmp_path, capsys):
+        """A NaN or infinite cell mass or power index is invalid input: exit
+        2 with one message line and no file, with and without --dry-run."""
+        argv = NON_FINITE_INPUTS[name]
+        out = tmp_path / "out"
+        for flags in ([], ["--dry-run"]):
+            assert main(argv + ["--out", str(out)] + flags) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"divlab {argv[0]}: ") and len(err.splitlines()) == 1
+            assert "Traceback" not in err
+        assert not out.exists()
 
     def test_no_subcommand_usage_error(self, capsys):
         """Bare invocation prints usage and exits 2."""
@@ -178,13 +200,6 @@ class TestExitCodes:
         """Omitting a required field exits 2."""
         assert _run(["estimate", "--model", "gauss_loc"], tmp_path, "x") == 2
         assert "'data'" in capsys.readouterr().err
-
-    def test_bad_thread_environment(self, tmp_path, monkeypatch, capsys):
-        """An invalid DIVLAB_THREADS value exits 2."""
-        monkeypatch.setenv("DIVLAB_THREADS", "zero")
-        code = main(CHERNOFF_ARGS + ["--out", str(tmp_path), "--dry-run"])
-        assert code == 2
-        assert "DIVLAB_THREADS" in capsys.readouterr().err
 
     def test_nan_chernoff_point_exits_two(self, tmp_path, capsys):
         """A NaN evaluation point is invalid input, exit 2."""
@@ -383,7 +398,6 @@ class TestDryRun:
         plan = json.loads(capsys.readouterr().out)
         assert plan["subcommand"] == "chernoff"
         assert plan["config"]["law"] == "poisson1"
-        assert plan["threads"] == 1
         assert len(plan["outputs"]) == 2
         assert list(tmp_path.iterdir()) == []
 
@@ -578,7 +592,7 @@ class TestSlopeStatistics:
 
 
 class TestReproducibility:
-    """Byte-identical artifacts across reruns, threads, and goldens."""
+    """Byte-identical artifacts across reruns and against the goldens."""
 
     def test_rerun_byte_identical(self, tmp_path):
         """Every subcommand and mode writes identical bytes twice."""
@@ -590,16 +604,6 @@ class TestReproducibility:
             assert names and names == sorted(p.name for p in b.iterdir()), label
             for name in names:
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        """The Monte Carlo pipeline is invariant to the worker count."""
-        a, b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("DIVLAB_THREADS", "1")
-        _run(SANOV_MC_ARGS, a, "mc")
-        monkeypatch.setenv("DIVLAB_THREADS", "4")
-        _run(SANOV_MC_ARGS, b, "mc")
-        assert (a / "mc.csv").read_bytes() == (b / "mc.csv").read_bytes()
-        assert (a / "mc.json").read_bytes() == (b / "mc.json").read_bytes()
 
     @pytest.mark.parametrize(
         "argv, label, suffixes",

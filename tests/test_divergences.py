@@ -21,7 +21,6 @@ from divlab.divergences import (
     conjugate,
     divergence_finite,
     eval_phi,
-    phi_sharp,
 )
 from divlab.errors import ValidationError
 
@@ -272,7 +271,7 @@ class TestSharpTransform:
             for x in grid:
                 x = float(x)
                 expect = x * spec.value(x, order=1) - spec.value(x)
-                assert phi_sharp(spec, x) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+                assert spec.sharp(x) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
     def test_power_closed_form(self, grid):
         """For index gamma the transform is (x^gamma - 1)/gamma."""

@@ -223,31 +223,6 @@ class TestRatioIntegrals:
         assert _ratio_power_integral(model, -0.3, -2.0, 1.0) == math.inf
 
 
-class TestCdf:
-    """Distribution functions against scipy references."""
-
-    def test_gaussian_cdf(self):
-        """Location-model cdf matches the shifted normal cdf."""
-        xs = np.array([-1.0, 0.0, 0.4, 2.0])
-        out = GaussianLocation().cdf(0.4, xs)
-        np.testing.assert_allclose(out, stats.norm.cdf(xs, loc=0.4), atol=1e-12)
-
-    def test_poisson_cdf(self):
-        """Count-model cdf matches scipy at integer and fractional points."""
-        theta = 0.3
-        lam = math.exp(theta)
-        xs = np.array([-0.5, 0.0, 0.7, 1.0, 3.2])
-        out = PoissonNatural().cdf(theta, xs)
-        np.testing.assert_allclose(out, stats.poisson.cdf(xs, lam), atol=1e-12)
-
-    def test_exponential_cdf(self):
-        """Scale-model cdf matches the exponential distribution."""
-        theta = -1.3
-        xs = np.array([-1.0, 0.0, 0.5, 2.0])
-        out = ExponentialScale().cdf(theta, xs)
-        np.testing.assert_allclose(out, stats.expon.cdf(xs, scale=-1.0 / theta), atol=1e-12)
-
-
 # =============================================================================
 # Tests: score solving and pilots
 # =============================================================================

@@ -19,16 +19,13 @@ from divlab.sanov import (
     _logsumexp,
     Partition,
     PartitionNeighborhood,
-    cell_probabilities,
     conditional_ldp_mc,
     enumerate_count_vectors,
-    exact_occupation_probability,
     kl_on_partition,
     largest_remainder_counts,
     log_occupation_probability,
     ml_ldp_gap,
     neighborhood_inf_divergence,
-    project_masses,
     sandwich_check,
     sanov_rate_convergence,
     shrink_epsilon_limit,
@@ -55,48 +52,20 @@ def prob_vectors(draw, k_values):
 
 
 class TestPartition:
-    """Cell systems over atoms and interval edges."""
+    """Atom partitions of categorical models."""
 
     def test_atom_partition_fields(self):
-        """Atom partitions list singleton groups."""
-        part = Partition.atoms(3)
-        assert part.k == 3
-        assert part.groups == ((0,), (1,), (2,))
+        """An atom partition has one cell per atom."""
+        assert Partition.atoms(3).k == 3
 
-    def test_edges_must_increase(self):
-        """Non-monotone edges fail validation."""
-        with pytest.raises(ValidationError):
-            Partition.from_edges([0.0, -1.0])
-
-    def test_equal_mass_cells_from_points(self):
-        """Quantile partitions split a sample into near-equal cells."""
-        rng = np.random.default_rng(12)
-        pts = rng.normal(0.0, 1.0, 400)
-        part = Partition.equal_mass(pts, k=4)
-        idx = part.cell_index(GaussianLocation(), pts)
-        counts = np.bincount(idx, minlength=4)
-        assert counts.sum() == 400
-        assert counts.min() >= 60
-
-    def test_cell_probabilities_sum_to_one(self):
-        """Cell masses of a model member are a probability vector."""
-        part = Partition.from_edges([-0.5, 0.5])
-        p = cell_probabilities(GaussianLocation(), 0.2, part)
-        assert p.shape == (3,)
-        assert float(p.sum()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_cell_probabilities_match_cdf_differences(self):
-        """Interval cells integrate the density between edges."""
-        part = Partition.from_edges([-0.3, 0.8])
-        p = cell_probabilities(GaussianLocation(), 0.1, part)
-        expect = np.diff([0.0, *stats.norm.cdf([-0.3, 0.8], loc=0.1), 1.0])
-        np.testing.assert_allclose(p, expect, atol=1e-12)
-
-    def test_project_masses_groups_atoms(self):
-        """Grouped partitions add the member atom masses."""
-        part = Partition(groups=((0, 2), (1,)))
-        out = project_masses(part, [0.2, 0.5, 0.3])
-        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
+    def test_partition_must_fit_a_categorical_model(self):
+        """A partition of another cell count, or a model that is not
+        categorical, is a validation error."""
+        for model, theta in ((Categorical(2), (0.4,)), (GaussianLocation(), 0.4)):
+            with pytest.raises(ValidationError):
+                conditional_ldp_mc(model, theta, theta, PoissonOne(), Partition.atoms(3), 0.05, 50, 200, seed=0)
+            with pytest.raises(ValidationError):
+                sandwich_check(model, theta, theta, Partition.atoms(3), 0.1, 20)
 
 
 class TestNeighborhood:
@@ -172,7 +141,7 @@ class TestOccupation:
         """The plain probability is the exponential of the log form."""
         p = np.array([0.5, 0.5])
         counts = np.array([2, 2])
-        assert exact_occupation_probability(p, counts) == pytest.approx(6.0 / 16.0, abs=1e-12)
+        assert math.exp(log_occupation_probability(p, counts)) == pytest.approx(6.0 / 16.0, abs=1e-12)
 
     def test_count_on_null_cell_impossible(self):
         """Counts on a zero-probability cell have log-mass -inf."""
@@ -442,13 +411,6 @@ class TestConditionalMC:
         assert record.hits == 187 and type(record.hits) is int
         assert record.rate_estimate == pytest.approx(-0.039496564044791599, abs=1e-14)
         assert not record.one_sided
-
-    def test_thread_count_does_not_change_bytes(self):
-        """Worker threads leave the estimate bit-identical."""
-        args = (Categorical(2), (0.37,), (0.5,), PoissonOne(), Partition.atoms(2))
-        a = conditional_ldp_mc(*args, 0.05, 80, 4000, seed=5, threads=1)
-        b = conditional_ldp_mc(*args, 0.05, 80, 4000, seed=5, threads=4)
-        assert a == b
 
     def test_zero_hits_reports_one_sided_bound(self):
         """Unreached neighborhoods give a one-sided confidence statement."""
