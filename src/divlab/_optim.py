@@ -226,40 +226,51 @@ def nelder_mead_multistart(
 
 
 #: fixed schedule of ``batch_golden_max``: scan points, then golden
-#: contractions; each call evaluates ``f_batch`` 5 + 2 + 2 * 32 = 71 times
+#: contractions; each call makes 5 + 2 + 2 * 32 = 71 calls of ``f_batch``
 _BATCH_SCAN = 5
 _BATCH_ITERS = 32
+_BATCH_GRID = np.linspace(0.0, 1.0, _BATCH_SCAN)
 
 
 def batch_golden_max(f_batch, lo, hi):
     """Vectorized golden-section maximization with per-row brackets.
 
-    ``f_batch`` maps an argument vector (one entry per row) to a value
-    vector.  Every row runs the same fixed iteration schedule, so the
-    result is independent of how rows are grouped or threaded.
+    ``f_batch(x, rows)`` maps arguments ``x`` of the rows ``rows`` (an index
+    array, ``x[j]`` belonging to row ``rows[j]``) to a fresh array of their
+    values, which the search keeps and updates in place.  The scan
+    and the first interior pair are evaluated on every row.  After that each
+    contraction keeps one interior point and its value, moved bit for bit
+    into the other slot (Kiefer 1953), and evaluates only the new one: the
+    first call of an iteration gets the rows whose left point is new, the
+    second those whose right point is new, either possibly none.  Every row
+    runs the same fixed schedule of 71 calls and ``f_batch`` must not let a
+    row's value depend on the rows that share its call, so a row's result
+    does not depend on how rows are grouped.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    grid = np.linspace(0.0, 1.0, _BATCH_SCAN)
-    vals = np.stack([f_batch(lo + g * (hi - lo)) for g in grid])
-    best = np.argmax(vals, axis=0)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    every = np.arange(lo.shape[0])
+    scan = lo + _BATCH_GRID[:, None] * (hi - lo)
+    best = np.argmax([f_batch(x, every) for x in scan], axis=0)
     width = (hi - lo) / (_BATCH_SCAN - 1)
     a = lo + np.maximum(best - 1, 0) * width
     b = lo + np.minimum(best + 1, _BATCH_SCAN - 1) * width
     step = _INVPHI * (b - a)
     c, d = b - step, a + step
-    fc, fd = f_batch(c), f_batch(d)
+    fc, fd = f_batch(c, every), f_batch(d, every)
     for _ in range(_BATCH_ITERS):
         left = fc >= fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        step = _INVPHI * (b - a)
-        c, d = b - step, a + step
-        # only one interior point is fresh per row, yet both slots are
-        # evaluated: reusing the kept one would take 5 + 2 + 32 = 39 calls
-        # instead of 71, but the benchmark's self-checks pin 71 (10,082 per
-        # estimator comparison) until they stop pinning schedule counts
-        fc, fd = f_batch(c), f_batch(d)
+        new_c, new_d = left.nonzero()[0], (~left).nonzero()[0]
+        # moving left, [a, d] keeps c as its d; moving right, [c, b] keeps d
+        # as its c; the fresh point lies INVPHI times the old gap beyond it
+        gap = _INVPHI * (d - c)
+        kept_c, kept_d = c[new_c], d[new_d]
+        d[new_c], fd[new_c] = kept_c, fc[new_c]
+        c[new_d], fc[new_d] = kept_d, fd[new_d]
+        c[new_c] = x_c = kept_c - gap[new_c]
+        d[new_d] = x_d = kept_d + gap[new_d]
+        fc[new_c] = f_batch(x_c, new_c)
+        fd[new_d] = f_batch(x_d, new_d)
     x = np.where(fc >= fd, c, d)
     fx = np.maximum(fc, fd)
     return x, fx

@@ -204,30 +204,21 @@ def _expfam_power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, 
     """The lead of :func:`_expfam_power_dual` and the normalizers ``C(theta)``,
     ``C(alpha)`` it is built from, as ``(lead, C_t, C_a)``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _power_lead(model, spec, theta, alpha, _theta_terms(model, spec, theta))
+        return _power_lead(model, spec, theta, alpha)
 
 
-def _theta_terms(model: ExponentialFamilyModel, spec: CressieRead, theta):
-    """``(C(theta), C'(theta))``, the derivative on the ``xlogx`` branch only:
-    what the lead takes from ``theta`` alone.  The caller sets the error state."""
-    grad = model.grad_log_normalizer_array(theta) if spec.branch == "xlogx" else None
-    return model.log_normalizer_array(theta), grad
-
-
-def _power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, theta_terms):
-    """:func:`_expfam_power_lead` from ``_theta_terms(model, spec, theta)``.
-    The caller sets the error state."""
-    C_t, grad_t = theta_terms
+def _power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha):
+    """:func:`_expfam_power_lead` under the caller's error state."""
+    C_t = model.log_normalizer_array(theta)
     C_a = model.log_normalizer_array(alpha)
-    delta = theta - alpha
     if spec.branch == "xlogx":
-        lead = delta * grad_t - C_t + C_a
+        lead = (theta - alpha) * model.grad_log_normalizer_array(theta) - C_t + C_a
     elif spec.branch == "log":
         # int (1 - p_alpha/p_theta) dP_theta = 0 on a common support
         lead = 0.0
     else:
         u = spec.gamma - 1.0
-        expo = u * (C_a - C_t) + model.log_normalizer_array(theta + u * delta) - C_t
+        expo = u * (C_a - C_t) + model.log_normalizer_array(theta + u * (theta - alpha)) - C_t
         lead = np.expm1(expo) / u
     return lead, C_t, C_a
 
@@ -528,7 +519,8 @@ class _BatchCriterion:
 
     Restricted to scalar-parameter exponential families with power-family
     generators, which covers the Monte Carlo studies; each call evaluates
-    the criterion at one ``(theta_r, alpha_r)`` pair per row.
+    the criterion at one ``(theta_r, alpha_r)`` pair for each row ``r`` of a
+    chosen subset.
 
     Row ``r`` is ``wbar_r * lead - (1/n) sum_i w_ri phi#(r_ri)`` with
     ``log r_ri = delta_r t_ri + C(alpha_r) - C(theta_r)``.  For the
@@ -536,9 +528,9 @@ class _BatchCriterion:
     ``delta_r mean(w t)_r - (C(theta_r) - C(alpha_r)) wbar_r``: two weighted
     sums fixed at construction, and no pass over the sample per call.  For
     other indices ``g phi#(r) = expm1(g log r)``: ``g log r`` is written into
-    one work array (one rank-2 product with ``[t; 1]`` when the rows share
-    their points, a multiply and an add otherwise), exponentiated in place
-    and summed against ``w`` in one pass.  The sums run in another order than
+    one work array by a multiply and an add, exponentiated in place and
+    summed against ``w`` in one pass.  A row's arithmetic is the same
+    whichever rows share its call.  The sums run in another order than
     those of the scalar :class:`_DualCriterion`, which stays the bit-exact
     reference; a row differs from it by rounding only.
     """
@@ -557,54 +549,50 @@ class _BatchCriterion:
         self.t = np.broadcast_to(model.sufficient_stat(points), shape)
         self.w = np.broadcast_to(weights, shape)
         self.wbar = np.mean(self.w, axis=1)
-        # the theta of the last call and its terms: an inner search holds
-        # theta fixed over its 71 calls
-        self._theta, self._theta_terms = None, None
         if spec.branch == "log":
             self._wt_mean = np.mean(self.w * self.t, axis=1)
             return
-        # the rows every call streams, and one (rows, n) work array for all
-        # calls: fresh temporaries of this size can go back to the OS when
-        # freed and fault in again on the next call (about a million minor
-        # faults per spread comparison)
+        # the rows every call streams, one (rows, n) work array and one
+        # gather buffer for all calls: fresh temporaries of this size can go
+        # back to the OS when freed and fault in again on the next call
+        # (about a million minor faults per spread comparison)
         self.t, self.w = _aligned_rows(self.t), _aligned_rows(self.w)
         self._work = _line_aligned_empty(shape)
-        # rows that share their points get g log r from one rank-2 product,
-        # (slope, shift) times [t; 1]: one pass over the work array, not two
-        self._t1 = None
-        if self.t.strides[0] == 0:
-            self._t1 = _line_aligned_empty((2, shape[1]))
-            self._t1[0], self._t1[1] = self.t[0], 1.0
-            self._slope_shift = np.empty((shape[0], 2))
+        self._gather = None if self.w.strides[0] == 0 else _line_aligned_empty(shape)
 
-    def value(self, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """Criterion per row, as a fresh array (callers keep earlier results).
-
-        ``C(theta)``, and ``C'(theta)`` at ``g = 1``, are kept from the last
-        call while ``theta`` is the same array object; callers do not change
-        ``theta`` in place between calls.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            if theta is not self._theta:
-                self._theta, self._theta_terms = theta, _theta_terms(self.model, self.spec, theta)
-            lead, C_t, C_a = _power_lead(self.model, self.spec, theta, alpha, self._theta_terms)
-            if self.spec.branch == "log":
-                out = (C_t - C_a) * self.wbar - (theta - alpha) * self._wt_mean
+    def value(self, theta: np.ndarray, alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Criterion of the rows ``rows`` (an index array), ``theta[j]`` and
+        ``alpha[j]`` belonging to row ``rows[j]``, as a fresh array (callers
+        keep earlier results).  The caller sets the error state."""
+        k = rows.shape[0]
+        if self.spec.branch == "log":
+            # one normalizer call for both parameters: this branch is a few
+            # operations on k numbers, so each call's overhead counts
+            C = self.model.log_normalizer_array(np.concatenate((theta, alpha)))
+            out = (C[:k] - C[k:]) * self.wbar[rows] - (theta - alpha) * self._wt_mean[rows]
+        else:
+            lead, C_t, C_a = _power_lead(self.model, self.spec, theta, alpha)
+            g = self.spec.gamma
+            work = self._work[:k]
+            slope = (g * (theta - alpha))[:, None]
+            if self.t.strides[0] == 0:
+                np.multiply(slope, self.t[:k], out=work)
             else:
-                g = self.spec.gamma
-                if self._t1 is not None:
-                    slope_shift = self._slope_shift
-                    np.multiply(g, theta - alpha, out=slope_shift[:, 0])
-                    np.subtract(C_a, C_t, out=slope_shift[:, 1])
-                    slope_shift[:, 1] *= g
-                    work = np.matmul(slope_shift, self._t1, out=self._work)
-                else:
-                    work = np.multiply((g * (theta - alpha))[:, None], self.t, out=self._work)
-                    work += (g * (C_a - C_t))[:, None]
-                np.expm1(work, out=work)
-                tail = np.einsum("ij,ij->i", work, self.w) / (work.shape[1] * g)
-                out = self.wbar * lead - tail
-            return np.where(np.isfinite(out), out, -INF)
+                np.take(self.t, rows, axis=0, out=work, mode="clip")
+                work *= slope
+            work += (g * (C_a - C_t))[:, None]
+            np.expm1(work, out=work)
+            if self._gather is None:
+                w = self.w[:k]
+            else:
+                w = np.take(self.w, rows, axis=0, out=self._gather[:k], mode="clip")
+            tail = np.einsum("ij,ij->i", work, w) / (work.shape[1] * g)
+            out = self.wbar[rows] * lead - tail
+        # a non-finite row makes the sum of squares non-finite: one dot
+        # product costs less than masking the rows of every call
+        if math.isfinite(out.dot(out)):
+            return out
+        return np.where(np.isfinite(out), out, -INF)
 
 
 def minimum_dual_estimator_batch(
@@ -629,9 +617,13 @@ def minimum_dual_estimator_batch(
     lo = np.full(rows, float(box[0]))
     hi = np.full(rows, float(box[1]))
 
-    def inner_value(theta_vec: np.ndarray) -> np.ndarray:
-        _, val = batch_golden_max(lambda a: crit.value(theta_vec, a), lo, hi)
+    def inner_value(theta: np.ndarray, outer_rows: np.ndarray) -> np.ndarray:
+        # only the rows whose theta is new are solved again
+        _, val = batch_golden_max(
+            lambda alpha, sub: crit.value(theta[sub], alpha, outer_rows[sub]), lo[outer_rows], hi[outer_rows]
+        )
         return val
 
-    theta_hat, _ = batch_golden_max(lambda th: -inner_value(th), lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_hat, _ = batch_golden_max(lambda theta, outer_rows: -inner_value(theta, outer_rows), lo, hi)
     return theta_hat

@@ -278,15 +278,24 @@ class TestDualCriterion:
 EPS = float(np.finfo(float).eps)
 
 
-def _out_of_place_batch_value(crit, theta, alpha):
-    """The batched criterion written as the scalar criterion computes it, with
-    fresh temporaries: each term's sharp transform, weighted, then a mean."""
+def _out_of_place_batch_value(crit, theta, alpha, rows):
+    """The batched criterion of the rows ``rows`` written as the scalar
+    criterion computes it, with fresh temporaries: each term's sharp
+    transform, weighted, then a mean."""
     model, spec = crit.model, crit.spec
     th, al = theta[:, None], alpha[:, None]
-    lead, sharp = _expfam_power_dual(model, spec, th, al, crit.t)
+    lead, sharp = _expfam_power_dual(model, spec, th, al, crit.t[rows])
     with np.errstate(over="ignore", invalid="ignore"):
-        out = crit.wbar[:, None] * lead - np.mean(crit.w * sharp, axis=1, keepdims=True)
+        out = crit.wbar[rows, None] * lead - np.mean(crit.w[rows] * sharp, axis=1, keepdims=True)
     return np.where(np.isfinite(out), out, -INF)[:, 0]
+
+
+def _batch_value(crit, theta, alpha, rows=None):
+    """``crit.value`` under the error state the batched search sets, on every
+    row unless ``rows`` is given."""
+    rows = np.arange(len(theta)) if rows is None else np.asarray(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return crit.value(theta, alpha, rows)
 
 
 def _rounding_bound(crit, theta, alpha):
@@ -361,7 +370,7 @@ class TestOneKernel:
         batch = _BatchCriterion(model, spec, points[None, :], weights[None, :])
         for th, a in pairs:
             th, a = np.array([th]), np.array([a])
-            row = batch.value(th, a)
+            row = _batch_value(batch, th, a)
             assert row.shape == (1,)
             _assert_agree(row, np.array([scalar(th[0], a[0])]), _rounding_bound(batch, th, a))
         if isinstance(model, ExponentialScale) and gamma == 2.0:
@@ -391,9 +400,9 @@ class TestOneKernel:
         alpha = np.array(data.draw(st.lists(param, min_size=rows, max_size=rows)))
         spec = CressieRead(gamma)
         crit = _BatchCriterion(model, spec, points, weights)
-        got = crit.value(theta, alpha)
+        got = _batch_value(crit, theta, alpha)
         bound = _rounding_bound(crit, theta, alpha)
-        _assert_agree(got, _out_of_place_batch_value(crit, theta, alpha), bound)
+        _assert_agree(got, _out_of_place_batch_value(crit, theta, alpha, np.arange(rows)), bound)
         for r in range(rows):
             mu = WeightedEmpiricalMeasure(tuple(points[r]), tuple(weights[r]))
             scalar = _DualCriterion(model, spec, mu)(float(theta[r]), float(alpha[r]))
@@ -428,8 +437,8 @@ class TestBatchWorkArray:
         weights = np.vstack([PoissonOne().sample(n, rng) for _ in range(rows)])
         crit = _BatchCriterion(model, CressieRead(gamma), points, weights)
         theta, alpha = np.array(theta), np.array(alpha)
-        got = crit.value(theta, alpha)
-        ref = _out_of_place_batch_value(crit, theta, alpha)
+        got = _batch_value(crit, theta, alpha)
+        ref = _out_of_place_batch_value(crit, theta, alpha, np.arange(rows))
         _assert_agree(got, ref, _rounding_bound(crit, theta, alpha))
         assert np.all(np.isfinite(got[:4]))
         if gamma == 2.0:
@@ -442,17 +451,17 @@ class TestBatchWorkArray:
         points = np.broadcast_to(model.sample(0.0, 40, rng), (3, 40))
         weights = np.vstack([PoissonOne().sample(40, rng) for _ in range(3)])
         crit = _BatchCriterion(model, CressieRead(0.5), points, weights)
-        first = crit.value(np.array([0.0, 0.1, 0.2]), np.array([0.1, 0.0, -0.1]))
+        first = _batch_value(crit, np.array([0.0, 0.1, 0.2]), np.array([0.1, 0.0, -0.1]))
         kept = first.copy()
-        second = crit.value(np.array([0.5, -0.5, 0.3]), np.array([0.4, -0.2, 0.3]))
+        second = _batch_value(crit, np.array([0.5, -0.5, 0.3]), np.array([0.4, -0.2, 0.3]))
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, crit._work)
         assert np.array_equal(first, kept) and not np.array_equal(first, second)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_theta_terms_follow_each_new_theta(self, gamma):
-        """The terms of theta kept between calls belong to the theta passed:
-        a call with another array, equal or not, gets the bits of a fresh criterion."""
+        """A call keeps nothing of an earlier theta: a call with another
+        array, equal or not, gets the bits of a fresh criterion."""
         model = PoissonNatural()
         rng = np.random.default_rng(8)
         points = np.broadcast_to(model.sample(0.1, 40, rng), (3, 40))
@@ -461,12 +470,13 @@ class TestBatchWorkArray:
         alpha = np.array([0.0, 0.2, -0.1])
         thetas = [np.array([0.1, 0.3, -0.2]), np.array([0.4, -0.1, 0.0])]
         for theta in [thetas[0], thetas[0], thetas[1], thetas[0].copy(), thetas[0]]:
-            fresh = _BatchCriterion(model, CressieRead(gamma), points, weights).value(theta, alpha)
-            assert crit.value(theta, alpha).tobytes() == fresh.tobytes()
+            fresh = _batch_value(_BatchCriterion(model, CressieRead(gamma), points, weights), theta, alpha)
+            assert _batch_value(crit, theta, alpha).tobytes() == fresh.tobytes()
 
     def test_streamed_rows_start_on_a_cache_line(self):
-        """A shared row is stored once, and every array a call streams starts
-        on a 64-byte line, wherever malloc put the caller's arrays."""
+        """A shared row is stored once, and every array a call streams or
+        gathers into starts on a 64-byte line, wherever malloc put the
+        caller's arrays."""
         model = GaussianLocation()
         rng = np.random.default_rng(6)
         raw = np.empty(40 + 1)
@@ -475,8 +485,66 @@ class TestBatchWorkArray:
         weights = np.vstack([PoissonOne().sample(40, rng) for _ in range(3)])
         crit = _BatchCriterion(model, CressieRead(0.5), points, weights)
         assert crit.t.strides[0] == 0
-        for arr in (crit.t, crit.w, crit._t1, crit._work):
+        for arr in (crit.t, crit.w, crit._gather, crit._work):
             assert arr.ctypes.data % 64 == 0
+
+
+class TestRowGrouping:
+    """A row's criterion and estimate do not depend on the rows that share its call."""
+
+    @given(
+        name=st.sampled_from(sorted(PARAMS)),
+        gamma=st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5]),
+        shared=st.sampled_from(["points", "weights"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_value_bits_alone_in_a_subset_and_in_the_batch(self, name, gamma, shared, seed, data):
+        """Each row gets the same bits alone, in a random subset in any order
+        (one row included) and in the full batch, with shared points or shared
+        weights, in and out of the domain."""
+        model, theta0, param = PARAMS[name]
+        rows, n = 7, data.draw(st.integers(1, 60), label="n")
+        rng = np.random.default_rng(seed)
+        weights = PoissonOne().sample(rows * n, rng).reshape(rows, n)
+        if shared == "points":
+            points = np.broadcast_to(model.sample(theta0, n, rng), (rows, n))
+        else:
+            points = model.sample(theta0, rows * n, rng).reshape(rows, n)
+            weights = np.broadcast_to(weights[0], (rows, n))
+        theta = np.array(data.draw(st.lists(param, min_size=rows, max_size=rows), label="theta"))
+        alpha = np.array(data.draw(st.lists(param, min_size=rows, max_size=rows), label="alpha"))
+        crit = _BatchCriterion(model, CressieRead(gamma), points, weights)
+        full = _batch_value(crit, theta, alpha)
+        order = data.draw(st.permutations(range(rows)), label="order")
+        sub = np.array(order[:data.draw(st.integers(1, rows), label="size")])
+        assert _batch_value(crit, theta[sub], alpha[sub], sub).tobytes() == full[sub].tobytes()
+        for r in range(rows):
+            alone = _batch_value(crit, theta[r:r + 1], alpha[r:r + 1], [r])
+            assert alone.tobytes() == full[r:r + 1].tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("shared", ["points", "weights"])
+    def test_estimate_alone_equals_the_batched_one(self, gamma, shared):
+        """Each row's estimate alone is its estimate in the batch, bit for bit."""
+        model = GaussianLocation()
+        rng = np.random.default_rng(17)
+        rows, n = 3, 40
+        if shared == "points":
+            points = model.sample(0.2, n, rng)[None, :]
+            weights = PoissonOne().sample(rows * n, rng).reshape(rows, n)
+        else:
+            points = model.sample(0.2, rows * n, rng).reshape(rows, n)
+            weights = np.ones((1, n))
+        box = model.default_box(model.pilot_estimate(points[0]))
+        spec = CressieRead(gamma)
+        batch = minimum_dual_estimator_batch(model, spec, points, weights, box)
+        for r in range(rows):
+            one = minimum_dual_estimator_batch(
+                model, spec, points[min(r, len(points) - 1)], weights[min(r, len(weights) - 1)], box
+            )
+            assert np.array_equal(one, batch[r:r + 1])
 
 
 class TestMinimumDualEstimator:
