@@ -43,7 +43,8 @@ _START_BLOCK = 256
 
 @dataclass(frozen=True)
 class FunctionalStatistic:
-    """Continuous functional ``psi(theta, cell_masses)`` with ``psi(theta, P_theta) = 0``."""
+    """Continuous functional ``psi(p_null, q)`` of the null's cell masses, a
+    tuple of floats, and a probability vector, with ``psi(p_null, p_null) = 0``."""
 
     evaluator: Callable
     name: str
@@ -185,13 +186,14 @@ def slope_generic(
     check_slopes(model)
     spec = induced_divergence(law)
     p = model.probs(theta)
-    p_alt = model.probs(theta_prime)
-    level = float(stat.evaluator(theta, p_alt))
-    _check_functional_zero(stat, theta, p)
+    # one tuple for every evaluator call: Python floats read faster than an array's
+    p_null = tuple(p.tolist())
+    level = float(stat.evaluator(p_null, model.probs(theta_prime)))
+    _check_functional_zero(stat, p_null, p)
 
     m = int(round(1.0 / GRID_STEP))
     grid = _simplex_grid(model.k, GRID_STEP)
-    psi_vals = np.fromiter(map(stat.evaluator, repeat(theta), grid), float, count=grid.shape[0])
+    psi_vals = np.fromiter(map(stat.evaluator, repeat(p_null), grid), float, count=grid.shape[0])
     feasible = psi_vals >= level - 1e-12
     del psi_vals
     if not np.any(feasible):
@@ -203,7 +205,7 @@ def slope_generic(
     starts = _start_indices(cand, div_vals)
     best_q, best_v = cand[starts[0]], float(div_vals[starts[0]])
     for i in starts:
-        q_ref, v_ref = _refine_constrained(spec, p, stat, theta, level, cand[i])
+        q_ref, v_ref = _refine_constrained(spec, p_null, stat, level, cand[i])
         if v_ref < best_v - 1e-12 or (
             v_ref <= best_v + 1e-12 and tuple(q_ref) < tuple(best_q)
         ):
@@ -218,29 +220,29 @@ def slope_generic(
     )
 
 
-def _refine_constrained(spec, p, stat, theta, level, q0) -> tuple[np.ndarray, float]:
+def _refine_constrained(spec, p_null, stat, level, q0) -> tuple[np.ndarray, float]:
     """Nelder-Mead on the first ``k - 1`` cell masses from the scan point ``q0``."""
-    k = p.shape[0]
+    k = len(p_null)
 
     def simplex_point(free):
         return np.concatenate([free, [1.0 - float(np.sum(free))]])
 
     def objective(free):
         q = simplex_point(free)
-        if q[-1] < 0.0 or q[-1] > 1.0 or float(stat.evaluator(theta, q)) < level - 1e-12:
+        if q[-1] < 0.0 or q[-1] > 1.0 or float(stat.evaluator(p_null, q)) < level - 1e-12:
             return INF
-        return cell_divergence(spec, p, q)
+        return cell_divergence(spec, p_null, q)
 
     free, v = nelder_mead(
         objective, q0[: k - 1], np.zeros(k - 1), np.ones(k - 1), xatol=1e-9, fatol=1e-12, max_iter=400
     )
     if v >= PENALTY:
-        return np.asarray(q0, dtype=float), cell_divergence(spec, p, np.asarray(q0))
+        return np.asarray(q0, dtype=float), cell_divergence(spec, p_null, np.asarray(q0))
     return simplex_point(free), v
 
 
-def _check_functional_zero(stat: FunctionalStatistic, theta, p_theta: np.ndarray):
-    at_null = float(stat.evaluator(theta, p_theta))
+def _check_functional_zero(stat: FunctionalStatistic, p_null: tuple, p_theta: np.ndarray):
+    at_null = float(stat.evaluator(p_null, p_theta))
     if abs(at_null) > 1e-8:
         raise ValidationError(
             f"functional statistic {stat.name!r} must vanish at the model point, got {at_null}"
@@ -320,6 +322,20 @@ def check_trend(model: Categorical, n_grid, reps: int) -> None:
         raise ValidationError("the exact tail scan supports two cells")
 
 
+def trend_threshold(model: Categorical, spec: DivergenceSpec, theta, theta_prime) -> float:
+    """Half the drift, the divergence of ``P_theta`` from ``P_theta_prime``.
+
+    A trend needs it finite: at ``+inf`` every hit is a count whose
+    statistic is ``+inf`` too, held against a ``-inf`` target.
+    """
+    t = 0.5 * divergence_between(model, spec, theta, theta_prime)
+    if math.isinf(t):
+        raise ValidationError(
+            "the trend threshold is +inf: the divergence of theta from theta_prime is infinite"
+        )
+    return t
+
+
 def empirical_slope_trend(
     model: Categorical,
     law: WeightLaw,
@@ -344,8 +360,7 @@ def empirical_slope_trend(
     """
     check_trend(model, n_grid, reps)
     spec = induced_divergence(law)
-    drift = divergence_between(model, spec, theta, theta_prime)
-    t = 0.5 * drift
+    t = trend_threshold(model, spec, theta, theta_prime)
     target = -2.0 * t + 0.0  # -0.0 + 0.0 is +0.0: a null target prints 0, never -0
     p = model.probs(theta)
     rows = []

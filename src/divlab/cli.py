@@ -29,6 +29,7 @@ from .bahadur import (
     check_trend,
     efficiency_compare,
     empirical_slope_trend,
+    trend_threshold,
 )
 from .clt import (
     STATISTIC_MAP,
@@ -518,39 +519,19 @@ def _run_sanov(cfg: dict, dry_run: bool) -> list:
 
 
 def _make_statistic(token: str, model, law) -> FunctionalStatistic:
-    """The ``--psi`` statistic, evaluated once per scan point with one ``theta``.
+    """The ``--psi`` statistic, a function of the null cell masses ``p`` and
+    a probability vector ``q``.  ``model`` is unused: the slope hands the
+    null's masses to every call."""
+    if token == "cell_mass":
 
-    Both statistics read ``model.probs(theta)`` through one θ cache.  A
-    tuple ``theta`` seen on the last call costs an identity test and no
-    further call.  Any other ``theta`` is looked up by value (a tuple is
-    its own key, anything else its float list), so an array changed in
-    place gets a fresh result.  Repeated calls share one result object,
-    which the statistics only read.
-    """
-    cell_mass = token == "cell_mass"
-    unseen = object()
-    seen, key, value = unseen, None, None
-
-    def at(theta):
-        nonlocal seen, key, value
-        is_tuple = type(theta) is tuple
-        new_key = theta if is_tuple else tuple(np.atleast_1d(theta).tolist())
-        if new_key != key:
-            p = model.probs(theta)
-            value, key = float(p[0]) if cell_mass else p, new_key
-        seen = theta if is_tuple else unseen
-        return value
-
-    if cell_mass:
-
-        def first_cell_gap(theta, q):
-            return abs(float(q[0]) - (value if theta is seen else at(theta)))
+        def first_cell_gap(p, q):
+            return abs(float(q[0]) - p[0])
 
         return FunctionalStatistic(first_cell_gap, "first_cell_gap")
     spec = induced_divergence(law)
 
-    def divergence_value(theta, q):
-        return cell_divergence(spec, value if theta is seen else at(theta), np.asarray(q, dtype=float))
+    def divergence_value(p, q):
+        return cell_divergence(spec, p, q)
 
     return FunctionalStatistic(divergence_value, "induced_divergence")
 
@@ -566,6 +547,7 @@ def _run_bahadur(cfg: dict, dry_run: bool) -> list:
     if mode == "trend":
         n_grid = _require(cfg, "n_grid")
         check_trend(model, n_grid, cfg["reps"])
+        trend_threshold(model, induced_divergence(law), theta, theta_prime)
     else:
         check_slopes(model)
     if dry_run:

@@ -255,7 +255,8 @@ def estimator_distribution_compare(
     scaled_p = math.sqrt(n) * (theta_p - float(thetaT))
     var_w = float(np.var(scaled_w, ddof=1))
     var_p = float(np.var(scaled_p, ddof=1))
-    flat = [name for name, var in (("weighted", var_w), ("plain", var_p)) if var == 0.0]
+    # a zero range, not a zero variance: the variance of equal values can round above 0
+    flat = [name for name, vals in (("weighted", scaled_w), ("plain", scaled_p)) if np.ptp(vals) == 0.0]
     if flat:
         raise NumericError(f"{' and '.join(flat)} estimates have zero variance over {reps} replications")
     ratio = var_w / var_p

@@ -231,16 +231,16 @@ class TestAcceptance:
         law = PoissonOne()
         smin = slope_min_divergence(model, law, theta, theta_prime)
 
-        def gap_eval(th, q):
-            return abs(float(q[0]) - float(model.probs(th)[0]))
+        def gap_eval(p, q):
+            return abs(float(q[0]) - float(p[0]))
 
         rec_gap = slope_generic(
             model, law, FunctionalStatistic(gap_eval, "first_cell_gap"), theta, theta_prime
         )
         spec = induced_divergence(law)
 
-        def div_eval(th, q):
-            return cell_divergence(spec, model.probs(th), np.asarray(q, dtype=float))
+        def div_eval(p, q):
+            return cell_divergence(spec, p, np.asarray(q, dtype=float))
 
         rec_div = slope_generic(
             model, law, FunctionalStatistic(div_eval, "divergence"), theta, theta_prime

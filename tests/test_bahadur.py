@@ -43,11 +43,11 @@ def pair_model():
     return Categorical(2), (0.4,), (0.2,)
 
 
-def _mass_gap_statistic(model):
+def _mass_gap_statistic():
     """First-cell mass deviation as a smooth functional."""
 
-    def evaluator(theta, q):
-        return abs(float(q[0]) - float(model.probs(theta)[0]))
+    def evaluator(p, q):
+        return abs(float(q[0]) - float(p[0]))
 
     return FunctionalStatistic(evaluator, "first_cell_gap")
 
@@ -311,16 +311,17 @@ class TestGenericSlope:
     def test_frozen_cell_gap_value(self, pair_model):
         """The first-cell-gap statistic reproduces its frozen slope."""
         model, theta, theta_prime = pair_model
-        rec = slope_generic(model, PoissonOne(), _mass_gap_statistic(model), theta, theta_prime)
+        rec = slope_generic(model, PoissonOne(), _mass_gap_statistic(), theta, theta_prime)
         assert rec.slope == pytest.approx(-0.16218604324253733, abs=1e-9)
 
     def test_minimizer_attains_the_constraint(self, pair_model):
         """The reported minimizer reaches the alternative's statistic level."""
         model, theta, theta_prime = pair_model
-        stat = _mass_gap_statistic(model)
+        stat = _mass_gap_statistic()
         rec = slope_generic(model, PoissonOne(), stat, theta, theta_prime)
-        level = stat.evaluator(theta, model.probs(theta_prime))
-        attained = stat.evaluator(theta, np.asarray(rec.minimizer))
+        p_null = tuple(model.probs(theta).tolist())
+        level = stat.evaluator(p_null, model.probs(theta_prime))
+        attained = stat.evaluator(p_null, np.asarray(rec.minimizer))
         assert attained >= level - 1e-6
 
     def test_divergence_functional_recovers_min_slope(self, pair_model):
@@ -328,8 +329,8 @@ class TestGenericSlope:
         model, theta, theta_prime = pair_model
         spec = induced_divergence(PoissonOne())
 
-        def evaluator(th, q):
-            return cell_divergence(spec, model.probs(th), np.asarray(q, dtype=float))
+        def evaluator(p, q):
+            return cell_divergence(spec, p, np.asarray(q, dtype=float))
 
         rec = slope_generic(
             model, PoissonOne(), FunctionalStatistic(evaluator, "divergence"), theta, theta_prime
@@ -362,12 +363,12 @@ class TestGenericSlope:
         """The scan covers the two- and three-cell simplex only."""
         model = Categorical(4)
         with pytest.raises(ValidationError, match="at most three cells"):
-            slope_generic(model, PoissonOne(), _mass_gap_statistic(model), (0.25,) * 3, (0.1, 0.2, 0.3))
+            slope_generic(model, PoissonOne(), _mass_gap_statistic(), (0.25,) * 3, (0.1, 0.2, 0.3))
 
     def test_nonvanishing_null_statistic_rejected(self, pair_model):
         """Functionals that do not vanish at the null fail validation."""
         model, theta, theta_prime = pair_model
-        bad = FunctionalStatistic(lambda th, q: 1.0, "constant_one")
+        bad = FunctionalStatistic(lambda p, q: 1.0, "constant_one")
         with pytest.raises(ValidationError):
             slope_generic(model, PoissonOne(), bad, theta, theta_prime)
 
@@ -379,17 +380,32 @@ class TestEfficiencyComparison:
         """The generic slope is never more negative than the divergence slope."""
         model, theta, theta_prime = pair_model
         rec = efficiency_compare(
-            model, PoissonOne(), _mass_gap_statistic(model), theta, theta_prime
+            model, PoissonOne(), _mass_gap_statistic(), theta, theta_prime
         )
         assert rec.ordering_holds
         assert rec.slope_generic >= rec.slope_min_divergence - 1e-9
         assert abs(rec.slope_generic) <= abs(rec.slope_min_divergence) + 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p1=st.floats(0.01, 0.99),
+        p1_alt=st.floats(0.01, 0.99),
+        token=st.sampled_from(LAW_TOKENS),
+        psi=st.sampled_from(["cell_mass", "divergence"]),
+    )
+    def test_ordering_holds_on_two_cells(self, p1, p1_alt, token, psi):
+        """On the 1,001-point two-cell scan, neither CLI statistic's slope is
+        more negative than the divergence statistic's, for any null and
+        alternative and every weight law."""
+        model, law = Categorical(2), weight_law(token)
+        rec = slope_generic(model, law, _make_statistic(psi, model, law), (p1,), (p1_alt,))
+        assert rec.slope >= slope_min_divergence(model, law, (p1,), (p1_alt,)) - 1e-9
+
     def test_both_sign_conventions_recorded(self, pair_model):
         """The record states the ordering in signed and magnitude form."""
         model, theta, theta_prime = pair_model
         rec = efficiency_compare(
-            model, PoissonOne(), _mass_gap_statistic(model), theta, theta_prime
+            model, PoissonOne(), _mass_gap_statistic(), theta, theta_prime
         )
         assert "slope_generic >= slope_min_divergence" == rec.signed_statement
         assert "|slope_generic| <= |slope_min_divergence|" == rec.magnitude_statement
@@ -398,7 +414,7 @@ class TestEfficiencyComparison:
         """Records expose both slopes and the minimizer."""
         model, theta, theta_prime = pair_model
         out = efficiency_compare(
-            model, PoissonOne(), _mass_gap_statistic(model), theta, theta_prime
+            model, PoissonOne(), _mass_gap_statistic(), theta, theta_prime
         ).to_dict()
         assert set(out) >= {"slope_min_divergence", "slope_generic", "minimizer", "ordering_holds"}
 
@@ -501,6 +517,14 @@ class TestTailTrend:
         a = empirical_slope_trend(*args, seed=11)
         b = empirical_slope_trend(*args, seed=11)
         assert a.rows[0].hits == b.rows[0].hits
+
+    def test_infinite_threshold_rejected(self):
+        """A twopoint alternative with a cell under half the null's mass puts
+        the threshold at +inf, which no trend can probe."""
+        with pytest.raises(ValidationError, match=r"threshold is \+inf"):
+            empirical_slope_trend(
+                Categorical(2), ShiftedBernoulli(), (0.4,), (0.1,), [10, 20], 1000, seed=0
+            )
 
     def test_small_replication_count_rejected(self):
         """Fewer than one thousand replications is a validation error."""

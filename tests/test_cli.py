@@ -286,6 +286,10 @@ BAD_CONFIGS = {
     "bahadur_trend_theta_prime_on_boundary": (
         ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "1,0", "--n_grid", "10"],
         None, "parameter (1.0,) does not map to an interior probability vector"),
+    "bahadur_trend_infinite_threshold": (
+        ["bahadur", "--mode", "trend", "--law", "twopoint", "--theta", "0.4,0.6", "--theta_prime", "0.1,0.9",
+         "--n_grid", "10,20,40,80"],
+        None, "the trend threshold is +inf"),
     "clt_moments_theta_T_outside_domain": (
         ["clt", "--mode", "moments", "--model", "exp_scale", "--theta_T", "1", "--law", "poisson1",
          "--n", "50", "--reps", "100"],
@@ -520,23 +524,19 @@ class TestSlopeStatistics:
     """The statistics ``bahadur --mode slopes`` builds, and the slopes they give."""
 
     @pytest.mark.parametrize("token", ["cell_mass", "divergence"])
-    def test_memo_follows_the_value_of_theta(self, token):
-        """Each value agrees with a statistic built afresh, whatever form ``theta`` takes."""
-        model, law = make_model("categorical", k=3), weight_law("poisson1")
+    def test_every_evaluator_call_gets_one_null_tuple(self, token):
+        """The level, the zero check, every scan point and the refinement all
+        receive the same tuple of the null's cell masses."""
+        model, law = make_model("categorical", k=2), weight_law("poisson1")
+        calls = []
         stat = cli._make_statistic(token, model, law)
-        q = np.array([0.1, 0.5, 0.4])
-        theta = np.array([0.3, 0.3])
-        after_array = (0.2, 0.5)
-        fresh = tuple(np.array([0.2, 0.5]).tolist())
-        # after [0.2, 0.5]: a tuple after an equal array, a fresh equal
-        # tuple, and a list, after which the tuple seen last must not hit
-        for th in [(0.3, 0.3), (0.2, 0.5), theta, (0.3, 0.3), [0.2, 0.5],
-                   np.array([0.2, 0.5]), after_array, fresh, [0.3, 0.3], fresh]:
-            assert stat.evaluator(th, q) == cli._make_statistic(token, model, law).evaluator(th, q)
-        assert fresh == after_array and fresh is not after_array
-        assert stat.evaluator((0.3, 0.3), q) == stat.evaluator(theta, q)
-        theta[0] = 0.2
-        assert stat.evaluator(theta, q) == cli._make_statistic(token, model, law).evaluator((0.2, 0.3), q)
+        stat = FunctionalStatistic(_counted(stat.evaluator, calls), stat.name)
+        slope_generic(model, law, stat, (0.4,), (0.2,))
+        # 1,001 scan points, the level and the zero check, then the refinement
+        assert len(calls) > _simplex_grid(2, GRID_STEP).shape[0] + 2
+        p_null = calls[0][0]
+        assert type(p_null) is tuple and p_null == tuple(model.probs((0.4,)).tolist())
+        assert all(args[0] is p_null for args in calls)
 
     def test_k3_scan_calls_probs_a_bounded_number_of_times(self, monkeypatch):
         """One evaluator call per grid point, but only a handful of ``model.probs`` calls."""
@@ -674,19 +674,26 @@ class TestImportHygiene:
                f"{RERUN_CONFIGS['bahadur_trend'] + ['--law', 'twopoint', '--out', str(tmp_path)]!r}) == 0")
         assert _scipy_modules_after(run) == set()
 
-    @pytest.mark.parametrize("argv", [
-        RERUN_CONFIGS["bahadur_slopes"],
-        ["bahadur", "--mode", "slopes", "--cells", "3", "--psi", "divergence", "--theta", "0.3,0.3,0.4",
-         "--theta_prime", "0.2,0.4,0.4", "--law", "twopoint"],
-        RERUN_CONFIGS["sanov_sandwich"],
-        RERUN_CONFIGS["sanov_rate"],
-        RERUN_CONFIGS["sanov_ml_gap"],
-        ["estimate", "--model", "categorical", "--cells", "2", "--data", "cells.csv"],
+    @pytest.mark.parametrize("argv, golden", [
+        (RERUN_CONFIGS["bahadur_slopes"], None),
+        (["bahadur", "--mode", "slopes", "--cells", "3", "--psi", "divergence", "--theta", "0.3,0.3,0.4",
+          "--theta_prime", "0.2,0.4,0.4", "--law", "twopoint"], "slopes_k3_divergence_twopoint"),
+        (RERUN_CONFIGS["sanov_sandwich"], None),
+        (RERUN_CONFIGS["sanov_rate"], None),
+        (RERUN_CONFIGS["sanov_ml_gap"], None),
+        (["estimate", "--model", "categorical", "--cells", "2", "--data", "cells.csv"], None),
     ], ids=["slopes_k2_cell_mass", "slopes_k3_divergence", "sandwich", "rate", "ml_gap", "categorical_k2"])
-    def test_exact_and_search_paths_load_no_scipy(self, argv, tmp_path):
-        """Nelder-Mead, the multinomial log-pmf and its log-sum-exp are in-package."""
+    def test_exact_and_search_paths_load_no_scipy(self, argv, golden, tmp_path):
+        """Nelder-Mead, the multinomial log-pmf and its log-sum-exp are in-package.
+
+        The k=3 divergence-statistic run also reproduces its golden record,
+        so that record costs no second k=3 scan.
+        """
         data = tmp_path / "cells.csv"
         data.write_text("x\n" + "0\n1\n1\n" * 20)
         argv = [str(data) if a == "cells.csv" else a for a in argv]
         run = f"import divlab.cli\nassert divlab.cli.main({argv + ['--out', str(tmp_path)]!r}) == 0"
         assert _scipy_modules_after(run) == set()
+        if golden is not None:
+            produced = (tmp_path / "bahadur_slopes.json").read_bytes()
+            assert produced == (GOLDEN_DIR / f"{golden}.json").read_bytes(), f"{golden}.json drifted"

@@ -16,8 +16,8 @@ from divlab.clt import (
     weighted_lln_check,
 )
 from divlab.divergences import CressieRead
-from divlab.errors import DomainError, ValidationError
-from divlab.models import GaussianLocation, PoissonNatural
+from divlab.errors import DomainError, NumericError, ValidationError
+from divlab.models import ExponentialScale, GaussianLocation, PoissonNatural
 from divlab.seeding import derived_rng
 from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli
 
@@ -186,6 +186,15 @@ class TestEstimatorCompare:
         )
         assert report.moments["ratio"] > 0.0
         assert report.details["failures_weighted"] + report.details["failures_plain"] < 15
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_flat_branch_is_named(self, seed):
+        """Both branches of exp_scale at gamma 2 give 64 equal estimates, and
+        the error names both, whatever their sample variance rounds to."""
+        with pytest.raises(NumericError, match="^weighted and plain estimates have zero variance"):
+            estimator_distribution_compare(
+                ExponentialScale(), PoissonOne(), CressieRead(2.0), -1.3, 500, 64, seed=seed
+            )
 
     def test_non_power_generator_rejected(self):
         """The batched comparison needs a power-family generator."""
