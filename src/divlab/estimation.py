@@ -12,15 +12,18 @@ of the generator:
                          - phi#((p_theta/p_alpha)(x)).
 
 Substituting a weighted empirical measure ``(1/n) sum W_i delta_{x_i}``
-for ``P`` gives a plug-in estimator of the divergence; minimizing it over
-``theta`` gives the minimum dual divergence estimator.  For the weighted
-maximum likelihood pipeline the generator passed in must be the conjugate
-of the generator induced by the weight law, so that the estimated quantity
-is the divergence of the sampling distribution from ``P_theta``.
+for ``P`` gives a plug-in estimator of the divergence; its minimizer over
+``theta`` is the minimum dual divergence estimator.  That minimizer is the
+root of the weighted score equation, the maximum likelihood estimate under
+weighted sampling (Broniatowski & Keziou, JMVA 2009), so it is taken in
+closed form and certified by one inner search.  For the weighted maximum
+likelihood pipeline the generator passed in must be the conjugate of the
+generator induced by the weight law, so that the estimated quantity is the
+divergence of the sampling distribution from ``P_theta``.
 
 Signed weights are allowed; evaluations that escape the generator's domain
-contribute through the extended-real convention and the optimizers treat
-non-finite objective values as rejected points (counted in the report).
+contribute through the extended-real convention and the inner search treats
+non-finite criterion values as rejected points (counted in the report).
 """
 
 from __future__ import annotations
@@ -31,22 +34,26 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import PENALTY, batch_golden_max, maximize_scalar, nelder_mead_multistart, stencil
+from ._optim import batch_golden_max, maximize_scalar, nelder_mead_multistart, stencil
 from .divergences import INF, CressieRead, DivergenceSpec, FiniteMeasure, cell_divergence
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
 from .reporting import Record
 from .weights import WeightLaw, sample_weights
 
-#: scan points of the scalar searches
+#: scan points of the scalar inner search
 _N_SCAN = 11
 
-#: argument tolerances of the inner (alpha) and outer (theta) searches
+#: argument tolerance of the inner (alpha) search
 _INNER_XTOL = 1e-9
-_OUTER_XTOL = 1e-8
 
 #: inner-gradient norm below which an estimate counts as converged
 _GRAD_TOL = 1e-6
+
+#: largest inner supremum, in absolute value, that certifies an estimate:
+#: the criterion is 0 at ``alpha = theta``, and at a saddle that is its
+#: supremum, up to rounding
+_SUP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,6 @@ class EstimateReport(Record):
     alpha_hat: float | tuple
     value: float
     converged: bool
-    iterations: int
     inner_grad_norm: float
     rejected_evaluations: int = 0
 
@@ -355,10 +361,34 @@ class _DualCriterion:
             return -INF
         return value
 
+    def root(self):
+        """The weighted score root: ``solve_score(sum w t / sum w)`` on an
+        exponential family, the weighted cell masses over their sum (all but
+        the last) on a categorical model.
 
-def _resolve_box(model: ParametricModel, mu: WeightedEmpiricalMeasure):
-    pilot = model.pilot_estimate(mu.points_array(), mu.weights_array())
-    lo, hi = model.default_box(pilot)
+        Raises :class:`NumericError` when the model holds no root: a weight
+        sum <= 0, a weighted mean outside the range of ``C'``, or a cell
+        whose weighted mass is not positive.
+        """
+        if self._kind == "categorical":
+            masses = self.atom_masses
+            if not (masses > 0.0).all():
+                raise NumericError(
+                    f"weighted cell masses {tuple(masses.tolist())} are not all positive:"
+                    " no weighted root inside the simplex"
+                )
+            return (masses / np.sum(masses))[:-1]
+        total = np.sum(self.w)
+        if not total > 0.0:
+            raise NumericError(f"weight sum {float(total)!r} is not positive: no weighted score root")
+        try:
+            return self.model.solve_score(float(np.sum(self.w * self.t_stat) / total))
+        except DomainError as err:
+            raise NumericError(f"no weighted score root in the model: {err}") from None
+
+
+def _box(model: ParametricModel, centre):
+    lo, hi = model.default_box(centre)
     return np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
 
 
@@ -389,10 +419,12 @@ def estimate_phi_dual(
 ):
     """Plug-in dual divergence estimate at fixed ``theta``.
 
-    Returns ``(sup_alpha int h(theta, alpha, .) dmu, argmax alpha)``.
+    Returns ``(sup_alpha int h(theta, alpha, .) dmu, argmax alpha)``, the
+    supremum over the model's box around the weighted score root (a
+    categorical box is the simplex interior's and needs no root).
     """
     crit = _DualCriterion(model, spec, mu)
-    lo, hi = _resolve_box(model, mu)
+    lo, hi = _box(model, None if isinstance(model, Categorical) else crit.root())
     alpha, value = _inner_max(crit, _scalar_or_vec(theta, lo), lo, hi)
     return value, _scalar_or_vec(alpha, lo)
 
@@ -428,60 +460,37 @@ def minimum_dual_estimator(
     spec: DivergenceSpec,
     mu: WeightedEmpiricalMeasure,
 ) -> EstimateReport:
-    """Minimize the dual divergence estimate over the parameter box.
+    """The minimum dual divergence estimate: the weighted score root, certified.
 
-    Non-convergence is reported through the ``converged`` flag, never
-    raised: the flag requires first-order stationarity of the inner
-    problem at the reported maximizer.
+    The estimate is :meth:`_DualCriterion.root`, raising
+    :class:`NumericError` when the model holds no root.  The criterion is 0
+    at ``alpha = theta`` and stationary in ``alpha`` there exactly at the
+    root, so one inner search at the root certifies it: ``converged``
+    requires a supremum within ``_SUP_TOL`` of 0 and an inner gradient norm
+    at most ``_GRAD_TOL`` at the reported maximizer.  A root that is not a
+    saddle (the supremum lies elsewhere) is reported with ``converged``
+    false, never raised.
     """
     crit = _DualCriterion(model, spec, mu)
-    lo, hi = _resolve_box(model, mu)
-    evals = 0
-
-    def outer(theta):
-        nonlocal evals
-        evals += 1
-        theta_arg = theta if lo.shape[0] > 1 else float(np.atleast_1d(theta)[0])
-        _, v = _inner_max(crit, theta_arg, lo, hi)
-        # no admissible alpha, as for a theta off the model's domain: the
-        # minimizing search must reject theta, not prefer it
-        return v if v > -PENALTY else INF
-
-    if lo.shape[0] == 1:
-        theta_hat, _ = maximize_scalar(
-            lambda th: -outer(th),
-            float(lo[0]),
-            float(hi[0]),
-            n_scan=_N_SCAN,
-            xtol=_OUTER_XTOL,
-        )
-    else:
-        theta_hat, _ = nelder_mead_multistart(
-            outer,
-            lo,
-            hi,
-            xatol=_OUTER_XTOL,
-        )
-    theta_out = _scalar_or_vec(theta_hat, lo)
-    alpha_hat, value = _inner_max(crit, theta_out, lo, hi)
-    alpha_out = _scalar_or_vec(alpha_hat, lo)
-    grad_norm = _inner_grad_norm(crit, theta_out, alpha_out, lo, hi)
-    converged = math.isfinite(value) and grad_norm <= _GRAD_TOL
-    if isinstance(theta_out, np.ndarray):
-        theta_rep: float | tuple = tuple(theta_out.tolist())
-        alpha_rep: float | tuple = tuple(np.atleast_1d(alpha_out).tolist())
-    else:
-        theta_rep = theta_out
-        alpha_rep = float(np.atleast_1d(alpha_out)[0])
+    root = crit.root()
+    lo, hi = _box(model, root)
+    theta = _scalar_or_vec(root, lo)
+    alpha, value = _inner_max(crit, theta, lo, hi)
+    alpha = _scalar_or_vec(alpha, lo)
+    grad_norm = _inner_grad_norm(crit, theta, alpha, lo, hi)
+    converged = abs(value) <= _SUP_TOL and grad_norm <= _GRAD_TOL
     return EstimateReport(
-        theta_hat=theta_rep,
-        alpha_hat=alpha_rep,
+        theta_hat=_reported(theta),
+        alpha_hat=_reported(alpha),
         value=float(value) + 0.0,  # -0.0 + 0.0 is +0.0: reports print 0, never -0
         converged=bool(converged),
-        iterations=evals,
         inner_grad_norm=float(grad_norm),
         rejected_evaluations=crit.rejected,
     )
+
+
+def _reported(x) -> float | tuple:
+    return tuple(x.tolist()) if isinstance(x, np.ndarray) else x
 
 
 # ---------------------------------------------------------------------------

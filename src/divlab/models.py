@@ -71,10 +71,6 @@ class ParametricModel:
     def fisher_information(self, theta) -> np.ndarray:
         raise NotImplementedError
 
-    def pilot_estimate(self, points: np.ndarray, weights: np.ndarray | None = None):
-        """Moment-based starting value for optimization boxes."""
-        raise NotImplementedError
-
     def default_box(self, pilot):
         """Search box: half-width 3 around the pilot, clipped to the domain."""
         lo = float(pilot) - 3.0
@@ -193,24 +189,9 @@ class ExponentialFamilyModel(ParametricModel):
         self.check_domain(theta)
         return theta
 
-    def pilot_estimate(self, points, weights=None):
-        points = np.asarray(points, dtype=float)
-        t = self.sufficient_stat(points)
-        if weights is None:
-            mean_t = float(np.mean(t))
-        else:
-            weights = np.asarray(weights, dtype=float)
-            total = float(np.sum(weights))
-            # a nearly cancelled weight sum gives a useless ratio; fall back
-            # to the unweighted moment
-            if abs(total) < 0.1 * len(weights):
-                mean_t = float(np.mean(t))
-            else:
-                mean_t = float(np.sum(weights * t) / total)
-        try:
-            return self.solve_score(mean_t)
-        except DomainError:
-            return self.solve_score(float(np.mean(t)))
+    def pilot_estimate(self, points):
+        """The moment estimate ``solve_score(mean t)``, a centre for search boxes."""
+        return self.solve_score(float(np.mean(self.sufficient_stat(np.asarray(points, dtype=float)))))
 
 
 class GaussianLocation(ExponentialFamilyModel):
@@ -404,28 +385,9 @@ class Categorical(ParametricModel):
             jac[:, a] = (self.probs(up) - self.probs(dn)) / (2.0 * step)
         return jac.T @ (jac / p[:, None])
 
-    def pilot_estimate(self, points, weights=None):
-        idx = self.atom_index(np.asarray(points))
-        if weights is None:
-            weights = np.ones(len(idx))
-        weights = np.asarray(weights, dtype=float)
-        masses = np.zeros(self.k)
-        np.add.at(masses, idx, weights)
-        total = float(np.sum(masses))
-        if total <= 0.0:
-            masses = np.ones(self.k)
-            total = float(self.k)
-        freq = masses / total
-        # keep the pilot strictly inside the simplex
-        freq = np.clip(freq, 1e-3, None)
-        freq = freq / np.sum(freq)
-        return freq[:-1]
-
-    def default_box(self, pilot):
-        pilot = np.atleast_1d(np.asarray(pilot, dtype=float))
-        lo = np.clip(pilot - 3.0, 1e-6, 1.0 - 1e-6)
-        hi = np.clip(pilot + 3.0, 1e-6, 1.0 - 1e-6)
-        return (lo, hi)
+    def default_box(self, pilot=None):
+        """``[1e-6, 1 - 1e-6]`` in each coordinate, whatever the pilot."""
+        return np.full(self.param_dim, 1e-6), np.full(self.param_dim, 1.0 - 1e-6)
 
 
 def _quad(integrand, lower: float):

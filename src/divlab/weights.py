@@ -172,51 +172,39 @@ class NormalOneOne(WeightLaw):
         return CressieRead(2.0)
 
 
-@dataclass(frozen=True)
 class ShiftedBernoulli(WeightLaw):
-    """Two-point weights: a Bernoulli(p) shifted and scaled to mean 1, variance 1.
+    """Two-point weights: 0 or 2 with probability 1/2 each.
 
-    The weight takes the value ``1 - sqrt(p/(1-p))`` with probability
-    ``1 - p`` and ``1 + sqrt((1-p)/p)`` with probability ``p``.  The
-    Chernoff transform has the bounded domain ``[w_low, w_high]`` and no
+    This is a fair Bernoulli shifted and scaled to mean 1 and variance 1.
+    The Chernoff transform has the bounded domain ``[0, 2]`` and no
     power-family closed form, which makes this law the stress test for the
     numerical transform path.
     """
 
-    p: float = 0.5
-
     token = "twopoint"
     cgf_domain = (-INF, INF)
+    # the weight values 1 -+ sqrt(p/(1-p)) and the log masses log(1-p) and
+    # log(p) at p = 1/2, by the expressions a general p used
+    support_bounds = (1.0 - 0.5 / math.sqrt(0.5 * 0.5), 1.0 + 0.5 / math.sqrt(0.5 * 0.5))
+    _LOG_LOW, _LOG_HIGH = math.log1p(-0.5), math.log(0.5)
 
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValidationError("shifted Bernoulli parameter must lie in (0, 1)")
-
-    @property
-    def _values(self) -> tuple[float, float]:
-        s = math.sqrt(self.p * (1.0 - self.p))
-        return 1.0 - self.p / s, 1.0 + (1.0 - self.p) / s
-
-    @property
-    def support_bounds(self):
-        return self._values
+    def _exponents(self, t):
+        w0, w1 = self.support_bounds
+        return self._LOG_LOW + t * w0, self._LOG_HIGH + t * w1
 
     def cgf(self, t):
-        w0, w1 = self._values
-        return np.logaddexp(math.log1p(-self.p) + t * w0, math.log(self.p) + t * w1)
+        return np.logaddexp(*self._exponents(t))
 
     def cgf_prime(self, t):
-        w0, w1 = self._values
-        a = math.log1p(-self.p) + t * w0
-        b = math.log(self.p) + t * w1
+        w0, w1 = self.support_bounds
+        a, b = self._exponents(t)
         m = max(a, b)
         ea, eb = math.exp(a - m), math.exp(b - m)
         return (w0 * ea + w1 * eb) / (ea + eb)
 
     def cgf_second(self, t):
-        w0, w1 = self._values
-        a = math.log1p(-self.p) + t * w0
-        b = math.log(self.p) + t * w1
+        w0, w1 = self.support_bounds
+        a, b = self._exponents(t)
         m = max(a, b)
         ea, eb = math.exp(a - m), math.exp(b - m)
         mean = (w0 * ea + w1 * eb) / (ea + eb)
@@ -224,21 +212,21 @@ class ShiftedBernoulli(WeightLaw):
         return second - mean * mean
 
     def sample(self, n, rng):
-        w0, w1 = self._values
-        return np.where(rng.random(n) < self.p, w1, w0)
+        w0, w1 = self.support_bounds
+        return np.where(rng.random(n) < 0.5, w1, w0)
 
     def sample_sum(self, counts, rng):
         counts = np.asarray(counts)
-        w0, w1 = self._values
-        high = rng.binomial(counts.astype(np.int64), self.p)
+        w0, w1 = self.support_bounds
+        high = rng.binomial(counts.astype(np.int64), 0.5)
         return counts * w0 + (w1 - w0) * high
 
     def boundary_log_mass(self, x):
-        w0, w1 = self._values
+        w0, w1 = self.support_bounds
         if x == w0:
-            return math.log1p(-self.p)
+            return self._LOG_LOW
         if x == w1:
-            return math.log(self.p)
+            return self._LOG_HIGH
         return None
 
 

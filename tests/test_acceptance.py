@@ -252,7 +252,7 @@ class TestAcceptance:
         """Standardized weighted means and estimator spreads pass their gates."""
         t0 = time.perf_counter()
         points = GaussianLocation().sample(0.0, 500, derived_rng(42, "points"))
-        laws = (PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli(0.5))
+        laws = (PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli())
         gates = all(
             weighted_clt_check(points, law, STATISTIC_MAP["identity"], 2000, 42).passed
             for law in laws

@@ -149,7 +149,7 @@ class TestScanPieces:
 class TestCellDivergenceRows:
     """The vectorized grid kernel against the scalar routine."""
 
-    @pytest.mark.parametrize("law", [PoissonOne(), ExponentialOne(), ShiftedBernoulli(0.5)])
+    @pytest.mark.parametrize("law", [PoissonOne(), ExponentialOne(), ShiftedBernoulli()])
     @pytest.mark.parametrize("p_theta", [(0.3, 0.3, 0.4), (0.6, 0.4, 0.0)])
     def test_rows_match_scalar_routine_on_k3_grid_slice(self, law, p_theta):
         """Every row of a k=3 grid slice, boundary rows included, matches."""
@@ -163,7 +163,7 @@ class TestCellDivergenceRows:
 
     @pytest.mark.parametrize(
         "spec",
-        [induced_divergence(ShiftedBernoulli(0.5)), induced_divergence(PoissonOne(), force_numeric=True)],
+        [induced_divergence(ShiftedBernoulli()), induced_divergence(PoissonOne(), force_numeric=True)],
         ids=["twopoint", "poisson1_numeric"],
     )
     @pytest.mark.parametrize("p_theta", [(0.3, 0.3, 0.4), (0.6, 0.4, 0.0)])
@@ -244,7 +244,7 @@ class TestCellDivergenceRows:
         monkeypatch.setattr(weights, "chernoff_argmax", counted)
         grid = _simplex_grid(3, GRID_STEP)
         p = np.array([0.2, 0.4, 0.4])
-        out = _cell_divergence_rows(induced_divergence(ShiftedBernoulli(0.5)), p, grid, M)
+        out = _cell_divergence_rows(induced_divergence(ShiftedBernoulli()), p, grid, M)
         assert out.shape == (501501,)
         masses = [np.unique(grid[:, j]) for j in range(3)]
         assert [m.size for m in masses] == [1001, 1001, 1001]
@@ -296,7 +296,7 @@ class TestMinDivergenceSlope:
 
     def test_unreachable_separation_is_negative_infinity(self):
         """A bounded generator on an unbounded ratio drops to -inf."""
-        out = slope_min_divergence(GaussianLocation(), ShiftedBernoulli(0.5), 0.9, 0.1)
+        out = slope_min_divergence(GaussianLocation(), ShiftedBernoulli(), 0.9, 0.1)
         assert out == -INF
 
 

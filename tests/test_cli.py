@@ -225,6 +225,25 @@ class TestExitCodes:
         assert _run(CHERNOFF_ARGS, tmp_path, "x") == 3
         assert "synthetic numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, data", [
+        (["--model", "categorical", "--cells", "3"], None),
+        (["--model", "gauss_loc", "--weights", "column"], "value,weight\n0.1,1\n0.2,-1\n"),
+    ], ids=["empty_cell", "zero_weight_sum"])
+    def test_no_weighted_root_exits_three(self, argv, data, tmp_path, capsys):
+        """Data that leave no weighted root inside the model fail in the
+        computation: exit 3 and no file.  A dry run computes no estimate and
+        exits 0."""
+        path = DATA_DIR / "categorical_k3_empty_cell.csv"
+        if data is not None:
+            path = tmp_path / "data.csv"
+            path.write_text(data)
+        argv = ["estimate", *argv, "--data", str(path)]
+        out = tmp_path / "out"
+        assert _run(argv, out, "x") == 3
+        assert "root" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+        assert _run(argv + ["--dry-run"], out, "x") == 0
+
     def test_exp1_trend_at_the_box_edge_succeeds(self, tmp_path):
         """Estimates on the edge of the parameter box are valid input, exit 0."""
         argv = ["bahadur", "--mode", "trend", "--law", "exp1", "--theta", "0.4,0.6",
@@ -673,6 +692,15 @@ class TestImportHygiene:
         run = (f"import divlab.cli\nassert divlab.cli.main("
                f"{RERUN_CONFIGS['bahadur_trend'] + ['--law', 'twopoint', '--out', str(tmp_path)]!r}) == 0")
         assert _scipy_modules_after(run) == set()
+
+    def test_categorical_k3_estimate_loads_no_scipy(self, tmp_path):
+        """A 3-cell estimate on 40 points runs the closed-form root and one
+        certifying Nelder-Mead search, loads no scipy, and is certified."""
+        argv = ["estimate", "--model", "categorical", "--cells", "3",
+                "--data", str(DATA_DIR / "categorical_k3.csv"), "--out", str(tmp_path)]
+        assert _scipy_modules_after(f"import divlab.cli\nassert divlab.cli.main({argv!r}) == 0") == set()
+        doc = json.loads((tmp_path / "estimate.json").read_text())
+        assert doc["theta_hat"] == [0.3, 0.325] and doc["converged"] is True
 
     @pytest.mark.parametrize("argv, golden", [
         (RERUN_CONFIGS["bahadur_slopes"], None),

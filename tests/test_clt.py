@@ -21,7 +21,7 @@ from divlab.models import ExponentialScale, GaussianLocation, PoissonNatural
 from divlab.seeding import derived_rng
 from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli
 
-ALL_LAWS = [PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli(0.5)]
+ALL_LAWS = [PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli()]
 
 
 @pytest.fixture
@@ -200,7 +200,7 @@ class TestEstimatorCompare:
         """The batched comparison needs a power-family generator."""
         from divlab.weights import induced_divergence
 
-        numeric = induced_divergence(ShiftedBernoulli(0.5))
+        numeric = induced_divergence(ShiftedBernoulli())
         with pytest.raises(ValidationError):
             estimator_distribution_compare(
                 GaussianLocation(), PoissonOne(), numeric, 0.3, 100, 200, seed=1

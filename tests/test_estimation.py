@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import divlab.estimation as estimation
-from divlab._optim import PENALTY
 from divlab.divergences import INF, CressieRead, FiniteMeasure, divergence_finite
-from divlab.errors import ValidationError
+from divlab.errors import DomainError, NumericError, ValidationError
 from divlab.estimation import (
     WeightedEmpiricalMeasure,
     _BatchCriterion,
@@ -27,7 +26,7 @@ from divlab.estimation import (
     minimum_dual_estimator_batch,
 )
 from divlab.models import Categorical, ExponentialScale, GaussianLocation, PoissonNatural
-from divlab.weights import NormalOneOne, PoissonOne, ShiftedBernoulli, induced_divergence
+from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli, induced_divergence
 
 
 @pytest.fixture
@@ -128,7 +127,7 @@ class TestDivergenceBetween:
 
     def test_bounded_generator_on_unbounded_ratio_is_infinite(self):
         """A bounded-domain generator meets an unbounded Gaussian ratio."""
-        spec = induced_divergence(ShiftedBernoulli(0.5))
+        spec = induced_divergence(ShiftedBernoulli())
         out = divergence_between(GaussianLocation(), spec, 0.9, 0.1)
         assert out == INF
 
@@ -548,31 +547,21 @@ class TestRowGrouping:
 
 
 class TestMinimumDualEstimator:
-    """Outer minimization over the parameter."""
+    """The weighted score root, certified by one inner search."""
 
     def test_zero_value_is_reported_as_positive_zero(self):
         """An estimate whose criterion value is -0.0 reports +0.0 (JSON ``0``, not ``-0``)."""
-        model = GaussianLocation()
-        points = model.sample(0.3, 60, np.random.default_rng(7))
-        report = minimum_dual_estimator(model, CressieRead(-0.5), WeightedEmpiricalMeasure.plain(tuple(points)))
+        model, spec = GaussianLocation(), CressieRead(-0.5)
+        points = model.sample(0.3, 60, np.random.default_rng(5))
+        mu = WeightedEmpiricalMeasure.plain(tuple(points))
+        # the inner search lands on alpha = theta, where the power lead is -0.0
+        crit = _DualCriterion(model, spec, mu)
+        lo, hi = estimation._box(model, crit.root())
+        _, raw = estimation._inner_max(crit, crit.root(), lo, hi)
+        assert raw == 0.0 and math.copysign(1.0, raw) == -1.0
+        report = minimum_dual_estimator(model, spec, mu)
         assert report.value == 0.0
         assert math.copysign(1.0, report.value) == 1.0
-
-    def test_theta_without_admissible_alpha_is_rejected(self, monkeypatch):
-        """The minimizing search scores a theta whose inner search found nothing as +inf."""
-
-        def inner_max(crit, theta, lo, hi):
-            # the multistart maximizer reports -PENALTY when every alpha was rejected,
-            # as for a theta off the simplex
-            theta = np.asarray(theta, dtype=float)
-            if theta.sum() >= 1.0:
-                return theta, -PENALTY
-            return theta, float(np.sum((theta - 0.3) ** 2))
-
-        monkeypatch.setattr(estimation, "_inner_max", inner_max)
-        mu = WeightedEmpiricalMeasure.plain((0.0, 1.0, 2.0, 0.0, 1.0, 2.0))
-        report = minimum_dual_estimator(Categorical(3), CressieRead(1.0), mu)
-        assert report.theta_hat == pytest.approx((0.3, 0.3), abs=1e-4)
 
     def test_score_identity_with_weights(self, gauss_sample):
         """The weighted estimate solves the self-normalized score equation."""
@@ -607,13 +596,61 @@ class TestMinimumDualEstimator:
         report = minimum_dual_estimator(model, spec, mu)
         assert report.theta_hat == pytest.approx(model.solve_score(target), abs=1e-6)
 
-    def test_sample_on_one_atom_reports_at_the_box_edge(self):
-        """Every point on atom 1 puts the optimum on the box edge; a report comes back."""
+    def test_sample_on_one_atom_has_no_root(self):
+        """Every point on atom 1 leaves atom 0 without mass: the root lies on
+        the simplex's edge, outside the model, and the estimate raises."""
         mu = WeightedEmpiricalMeasure.plain((1,) * 30)
-        report = minimum_dual_estimator(Categorical(2), CressieRead(1.0), mu)
-        assert report.theta_hat == pytest.approx(1e-6, abs=1e-9)
-        assert math.isfinite(report.value)
-        assert math.isfinite(report.inner_grad_norm)
+        with pytest.raises(NumericError, match="not all positive"):
+            minimum_dual_estimator(Categorical(2), CressieRead(1.0), mu)
+
+    @pytest.mark.parametrize("model, points, weights, match", [
+        (GaussianLocation(), (0.1, 0.2), (1.0, -1.0), "weight sum 0.0"),
+        (GaussianLocation(), (0.1, 0.2), (-1.0, -0.5), "weight sum -1.5"),
+        (PoissonNatural(), (0.0, 0.0, 0.0), (1.0, 2.0, 0.5), "outside the range"),
+        (PoissonNatural(), (0.0, 3.0), (2.0, -0.5), "outside the range"),
+        (ExponentialScale(), (0.5, 2.0), (3.0, -1.0), "outside the range"),
+        (Categorical(3), (0.0, 1.0, 2.0), (1.0, 1.0, 0.0), "not all positive"),
+        (Categorical(3), (0.0, 1.0, 2.0), (1.0, 1.0, -0.5), "not all positive"),
+    ], ids=["gauss_zero_sum", "gauss_negative_sum", "poisson_zero_mean", "poisson_negative_mean",
+            "exp_negative_mean", "categorical_zero_cell", "categorical_negative_cell"])
+    def test_no_root_in_the_model_raises_numeric_error(self, model, points, weights, match):
+        """A weight sum <= 0, a weighted mean outside the range of C' or a
+        cell without positive mass leaves no root: NumericError (exit 3)."""
+        mu = WeightedEmpiricalMeasure(points, weights)
+        with pytest.raises(NumericError, match=match):
+            minimum_dual_estimator(model, CressieRead(1.0), mu)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_twopoint_conjugate_categorical_returns_the_masses(self, k):
+        """The twopoint-induced conjugate on cells of masses 1/3 (k = 2) or
+        (1/3, 1/3, 1/3) returns those masses, certified, not the box edge
+        0.999999 with an infinite gradient norm."""
+        points = (0, 1, 1) * 20 if k == 2 else (0, 1, 2) * 20
+        spec = induced_divergence(ShiftedBernoulli()).conjugate()
+        report = minimum_dual_estimator(Categorical(k), spec, WeightedEmpiricalMeasure.plain(points))
+        assert report.theta_hat == (1.0 / 3.0 if k == 2 else (1.0 / 3.0, 1.0 / 3.0))
+        assert report.converged and abs(report.value) <= estimation._SUP_TOL
+        assert report.inner_grad_norm <= estimation._GRAD_TOL
+
+    def test_exp_scale_gamma_two_returns_the_certified_root(self):
+        """At index 2 on exp_scale the root is a saddle: the estimate is the
+        root, certified, not a point at the box edge with a value near
+        -2.6e13."""
+        model = ExponentialScale()
+        x = model.sample(-1.2, 60, np.random.default_rng(102))
+        report = minimum_dual_estimator(model, CressieRead(2.0), WeightedEmpiricalMeasure.plain(tuple(x)))
+        assert report.theta_hat == model.solve_score(float(np.sum(x) / 60.0))
+        assert report.converged and abs(report.value) <= estimation._SUP_TOL
+
+    def test_poisson_gamma_two_root_is_not_certified(self):
+        """At index 2 on poisson the inner supremum at the root is far above
+        0: the root is not a saddle, and ``converged`` is false rather than
+        true at some other theta."""
+        model = PoissonNatural()
+        x = model.sample(0.4, 60, np.random.default_rng(101))
+        report = minimum_dual_estimator(model, CressieRead(2.0), WeightedEmpiricalMeasure.plain(tuple(x)))
+        assert report.theta_hat == model.solve_score(float(np.sum(x) / 60.0))
+        assert report.value > 1.0 and not report.converged
 
     def test_report_serialization_fields(self, gauss_sample):
         """Reports expose the convergence diagnostics."""
@@ -621,17 +658,62 @@ class TestMinimumDualEstimator:
         mu = WeightedEmpiricalMeasure.plain(tuple(x))
         report = minimum_dual_estimator(model, CressieRead(1.0), mu)
         out = report.to_dict()
-        for key in (
-            "theta_hat",
-            "alpha_hat",
-            "value",
-            "converged",
-            "iterations",
-            "inner_grad_norm",
-            "rejected_evaluations",
-        ):
-            assert key in out
-        assert out["iterations"] > 0
+        assert list(out) == [
+            "theta_hat", "alpha_hat", "value", "converged", "inner_grad_norm", "rejected_evaluations",
+        ]
+
+
+_SCALAR_MODELS = {"gauss_loc": (GaussianLocation(), 0.3), "poisson": (PoissonNatural(), 0.4),
+                  "exp_scale": (ExponentialScale(), -1.2)}
+_LAWS = {law.token: law for law in (PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli())}
+
+
+class TestWeightedRoot:
+    """The estimate is the weighted score root, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model_token=st.sampled_from(sorted(_SCALAR_MODELS)), law=st.sampled_from(sorted(_LAWS)),
+           gamma=st.sampled_from([-0.5, 0.0, 0.5, 1.0]), n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+    def test_exponential_family_estimate_is_solve_score_of_the_weighted_mean(self, model_token, law, gamma,
+                                                                             n, seed):
+        """theta_hat is ``solve_score(sum w t / sum w)``; without a root
+        (signed weights) the estimate raises NumericError."""
+        model, theta = _SCALAR_MODELS[model_token]
+        rng = np.random.default_rng(seed)
+        x = model.sample(theta, n, rng)
+        w = _LAWS[law].sample(n, rng)
+        mu = WeightedEmpiricalMeasure(tuple(x), tuple(w))
+        try:
+            expect = model.solve_score(float(np.sum(w * x) / np.sum(w))) if np.sum(w) > 0.0 else None
+        except DomainError:
+            expect = None
+        if expect is None:
+            with pytest.raises(NumericError):
+                minimum_dual_estimator(model, CressieRead(gamma), mu)
+        else:
+            assert minimum_dual_estimator(model, CressieRead(gamma), mu).theta_hat == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4]), law=st.sampled_from(sorted(_LAWS)),
+           gamma=st.sampled_from([-0.5, 0.0, 0.5, 1.0]), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_categorical_estimate_is_the_normalised_masses(self, k, law, gamma, n, seed):
+        """theta_hat is the weighted cell masses over their sum (all but the
+        last); a cell without positive mass raises NumericError."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, k, size=n)
+        w = _LAWS[law].sample(n, rng)
+        masses = np.zeros(k)
+        for cell, weight in zip(x, w):
+            masses[cell] += weight
+        masses /= n
+        mu = WeightedEmpiricalMeasure(tuple(x), tuple(w))
+        if not (masses > 0.0).all():
+            with pytest.raises(NumericError):
+                minimum_dual_estimator(Categorical(k), CressieRead(gamma), mu)
+            return
+        expect = (masses / np.sum(masses))[:-1]
+        got = minimum_dual_estimator(Categorical(k), CressieRead(gamma), mu).theta_hat
+        assert np.array_equal(np.atleast_1d(got), expect)
 
 
 class TestBatchEstimator:

@@ -284,14 +284,6 @@ class TestScoreSolve:
         x = model.sample(0.4, 200, rng)
         assert model.pilot_estimate(x) == pytest.approx(float(np.mean(x)), abs=1e-10)
 
-    def test_weighted_pilot_uses_weighted_mean(self, rng):
-        """Weighted pilots solve the score equation at the weighted mean."""
-        model = PoissonNatural()
-        x = model.sample(0.3, 150, rng)
-        w = rng.exponential(1.0, size=150)
-        expect = math.log(float(np.sum(w * x) / np.sum(w)))
-        assert model.pilot_estimate(x, w) == pytest.approx(expect, abs=1e-10)
-
 
 class TestSampling:
     """Seeded sampling paths."""
@@ -374,13 +366,11 @@ class TestCategorical:
         info = model.fisher_information((0.3,))
         assert info[0, 0] == pytest.approx(1.0 / (0.3 * 0.7), rel=1e-5)
 
-    def test_pilot_is_clipped_frequency_vector(self, rng):
-        """Pilots are interior empirical frequencies."""
-        model = Categorical(3)
-        x = model.sample((0.5, 0.3), 300, rng)
-        pilot = model.pilot_estimate(x)
-        counts = np.array([np.sum(x == a) for a in (0.0, 1.0)])
-        np.testing.assert_allclose(pilot, counts / 300.0, atol=1e-12)
+    def test_default_box_is_the_simplex_interior(self):
+        """The box is [1e-6, 1 - 1e-6] in each coordinate, whatever the pilot."""
+        for pilot in (None, (0.2, 0.3), (0.999, 0.0)):
+            lo, hi = Categorical(3).default_box(pilot)
+            assert lo.tolist() == [1e-6, 1e-6] and hi.tolist() == [1.0 - 1e-6, 1.0 - 1e-6]
 
     def test_small_k_rejected(self):
         """A single-cell model is a validation error."""

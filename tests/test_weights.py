@@ -19,7 +19,7 @@ from divlab.weights import (
     weight_law,
 )
 
-ALL_LAWS = [PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli(0.5)]
+ALL_LAWS = [PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli()]
 
 
 @pytest.fixture
@@ -50,11 +50,6 @@ class TestRegistry:
         """Unregistered tokens are validation errors."""
         with pytest.raises(ValidationError):
             weight_law("cauchy")
-
-    def test_bad_two_point_parameter(self):
-        """The two-point success mass must be interior."""
-        with pytest.raises(ValidationError):
-            ShiftedBernoulli(1.0)
 
 
 class TestCumulantFunction:
@@ -110,7 +105,7 @@ class TestSampleSum:
 
     def test_two_point_lattice(self, rng):
         """Two-point sums live on the shifted binomial lattice."""
-        law = ShiftedBernoulli(0.5)
+        law = ShiftedBernoulli()
         w0, w1 = law.support_bounds
         s = law.sample_sum(np.full(500, 4), rng)
         j = (s - 4 * w0) / (w1 - w0)
@@ -180,13 +175,13 @@ class TestChernoffBoundary:
 
     def test_nan_is_invalid_input(self):
         """NaN raises a validation error, not a numeric failure."""
-        for law in [PoissonOne(), ExponentialOne(), ShiftedBernoulli(0.5)]:
+        for law in [PoissonOne(), ExponentialOne(), ShiftedBernoulli()]:
             with pytest.raises(ValidationError):
                 chernoff_argmax(law, math.nan)
 
     def test_outside_support_infinite(self):
         """Arguments outside the convex hull of the support give +inf."""
-        law = ShiftedBernoulli(0.5)
+        law = ShiftedBernoulli()
         w0, w1 = law.support_bounds
         assert chernoff(law, w0 - 0.1) == INF
         assert chernoff(law, w1 + 0.1) == INF
@@ -194,7 +189,7 @@ class TestChernoffBoundary:
 
     def test_two_point_endpoints_carry_mass(self):
         """Support endpoints give -log of the point mass."""
-        law = ShiftedBernoulli(0.5)
+        law = ShiftedBernoulli()
         w0, w1 = law.support_bounds
         assert chernoff(law, w0) == pytest.approx(-math.log(0.5), rel=1e-12)
         assert chernoff(law, w1) == pytest.approx(-math.log(0.5), rel=1e-12)
@@ -210,7 +205,7 @@ class TestChernoffBoundary:
 
     def test_two_point_interior_convexity(self):
         """Numeric transform of the two-point law is convex on its domain."""
-        law = ShiftedBernoulli(0.5)
+        law = ShiftedBernoulli()
         xs = np.linspace(0.05, 1.95, 39)
         vals = np.array([chernoff(law, float(x)) for x in xs])
         second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
@@ -244,7 +239,7 @@ class TestInducedDivergence:
 
     def test_two_point_generator_is_bounded_domain(self):
         """The two-point induced generator is finite only on [w0, w1]."""
-        law = ShiftedBernoulli(0.5)
+        law = ShiftedBernoulli()
         spec = induced_divergence(law)
         w0, w1 = law.support_bounds
         assert spec.value(0.5 * (w0 + w1)) < INF
@@ -253,7 +248,7 @@ class TestInducedDivergence:
 
     def test_induced_conjugate_has_swapped_values(self):
         """Conjugating the induced generator applies x phi(1/x)."""
-        spec = induced_divergence(ShiftedBernoulli(0.5))
+        spec = induced_divergence(ShiftedBernoulli())
         conj = spec.conjugate()
         for x in [0.6, 1.0, 1.7]:
             assert conj.value(x) == pytest.approx(x * spec.value(1.0 / x), rel=1e-9, abs=1e-10)
@@ -262,7 +257,7 @@ class TestInducedDivergence:
         """conj''(x) = phi''(1/x) / x**3 stays defined where x**3 overflows:
         it underflows to 0 at 1e200, keeps phi's own inf from 1e300 on, and
         x = inf (an inf * 0) gives +inf."""
-        conj = induced_divergence(ShiftedBernoulli(0.5)).conjugate()
+        conj = induced_divergence(ShiftedBernoulli()).conjugate()
         tiny = conj.value(1e103, 2)
         assert 0.0 < tiny < 1e-200
         assert conj.value(1e200, 2) == 0.0
@@ -272,7 +267,7 @@ class TestInducedDivergence:
     def test_induced_conjugate_slope_at_infinity(self):
         """conj'(inf) is its limit phi(0), not the NaN of 0 * phi'(0) = 0 * (-inf),
         and conj'(1e300) already agrees with it."""
-        spec = induced_divergence(ShiftedBernoulli(0.5))
+        spec = induced_divergence(ShiftedBernoulli())
         conj = spec.conjugate()
         assert conj.value(INF, 1) == spec.value(0.0)
         assert conj.value(INF, 1) == pytest.approx(conj.value(1e300, 1), rel=1e-15)
@@ -286,7 +281,7 @@ class TestPrimeSharp:
         matches the two separate evaluations, from one Chernoff solve per point."""
         from divlab import weights
 
-        spec = induced_divergence(ShiftedBernoulli(0.5))
+        spec = induced_divergence(ShiftedBernoulli())
         x = np.array([[0.0, 1e-12, 0.3, 1.0], [1.7, 2.0 - 1e-12, 2.0, 2.5], [-0.5, -1e-300, 1e300, INF]])
         solves = []
         solve = weights.chernoff_argmax
