@@ -420,11 +420,19 @@ def estimate_phi_dual(
     """Plug-in dual divergence estimate at fixed ``theta``.
 
     Returns ``(sup_alpha int h(theta, alpha, .) dmu, argmax alpha)``, the
-    supremum over the model's box around the weighted score root (a
-    categorical box is the simplex interior's and needs no root).
+    supremum over the model's box around the weighted score root.  When
+    the weights nearly cancel (``|sum w| < 0.1 n``) or the model holds no
+    weighted root, the box is centred on the unweighted moment estimate, so
+    a fixed-``theta`` estimate never needs a root.
     """
     crit = _DualCriterion(model, spec, mu)
-    lo, hi = _box(model, None if isinstance(model, Categorical) else crit.root())
+    centre = None
+    if abs(np.sum(crit.w)) >= 0.1 * mu.n:
+        try:
+            centre = crit.root()
+        except NumericError:
+            pass
+    lo, hi = _box(model, model.pilot_estimate(mu.points_array()) if centre is None else centre)
     alpha, value = _inner_max(crit, _scalar_or_vec(theta, lo), lo, hi)
     return value, _scalar_or_vec(alpha, lo)
 

@@ -71,6 +71,10 @@ class ParametricModel:
     def fisher_information(self, theta) -> np.ndarray:
         raise NotImplementedError
 
+    def pilot_estimate(self, points):
+        """Moment estimate from unweighted points, a centre for search boxes."""
+        raise NotImplementedError
+
     def default_box(self, pilot):
         """Search box: half-width 3 around the pilot, clipped to the domain."""
         lo = float(pilot) - 3.0
@@ -385,7 +389,11 @@ class Categorical(ParametricModel):
             jac[:, a] = (self.probs(up) - self.probs(dn)) / (2.0 * step)
         return jac.T @ (jac / p[:, None])
 
-    def default_box(self, pilot=None):
+    def pilot_estimate(self, points):
+        """The cell frequencies, all but the last."""
+        return (np.bincount(self.atom_index(np.asarray(points)), minlength=self.k) / len(points))[:-1]
+
+    def default_box(self, pilot):
         """``[1e-6, 1 - 1e-6]`` in each coordinate, whatever the pilot."""
         return np.full(self.param_dim, 1e-6), np.full(self.param_dim, 1.0 - 1e-6)
 

@@ -183,28 +183,26 @@ class ShiftedBernoulli(WeightLaw):
 
     token = "twopoint"
     cgf_domain = (-INF, INF)
-    # the weight values 1 -+ sqrt(p/(1-p)) and the log masses log(1-p) and
-    # log(p) at p = 1/2, by the expressions a general p used
-    support_bounds = (1.0 - 0.5 / math.sqrt(0.5 * 0.5), 1.0 + 0.5 / math.sqrt(0.5 * 0.5))
-    _LOG_LOW, _LOG_HIGH = math.log1p(-0.5), math.log(0.5)
-
-    def _exponents(self, t):
-        w0, w1 = self.support_bounds
-        return self._LOG_LOW + t * w0, self._LOG_HIGH + t * w1
+    support_bounds = (0.0, 2.0)
+    # the log mass of either point; math.log1p(-0.5) is the same double
+    _LOG_HALF = math.log(0.5)
 
     def cgf(self, t):
-        return np.logaddexp(*self._exponents(t))
+        w0, w1 = self.support_bounds
+        return np.logaddexp(self._LOG_HALF + t * w0, self._LOG_HALF + t * w1)
 
     def cgf_prime(self, t):
         w0, w1 = self.support_bounds
-        a, b = self._exponents(t)
+        a = self._LOG_HALF + t * w0
+        b = self._LOG_HALF + t * w1
         m = max(a, b)
         ea, eb = math.exp(a - m), math.exp(b - m)
         return (w0 * ea + w1 * eb) / (ea + eb)
 
     def cgf_second(self, t):
         w0, w1 = self.support_bounds
-        a, b = self._exponents(t)
+        a = self._LOG_HALF + t * w0
+        b = self._LOG_HALF + t * w1
         m = max(a, b)
         ea, eb = math.exp(a - m), math.exp(b - m)
         mean = (w0 * ea + w1 * eb) / (ea + eb)
@@ -223,10 +221,8 @@ class ShiftedBernoulli(WeightLaw):
 
     def boundary_log_mass(self, x):
         w0, w1 = self.support_bounds
-        if x == w0:
-            return self._LOG_LOW
-        if x == w1:
-            return self._LOG_HIGH
+        if x == w0 or x == w1:
+            return self._LOG_HALF
         return None
 
 

@@ -192,6 +192,49 @@ class TestDualCriterion:
         assert math.isfinite(value)
         assert alpha == pytest.approx(float(np.mean(x)), abs=0.05)
 
+    @staticmethod
+    def _sup_on_box(model, spec, theta, mu, centre):
+        crit = _DualCriterion(model, spec, mu)
+        lo, hi = estimation._box(model, centre)
+        return estimation._inner_max(crit, estimation._scalar_or_vec(theta, lo), lo, hi)
+
+    def test_fixed_theta_box_is_centred_on_the_weighted_root(self):
+        """With weights summing well away from 0, the alpha box is centred on the weighted root."""
+        model = GaussianLocation()
+        x = np.array([0.0, 1.0, 2.0, 10.0])
+        w = np.array([0.1, 0.1, 0.1, 3.7])
+        mu = WeightedEmpiricalMeasure(tuple(x), tuple(w))
+        spec = CressieRead(0.5)
+        value, alpha = estimate_phi_dual(model, spec, 9.0, mu)
+        centre = float(np.sum(w * x) / np.sum(w))
+        assert (alpha, value) == self._sup_on_box(model, spec, 9.0, mu, centre)
+        assert abs(alpha - float(np.mean(x))) > 3.0
+
+    @pytest.mark.parametrize("weights", [
+        (1.0, -1.0, 2.0, -2.0),  # sum 0: no root
+        (-1.0, -1.0, -1.0, 1.0),  # sum -2: no root
+        (1.0, -1.0, 2.0, -1.9),  # sum 0.1 < 0.1 n: a root far outside the points
+    ])
+    def test_fixed_theta_box_without_a_usable_root_is_centred_on_the_moment_estimate(self, weights):
+        """A cancelled or non-positive weight sum gives the unweighted moment box, never an error."""
+        model = GaussianLocation()
+        x = (0.0, 1.0, 2.0, 3.0)
+        mu = WeightedEmpiricalMeasure(x, weights)
+        for spec in (CressieRead(1.0), CressieRead(0.5), induced_divergence(NormalOneOne()).conjugate()):
+            value, alpha = estimate_phi_dual(model, spec, 1.0, mu)
+            assert (alpha, value) == self._sup_on_box(model, spec, 1.0, mu, model.pilot_estimate(x))
+            assert -1.5 <= alpha <= 4.5
+
+    def test_fixed_theta_categorical_estimate_with_an_empty_cell(self):
+        """A cell without weighted mass leaves no root, yet the fixed-theta estimate stands."""
+        model = Categorical(3)
+        mu = WeightedEmpiricalMeasure((0.0, 0.0, 1.0, 1.0), (1.0, 2.0, 1.0, 0.5))
+        with pytest.raises(NumericError):
+            minimum_dual_estimator(model, CressieRead(1.0), mu)
+        value, alpha = estimate_phi_dual(model, CressieRead(1.0), (0.3, 0.3), mu)
+        assert math.isfinite(value) and value > 0.0
+        assert len(alpha) == 2
+
     def test_parameters_off_the_simplex_are_rejected(self):
         """A categorical parameter off the simplex interior is a counted -inf, not an error."""
         mu = WeightedEmpiricalMeasure.plain((0.0, 1.0, 2.0, 0.0))

@@ -372,6 +372,11 @@ class TestCategorical:
             lo, hi = Categorical(3).default_box(pilot)
             assert lo.tolist() == [1e-6, 1e-6] and hi.tolist() == [1.0 - 1e-6, 1.0 - 1e-6]
 
+    def test_pilot_is_the_cell_frequencies(self):
+        """The pilot is the unweighted cell frequencies, all but the last, empty cells included."""
+        pilot = Categorical(3).pilot_estimate(np.array([0.0, 2.0, 2.0, 0.0, 2.0]))
+        assert pilot.tolist() == [0.4, 0.0]
+
     def test_small_k_rejected(self):
         """A single-cell model is a validation error."""
         with pytest.raises(ValidationError):
