@@ -24,6 +24,9 @@ from .sanov import check_sample_sizes
 from .seeding import chunked, derived_rng
 from .weights import WeightLaw
 
+#: values per row block of a moment harness draw, about 256 KB of doubles
+ROW_BLOCK_VALUES = 32768
+
 STATISTIC_MAP = {
     "identity": lambda x: np.asarray(x, dtype=float),
     "square": lambda x: np.asarray(x, dtype=float) ** 2,
@@ -71,19 +74,30 @@ def check_sizes(n: int, reps: int) -> None:
         raise ValidationError(f"at least 2 replications are required to form a variance, got {reps}")
 
 
-def _weighted_sums(points: np.ndarray, law: WeightLaw, reps: int, seed: int, tag: str, f) -> np.ndarray:
-    """Per-replication values of ``(1/n) sum_i W_i f(x_i)``."""
-    fv = np.asarray(f(points), dtype=float)
+def _weighted_sums(fv: np.ndarray, law: WeightLaw, reps: int, seed: int, tag: str) -> np.ndarray:
+    """Per-replication values of ``(1/n) sum_i W_i f(x_i)`` for ``fv = f(x)``.
+
+    Each ``chunked`` block draws its weights ``ROW_BLOCK_VALUES // n`` rows
+    at a time from the block's generator.  By the split-stream property of
+    ``WeightLaw.sample`` the weights, and so each row's pairwise mean, are
+    those of one ``size x n`` draw, without that matrix in memory.
+    """
     n = fv.shape[0]
+    rows = max(1, ROW_BLOCK_VALUES // n)
 
     def draw(rng, size):
-        return np.mean(law.sample(size * n, rng).reshape(size, n) * fv, axis=1)
+        out = np.empty(size)
+        for start in range(0, size, rows):
+            block = out[start:start + rows]
+            w = law.sample(block.size * n, rng).reshape(block.size, n)
+            w *= fv
+            np.mean(w, axis=1, out=block)
+        return out
 
     return np.concatenate(chunked(seed, tag, reps, draw))
 
 
-def _fixed_point_moments(points: np.ndarray, f) -> tuple[float, float]:
-    fv = np.asarray(f(points), dtype=float)
+def _fixed_point_moments(fv: np.ndarray) -> tuple[float, float]:
     if not np.all(np.isfinite(fv)):
         raise ValidationError("the statistic must be finite on every point")
     mu1 = float(np.mean(fv))
@@ -102,8 +116,9 @@ def weighted_lln_check(points, law: WeightLaw, f, reps: int, seed: int) -> MCRep
     n = points.shape[0]
     check_sizes(n, reps)
     reps = int(reps)
-    mu1, mu2 = _fixed_point_moments(points, f)
-    u = _weighted_sums(points, law, reps, seed, "lln", f)
+    fv = np.asarray(f(points), dtype=float)
+    mu1, mu2 = _fixed_point_moments(fv)
+    u = _weighted_sums(fv, law, reps, seed, "lln")
 
     mean = float(np.mean(u))
     var = float(np.var(u, ddof=1))
@@ -163,11 +178,12 @@ def weighted_clt_check(
     n = points.shape[0]
     check_sizes(n, reps)
     reps = int(reps)
-    mu1, mu2 = _fixed_point_moments(points, f)
+    fv = np.asarray(f(points), dtype=float)
+    mu1, mu2 = _fixed_point_moments(fv)
     spread = mu2 - mu1 * mu1
     if spread <= 1e-12 * max(1.0, abs(mu2)):
         raise DomainError("the statistic is constant on the points; nothing to standardize")
-    u = _weighted_sums(points, law, reps, seed, "clt", f)
+    u = _weighted_sums(fv, law, reps, seed, "clt")
     t_vals = math.sqrt(n) * (u - mu1) / math.sqrt(spread)
 
     skew, kurt = _skew_kurtosis(t_vals)

@@ -66,7 +66,12 @@ class WeightLaw(abc.ABC):
 
     @abc.abstractmethod
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        ...
+        """Draw ``n`` i.i.d. weights as a fresh float array.
+
+        Draws split the stream: drawing ``a`` values and then ``b`` values
+        from one generator gives the same values as drawing ``a + b`` at
+        once, so a caller may draw one block in several consecutive calls.
+        """
 
     @abc.abstractmethod
     def sample_sum(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -652,8 +652,15 @@ class TestReproducibility:
                 "slopes_k3_twopoint",
                 ("json",),
             ),
+            (
+                # 65 rows per weight block at n = 500: blocks of 65, 65, 65 and 5
+                ["clt", "--mode", "moments", "--law", "normal11", "--n", "500", "--reps", "200", "--seed", "1"],
+                "clt_moments_normal11",
+                ("csv", "json"),
+            ),
         ],
-        ids=["chernoff", "divergence", "estimate", "sanov_mc", "slopes_k3_poisson1", "slopes_k3_twopoint"],
+        ids=["chernoff", "divergence", "estimate", "sanov_mc", "slopes_k3_poisson1", "slopes_k3_twopoint",
+             "clt_moments_normal11"],
     )
     def test_golden_artifacts_reproduced(self, tmp_path, argv, label, suffixes):
         """Stored golden artifacts regenerate byte for byte."""

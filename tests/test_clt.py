@@ -1,6 +1,7 @@
 """Unit tests for the Monte Carlo moment and distribution harnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import stats
 from divlab.clt import (
     STATISTIC_MAP,
     _skew_kurtosis,
+    _weighted_sums,
     estimator_distribution_compare,
     weighted_clt_check,
     weighted_lln_check,
@@ -18,7 +20,7 @@ from divlab.clt import (
 from divlab.divergences import CressieRead
 from divlab.errors import DomainError, NumericError, ValidationError
 from divlab.models import ExponentialScale, GaussianLocation, PoissonNatural
-from divlab.seeding import derived_rng
+from divlab.seeding import chunked, derived_rng
 from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli
 
 ALL_LAWS = [PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli()]
@@ -28,6 +30,52 @@ ALL_LAWS = [PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli()]
 def fixed_points():
     """Deterministic Gaussian point draw shared across law checks."""
     return GaussianLocation().sample(0.0, 300, derived_rng(42, "points"))
+
+
+# =============================================================================
+# Tests: row-block weight draws
+# =============================================================================
+
+
+class TestWeightedSums:
+    """The harnesses draw each block's weights a few rows at a time."""
+
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.token)
+    @pytest.mark.parametrize("tag", ["lln", "clt"])
+    # at n = 37 a row block holds 885 rows and at n = 500 it holds 65; 2,049
+    # replications cross the 2,048-replication chunk
+    @pytest.mark.parametrize("n, reps", [(1, 2049), (37, 2049), (500, 200), (500, 2049)])
+    def test_bits_match_one_matrix_per_chunk(self, law, tag, n, reps):
+        """Row-block means equal, bit for bit, the means of the whole
+        chunk's weight matrix drawn at once."""
+        fv = np.cos(np.arange(n) * 0.7) + 0.25
+        reference = np.concatenate(
+            chunked(5, tag, reps, lambda rng, size: np.mean(law.sample(size * n, rng).reshape(size, n) * fv, axis=1))
+        )
+        got = _weighted_sums(fv, law, reps, 5, tag)
+        assert got.shape == (reps,)
+        np.testing.assert_array_equal(got, reference)
+
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.token)
+    def test_harness_peak_memory(self, law):
+        """One lln and one clt check on 500 points and 2,000 replications
+        each peak at 2 MB of traced allocations or less; a whole chunk's
+        weight matrix alone would take 8 MB."""
+        points = GaussianLocation().sample(0.0, 500, derived_rng(42, "points"))
+        f = STATISTIC_MAP["identity"]
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            for check in (weighted_lln_check, weighted_clt_check):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                check(points, law, f, 2000, 1)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak <= 2e6, (check.__name__, peak)
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
 
 
 # =============================================================================

@@ -133,6 +133,17 @@ class TestSampleWeights:
         w = sample_weights(NormalOneOne(), 17, np.random.SeedSequence(3))
         assert w.shape == (17,) and w.dtype == np.float64
 
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.token)
+    @pytest.mark.parametrize("a, b", [(0, 5), (1, 1), (7, 300), (32500, 18500)])
+    def test_consecutive_draws_split_one_draw(self, law, a, b):
+        """Drawing a then b values from one generator gives the a + b values
+        of a single draw, bit for bit."""
+        whole = law.sample(a + b, np.random.default_rng(2024))
+        rng = np.random.default_rng(2024)
+        parts = np.concatenate([law.sample(a, rng), law.sample(b, rng)])
+        assert parts.dtype == whole.dtype == np.float64
+        np.testing.assert_array_equal(parts, whole)
+
 
 # =============================================================================
 # Tests: Chernoff transform
