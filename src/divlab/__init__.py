@@ -13,11 +13,7 @@ from .divergences import (
     ConjugateSpec,
     CressieRead,
     DivergenceSpec,
-    FiniteMeasure,
     cell_divergence,
-    conjugate,
-    divergence_finite,
-    eval_phi,
 )
 from .errors import (
     DivlabError,
@@ -38,7 +34,6 @@ from .weights import (
     chernoff,
     chernoff_argmax,
     induced_divergence,
-    sample_weights,
     weight_law,
 )
 from .models import (
@@ -53,10 +48,8 @@ from .models import (
 from .estimation import (
     EstimateReport,
     WeightedEmpiricalMeasure,
-    build_weighted_empirical,
     divergence_between,
     estimate_phi_dual,
-    h_value,
     minimum_dual_estimator,
     minimum_dual_estimator_batch,
 )
@@ -72,7 +65,6 @@ from .sanov import (
     cell_probabilities,
     conditional_ldp_mc,
     enumerate_count_vectors,
-    kl_on_partition,
     largest_remainder_counts,
     log_occupation_probability,
     ml_ldp_gap,

@@ -38,7 +38,7 @@ from .clt import (
     weighted_clt_check,
     weighted_lln_check,
 )
-from .divergences import CressieRead, cell_divergence, conjugate, eval_phi
+from .divergences import CressieRead, cell_divergence
 from .errors import DivlabError, NumericError, ValidationError
 from .estimation import WeightedEmpiricalMeasure, minimum_dual_estimator
 from .models import Categorical, make_model
@@ -56,8 +56,8 @@ from .sanov import (
     sanov_rate_convergence,
     shrink_epsilon_limit,
 )
-from .seeding import derive_seed, derived_rng
-from .weights import chernoff_argmax, induced_divergence, sample_weights, weight_law
+from .seeding import derived_rng
+from .weights import chernoff_argmax, induced_divergence, weight_law
 
 __all__ = ["main", "parse_grid"]
 
@@ -308,7 +308,7 @@ def _spec_from(gamma, law_token, conj: bool):
         spec = CressieRead(float(gamma))
         desc = {"family": "power", "index": float(gamma)}
     if conj:
-        spec = conjugate(spec)
+        spec = spec.conjugate()
         desc = {"family": "conjugate", "base": desc}
     return spec, desc
 
@@ -365,9 +365,9 @@ def _run_divergence(cfg: dict, dry_run: bool) -> list:
         rows.append(
             {
                 "x": x,
-                "value": eval_phi(spec, x, 0),
-                "first_derivative": eval_phi(spec, x, 1),
-                "second_derivative": eval_phi(spec, x, 2),
+                "value": spec.value(x, 0),
+                "first_derivative": spec.value(x, 1),
+                "second_derivative": spec.value(x, 2),
                 "sharp": spec.sharp(x),
             }
         )
@@ -407,7 +407,7 @@ def _resolve_weights(cfg: dict, n: int, column) -> tuple[np.ndarray, str]:
             raise ValidationError("field 'weights': 'column' needs a two-column data file")
         return np.asarray(column, dtype=float), "column"
     law = weight_law(token)
-    return sample_weights(law, n, derive_seed(cfg["seed"], "weights")), token
+    return law.sample(n, derived_rng(cfg["seed"], "weights")), token
 
 
 def _run_estimate(cfg: dict, dry_run: bool) -> list:

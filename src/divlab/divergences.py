@@ -1,4 +1,4 @@
-"""Power-type divergence generators and finite-support divergence values.
+"""Power-type divergence generators and divergences between cell masses.
 
 The central object is a convex ``generator`` function ``phi`` on an interval,
 normalized so that ``phi(1) = phi'(1) = 0`` and ``phi''(1) > 0``.  A generator
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .errors import ValidationError
@@ -290,59 +288,6 @@ class ConjugateSpec(DivergenceSpec):
         return -self.base.value(1.0 / x, 1)
 
 
-def eval_phi(spec: DivergenceSpec, x: float, order: int = 0) -> float:
-    """Evaluate the generator or one of its first two derivatives at ``x``."""
-    _check_order(order)
-    return spec.value(float(x), order)
-
-
-def conjugate(spec: DivergenceSpec) -> DivergenceSpec:
-    """Return the conjugate generator ``x * phi(1/x)``."""
-    return spec.conjugate()
-
-
-@dataclass(frozen=True)
-class FiniteMeasure:
-    """Finitely supported measure with labelled atoms.
-
-    Masses are kept exactly as given; no hidden normalization.  Signed
-    masses are allowed (weighted empirical measures produce them), but
-    several consumers require nonnegative reference masses and validate
-    on entry.
-    """
-
-    support: tuple
-    masses: tuple
-
-    def __post_init__(self):
-        support = tuple(self.support)
-        masses = tuple(float(m) for m in self.masses)
-        if len(support) != len(masses):
-            raise ValidationError("support and masses must have equal length")
-        if len(set(support)) != len(support):
-            raise ValidationError("support labels must be distinct")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "masses", masses)
-
-    @classmethod
-    def from_probs(cls, probs: Iterable[float]) -> "FiniteMeasure":
-        """Masses ``probs`` on the atoms ``0, ..., len(probs) - 1``."""
-        probs = tuple(float(p) for p in probs)
-        return cls(tuple(range(len(probs))), probs)
-
-    def total_mass(self) -> float:
-        return math.fsum(self.masses)
-
-    def mass(self, label) -> float:
-        try:
-            return self.masses[self.support.index(label)]
-        except ValueError:
-            return 0.0
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.support, self.masses))
-
-
 def cell_divergence(spec: DivergenceSpec, q, p) -> float:
     """``sum_j p_j phi(q_j / p_j)`` over aligned cell masses ``q`` and ``p``.
 
@@ -361,16 +306,3 @@ def cell_divergence(spec: DivergenceSpec, q, p) -> float:
             return INF
         total += pj * v
     return float(total)
-
-
-def divergence_finite(spec: DivergenceSpec, q: FiniteMeasure, p: FiniteMeasure) -> float:
-    """Divergence ``sum phi(q_i/p_i) p_i`` of ``q`` from reference ``p``.
-
-    Supports are unioned and follow :func:`cell_divergence`'s conventions.
-    Negative reference masses are rejected.
-    """
-    if any(m < 0.0 for m in p.masses):
-        raise ValidationError("reference measure must have nonnegative masses")
-    pd, qd = p.as_dict(), q.as_dict()
-    labels = list(pd) + [label for label in qd if label not in pd]
-    return cell_divergence(spec, [qd.get(a, 0.0) for a in labels], [pd.get(a, 0.0) for a in labels])

@@ -30,16 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ._optim import batch_golden_max, maximize_scalar, nelder_mead_multistart, stencil
-from .divergences import INF, CressieRead, DivergenceSpec, FiniteMeasure, cell_divergence
+from .divergences import INF, CressieRead, DivergenceSpec, cell_divergence
 from .errors import DomainError, NumericError, ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
 from .reporting import Record
-from .weights import WeightLaw, sample_weights
 
 #: scan points of the scalar inner search
 _N_SCAN = 11
@@ -61,8 +59,7 @@ class WeightedEmpiricalMeasure:
     """``(1/n) sum_i W_i delta_{x_i}``; not necessarily a probability measure.
 
     The integral of ``f`` is exactly ``(1/n) sum_i W_i f(x_i)``.  Unit
-    weights recover the ordinary empirical measure; exact finite measures
-    embed via :meth:`from_finite_measure`.
+    weights recover the ordinary empirical measure.
     """
 
     points: tuple
@@ -83,12 +80,6 @@ class WeightedEmpiricalMeasure:
         points = tuple(float(p) for p in points)
         return cls(points, (1.0,) * len(points))
 
-    @classmethod
-    def from_finite_measure(cls, fm: FiniteMeasure) -> "WeightedEmpiricalMeasure":
-        # weights n * mass_i make the plug-in integral reproduce the measure
-        n = len(fm.support)
-        return cls(tuple(float(s) for s in fm.support), tuple(n * m for m in fm.masses))
-
     @property
     def n(self) -> int:
         return len(self.points)
@@ -98,21 +89,6 @@ class WeightedEmpiricalMeasure:
 
     def weights_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
-
-    def total_mass(self) -> float:
-        return math.fsum(self.weights) / self.n
-
-    def integrate(self, f: Callable) -> float:
-        x = self.points_array()
-        w = self.weights_array()
-        return float(np.mean(w * np.asarray(f(x), dtype=float)))
-
-
-def build_weighted_empirical(points, law: WeightLaw, seed) -> WeightedEmpiricalMeasure:
-    """Attach freshly sampled weights from ``law`` to fixed points."""
-    points = tuple(float(p) for p in points)
-    w = sample_weights(law, len(points), seed)
-    return WeightedEmpiricalMeasure(points, tuple(w))
 
 
 @dataclass(frozen=True)
@@ -192,10 +168,10 @@ def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, 
     natural domain or its integral overflows; ``sharp`` is ``None``
     without ``t``.
     """
-    lead, C_t, C_a = _expfam_power_lead(model, spec, theta, alpha)
-    if t is None:
-        return lead, None
     with np.errstate(over="ignore", invalid="ignore"):
+        lead, C_t, C_a = _power_lead(model, spec, theta, alpha)
+        if t is None:
+            return lead, None
         lr = (theta - alpha) * t - C_t + C_a
         if spec.branch == "log":
             sharp = lr
@@ -206,15 +182,10 @@ def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, 
     return lead, sharp
 
 
-def _expfam_power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha):
-    """The lead of :func:`_expfam_power_dual` and the normalizers ``C(theta)``,
-    ``C(alpha)`` it is built from, as ``(lead, C_t, C_a)``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _power_lead(model, spec, theta, alpha)
-
-
 def _power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha):
-    """:func:`_expfam_power_lead` under the caller's error state."""
+    """The lead of :func:`_expfam_power_dual` and the normalizers ``C(theta)``,
+    ``C(alpha)`` it is built from, as ``(lead, C_t, C_a)``, under the
+    caller's error state."""
     C_t = model.log_normalizer_array(theta)
     C_a = model.log_normalizer_array(alpha)
     if spec.branch == "xlogx":
@@ -229,15 +200,9 @@ def _power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha):
     return lead, C_t, C_a
 
 
-def _phi_prime_mean(model: ParametricModel, spec: DivergenceSpec, theta, alpha) -> float:
-    """``int phi'(p_theta/p_alpha) dP_theta`` with closed forms where possible."""
-    if isinstance(model, Categorical):
-        p_t = model.probs(theta)
-        return float(_categorical_lead(spec.value_array(p_t / model.probs(alpha), 1)[None], p_t)[0])
-    if isinstance(spec, CressieRead) and isinstance(model, ExponentialFamilyModel):
-        model.check_domain(theta)
-        model.check_domain(alpha)
-        return float(_expfam_power_dual(model, spec, theta, alpha)[0])
+def _phi_prime_mean(model: ExponentialFamilyModel, spec: DivergenceSpec, theta, alpha) -> float:
+    """``int phi'(p_theta/p_alpha) dP_theta`` by quadrature: the lead of a
+    generator without closed form (the ``"expfam"`` criterion kind)."""
 
     def integrand(x):
         return _guarded_ratio_eval(model, spec, theta, alpha, x, 1)
@@ -246,14 +211,6 @@ def _phi_prime_mean(model: ParametricModel, spec: DivergenceSpec, theta, alpha) 
         return model.integrate_under(theta, integrand)
     except _InfiniteIntegrand:
         return INF
-
-
-def _categorical_lead(prime: np.ndarray, p_t: np.ndarray) -> np.ndarray:
-    """``sum_j phi'(ratio_rj) p_theta_j`` per row of the ``phi'`` values
-    ``prime``, ``+inf`` where any term is not finite."""
-    with np.errstate(invalid="ignore"):
-        lead = np.sum(prime * p_t, axis=1)
-    return np.where(np.all(np.isfinite(prime), axis=1), lead, INF)
 
 
 def _categorical_dual_rows(model: Categorical, spec: DivergenceSpec, theta, alpha: np.ndarray,
@@ -273,30 +230,14 @@ def _categorical_dual_rows(model: Categorical, spec: DivergenceSpec, theta, alph
     lead = np.full(alpha.shape[0], INF)
     sharp = np.zeros(p_a.shape)
     prime, sharp[inside] = spec.prime_sharp_array(p_t / p_a[inside])
-    lead[inside] = _categorical_lead(prime, p_t)
     with np.errstate(invalid="ignore", over="ignore"):
+        # the lead is sum_j phi'(ratio_j) p_theta_j, +inf where a term is not finite
+        lead[inside] = np.where(np.all(np.isfinite(prime), axis=1), np.sum(prime * p_t, axis=1), INF)
         # the one-pair matmul rounds as np.dot does (a fused multiply-add);
         # an einsum or the written-out sum differs in the last bit
         tail = np.matmul(masses[:, None, :], sharp[:, :, None])[:, 0, 0]
         value = wbar * lead - tail
     return np.where(np.isfinite(value), value, -INF)
-
-
-def h_value(model: ParametricModel, spec: DivergenceSpec, theta, alpha, x) -> float:
-    """Dual integrand ``h(theta, alpha, x)``.
-
-    The constant-in-``x`` part is the mean of ``phi'`` of the density ratio
-    under ``P_theta``; the ``x`` part subtracts the sharp transform of the
-    ratio at ``x``.
-    """
-    lead = _phi_prime_mean(model, spec, theta, alpha)
-    if math.isinf(lead):
-        return INF
-    r = math.exp(float(model.log_density_ratio(theta, alpha, x)))
-    tail = spec.sharp(r)
-    if math.isinf(tail):
-        return -tail
-    return lead - tail
 
 
 class _DualCriterion:

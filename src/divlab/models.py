@@ -15,7 +15,6 @@ parameter is the first ``k - 1`` masses directly.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -57,18 +56,7 @@ class ParametricModel:
         if not self.in_domain(theta):
             raise DomainError(f"parameter {_param_text(theta)} outside the domain of the {self.token} model")
 
-    def log_density_ratio(self, theta, alpha, x):
-        """``log(p_theta / p_alpha)`` at ``x`` (vectorized over ``x``)."""
-        raise NotImplementedError
-
     def sample(self, theta, n: int, seed_or_rng) -> np.ndarray:
-        raise NotImplementedError
-
-    def integrate_under(self, theta, f: Callable) -> float:
-        """Integral of ``f`` against ``P_theta``."""
-        raise NotImplementedError
-
-    def fisher_information(self, theta) -> np.ndarray:
         raise NotImplementedError
 
     def pilot_estimate(self, points):
@@ -360,34 +348,11 @@ class Categorical(ParametricModel):
             raise ValidationError(f"point {err.args[0]!r} is not an atom of {self!r}") from None
         return idx if np.ndim(x) else int(idx[0])
 
-    def log_density_ratio(self, theta, alpha, x):
-        lp = np.log(self.probs(theta)) - np.log(self.probs(alpha))
-        idx = self.atom_index(x)
-        return lp[idx]
-
     def sample(self, theta, n, seed_or_rng):
         p = self.probs(theta)
         rng = _as_rng(seed_or_rng)
         idx = rng.choice(self.k, size=int(n), p=p)
         return np.asarray(self.atoms, dtype=float)[idx]
-
-    def integrate_under(self, theta, f):
-        p = self.probs(theta)
-        return float(math.fsum(f(a) * pi for a, pi in zip(self.atoms, p)))
-
-    def fisher_information(self, theta):
-        """Information matrix of the probability map, by central differences."""
-        step = 1e-6
-        vec = self._theta_vec(theta)
-        p = self.probs(vec)
-        jac = np.empty((self.k, self.param_dim))
-        for a in range(self.param_dim):
-            up = vec.copy()
-            dn = vec.copy()
-            up[a] += step
-            dn[a] -= step
-            jac[:, a] = (self.probs(up) - self.probs(dn)) / (2.0 * step)
-        return jac.T @ (jac / p[:, None])
 
     def pilot_estimate(self, points):
         """The cell frequencies, all but the last."""

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergences import CressieRead, DivergenceSpec, FiniteMeasure, INF, cell_divergence, divergence_finite
+from .divergences import CressieRead, DivergenceSpec, INF, cell_divergence
 from .errors import EnumerationLimitError, ValidationError
 from .models import Categorical, ParametricModel
 from .reporting import Record
@@ -160,30 +160,6 @@ def log_occupation_probability(p, counts) -> float:
     return float(_log_probs_of_counts(counts.astype(np.int64)[None, :], p)[0])
 
 
-def _as_cell_vector(measure, k: int | None = None) -> np.ndarray:
-    if isinstance(measure, FiniteMeasure):
-        vec = np.asarray(measure.masses, dtype=float)
-    else:
-        vec = np.asarray(measure, dtype=float)
-    if k is not None and vec.shape[0] != k:
-        raise ValidationError(f"expected {k} cell masses, got {vec.shape[0]}")
-    return vec
-
-
-def kl_on_partition(q, p) -> float:
-    """``sum_j q_j log(q_j / p_j)`` over cells, with ``0 log 0 = 0``."""
-    qv = _as_cell_vector(q)
-    pv = _as_cell_vector(p, qv.shape[0])
-    total = 0.0
-    for qj, pj in zip(qv, pv):
-        if qj == 0.0:
-            continue
-        if pj == 0.0:
-            return INF
-        total += qj * math.log(qj / pj)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Neighborhood infima: separable convex programs on the cell box.
 # ---------------------------------------------------------------------------
@@ -206,7 +182,9 @@ def neighborhood_inf_divergence(
     The sum constraint is handled by bisection on the multiplier of the
     total mass, exact for this separable convex objective.
     """
-    p = _as_cell_vector(p, neighborhood.k)
+    p = np.asarray(p, dtype=float)
+    if p.shape[0] != neighborhood.k:
+        raise ValidationError(f"expected {neighborhood.k} cell masses, got {p.shape[0]}")
     lo, hi = neighborhood.closed_box()
 
     null = p == 0.0
@@ -554,7 +532,7 @@ def sanov_rate_convergence(model: Categorical, theta, thetaT, n_grid: Sequence[i
     """
     p = model.probs(theta)
     pT = model.probs(thetaT)
-    target = -kl_on_partition(pT, p)
+    target = -cell_divergence(KL, pT, p)
     rows = []
     gaps_scaled = []
     for n in check_sample_sizes(n_grid):
@@ -724,17 +702,15 @@ def shrink_epsilon_limit(
     grid entry within 1e-6.
     """
     eps = check_radius_grid(eps_grid)
-    c = _as_cell_vector(center)
-    pv = _as_cell_vector(p, c.shape[0])
+    c = np.asarray(center, dtype=float)
+    pv = np.asarray(p, dtype=float)
+    if np.any(pv < 0.0):
+        raise ValidationError("reference measure must have nonnegative masses")
     rows = []
     for e in eps:
         v = neighborhood_inf_divergence(spec, PartitionNeighborhood(tuple(c), e, zero_cells), pv)
         rows.append(ShrinkRow(epsilon=e, inf_value=v))
-    limit = divergence_finite(
-        spec,
-        FiniteMeasure(tuple(range(c.shape[0])), tuple(c)),
-        FiniteMeasure(tuple(range(pv.shape[0])), tuple(pv)),
-    )
+    limit = cell_divergence(spec, c.tolist(), pv.tolist())
     vals = [r.inf_value for r in rows]
     monotone = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     converged = math.isfinite(vals[-1]) and abs(vals[-1] - limit) <= 1e-6

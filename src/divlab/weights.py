@@ -406,10 +406,3 @@ def induced_divergence(law: WeightLaw, force_numeric: bool = False) -> Divergenc
             return closed
     return WeightInducedDivergence(law)
 
-
-def sample_weights(law: WeightLaw, n: int, seed) -> np.ndarray:
-    """Draw ``n`` i.i.d. weights; deterministic for a fixed seed."""
-    if n < 1:
-        raise ValidationError("weight sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    return law.sample(int(n), rng)

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line pipelines."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divlab.bahadur as bahadur
 import divlab.cli as cli
@@ -411,6 +415,42 @@ def test_domain_error_prints_plain_floats(tmp_path, capsys):
     assert "np.float64" not in err
 
 
+#: the ``RERUN_CONFIGS`` bases the contract test starts from
+CONTRACT_BASES = ("divergence", "estimate", "sanov_shrink", "sanov_rate")
+
+#: values a field is set to, one field at a time
+CONTRACT_VALUES = ("0", "-1", "1e30", "nan", "inf", "-inf", "")
+
+
+@st.composite
+def _one_field_changed(draw):
+    """A ``RERUN_CONFIGS`` base with one schema field set to an edge value."""
+    argv = list(RERUN_CONFIGS[draw(st.sampled_from(CONTRACT_BASES))])
+    field = draw(st.sampled_from(sorted(set(cli.SCHEMAS[argv[0]]) - {"out"})))
+    flag = f"--{field}"
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    # "--key=value" keeps argparse from reading "-1" or "-inf" as a flag
+    return argv + [f"{flag}={draw(st.sampled_from(CONTRACT_VALUES))}"]
+
+
+class TestCliContract:
+    """Any one field at an edge value exits 0, 2 or 3, never with a traceback."""
+
+    @given(_one_field_changed())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_one_edge_field_keeps_the_exit_contract(self, tmp_path_factory, argv):
+        out = tmp_path_factory.getbasetemp() / "cli_contract"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv + ["--out", str(out)])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+
+
 class TestDryRun:
     """Plan printing without computation."""
 
@@ -658,9 +698,29 @@ class TestReproducibility:
                 "clt_moments_normal11",
                 ("csv", "json"),
             ),
+            (RERUN_CONFIGS["estimate"], "estimate_weights_poisson1", ("json",)),
+            (
+                ["sanov", "--mode", "shrink", "--theta", "0.4,0.6", "--center", "0.5,0.5",
+                 "--eps_grid", "0.1,0.01,0.001,0.0001,0.00001,0.000001,0.0000001"],
+                "sanov_shrink",
+                ("csv", "json"),
+            ),
+            (
+                ["divergence", "--gamma", "induced", "--law", "twopoint", "--conjugate", "true",
+                 "--grid", "0.6:1.8:7"],
+                "divergence_induced_twopoint_conj",
+                ("csv", "json"),
+            ),
+            (
+                ["sanov", "--mode", "rate", "--theta", "0.37,0.63", "--theta_T", "0.5,0.5",
+                 "--n_grid", "10,20,40,80"],
+                "sanov_rate",
+                ("csv", "json"),
+            ),
         ],
         ids=["chernoff", "divergence", "estimate", "sanov_mc", "slopes_k3_poisson1", "slopes_k3_twopoint",
-             "clt_moments_normal11"],
+             "clt_moments_normal11", "estimate_weights_poisson1", "sanov_shrink",
+             "divergence_induced_twopoint_conj", "sanov_rate"],
     )
     def test_golden_artifacts_reproduced(self, tmp_path, argv, label, suffixes):
         """Stored golden artifacts regenerate byte for byte."""

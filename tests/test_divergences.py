@@ -1,4 +1,4 @@
-"""Unit tests for the power-family generators and finite-support divergences."""
+"""Unit tests for the power-family generators and cell-mass divergences."""
 
 import dataclasses
 import math
@@ -16,11 +16,7 @@ from divlab.divergences import (
     INF,
     ConjugateSpec,
     CressieRead,
-    FiniteMeasure,
     cell_divergence,
-    conjugate,
-    divergence_finite,
-    eval_phi,
 )
 from divlab.errors import ValidationError
 
@@ -237,7 +233,7 @@ class TestConjugation:
         """conjugate(phi)(x) = x phi(1/x) pointwise."""
         for g in GAMMAS:
             spec = CressieRead(g)
-            conj = conjugate(spec)
+            conj = spec.conjugate()
             for x in grid:
                 x = float(x)
                 assert conj.value(x) == pytest.approx(x * spec.value(1.0 / x), rel=1e-12, abs=1e-12)
@@ -245,7 +241,7 @@ class TestConjugation:
     def test_double_conjugation_round_trip(self, grid):
         """Conjugating twice restores the original values."""
         spec = CressieRead(0.5)
-        twice = conjugate(conjugate(spec))
+        twice = spec.conjugate().conjugate()
         for x in grid:
             assert twice.value(float(x)) == pytest.approx(spec.value(float(x)), abs=1e-12)
 
@@ -313,65 +309,28 @@ class TestPrimeInverse:
 # =============================================================================
 
 
-class TestFiniteMeasure:
-    """Labelled finite-support measures."""
-
-    def test_from_probs_defaults_integer_support(self):
-        """from_probs labels atoms 0..k-1."""
-        m = FiniteMeasure.from_probs([0.2, 0.8])
-        assert m.support == (0, 1)
-        assert m.total_mass() == pytest.approx(1.0)
-
-    def test_mass_lookup_missing_label(self):
-        """Mass queries off the support return zero."""
-        m = FiniteMeasure.from_probs([0.2, 0.8])
-        assert m.mass(7) == 0.0
-
-    def test_duplicate_labels_rejected(self):
-        """Repeated support labels fail validation."""
-        with pytest.raises(ValidationError):
-            FiniteMeasure(("a", "a"), (0.5, 0.5))
-
-    def test_length_mismatch_rejected(self):
-        """Support and mass tuples must align."""
-        with pytest.raises(ValidationError):
-            FiniteMeasure(("a",), (0.5, 0.5))
-
-
 class TestFiniteDivergence:
-    """Divergence between finite-support measures."""
+    """Divergence between aligned cell-mass vectors."""
 
     def test_identical_measures_are_at_zero(self):
         """The divergence of a measure from itself vanishes."""
-        p = FiniteMeasure.from_probs([0.3, 0.3, 0.4])
+        p = [0.3, 0.3, 0.4]
         for g in GAMMAS:
-            assert divergence_finite(CressieRead(g), p, p) == pytest.approx(0.0, abs=1e-15)
+            assert cell_divergence(CressieRead(g), p, p) == pytest.approx(0.0, abs=1e-15)
 
     def test_kullback_value_against_scipy(self):
         """Index 1 reproduces the summed relative entropy."""
-        q = FiniteMeasure.from_probs([0.5, 0.3, 0.2])
-        p = FiniteMeasure.from_probs([0.2, 0.3, 0.5])
-        expect = float(np.sum(rel_entr([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])))
-        assert divergence_finite(CressieRead(1.0), q, p) == pytest.approx(expect, abs=1e-13)
+        q, p = [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]
+        expect = float(np.sum(rel_entr(q, p)))
+        assert cell_divergence(CressieRead(1.0), q, p) == pytest.approx(expect, abs=1e-13)
 
     def test_mass_off_reference_support_is_infinite(self):
-        """q-mass on a null reference atom makes the divergence infinite."""
-        q = FiniteMeasure((0, 1), (0.5, 0.5))
-        p = FiniteMeasure((0,), (1.0,))
-        assert divergence_finite(CressieRead(1.0), q, p) == INF
+        """q-mass on a null reference cell makes the divergence infinite."""
+        assert cell_divergence(CressieRead(1.0), [0.5, 0.5], [1.0, 0.0]) == INF
 
     def test_shared_null_atom_ignored(self):
-        """Atoms missing from both measures contribute nothing."""
-        q = FiniteMeasure((0, 1, 2), (0.5, 0.5, 0.0))
-        p = FiniteMeasure((0, 1), (0.5, 0.5))
-        assert divergence_finite(CressieRead(1.0), q, p) == pytest.approx(0.0, abs=1e-15)
-
-    def test_negative_reference_rejected(self):
-        """Signed reference masses are a validation error."""
-        q = FiniteMeasure.from_probs([0.5, 0.5])
-        p = FiniteMeasure((0, 1), (1.2, -0.2))
-        with pytest.raises(ValidationError):
-            divergence_finite(CressieRead(1.0), q, p)
+        """A cell empty under both measures contributes nothing."""
+        assert cell_divergence(CressieRead(1.0), [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]) == pytest.approx(0.0, abs=1e-15)
 
     @given(
         st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=3, max_size=3),
@@ -381,10 +340,8 @@ class TestFiniteDivergence:
     @settings(max_examples=150, deadline=None)
     def test_conjugation_swaps_arguments(self, qm, pm, g):
         """divergence(phi~; p, q) equals divergence(phi; q, p) for positive measures."""
-        q = FiniteMeasure((0, 1, 2), tuple(qm))
-        p = FiniteMeasure((0, 1, 2), tuple(pm))
-        direct = divergence_finite(CressieRead(g), q, p)
-        swapped = divergence_finite(conjugate(CressieRead(g)), p, q)
+        direct = cell_divergence(CressieRead(g), qm, pm)
+        swapped = cell_divergence(CressieRead(g).conjugate(), pm, qm)
         assert direct == pytest.approx(swapped, rel=1e-12, abs=1e-12)
 
 
@@ -423,28 +380,3 @@ class TestCellDivergence:
         q, p = qm[: len(pm)], pm[: len(qm)]
         expect = sum((a - b) ** 2 / (2.0 * b) for a, b in zip(q, p))
         assert cell_divergence(CressieRead(2.0), q, p) == pytest.approx(expect, rel=1e-12, abs=1e-12)
-
-    @given(
-        st.dictionaries(st.sampled_from("abcde"), st.floats(min_value=0.0, max_value=3.0), min_size=1),
-        st.dictionaries(st.sampled_from("abcde"), st.floats(min_value=0.05, max_value=3.0), min_size=1),
-        st.sampled_from(GAMMAS),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_agrees_with_labelled_measures(self, qd, pd, g):
-        """divergence_finite equals cell_divergence on the aligned union of labels."""
-        spec = CressieRead(g)
-        q = FiniteMeasure(tuple(qd), tuple(qd.values()))
-        p = FiniteMeasure(tuple(pd), tuple(pd.values()))
-        labels = sorted(set(qd) | set(pd))
-        aligned = cell_divergence(spec, [qd.get(a, 0.0) for a in labels], [pd.get(a, 0.0) for a in labels])
-        assert divergence_finite(spec, q, p) == pytest.approx(aligned, rel=1e-12, abs=1e-15)
-
-
-class TestEvalHelpers:
-    """Module-level evaluation helpers."""
-
-    def test_eval_phi_delegates(self):
-        """eval_phi matches the generator method for each order."""
-        spec = CressieRead(0.5)
-        for order in (0, 1, 2):
-            assert eval_phi(spec, 1.7, order) == spec.value(1.7, order)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import divlab.estimation as estimation
-from divlab.divergences import INF, CressieRead, FiniteMeasure, divergence_finite
+from divlab.divergences import INF, CressieRead, cell_divergence
 from divlab.errors import DomainError, NumericError, ValidationError
 from divlab.estimation import (
     WeightedEmpiricalMeasure,
@@ -17,11 +17,9 @@ from divlab.estimation import (
     _DualCriterion,
     _categorical_dual_rows,
     _expfam_power_dual,
-    _expfam_power_lead,
-    build_weighted_empirical,
+    _power_lead,
     divergence_between,
     estimate_phi_dual,
-    h_value,
     minimum_dual_estimator,
     minimum_dual_estimator_batch,
 )
@@ -48,39 +46,17 @@ def gauss_sample(rng):
 
 
 class TestWeightedEmpirical:
-    """The (1/n) sum W_i f(x_i) functional."""
+    """Weighted empirical measures (1/n) sum W_i delta_{x_i}."""
 
     def test_plain_constructor_unit_weights(self):
         """plain() attaches unit weight to every point."""
         mu = WeightedEmpiricalMeasure.plain((1.0, 2.0, 3.0))
         assert mu.weights == (1.0, 1.0, 1.0)
-        assert mu.integrate(lambda x: np.asarray(x)) == pytest.approx(2.0)
-
-    def test_integrate_is_weighted_average(self):
-        """integrate applies weights then divides by the point count."""
-        mu = WeightedEmpiricalMeasure((1.0, 3.0), (2.0, 0.0))
-        assert mu.integrate(lambda x: np.asarray(x)) == pytest.approx(1.0)
-
-    def test_from_finite_measure_scales_masses(self):
-        """Cell masses scale by the atom count so integrals match the measure."""
-        fin = FiniteMeasure((0.0, 1.0), (0.25, 0.75))
-        mu = WeightedEmpiricalMeasure.from_finite_measure(fin)
-        assert mu.points == (0.0, 1.0)
-        assert mu.weights == (0.5, 1.5)
-        assert mu.integrate(lambda x: np.asarray(x)) == pytest.approx(0.75)
 
     def test_length_mismatch_rejected(self):
         """Points and weights must align."""
         with pytest.raises(ValidationError):
             WeightedEmpiricalMeasure((1.0,), (1.0, 2.0))
-
-    def test_build_with_law_is_seed_deterministic(self):
-        """Building with a sampled weight law reproduces under equal seeds."""
-        pts = (0.1, 0.9, 1.4)
-        a = build_weighted_empirical(pts, PoissonOne(), np.random.SeedSequence(9))
-        b = build_weighted_empirical(pts, PoissonOne(), np.random.SeedSequence(9))
-        assert a.weights == b.weights
-
 
 # =============================================================================
 # Tests: divergence between model members
@@ -113,9 +89,7 @@ class TestDivergenceBetween:
         """Finite-support models route through the cell-mass formula."""
         model = Categorical(2)
         out = divergence_between(model, CressieRead(0.5), (0.3,), (0.6,))
-        q = FiniteMeasure.from_probs([0.3, 0.7])
-        p = FiniteMeasure.from_probs([0.6, 0.4])
-        assert out == pytest.approx(divergence_finite(CressieRead(0.5), q, p), abs=1e-13)
+        assert out == pytest.approx(cell_divergence(CressieRead(0.5), [0.3, 0.7], [0.6, 0.4]), abs=1e-13)
 
     def test_generic_quadrature_matches_closed_form(self):
         """The quadrature fallback agrees with the power-family closed form."""
@@ -144,24 +118,30 @@ class TestDivergenceBetween:
 
 
 class TestDualIntegrand:
-    """Pointwise dual criterion term."""
+    """The dual criterion's term h = lead - phi#(ratio(x)), from the closed-form
+    kernel :func:`_expfam_power_dual`."""
+
+    @staticmethod
+    def _h(model, spec, theta, alpha, x):
+        lead, sharp = _expfam_power_dual(model, spec, theta, alpha, model.sufficient_stat(x))
+        return float(lead - sharp)
 
     def test_worked_half_chi_square_value(self):
         """Frozen value of the index-2 term at the origin."""
-        out = h_value(GaussianLocation(), CressieRead(2.0), 1.0, 0.0, 0.0)
+        out = self._h(GaussianLocation(), CressieRead(2.0), 1.0, 0.0, 0.0)
         assert out == pytest.approx(2.034342107873324, abs=1e-12)
 
     def test_vanishes_on_diagonal_at_any_point(self):
         """With alpha = theta the lead and tail terms cancel."""
         for x in [-1.0, 0.3, 2.0]:
-            out = h_value(GaussianLocation(), CressieRead(0.5), 0.8, 0.8, x)
+            out = self._h(GaussianLocation(), CressieRead(0.5), 0.8, 0.8, x)
             assert out == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_direct_quadrature(self):
-        """The lead term reproduces a directly integrated expectation."""
+        """The closed-form lead reproduces a directly integrated expectation."""
         model = GaussianLocation()
         spec = CressieRead(2.0)
-        theta, alpha, x = 0.9, 0.4, 0.7
+        theta, alpha = 0.9, 0.4
 
         def lead_integrand(y):
             # phi'(r) = r - 1 for index 2; expand in log space for the tails
@@ -170,10 +150,23 @@ class TestDualIntegrand:
             first = math.exp(log_ratio + log_dens) if log_ratio + log_dens > -700.0 else 0.0
             return first - math.exp(log_dens)
 
-        lead, _ = integrate.quad(lead_integrand, -np.inf, np.inf)
-        r = math.exp(model.log_density_ratio(theta, alpha, x))
-        expect = lead - spec.sharp(r)
-        assert h_value(model, spec, theta, alpha, x) == pytest.approx(expect, rel=1e-8)
+        expect, _ = integrate.quad(lead_integrand, -np.inf, np.inf)
+        lead, _ = _expfam_power_dual(model, spec, theta, alpha)
+        assert float(lead) == pytest.approx(expect, rel=1e-8)
+
+    @pytest.mark.parametrize("model, theta, alpha", [
+        (GaussianLocation(), 0.9, 0.4),
+        (PoissonNatural(), 0.3, 0.1),
+        (ExponentialScale(), -1.2, -0.8),
+    ], ids=["gauss_loc", "poisson", "exp_scale"])
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    def test_quadrature_lead_matches_closed_form(self, model, theta, alpha, gamma):
+        """The quadrature lead of a generator without closed form (the
+        criterion's "expfam" kind) agrees with the closed form on power
+        generators whose phi' is finite at 0 (index above 1)."""
+        spec = CressieRead(gamma)
+        lead, _ = _expfam_power_dual(model, spec, theta, alpha)
+        assert estimation._phi_prime_mean(model, spec, theta, alpha) == pytest.approx(float(lead), rel=1e-7, abs=1e-10)
 
 
 # =============================================================================
@@ -297,9 +290,8 @@ class TestDualCriterion:
         model, spec = Categorical(2), induced_divergence(ShiftedBernoulli())
         fractions = [0.0, 0.3, 0.5, 1.0]
         crits = [
-            _DualCriterion(model, spec, WeightedEmpiricalMeasure.from_finite_measure(
-                FiniteMeasure(model.atoms, (f, 1.0 - f))
-            ))
+            # weights 2 * mass reproduce the cell masses (f, 1 - f) on the two atoms
+            _DualCriterion(model, spec, WeightedEmpiricalMeasure(model.atoms, (2 * f, 2 * (1.0 - f))))
             for f in fractions
         ]
         masses = np.array([crit.atom_masses for crit in crits])
@@ -354,9 +346,9 @@ def _rounding_bound(crit, theta, alpha):
     """
     model, spec = crit.model, crit.spec
     th, al = theta[:, None], alpha[:, None]
-    lead, C_t, C_a = _expfam_power_lead(model, spec, th, al)
     _, sharp = _expfam_power_dual(model, spec, th, al, crit.t)
     with np.errstate(over="ignore", invalid="ignore"):
+        lead, C_t, C_a = _power_lead(model, spec, th, al)
         size = np.abs((th - al) * crit.t) + np.abs(C_t) + np.abs(C_a)
         growth = 1.0 if spec.branch == "log" else np.abs(1.0 + spec.gamma * sharp)
         terms = np.abs(crit.w) * (growth * size + np.abs(sharp))
@@ -609,7 +601,7 @@ class TestMinimumDualEstimator:
     def test_score_identity_with_weights(self, gauss_sample):
         """The weighted estimate solves the self-normalized score equation."""
         model, x = gauss_sample
-        mu = build_weighted_empirical(tuple(x), PoissonOne(), np.random.SeedSequence(31))
+        mu = WeightedEmpiricalMeasure(tuple(x), PoissonOne().sample(len(x), np.random.default_rng(31)))
         w = np.asarray(mu.weights)
         target = float(np.sum(w * x) / np.sum(w))
         spec = induced_divergence(PoissonOne()).conjugate()
@@ -632,7 +624,7 @@ class TestMinimumDualEstimator:
         """Count-model weighted estimates solve the weighted score equation."""
         model = PoissonNatural()
         x = model.sample(0.3, 70, rng)
-        mu = build_weighted_empirical(tuple(x), NormalOneOne(), np.random.SeedSequence(8))
+        mu = WeightedEmpiricalMeasure(tuple(x), NormalOneOne().sample(len(x), np.random.default_rng(8)))
         w = np.asarray(mu.weights)
         target = float(np.sum(w * x) / np.sum(w))
         spec = induced_divergence(NormalOneOne()).conjugate()

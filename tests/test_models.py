@@ -354,18 +354,6 @@ class TestCategorical:
         with pytest.raises(ValidationError):
             Categorical(2).atom_index(0.5)
 
-    def test_log_density_ratio_matches_probs(self):
-        """The log ratio at an atom is the log of the cell-mass ratio."""
-        model = Categorical(2)
-        out = model.log_density_ratio((0.3,), (0.6,), 0.0)
-        assert out == pytest.approx(math.log(0.3 / 0.6), abs=1e-12)
-
-    def test_fisher_information_binomial_closed_form(self):
-        """The k=2 information matches 1/(p(1-p))."""
-        model = Categorical(2)
-        info = model.fisher_information((0.3,))
-        assert info[0, 0] == pytest.approx(1.0 / (0.3 * 0.7), rel=1e-5)
-
     def test_default_box_is_the_simplex_interior(self):
         """The box is [1e-6, 1 - 1e-6] in each coordinate, whatever the pilot."""
         for pilot in (None, (0.2, 0.3), (0.999, 0.0)):

@@ -21,7 +21,6 @@ from divlab.sanov import (
     PartitionNeighborhood,
     conditional_ldp_mc,
     enumerate_count_vectors,
-    kl_on_partition,
     largest_remainder_counts,
     log_occupation_probability,
     ml_ldp_gap,
@@ -176,13 +175,6 @@ class TestOccupation:
             direct = gammaln(counts.sum() + 1) - np.sum(gammaln(counts + 1)) + np.sum(counts[pos] * np.log(p[pos]))
             assert out == direct
 
-    def test_kl_on_partition_closed_form(self):
-        """Cell-mass relative entropy matches the direct sum."""
-        q = np.array([0.5, 0.5])
-        p = np.array([0.3, 0.7])
-        expect = 0.5 * math.log(0.5 / 0.3) + 0.5 * math.log(0.5 / 0.7)
-        assert kl_on_partition(q, p) == pytest.approx(expect, abs=1e-13)
-
 
 class TestScipyReferences:
     """The exact paths' log-factorials and log-sum-exp are scipy's, bit for bit."""
@@ -277,12 +269,17 @@ class TestNeighborhoodInfimum:
         out = neighborhood_inf_divergence(KL, ball, p)
         assert out == pytest.approx(scan, abs=1e-6)
 
+    def test_reference_of_another_length_rejected(self):
+        """The reference needs one mass per cell of the neighborhood."""
+        with pytest.raises(ValidationError):
+            neighborhood_inf_divergence(KL, PartitionNeighborhood((0.5, 0.5), 0.05), [0.3, 0.3, 0.4])
+
     def test_minimizer_is_probability_vector(self):
         """The reported minimizer is feasible and sums to one."""
         ball = PartitionNeighborhood((0.55, 0.45), 0.02)
         value, q = neighborhood_inf_divergence(KL, ball, [0.3, 0.7], return_minimizer=True)
         assert float(np.sum(q)) == pytest.approx(1.0, abs=1e-9)
-        assert value == pytest.approx(kl_on_partition(q, [0.3, 0.7]), abs=1e-9)
+        assert value == pytest.approx(q[0] * math.log(q[0] / 0.3) + q[1] * math.log(q[1] / 0.7), abs=1e-9)
 
     def test_null_reference_cell_with_positive_lower_bound(self):
         """A forced positive mass on a null reference cell is infinitely far."""
@@ -332,6 +329,20 @@ class TestRateConvergence:
         table = sanov_rate_convergence(model, (0.3,), (0.5,), [100])
         expect = -(0.5 * math.log(0.5 / 0.3) + 0.5 * math.log(0.5 / 0.7))
         assert table.rows[0].rate_target == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("k, theta, thetaT", [
+        (2, (0.3,), (0.5,)),
+        (2, (0.37,), (0.5,)),
+        (2, (0.9,), (0.05,)),
+        (3, (0.2, 0.5), (0.4, 0.35)),
+    ])
+    def test_target_within_ulps_of_relative_entropy(self, k, theta, thetaT):
+        """The target, the index-1 cell divergence sum_j p_j phi_1(q_j / p_j),
+        lies within 1e-15 of minus sum_j q_j log(q_j / p_j)."""
+        model = Categorical(k)
+        p, q = model.probs(theta).tolist(), model.probs(thetaT).tolist()
+        target = sanov_rate_convergence(model, theta, thetaT, [10]).rows[0].rate_target
+        assert abs(target + math.fsum(qj * math.log(qj / pj) for qj, pj in zip(q, p))) <= 1e-15
 
     def test_fitted_constant_bounds_scaled_gaps(self):
         """The fitted constant dominates gap * n / log n on the grid."""
@@ -476,6 +487,16 @@ class TestShrinkingRadius:
         assert table.converged
         expect = 0.5 * math.log(0.5 / 0.3) + 0.5 * math.log(0.5 / 0.7)
         assert table.limit_value == pytest.approx(expect, abs=1e-12)
+
+    def test_negative_reference_rejected(self):
+        """Signed reference masses are a validation error."""
+        with pytest.raises(ValidationError):
+            shrink_epsilon_limit(KL, [0.5, 0.5], [1.2, -0.2], [0.1, 0.01])
+
+    def test_reference_of_another_length_rejected(self):
+        """Center and reference must have one mass per cell each."""
+        with pytest.raises(ValidationError):
+            shrink_epsilon_limit(KL, [0.5, 0.5], [0.3, 0.3, 0.4], [0.1, 0.01])
 
     def test_non_decreasing_grid_rejected(self):
         """The radius grid must strictly decrease."""

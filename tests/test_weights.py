@@ -15,7 +15,6 @@ from divlab.weights import (
     chernoff,
     chernoff_argmax,
     induced_divergence,
-    sample_weights,
     weight_law,
 )
 
@@ -122,15 +121,14 @@ class TestSampleWeights:
     """Seeded weight draws."""
 
     def test_deterministic_given_seed(self):
-        """The same seed sequence reproduces the same draw."""
-        seed = np.random.SeedSequence(77)
-        a = sample_weights(PoissonOne(), 50, seed)
-        b = sample_weights(PoissonOne(), 50, np.random.SeedSequence(77))
+        """Generators from equal seed sequences reproduce the same draw."""
+        a = PoissonOne().sample(50, np.random.default_rng(np.random.SeedSequence(77)))
+        b = PoissonOne().sample(50, np.random.default_rng(np.random.SeedSequence(77)))
         np.testing.assert_array_equal(a, b)
 
     def test_length_and_dtype(self):
         """Draws come back as float vectors of the requested length."""
-        w = sample_weights(NormalOneOne(), 17, np.random.SeedSequence(3))
+        w = NormalOneOne().sample(17, np.random.default_rng(np.random.SeedSequence(3)))
         assert w.shape == (17,) and w.dtype == np.float64
 
     @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.token)
