@@ -26,7 +26,7 @@ from .errors import ValidationError
 from .estimation import divergence_between
 from .models import Categorical, ParametricModel
 from .reporting import Record
-from .sanov import check_sample_sizes, log_rate
+from .sanov import check_sample_sizes, log_rate, simplex_counts
 from .seeding import derived_rng
 from .weights import WeightLaw, induced_divergence
 
@@ -60,62 +60,43 @@ def slope_min_divergence(model: ParametricModel, law: WeightLaw, theta, theta_pr
     return -2.0 * value + 0.0  # -0.0 + 0.0 is +0.0: a null alternative prints 0, never -0
 
 
-def _cell_divergence_rows(spec: DivergenceSpec, p_theta: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """:func:`cell_divergence` of ``p_theta`` from each row, vectorized.
+def _cell_divergence_rows(spec: DivergenceSpec, p_theta, counts: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """:func:`cell_divergence` of ``p_theta`` from each row of ``counts``,
+    vectorized; cell ``j`` at count ``i`` holds the mass ``masses[j, i]``.
 
-    Every mass in ``rows`` lies on the lattice ``i / m``, as a simplex
-    grid's do.  Each cell's term is evaluated once per distinct positive
-    mass in its column, in ascending order, and looked up by the count
-    ``i``; a column whose counts do not give back its masses bit for bit
-    raises ``ValueError``.
+    Each cell's term is evaluated once per distinct count in its column
+    whose mass is positive, in ascending order, and looked up by count.
     """
     out = None
     for j, pj in enumerate(p_theta):
-        column = rows[:, j]
-        codes = np.rint(column * m).astype(np.intp)
-        if codes.size and (codes.min() < 0 or codes.max() > m):
-            raise ValueError(f"cell {j} holds masses outside [0, 1]")
-        masses = np.zeros(m + 1)
-        masses[codes] = column
-        if not np.array_equal(masses[codes].view(np.int64), column.view(np.int64)):
-            raise ValueError(f"cell {j} holds masses off the lattice i / {m}")
-        present = np.zeros(m + 1, dtype=bool)
-        present[codes] = True
-        charged = present & (masses > 0.0)
-        terms = np.full(m + 1, INF if pj > 0.0 else 0.0)
-        terms[charged] = masses[charged] * spec.value_array(pj / masses[charged])
+        column = counts[:, j]
+        charged = np.zeros(masses.shape[1], dtype=bool)
+        charged[column] = True
+        charged &= masses[j] > 0.0
+        terms = np.full(masses.shape[1], INF if pj > 0.0 else 0.0)
+        terms[charged] = masses[j, charged] * spec.value_array(pj / masses[j, charged])
         # the first cell's terms as they are, the others added in cell order:
         # the rounding of ``np.sum`` over a row
         if out is None:
-            out = terms[codes]
+            out = terms[column]
         else:
-            out += terms[codes]
+            out += terms[column]
     out[~np.isfinite(out)] = INF
     return out
 
 
 def _simplex_grid(k: int, step: float) -> np.ndarray:
-    """Cell masses ``(a, b, m - a - b) / m`` with ``m = 1 / step`` (``(a, m - a) / m``
-    for two cells), ``a`` outer and ``b`` inner, both ascending.
+    """The scan's count vectors over ``m = 1 / step``; :func:`check_slopes` bounds ``k``."""
+    return simplex_counts(k, int(round(1.0 / step)))
 
-    :func:`check_slopes` bounds ``k``.
-    """
-    m = int(round(1.0 / step))
+
+def _lattice_masses(k: int, m: int) -> np.ndarray:
+    """Cell ``j``'s mass at count ``i`` in row ``j``: ``i / m``, but ``1 - (m - i) / m``
+    for the second of two cells, which differs from ``i / m`` in the last bit at many ``i``."""
+    masses = np.tile(np.arange(m + 1) / m, (k, 1))
     if k == 2:
-        q1 = np.arange(m + 1) / m
-        return np.stack([q1, 1.0 - q1], axis=1)
-    # block a holds the m + 1 - a rows b = 0 .. m - a
-    lengths = np.arange(m + 1, 0, -1)
-    a = np.repeat(np.arange(m + 1), lengths)
-    b = np.arange(a.shape[0])
-    b -= np.repeat(np.cumsum(lengths) - lengths, lengths)
-    grid = np.empty((a.shape[0], 3))
-    np.divide(a, m, out=grid[:, 0])
-    np.divide(b, m, out=grid[:, 1])
-    a += b
-    np.subtract(m, a, out=a)
-    np.divide(a, m, out=grid[:, 2])
-    return grid
+        masses[1] = 1.0 - masses[0, ::-1]
+    return masses
 
 
 def _ascending(values: np.ndarray, head: int):
@@ -136,16 +117,17 @@ def _ascending(values: np.ndarray, head: int):
     yield from np.argsort(values, kind="stable")[head:]
 
 
-def _start_indices(cand: np.ndarray, values: np.ndarray, head: int = _START_BLOCK) -> list:
-    """Up to :data:`REFINE_STARTS` rows of ``cand`` to refine from.
+def _start_indices(cand: np.ndarray, masses: np.ndarray, values: np.ndarray, head=_START_BLOCK) -> list:
+    """Up to :data:`REFINE_STARTS` rows of the counts ``cand`` to refine from.
 
-    Rows are read by ascending ``values``, ties by index; each start is
-    more than five grid steps, in some cell, from every earlier one.
+    Rows are read by ascending ``values``, ties by index; each start's
+    masses are more than five grid steps, in some cell, from every earlier one's.
     """
+    cells = np.arange(masses.shape[0])
     starts = []
     for idx in _ascending(values, head):
-        q = cand[idx]
-        if all(np.max(np.abs(q - cand[s])) > 5 * GRID_STEP for s in starts):
+        q = masses[cells, cand[idx]]
+        if all(np.max(np.abs(q - masses[cells, cand[s]])) > 5 * GRID_STEP for s in starts):
             starts.append(idx)
             if len(starts) == REFINE_STARTS:
                 break
@@ -191,21 +173,24 @@ def slope_generic(
     level = float(stat.evaluator(p_null, model.probs(theta_prime)))
     _check_functional_zero(stat, p_null, p)
 
-    m = int(round(1.0 / GRID_STEP))
-    grid = _simplex_grid(model.k, GRID_STEP)
-    psi_vals = np.fromiter(map(stat.evaluator, repeat(p_null), grid), float, count=grid.shape[0])
+    lattice = _simplex_grid(model.k, GRID_STEP)
+    masses = _lattice_masses(model.k, int(round(1.0 / GRID_STEP)))
+    cells = np.arange(model.k)
+    # float rows built a block at a time: the scan never holds the float grid
+    rows = (q for lo in range(0, lattice.shape[0], 4096) for q in masses[cells, lattice[lo : lo + 4096]])
+    psi_vals = np.fromiter(map(stat.evaluator, repeat(p_null), rows), float, count=lattice.shape[0])
     feasible = psi_vals >= level - 1e-12
     del psi_vals
     if not np.any(feasible):
         raise ValidationError("no probability vector satisfies the slope constraint")
-    cand = grid[feasible]
-    # released before the divergence pass, which reads only the feasible rows
-    del grid, feasible
-    div_vals = _cell_divergence_rows(spec, p, cand, m)
-    starts = _start_indices(cand, div_vals)
-    best_q, best_v = cand[starts[0]], float(div_vals[starts[0]])
-    for i in starts:
-        q_ref, v_ref = _refine_constrained(spec, p_null, stat, level, cand[i])
+    cand = lattice[feasible]
+    del lattice, feasible
+    div_vals = _cell_divergence_rows(spec, p, cand, masses)
+    starts = _start_indices(cand, masses, div_vals)
+    start_rows = masses[cells, cand[starts]]
+    best_q, best_v = start_rows[0], float(div_vals[starts[0]])
+    for q0 in start_rows:
+        q_ref, v_ref = _refine_constrained(spec, p_null, stat, level, q0)
         if v_ref < best_v - 1e-12 or (
             v_ref <= best_v + 1e-12 and tuple(q_ref) < tuple(best_q)
         ):
@@ -366,7 +351,7 @@ def empirical_slope_trend(
     rows = []
     for n in (int(n) for n in n_grid):
         # one row per first-cell count c: the masses (c / n, 1 - c / n)
-        stat_of_count = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n), n)
+        stat_of_count = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n), _lattice_masses(2, n))
         rng = derived_rng(seed, "tail", n)
         counts = rng.binomial(n, float(p[0]), size=int(reps))
         hits = int(np.sum(stat_of_count[counts] >= t))

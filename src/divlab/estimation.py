@@ -140,11 +140,11 @@ class _InfiniteIntegrand(Exception):
 
 def _guarded_ratio_eval(model, spec, theta, alpha, x, order: int) -> float:
     lr = float(model.log_density_ratio(theta, alpha, x))
-    # Ratios beyond e^150 sit where the reference density has already
-    # underflowed to zero, so a finite clamp keeps the quadrature product
-    # at zero; generators with a bounded domain still evaluate to +inf at
-    # the clamp and flag the genuinely infinite integral.
-    r = math.exp(min(lr, 150.0))
+    # Ratios beyond e^150 or below e^-150 sit where a density has already
+    # underflowed to zero, so a finite clamp keeps the quadrature product at
+    # zero (a zero ratio would meet phi'(0) = -inf); bounded-domain generators
+    # still evaluate to +inf at the clamp and flag a truly infinite integral.
+    r = math.exp(min(max(lr, -150.0), 150.0))
     v = spec.value(r, order)
     if math.isinf(v):
         raise _InfiniteIntegrand

@@ -222,7 +222,8 @@ def neighborhood_inf_divergence(
                 break
         q = np.zeros_like(p)
         q[free] = _waterfill_sum(spec, 0.5 * (lam_lo + lam_hi), pf, lf, hf)
-        value = cell_divergence(spec, q, p)
+        # Python floats: an overflowing power raises and gives +inf, where numpy's warns
+        value = cell_divergence(spec, q.tolist(), p.tolist())
     if return_minimizer:
         return value, q
     return value
@@ -265,16 +266,24 @@ def check_enumeration(k: int, n: int) -> None:
         )
 
 
+def simplex_counts(k: int, n: int) -> np.ndarray:
+    """Every count vector of two or three cells summing to ``n``, the types
+    of a size-``n`` sample: rows ``(a, n - a)`` or ``(a, b, n - a - b)``,
+    ``a`` outer and ``b`` inner, both ascending, in the smallest unsigned
+    integer type that holds ``n``."""
+    a = np.arange(n + 1, dtype=np.min_scalar_type(n))
+    if k == 2:
+        return np.stack([a, n - a], axis=1)
+    # block a holds the n + 1 - a rows b = 0 .. n - a
+    b = np.concatenate([a[: n + 1 - i] for i in range(n + 1)])
+    a = np.repeat(a, np.arange(n + 1, 0, -1))
+    return np.stack([a, b, n - a - b], axis=1)
+
+
 def enumerate_count_vectors(k: int, n: int) -> np.ndarray:
     """All nonnegative integer vectors of length ``k`` summing to ``n``."""
     check_enumeration(k, n)
-    if k == 2:
-        j = np.arange(n + 1, dtype=np.int64)
-        return np.stack([j, n - j], axis=1)
-    a, b = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    mask = a + b <= n
-    a, b = a[mask], b[mask]
-    return np.stack([a, b, n - a - b], axis=1).astype(np.int64)
+    return simplex_counts(k, n).astype(np.int64)
 
 
 #: coefficients of the cephes ``lgam`` Stirling correction, and log sqrt(2 pi)

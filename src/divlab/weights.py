@@ -392,17 +392,15 @@ class WeightInducedDivergence(DivergenceSpec):
         return float(self.law.cgf_prime(y))
 
 
-def induced_divergence(law: WeightLaw, force_numeric: bool = False) -> DivergenceSpec:
+def induced_divergence(law: WeightLaw) -> DivergenceSpec:
     """Divergence generator whose values equal the law's Chernoff transform.
 
     Laws with a power-family closed form return the exact
-    :class:`CressieRead` member unless ``force_numeric`` asks for the
-    transform-based implementation (useful for cross-validating the two
-    routes).
+    :class:`CressieRead` member; the others the transform-based
+    :class:`WeightInducedDivergence`.
     """
-    if not force_numeric:
-        closed = law.closed_form_induced()
-        if closed is not None:
-            return closed
+    closed = law.closed_form_induced()
+    if closed is not None:
+        return closed
     return WeightInducedDivergence(law)
 

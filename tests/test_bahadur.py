@@ -14,6 +14,7 @@ from divlab.bahadur import (
     FunctionalStatistic,
     _ascending,
     _cell_divergence_rows,
+    _lattice_masses,
     _simplex_grid,
     _start_indices,
     efficiency_compare,
@@ -27,7 +28,16 @@ from divlab.errors import ValidationError
 from divlab.estimation import WeightedEmpiricalMeasure, estimate_phi_dual
 from divlab.models import Categorical, GaussianLocation
 from divlab import weights
-from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli, induced_divergence, weight_law
+from divlab.sanov import enumerate_count_vectors
+from divlab.weights import (
+    ExponentialOne,
+    NormalOneOne,
+    PoissonOne,
+    ShiftedBernoulli,
+    WeightInducedDivergence,
+    induced_divergence,
+    weight_law,
+)
 
 
 #: the scan's lattice: every grid mass is a count over ``M``
@@ -84,16 +94,26 @@ def _reference_cell_divergence_rows(spec, p_theta, rows):
     return np.where(np.isfinite(out), out, INF)
 
 
-def _reference_simplex_grid(m):
-    """The meshgrid-and-mask k=3 grid construction, kept as the reference."""
+def _reference_simplex_grid(k, m):
+    """The former float grid constructions, kept as the reference: meshgrid
+    and mask for three cells, a mass and its complement for two."""
+    if k == 2:
+        q1 = np.arange(m + 1) / m
+        return np.stack([q1, 1.0 - q1], axis=1)
     a, b = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
     mask = a + b <= m
     a, b = a[mask], b[mask]
     return np.stack([a / m, b / m, (m - a - b) / m], axis=1)
 
 
+def _float_rows(counts, m):
+    """The cell masses of each row of ``counts`` on the lattice ``i / m``."""
+    k = counts.shape[1]
+    return _lattice_masses(k, m)[np.arange(k), counts]
+
+
 def _reference_start_indices(cand, values):
-    """The start walk over a full stable argsort, kept as the reference."""
+    """The start walk over the float rows and a full stable argsort, kept as the reference."""
     starts = []
     for idx in np.argsort(values, kind="stable"):
         if all(np.max(np.abs(cand[idx] - cand[s])) > 5 * GRID_STEP for s in starts):
@@ -105,12 +125,13 @@ def _reference_start_indices(cand, values):
 
 @st.composite
 def _scan_candidates(draw):
-    """Candidate rows on a small lattice of grid steps, their values (ties and
-    +inf likely) and a selection block that may be shorter than the walk."""
+    """Candidate counts near a corner of the two-cell lattice, their values
+    (ties and +inf likely) and a selection block that may be shorter than
+    the walk."""
     n = draw(st.integers(1, 40))
     spread = draw(st.integers(0, 14))
     cells = draw(st.lists(st.integers(0, spread), min_size=2 * n, max_size=2 * n))
-    cand = np.array(cells, dtype=float).reshape(n, 2) * GRID_STEP
+    cand = np.array(cells, dtype=np.uint16).reshape(n, 2)
     value = st.one_of(st.sampled_from([0.0, 0.25, 1.0, INF]), st.floats(0.0, 4.0))
     values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     return cand, values, draw(st.integers(1, n + 2))
@@ -122,27 +143,37 @@ def _scan_candidates(draw):
 
 
 class TestScanPieces:
-    """The k=3 grid and the refinement starts against their reference constructions."""
+    """The lattice and the refinement starts against their reference constructions."""
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 7, 1000])
-    def test_k3_grid_equals_the_meshgrid_construction(self, m):
-        """Same rows, same order, same bits."""
-        grid, ref = _simplex_grid(3, 1.0 / m), _reference_simplex_grid(m)
-        assert grid.shape == ref.shape and grid.dtype == ref.dtype
-        assert grid.tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 10, 20, 40, 80, 255, 256, 1000])
+    def test_lattice_masses_equal_the_float_grid(self, k, m):
+        """The counts' masses are the former float grid's: same rows, same order, same bits."""
+        rows, ref = _float_rows(_simplex_grid(k, 1.0 / m), m), _reference_simplex_grid(k, m)
+        assert rows.shape == ref.shape and rows.dtype == ref.dtype
+        assert rows.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 300])
+    def test_scan_and_enumeration_share_one_lattice(self, k, n):
+        """The scan's counts are the exact enumeration's, in a small unsigned type."""
+        counts = _simplex_grid(k, 1.0 / n)
+        assert counts.dtype.kind == "u" and counts.dtype.itemsize <= 2 and np.all(counts.sum(axis=1) == n)
+        np.testing.assert_array_equal(counts, enumerate_count_vectors(k, n))
 
     @settings(max_examples=300, deadline=None)
     @given(_scan_candidates())
     # ties at the block's edge; +inf; one cluster, so fewer than three starts
     # and a walk through the whole order past a one-row block
-    @example((np.zeros((5, 2)), np.array([1.0, 0.0, 1.0, INF, 1.0]), 2))
+    @example((np.zeros((5, 2), dtype=np.uint16), np.array([1.0, 0.0, 1.0, INF, 1.0]), 2))
     # three separated starts, the third found past a two-row block
-    @example((np.array([[0.0, 0.0], [0.0, 0.001], [0.01, 0.0], [0.0, 0.01]]), np.array([0.0, 0.0, 1.0, INF]), 2))
+    @example((np.array([[0, 0], [0, 1], [10, 0], [0, 10]], dtype=np.uint16), np.array([0.0, 0.0, 1.0, INF]), 2))
     def test_starts_follow_the_stable_argsort_order(self, case):
         """Partial selection yields the stable argsort order, so the walk picks the reference starts."""
         cand, values, head = case
         assert list(_ascending(values, head)) == np.argsort(values, kind="stable").tolist()
-        assert _start_indices(cand, values, head) == _reference_start_indices(cand, values)
+        masses = _lattice_masses(2, M)
+        assert _start_indices(cand, masses, values, head) == _reference_start_indices(_float_rows(cand, M), values)
 
 
 # =============================================================================
@@ -151,51 +182,53 @@ class TestScanPieces:
 
 
 class TestCellDivergenceRows:
-    """The vectorized grid kernel against the scalar routine."""
+    """The vectorized count kernel against the scalar routine and the former float kernel."""
 
     @pytest.mark.parametrize("law", [PoissonOne(), ExponentialOne(), ShiftedBernoulli()])
     @pytest.mark.parametrize("p_theta", [(0.3, 0.3, 0.4), (0.6, 0.4, 0.0)])
     def test_rows_match_scalar_routine_on_k3_grid_slice(self, law, p_theta):
-        """Every row of a k=3 grid slice, boundary rows included, matches."""
+        """Every row of a k=3 lattice slice, boundary rows included, matches."""
         spec = induced_divergence(law)
         p = np.asarray(p_theta)
-        rows = _simplex_grid(3, GRID_STEP)[::499]
+        counts = _simplex_grid(3, GRID_STEP)[::499]
+        rows = _float_rows(counts, M)
         assert np.any(rows == 0.0)
         scalar = [cell_divergence(spec, p, q) for q in rows]
         assert scalar == [_reference_cell_divergence(spec, p, q) for q in rows]
-        np.testing.assert_allclose(_cell_divergence_rows(spec, p, rows, M), scalar, rtol=1e-12, atol=0.0)
+        got = _cell_divergence_rows(spec, p, counts, _lattice_masses(3, M))
+        np.testing.assert_allclose(got, scalar, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
         "spec",
-        [induced_divergence(ShiftedBernoulli()), induced_divergence(PoissonOne(), force_numeric=True)],
+        [induced_divergence(ShiftedBernoulli()), WeightInducedDivergence(PoissonOne())],
         ids=["twopoint", "poisson1_numeric"],
     )
     @pytest.mark.parametrize("p_theta", [(0.3, 0.3, 0.4), (0.6, 0.4, 0.0)])
     def test_numeric_generator_rows_equal_scalar_routine_exactly(self, spec, p_theta):
         """Bit-equal to the scalar routine, rows that share a null cell with ``p_theta`` included."""
         p = np.asarray(p_theta)
-        grid = _simplex_grid(3, GRID_STEP)
-        rows = np.concatenate([grid[::499], grid[grid[:, 2] == 0.0][::97]])
-        scalar = np.array([cell_divergence(spec, p, q) for q in rows])
+        lattice = _simplex_grid(3, GRID_STEP)
+        counts = np.concatenate([lattice[::499], lattice[lattice[:, 2] == 0][::97]])
+        scalar = np.array([cell_divergence(spec, p, q) for q in _float_rows(counts, M)])
         if p_theta[2] == 0.0:
             assert np.any(np.isfinite(scalar)) and np.any(np.isinf(scalar))
-        np.testing.assert_array_equal(_cell_divergence_rows(spec, p, rows, M), scalar)
+        np.testing.assert_array_equal(_cell_divergence_rows(spec, p, counts, _lattice_masses(3, M)), scalar)
 
     @pytest.mark.parametrize("token", LAW_TOKENS)
     @pytest.mark.parametrize("p_theta", [(0.3, 0.3, 0.4), (0.6, 0.4, 0.0)], ids=["full", "empty_cell"])
     def test_count_lookup_equals_the_unique_kernel_on_the_k3_grid(self, token, p_theta):
-        """Same bits as the ``np.unique`` kernel on all 501,501 rows."""
+        """Same bits as the ``np.unique`` kernel on the float rows of all 501,501 counts."""
         spec, p = induced_divergence(weight_law(token)), np.asarray(p_theta)
-        grid = _simplex_grid(3, GRID_STEP)
-        got = _cell_divergence_rows(spec, p, grid, M)
-        assert got.tobytes() == _reference_cell_divergence_rows(spec, p, grid).tobytes()
+        lattice = _simplex_grid(3, GRID_STEP)
+        got = _cell_divergence_rows(spec, p, lattice, _lattice_masses(3, M))
+        assert got.tobytes() == _reference_cell_divergence_rows(spec, p, _float_rows(lattice, M)).tobytes()
 
     @pytest.mark.parametrize("token", LAW_TOKENS)
     @pytest.mark.parametrize(
         "theta, theta_prime", [((0.3, 0.3), (0.2, 0.4)), ((0.2, 0.4), (0.55, 0.225))], ids=["poisson1", "twopoint"]
     )
     def test_count_lookup_equals_the_unique_kernel_on_feasible_rows(self, token, theta, theta_prime):
-        """Same bits on the rows the benchmark's k=3 cell-mass scans keep.
+        """Same bits on the counts the benchmark's k=3 cell-mass scans keep.
 
         The mask is the first-cell gap ``|q_0 - p_0| >= level``, the
         feasibility test of :func:`slope_generic`, written over the columns.
@@ -203,11 +236,11 @@ class TestCellDivergenceRows:
         model = Categorical(3)
         spec, p = induced_divergence(weight_law(token)), model.probs(theta)
         level = abs(float(model.probs(theta_prime)[0]) - float(p[0]))
-        grid = _simplex_grid(3, GRID_STEP)
-        cand = grid[np.abs(grid[:, 0] - p[0]) >= level - 1e-12]
-        assert 0 < cand.shape[0] < grid.shape[0]
-        got = _cell_divergence_rows(spec, p, cand, M)
-        assert got.tobytes() == _reference_cell_divergence_rows(spec, p, cand).tobytes()
+        lattice = _simplex_grid(3, GRID_STEP)
+        cand = lattice[np.abs(lattice[:, 0] / M - p[0]) >= level - 1e-12]
+        assert 0 < cand.shape[0] < lattice.shape[0]
+        got = _cell_divergence_rows(spec, p, cand, _lattice_masses(3, M))
+        assert got.tobytes() == _reference_cell_divergence_rows(spec, p, _float_rows(cand, M)).tobytes()
 
     @pytest.mark.parametrize("token", LAW_TOKENS)
     @pytest.mark.parametrize("p_theta", [(0.4, 0.6), (1.0, 0.0)], ids=["full", "empty_cell"])
@@ -215,27 +248,14 @@ class TestCellDivergenceRows:
         """Same bits on the tail trend's tables, looked up by the sample size."""
         spec, p = induced_divergence(weight_law(token)), np.asarray(p_theta)
         for n in [7, 10, 20, 40, 77, 80, 400, 1000]:
-            grid = _simplex_grid(2, 1.0 / n)
-            got = _cell_divergence_rows(spec, p, grid, n)
-            assert got.tobytes() == _reference_cell_divergence_rows(spec, p, grid).tobytes()
+            counts = _simplex_grid(2, 1.0 / n)
+            got = _cell_divergence_rows(spec, p, counts, _lattice_masses(2, n))
+            assert got.tobytes() == _reference_cell_divergence_rows(spec, p, _float_rows(counts, n)).tobytes()
 
-    @pytest.mark.parametrize(
-        "shift", [lambda x: np.nextafter(x, 1.0), lambda x: np.nextafter(x, 0.0), lambda x: x + 1.0],
-        ids=["ulp_up", "ulp_down", "past_one"],
-    )
-    def test_mass_off_the_lattice_raises(self, shift):
-        """A mass one ulp from another row's mass of the same count, or above 1, raises."""
-        spec, p = induced_divergence(PoissonOne()), np.array([0.3, 0.3, 0.4])
-        # the blocks a = 0 and a = 1 both hold the second-cell mass 7 / M
-        rows = _simplex_grid(3, GRID_STEP)[: 2 * M + 1].copy()
-        rows[7, 1] = shift(rows[7, 1])
-        with pytest.raises(ValueError, match="cell 1"):
-            _cell_divergence_rows(spec, p, rows, M)
+    def test_one_chernoff_solve_per_distinct_count_of_each_cell(self, monkeypatch):
+        """A full k=3 lattice call solves each cell's term once per distinct positive count.
 
-    def test_one_chernoff_solve_per_distinct_mass_of_each_cell(self, monkeypatch):
-        """A full k=3 grid call solves each cell's term once per distinct positive mass.
-
-        Each mass takes the 1,001 values ``i / 1000``, so the solves number
+        Each cell takes the 1,001 counts ``0 .. 1000``, so the solves number
         3,000 instead of one per cell (1,501,503 cells).
         """
         calls = []
@@ -246,21 +266,20 @@ class TestCellDivergenceRows:
             return solve(law, x)
 
         monkeypatch.setattr(weights, "chernoff_argmax", counted)
-        grid = _simplex_grid(3, GRID_STEP)
+        lattice, masses = _simplex_grid(3, GRID_STEP), _lattice_masses(3, M)
         p = np.array([0.2, 0.4, 0.4])
-        out = _cell_divergence_rows(induced_divergence(ShiftedBernoulli()), p, grid, M)
+        out = _cell_divergence_rows(induced_divergence(ShiftedBernoulli()), p, lattice, masses)
         assert out.shape == (501501,)
-        masses = [np.unique(grid[:, j]) for j in range(3)]
-        assert [m.size for m in masses] == [1001, 1001, 1001]
-        assert calls == [x for pj, m in zip(p, masses) for x in (pj / m[m > 0.0]).tolist()]
+        assert all(np.unique(lattice[:, j]).size == 1001 for j in range(3))
+        assert calls == [x for pj in p for x in (pj / masses[0, 1:]).tolist()]
         assert len(calls) == 3000
 
-    def test_k3_grid_stays_on_the_simplex(self):
-        """No mass is negative, and the 1,001 edge rows hold an exact zero third mass."""
-        grid = _simplex_grid(3, GRID_STEP)
-        assert np.all(grid >= 0.0)
-        assert np.count_nonzero(grid[:, 2] == 0.0) == 1001
-        np.testing.assert_array_equal(np.unique(grid[:, 2]), np.arange(1001) / 1000)
+    def test_k3_lattice_stays_on_the_simplex(self):
+        """Every count vector sums to ``M``, and the 1,001 edge rows hold an exact zero third mass."""
+        lattice = _simplex_grid(3, GRID_STEP)
+        assert lattice.dtype == np.uint16 and np.all(lattice.sum(axis=1) == M)
+        assert np.count_nonzero(lattice[:, 2] == 0) == 1001
+        np.testing.assert_array_equal(np.unique(_float_rows(lattice, M)[:, 2]), np.arange(1001) / 1000)
 
 
 # =============================================================================
@@ -343,10 +362,11 @@ class TestGenericSlope:
         assert rec.slope == pytest.approx(expect, abs=2e-3)
 
     def test_k3_scan_peak_memory(self):
-        """One k=3 cell-mass slope peaks at 30 MB of traced allocations or less.
+        """One k=3 cell-mass slope peaks at 15 MB of traced allocations or less.
 
-        The grid (12 MB) is released before the divergence pass, which looks
-        cell terms up by count instead of sorting each column.
+        The scan holds integer counts (3 MB), never the float grid (12 MB):
+        the evaluator reads float rows built a block at a time, and the
+        divergence pass looks cell terms up by count.
         """
         model, law = Categorical(3), PoissonOne()
         stat = _make_statistic("cell_mass", model, law)
@@ -361,7 +381,7 @@ class TestGenericSlope:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert peak <= 30e6
+        assert peak <= 15e6
 
     def test_more_than_three_cells_rejected(self):
         """The scan covers the two- and three-cell simplex only."""
@@ -443,7 +463,7 @@ class TestTailTrend:
         p = model.probs((0.4,))
         t = 0.5 * cell_divergence(spec, p, model.probs((0.2,)))
         for n in [7, 10, 20, 77]:
-            table = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n), n)
+            table = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n), _lattice_masses(2, n))
             for c in range(n + 1):
                 # weights 2 * mass reproduce the cell masses on the two atoms
                 mu = WeightedEmpiricalMeasure(model.atoms, (2 * (c / n), 2 * (1.0 - c / n)))

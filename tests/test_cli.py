@@ -717,10 +717,25 @@ class TestReproducibility:
                 "sanov_rate",
                 ("csv", "json"),
             ),
+            # the k = 2 lattice: the 1,001-point slope scan and the trend's count tables
+            (RERUN_CONFIGS["bahadur_slopes"], "slopes_k2", ("json",)),
+            (
+                ["bahadur", "--mode", "trend", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8",
+                 "--n_grid", "10,20,40", "--reps", "1000"],
+                "trend_poisson1",
+                ("csv", "json"),
+            ),
+            (
+                # twopoint's statistic table holds +inf cells (q_j < p_j/2)
+                ["bahadur", "--mode", "trend", "--law", "twopoint", "--theta", "0.4,0.6", "--theta_prime", "0.2,0.8",
+                 "--n_grid", "10,20,40", "--reps", "1000"],
+                "trend_twopoint",
+                ("csv", "json"),
+            ),
         ],
         ids=["chernoff", "divergence", "estimate", "sanov_mc", "slopes_k3_poisson1", "slopes_k3_twopoint",
              "clt_moments_normal11", "estimate_weights_poisson1", "sanov_shrink",
-             "divergence_induced_twopoint_conj", "sanov_rate"],
+             "divergence_induced_twopoint_conj", "sanov_rate", "slopes_k2", "trend_poisson1", "trend_twopoint"],
     )
     def test_golden_artifacts_reproduced(self, tmp_path, argv, label, suffixes):
         """Stored golden artifacts regenerate byte for byte."""

@@ -306,6 +306,15 @@ class TestNeighborhoodInfimum:
             out = neighborhood_inf_divergence(spec, ball, p)
             assert out == pytest.approx(scan, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_power_is_infinite_without_a_warning(self):
+        """At index 1e30 a cell ratio off 1 overflows its power: the term is
+        ``+inf`` through the scalar path's OverflowError, not numpy's scalar
+        power warning (the CLI's ``sanov --mode shrink --gamma=1e30``)."""
+        spec, p = CressieRead(1e30), [0.5, 0.5]
+        values = [neighborhood_inf_divergence(spec, PartitionNeighborhood((0.4, 0.6), e), p) for e in (0.2, 0.1, 0.05)]
+        assert values[:2] == pytest.approx([4e-31, 2e-31], rel=1e-15) and values[2] == INF
+
 
 # =============================================================================
 # Tests: exact rate tables and sandwich bounds
