@@ -107,15 +107,6 @@ def maximize_scalar(
     return (x, fx) if x_win == x else (x_win, f(x_win))
 
 
-def lattice_starts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Five deterministic interior start points for multi-start descent."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    even = np.arange(lo.shape[0]) % 2 == 0
-    fracs = [0.5, 0.25, 0.75, np.where(even, 0.25, 0.75), np.where(even, 0.75, 0.25)]
-    return np.array([lo + fr * (hi - lo) for fr in fracs])
-
-
 #: the simplex moves of Nelder & Mead (Comput. J. 7, 1965): reflection,
 #: expansion, contraction and shrink
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
@@ -208,21 +199,17 @@ def nelder_mead(
     return sim[0], float(np.min(fsim))
 
 
-def nelder_mead_multistart(
-    f_min,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    xatol: float = 1e-8,
-):
-    """Bounded Nelder-Mead from a deterministic lattice of starts.
+def nelder_mead_multistart(f_min, starts, lo: np.ndarray, hi: np.ndarray, xatol: float = 1e-8):
+    """Bounded Nelder-Mead from each row of ``starts``.
 
-    Near-ties resolve to the lexicographically smallest point.
+    Near-ties resolve to the lexicographically smallest point.  The value
+    is ``+inf`` when no start found an admissible point.
     """
-    best = [nelder_mead(f_min, start, lo, hi, xatol) for start in lattice_starts(lo, hi)]
+    best = [nelder_mead(f_min, start, lo, hi, xatol) for start in starts]
     top = min(v for _, v in best)
     winners = sorted((tuple(x), v) for x, v in best if v <= top + _TIE_TOL)
     x_win, v_win = winners[0]
-    return np.array(x_win), v_win
+    return np.array(x_win), (math.inf if v_win >= PENALTY else v_win)
 
 
 #: fixed schedule of ``batch_golden_max``: scan points, then golden

@@ -101,22 +101,7 @@ class DivergenceSpec:
         corresponding domain endpoint (0 or ``+inf``); callers clip the
         result to their feasible box.
         """
-        lo, hi = 1e-12, 1e12
-        f = lambda x: self.value(x, order=1) - y
-        flo, fhi = f(lo), f(hi)
-        if flo >= 0.0:
-            return 0.0
-        if fhi <= 0.0:
-            return INF
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if f(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(1.0, lo):
-                break
-        return 0.5 * (lo + hi)
+        raise NotImplementedError
 
     # Vector helpers used by the estimation hot loops.  Subclasses with
     # closed forms override these with array arithmetic.

@@ -345,6 +345,7 @@ def _inner_max(crit: _DualCriterion, theta, lo, hi):
         return x, v
     x, negv = nelder_mead_multistart(
         lambda a: -crit(theta, a),
+        crit.model.search_starts(),
         lo,
         hi,
         xatol=_INNER_XTOL,

@@ -362,6 +362,14 @@ class Categorical(ParametricModel):
         """``[1e-6, 1 - 1e-6]`` in each coordinate, whatever the pilot."""
         return np.full(self.param_dim, 1e-6), np.full(self.param_dim, 1.0 - 1e-6)
 
+    def search_starts(self) -> np.ndarray:
+        """``k + 1`` interior parameter rows: the centroid of the simplex,
+        then the midpoints from it to each vertex."""
+        p = np.full((self.k + 1, self.k), 0.5 / self.k)
+        p[0] *= 2.0
+        p[1:] += 0.5 * np.eye(self.k)
+        return p[:, :-1]
+
 
 def _quad(integrand, lower: float):
     """Adaptive quadrature of ``integrand`` from ``lower`` to ``+inf``."""

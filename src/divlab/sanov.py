@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergences import CressieRead, DivergenceSpec, INF, cell_divergence
-from .errors import EnumerationLimitError, ValidationError
+from .errors import DomainError, EnumerationLimitError, ValidationError
 from .models import Categorical, ParametricModel
 from .reporting import Record
 from .seeding import chunked, derived_rng
@@ -473,16 +473,14 @@ def ml_ldp_gap(
     def L(theta_vec) -> float:
         try:
             p = cell_probs(theta_vec)
-        except Exception:
-            return -INF
-        if np.any(p <= 0.0):
+        except DomainError:
             return -INF
         return _logsumexp(_log_probs_of_counts(members, p)) / n
 
     def K(theta_vec) -> float:
         try:
             p = cell_probs(theta_vec)
-        except Exception:
+        except DomainError:
             return -INF
         return -neighborhood_inf_divergence(KL, V, p)
 
@@ -495,8 +493,9 @@ def ml_ldp_gap(
         theta_ml = np.array([theta_ml])
         theta_ldp = np.array([theta_ldp])
     else:
-        theta_ml, _ = nelder_mead_multistart(lambda t: -L(t), lo, hi)
-        theta_ldp, _ = nelder_mead_multistart(lambda t: -K(t), lo, hi)
+        starts = model.search_starts()
+        theta_ml, _ = nelder_mead_multistart(lambda t: -L(t), starts, lo, hi)
+        theta_ldp, _ = nelder_mead_multistart(lambda t: -K(t), starts, lo, hi)
     L_ml = L(theta_ml)
     L_ldp = L(theta_ldp)
     bound = (k / n) * math.log(n + 1.0)

@@ -565,6 +565,16 @@ class TestPipelines:
         _run(CHERNOFF_ARGS, tmp_path, "viaflags")
         assert (tmp_path / "viafile.csv").read_bytes() == (tmp_path / "viaflags.csv").read_bytes()
 
+    def test_categorical_k5_estimate_is_certified(self, tmp_path):
+        """A 5-cell estimate writes a real criterion value, not the search's
+        penalty sentinel, and converges."""
+        argv = ["estimate", "--model", "categorical", "--cells", "5",
+                "--data", str(DATA_DIR / "categorical_k5.csv")]
+        assert _run(argv, tmp_path, "estimate_k5") == 0
+        text = (tmp_path / "estimate_k5.json").read_text()
+        doc = json.loads(text)
+        assert doc["converged"] is True and doc["rejected_evaluations"] == 0 and "e+300" not in text
+
 
 # =============================================================================
 # Tests: slope statistics

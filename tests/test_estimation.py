@@ -1,6 +1,7 @@
 """Unit tests for weighted empirical measures and minimum dual estimation."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from divlab.estimation import (
     minimum_dual_estimator_batch,
 )
 from divlab.models import Categorical, ExponentialScale, GaussianLocation, PoissonNatural
+from divlab.reporting import read_data_csv
 from divlab.weights import (
     ExponentialOne,
     NormalOneOne,
@@ -32,6 +34,9 @@ from divlab.weights import (
     WeightInducedDivergence,
     induced_divergence,
 )
+
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -675,6 +680,40 @@ class TestMinimumDualEstimator:
         assert report.theta_hat == (1.0 / 3.0 if k == 2 else (1.0 / 3.0, 1.0 / 3.0))
         assert report.converged and abs(report.value) <= estimation._SUP_TOL
         assert report.inner_grad_norm <= estimation._GRAD_TOL
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_categorical_certificate_searches_inside_the_simplex(self, k):
+        """Started from the model's interior starts, the certifying search on
+        60 seeded points converges without one rejected evaluation."""
+        points = np.random.default_rng(k).integers(0, k, size=60)
+        report = minimum_dual_estimator(Categorical(k), CressieRead(1.0), WeightedEmpiricalMeasure.plain(tuple(points)))
+        assert report.converged and abs(report.value) <= estimation._SUP_TOL
+        assert report.rejected_evaluations == 0
+
+    @pytest.mark.parametrize("spec, most_rejected", [
+        (CressieRead(1.0), 0),
+        (CressieRead(0.0), 0),
+        (CressieRead(0.5), 0),
+        (CressieRead(2.0), 0),
+        (induced_divergence(ShiftedBernoulli()), 106),
+        (induced_divergence(ShiftedBernoulli()).conjugate(), 106),
+    ], ids=["gamma_1", "gamma_0", "gamma_half", "gamma_2", "twopoint", "twopoint_conjugate"])
+    def test_k3_file_certificate_rejects_few_evaluations(self, spec, most_rejected):
+        """The 40-point 3-cell file certifies; the power generators reject no
+        evaluation, the twopoint generators only those of their own domain."""
+        points, _ = read_data_csv(DATA_DIR / "categorical_k3.csv")
+        report = minimum_dual_estimator(Categorical(3), spec, WeightedEmpiricalMeasure.plain(tuple(points)))
+        assert report.converged and report.rejected_evaluations <= most_rejected
+
+    def test_criterion_rejected_everywhere_reports_minus_inf(self, monkeypatch):
+        """With every criterion evaluation rejected the certificate reports
+        ``value: -inf`` and ``converged: false``, never the penalty sentinel."""
+        monkeypatch.setattr(estimation, "_categorical_dual_rows", lambda model, spec, theta, alpha, *rest:
+                            np.full(alpha.shape[0], -INF))
+        mu = WeightedEmpiricalMeasure.plain((0, 1, 2, 2))
+        report = minimum_dual_estimator(Categorical(3), CressieRead(1.0), mu)
+        assert report.value == -INF and not report.converged
+        assert report.rejected_evaluations > 0
 
     def test_exp_scale_gamma_two_returns_the_certified_root(self):
         """At index 2 on exp_scale the root is a saddle: the estimate is the

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln, logsumexp
 
+from divlab import sanov
 from divlab.divergences import INF, CressieRead
 from divlab.errors import EnumerationLimitError, ValidationError
 from divlab.models import Categorical, GaussianLocation
@@ -404,6 +405,22 @@ class TestMLLDPGap:
         report = ml_ldp_gap(model, (0.5,), Partition.atoms(2), 0.05, 100)
         assert abs(report.theta_ml[0] - 0.5) < 0.1
         assert abs(report.theta_ldp[0] - 0.5) < 0.1
+
+    @pytest.mark.parametrize("k, thetaT", [(2, (0.5,)), (3, (0.4, 0.35))])
+    def test_a_bug_in_the_objectives_propagates(self, k, thetaT, monkeypatch):
+        """Only DomainError (a parameter off the simplex) scores -inf; any
+        other error inside the searched objectives is raised."""
+        calls = []
+
+        def failing_after_the_centre(model, theta, part):
+            calls.append(theta)
+            if len(calls) > 1:
+                raise ZeroDivisionError("a bug")
+            return model.probs(theta)
+
+        monkeypatch.setattr(sanov, "cell_probabilities", failing_after_the_centre)
+        with pytest.raises(ZeroDivisionError, match="a bug"):
+            ml_ldp_gap(Categorical(k), thetaT, Partition.atoms(k), 0.1, 20)
 
     def test_tiny_radius_keeps_lattice_center(self):
         """The idealized center is itself a member at any radius."""
