@@ -199,19 +199,6 @@ def nelder_mead(
     return sim[0], float(np.min(fsim))
 
 
-def nelder_mead_multistart(f_min, starts, lo: np.ndarray, hi: np.ndarray, xatol: float = 1e-8):
-    """Bounded Nelder-Mead from each row of ``starts``.
-
-    Near-ties resolve to the lexicographically smallest point.  The value
-    is ``+inf`` when no start found an admissible point.
-    """
-    best = [nelder_mead(f_min, start, lo, hi, xatol) for start in starts]
-    top = min(v for _, v in best)
-    winners = sorted((tuple(x), v) for x, v in best if v <= top + _TIE_TOL)
-    x_win, v_win = winners[0]
-    return np.array(x_win), (math.inf if v_win >= PENALTY else v_win)
-
-
 #: fixed schedule of ``batch_golden_max``: scan points, then golden
 #: contractions; each call makes 5 + 2 + 2 * 32 = 71 calls of ``f_batch``
 _BATCH_SCAN = 5

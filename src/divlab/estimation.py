@@ -16,10 +16,11 @@ for ``P`` gives a plug-in estimator of the divergence; its minimizer over
 ``theta`` is the minimum dual divergence estimator.  That minimizer is the
 root of the weighted score equation, the maximum likelihood estimate under
 weighted sampling (Broniatowski & Keziou, JMVA 2009), so it is taken in
-closed form and certified by one inner search.  For the weighted maximum
-likelihood pipeline the generator passed in must be the conjugate of the
-generator induced by the weight law, so that the estimated quantity is the
-divergence of the sampling distribution from ``P_theta``.
+closed form and certified by the inner supremum at the root: in closed form
+on a finite support, by one scalar search on an exponential family.  For the
+weighted maximum likelihood pipeline the generator passed in must be the
+conjugate of the generator induced by the weight law, so that the estimated
+quantity is the divergence of the sampling distribution from ``P_theta``.
 
 Signed weights are allowed; evaluations that escape the generator's domain
 contribute through the extended-real convention and the inner search treats
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import batch_golden_max, maximize_scalar, nelder_mead_multistart, stencil
+from ._optim import batch_golden_max, maximize_scalar, stencil
 from .divergences import INF, CressieRead, DivergenceSpec, cell_divergence
 from .errors import DomainError, NumericError, ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
@@ -328,29 +329,37 @@ class _DualCriterion:
             raise NumericError(f"no weighted score root in the model: {err}") from None
 
 
-def _box(model: ParametricModel, centre):
-    lo, hi = model.default_box(centre)
-    return np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+def _inner_max(crit: _DualCriterion, theta: float, lo: float, hi: float):
+    return maximize_scalar(lambda a: crit(theta, a), lo, hi, n_scan=_N_SCAN, xtol=_INNER_XTOL)
 
 
-def _inner_max(crit: _DualCriterion, theta, lo, hi):
-    if lo.shape[0] == 1:
-        x, v = maximize_scalar(
-            lambda a: crit(theta, a),
-            float(lo[0]),
-            float(hi[0]),
-            n_scan=_N_SCAN,
-            xtol=_INNER_XTOL,
-        )
-        return x, v
-    x, negv = nelder_mead_multistart(
-        lambda a: -crit(theta, a),
-        crit.model.search_starts(),
-        lo,
-        hi,
-        xatol=_INNER_XTOL,
-    )
-    return x, -negv
+def _categorical_sup(crit: _DualCriterion, theta):
+    """``(sup_alpha h(theta, alpha), argmax alpha)`` on a categorical model.
+
+    With cell masses ``m``, ``wbar = sum m`` and ``p = p_theta``, cell ``j``
+    adds ``wbar p_j phi'(r_j) - m_j phi#(r_j)``, ``r_j = p_j / alpha_j``.  For
+    ``m_j > 0`` it peaks at ``alpha_j = m_j / wbar`` with the value ``m_j
+    phi(wbar p_j / m_j)``; those alphas sum to one, so the supremum is ``wbar
+    cell_divergence(spec, p, m / wbar)`` (Broniatowski & Keziou, JMVA 2009).
+    A cell with ``m_j <= 0`` rises towards ``wbar p_j phi'(inf) - m_j
+    phi#(inf)`` as ``alpha_j`` falls to 0, and that edge limit is reported:
+    ``+inf`` when a limit it uses is, ``wbar p_j`` for an empty cell at index
+    0.  A negative cell with finite limits, or ``wbar <= 0``, has no closed
+    form and raises :class:`NumericError`.
+    """
+    p, m = crit.model.probs(theta), crit.atom_masses
+    wbar, charged, negative = float(np.sum(m)), m > 0.0, m < 0.0
+    if wbar > 0.0:
+        alpha = np.where(charged, m, 0.0) / float(np.sum(m[charged]))
+        if charged.all():
+            return wbar * cell_divergence(crit.spec, p, alpha), alpha[:-1]
+        slope, sharp = crit.spec.value(INF, 1), crit.spec.sharp(INF)
+        if math.isinf(slope) or (negative.any() and math.isinf(sharp)):
+            return INF, alpha[:-1]
+        if not negative.any():
+            edge = slope * float(np.sum(p[~charged]))
+            return wbar * (cell_divergence(crit.spec, p[charged], alpha[charged]) + edge), alpha[:-1]
+    raise NumericError(f"weighted cell masses {tuple(m.tolist())}: no closed-form dual supremum")
 
 
 def estimate_phi_dual(
@@ -361,48 +370,26 @@ def estimate_phi_dual(
 ):
     """Plug-in dual divergence estimate at fixed ``theta``.
 
-    Returns ``(sup_alpha int h(theta, alpha, .) dmu, argmax alpha)``, the
-    supremum over the model's box around the weighted score root.  When
-    the weights nearly cancel (``|sum w| < 0.1 n``) or the model holds no
-    weighted root, the box is centred on the unweighted moment estimate, so
-    a fixed-``theta`` estimate never needs a root.
+    Returns ``(sup_alpha int h(theta, alpha, .) dmu, argmax alpha)``.  On a
+    categorical model the supremum is in closed form (:func:`_categorical_sup`).
+    On an exponential family it is searched over the model's box around the
+    weighted score root; when the weights nearly cancel (``|sum w| < 0.1
+    n``) or the model holds no weighted root, the box is centred on the
+    unweighted moment estimate, so a fixed-``theta`` estimate never needs a
+    root.
     """
     crit = _DualCriterion(model, spec, mu)
+    if crit._kind == "categorical":
+        return _categorical_sup(crit, theta)
     centre = None
     if abs(np.sum(crit.w)) >= 0.1 * mu.n:
         try:
             centre = crit.root()
         except NumericError:
             pass
-    lo, hi = _box(model, model.pilot_estimate(mu.points_array()) if centre is None else centre)
-    alpha, value = _inner_max(crit, _scalar_or_vec(theta, lo), lo, hi)
-    return value, _scalar_or_vec(alpha, lo)
-
-
-def _scalar_or_vec(x, lo):
-    if lo.shape[0] == 1 and np.ndim(x) == 0:
-        return float(x)
-    if lo.shape[0] == 1 and np.ndim(x) > 0:
-        return float(np.atleast_1d(x)[0])
-    return np.atleast_1d(np.asarray(x, dtype=float))
-
-
-def _inner_grad_norm(crit: _DualCriterion, theta, alpha, lo, hi) -> float:
-    """Central-difference gradient norm of the inner objective at alpha."""
-    alpha_vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    grads = []
-    for a in range(alpha_vec.shape[0]):
-        c, h = stencil(alpha_vec[a], lo[a], hi[a])
-        up = alpha_vec.copy()
-        dn = alpha_vec.copy()
-        up[a] = c + h
-        dn[a] = c - h
-        f_up = crit(theta, up if alpha_vec.shape[0] > 1 else float(up[0]))
-        f_dn = crit(theta, dn if alpha_vec.shape[0] > 1 else float(dn[0]))
-        if not (math.isfinite(f_up) and math.isfinite(f_dn)):
-            return INF
-        grads.append((f_up - f_dn) / (2.0 * h))
-    return float(np.linalg.norm(grads))
+    lo, hi = model.default_box(model.pilot_estimate(mu.points_array()) if centre is None else centre)
+    alpha, value = _inner_max(crit, float(theta), lo, hi)
+    return value, alpha
 
 
 def minimum_dual_estimator(
@@ -415,19 +402,31 @@ def minimum_dual_estimator(
     The estimate is :meth:`_DualCriterion.root`, raising
     :class:`NumericError` when the model holds no root.  The criterion is 0
     at ``alpha = theta`` and stationary in ``alpha`` there exactly at the
-    root, so one inner search at the root certifies it: ``converged``
+    root, so the inner supremum at the root certifies it: ``converged``
     requires a supremum within ``_SUP_TOL`` of 0 and an inner gradient norm
-    at most ``_GRAD_TOL`` at the reported maximizer.  A root that is not a
-    saddle (the supremum lies elsewhere) is reported with ``converged``
-    false, never raised.
+    at most ``_GRAD_TOL`` at the reported maximizer.  On a categorical model
+    the supremum is attained at ``alpha = theta`` (:func:`_categorical_sup`),
+    so the value is one criterion call there and the gradient is in closed
+    form; on an exponential family one inner search finds it.  A root that is
+    not a saddle (the supremum lies elsewhere) is reported with
+    ``converged`` false, never raised.
     """
     crit = _DualCriterion(model, spec, mu)
-    root = crit.root()
-    lo, hi = _box(model, root)
-    theta = _scalar_or_vec(root, lo)
-    alpha, value = _inner_max(crit, theta, lo, hi)
-    alpha = _scalar_or_vec(alpha, lo)
-    grad_norm = _inner_grad_norm(crit, theta, alpha, lo, hi)
+    theta = crit.root()
+    if crit._kind == "categorical":
+        # in cell coordinates the inner gradient at alpha = theta is
+        # phi''(1) (m_j - wbar p_j) / p_j; a parameter coordinate is its
+        # cell's term less the last cell's
+        p, m = model.probs(theta), crit.atom_masses
+        g = spec.value(1.0, 2) * (m - float(np.sum(m)) * p) / p
+        alpha, value, grad_norm = theta, crit(theta, theta), float(np.linalg.norm(g[:-1] - g[-1]))
+    else:
+        lo, hi = model.default_box(theta)
+        alpha, value = _inner_max(crit, theta, lo, hi)
+        # a central difference at alpha, its stencil kept inside the box
+        c, h = stencil(alpha, lo, hi)
+        f_up, f_dn = crit(theta, c + h), crit(theta, c - h)
+        grad_norm = abs((f_up - f_dn) / (2.0 * h)) if math.isfinite(f_up) and math.isfinite(f_dn) else INF
     converged = abs(value) <= _SUP_TOL and grad_norm <= _GRAD_TOL
     return EstimateReport(
         theta_hat=_reported(theta),
@@ -440,7 +439,10 @@ def minimum_dual_estimator(
 
 
 def _reported(x) -> float | tuple:
-    return tuple(x.tolist()) if isinstance(x, np.ndarray) else x
+    """A parameter as reports print it: a float, or a tuple of two or more."""
+    if isinstance(x, np.ndarray):
+        return float(x[0]) if x.shape == (1,) else tuple(x.tolist())
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -59,24 +59,6 @@ class ParametricModel:
     def sample(self, theta, n: int, seed_or_rng) -> np.ndarray:
         raise NotImplementedError
 
-    def pilot_estimate(self, points):
-        """Moment estimate from unweighted points, a centre for search boxes."""
-        raise NotImplementedError
-
-    def default_box(self, pilot):
-        """Search box: half-width 3 around the pilot, clipped to the domain."""
-        lo = float(pilot) - 3.0
-        hi = float(pilot) + 3.0
-        if not lo < hi:
-            raise ValidationError(
-                f"search box collapses: pilot {float(pilot)!r} +/- 3 rounds to one float"
-                " (the half-width is below the float resolution there)"
-            )
-        return self.clip_box(lo, hi)
-
-    def clip_box(self, lo: float, hi: float):
-        return (lo, hi)
-
 
 class ExponentialFamilyModel(ParametricModel):
     """Natural exponential family with scalar parameter and statistic.
@@ -146,6 +128,17 @@ class ExponentialFamilyModel(ParametricModel):
     def in_domain(self, theta) -> bool:
         lo, hi = self.theta_domain
         return lo < float(theta) < hi
+
+    def default_box(self, pilot):
+        """Search box: half-width 3 around the pilot, clipped to the domain."""
+        lo = float(pilot) - 3.0
+        hi = float(pilot) + 3.0
+        if not lo < hi:
+            raise ValidationError(
+                f"search box collapses: pilot {float(pilot)!r} +/- 3 rounds to one float"
+                " (the half-width is below the float resolution there)"
+            )
+        return self.clip_box(lo, hi)
 
     def clip_box(self, lo, hi):
         dlo, dhi = self.theta_domain
@@ -353,22 +346,6 @@ class Categorical(ParametricModel):
         rng = _as_rng(seed_or_rng)
         idx = rng.choice(self.k, size=int(n), p=p)
         return np.asarray(self.atoms, dtype=float)[idx]
-
-    def pilot_estimate(self, points):
-        """The cell frequencies, all but the last."""
-        return (np.bincount(self.atom_index(np.asarray(points)), minlength=self.k) / len(points))[:-1]
-
-    def default_box(self, pilot):
-        """``[1e-6, 1 - 1e-6]`` in each coordinate, whatever the pilot."""
-        return np.full(self.param_dim, 1e-6), np.full(self.param_dim, 1.0 - 1e-6)
-
-    def search_starts(self) -> np.ndarray:
-        """``k + 1`` interior parameter rows: the centroid of the simplex,
-        then the midpoints from it to each vertex."""
-        p = np.full((self.k + 1, self.k), 0.5 / self.k)
-        p[0] *= 2.0
-        p[1:] += 0.5 * np.eye(self.k)
-        return p[:, :-1]
 
 
 def _quad(integrand, lower: float):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergences import CressieRead, DivergenceSpec, INF, cell_divergence
-from .errors import DomainError, EnumerationLimitError, ValidationError
+from .errors import EnumerationLimitError, ValidationError
 from .models import Categorical, ParametricModel
 from .reporting import Record
 from .seeding import chunked, derived_rng
@@ -444,8 +444,50 @@ class MLLDPReport(Record):
     log_prob_at_ml: float
     log_prob_at_ldp: float
     gap: float
+    plateau_gap: float
     bound: float
     holds: bool
+
+
+#: EM step cap of :func:`_em_max`
+_EM_MAX_ITER = 10_000
+
+
+def _em_max(members: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(p, (1/n) log P_p(counts in members))`` at the EM maximizer started at ``p``.
+
+    A count vector known only to lie in ``members`` is missing data, so EM
+    (Dempster, Laird & Rubin, JRSS-B 1977) climbs its log-likelihood: ``p <-
+    sum_c r_c c / n`` with posteriors ``r_c`` proportional to ``Mult(c; p)``.
+    It stops at the first step that does not raise the log-likelihood, or
+    after ``_EM_MAX_ITER`` steps, and returns the best iterate.
+    """
+    counts = members.astype(float)
+    n = float(np.sum(counts[0]))
+    log_probs = _log_probs_of_counts(members, p)
+    best = (p, _logsumexp(log_probs))
+    for _ in range(_EM_MAX_ITER):
+        r = np.exp(log_probs - np.max(log_probs))
+        p = (r @ counts) / (float(np.sum(r)) * n)
+        log_probs = _log_probs_of_counts(members, p)
+        value = _logsumexp(log_probs)
+        if not value > best[1]:
+            break
+        best = (p, value)
+    return best[0], best[1] / n
+
+
+def _box_simplex_vertices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The vertices of ``{q in [lo, hi] : sum q = 1}``, one per row (some
+    repeated): every cell but one at a bound, the last one holding the rest
+    of the mass within its own bounds (clipped to them against rounding)."""
+    k = lo.shape[0]
+    corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, k)
+    rest = 1.0 - (np.sum(corners, axis=1, keepdims=True) - corners)
+    rows, cells = ((rest >= lo - 1e-12) & (rest <= hi + 1e-12)).nonzero()
+    vertices = corners[rows]
+    vertices[np.arange(rows.shape[0]), cells] = np.clip(rest[rows, cells], lo[cells], hi[cells])
+    return vertices
 
 
 def ml_ldp_gap(
@@ -456,62 +498,45 @@ def ml_ldp_gap(
     n: int,
     zero_cells: bool = True,
 ) -> MLLDPReport:
-    """Maximize the exact neighborhood log-probability and its rate
-    surrogate over the parameter; their exact-likelihood gap obeys
-    ``0 <= L(theta_exact) - L(theta_rate) <= (k/n) log(n+1)``.
-    """
-    from ._optim import maximize_scalar, nelder_mead_multistart
+    """Compare the exact neighborhood log-probability ``L`` at its maximizer
+    and on the plateau where its rate surrogate ``K`` is maximal.
 
+    ``theta_ml`` maximizes ``L(theta) = (1/n) log P_theta(masses in V)`` by
+    EM (:func:`_em_max`) from ``V``'s centre ``c0``, the idealized masses of
+    ``thetaT`` (from the members' mean when ``c0`` leaves empty a cell some
+    member charges, which EM from ``c0`` could never charge).  ``K(theta) =
+    -inf KL(q || p_theta)`` over ``V``'s closed box is 0 on every parameter
+    inside that box, and ``theta_ldp`` is ``c0``.  The sandwich ``-(k/n)
+    log(n+1) <= L - K <= 0`` puts ``L(theta_ml) - L(theta)`` in ``[0, (k/n)
+    log(n+1)]`` on the whole plateau: ``gap`` is that difference at ``c0``,
+    ``plateau_gap`` its largest value at the vertices of the box cut by the
+    simplex, and ``holds`` checks the bounds at all of them.
+    """
     k = part.k
     V, members = _idealized_members(model, thetaT, part, epsilon, n, zero_cells)
     if not members.shape[0]:
         raise ValidationError("the neighborhood contains no empirical measure on this grid")
 
-    def cell_probs(theta_vec):
-        return cell_probabilities(model, theta_vec, part)
-
-    def L(theta_vec) -> float:
-        try:
-            p = cell_probs(theta_vec)
-        except DomainError:
-            return -INF
+    def L(p) -> float:
         return _logsumexp(_log_probs_of_counts(members, p)) / n
 
-    def K(theta_vec) -> float:
-        try:
-            p = cell_probs(theta_vec)
-        except DomainError:
-            return -INF
-        return -neighborhood_inf_divergence(KL, V, p)
-
-    dim = model.param_dim
-    lo = np.full(dim, 1e-3)
-    hi = np.full(dim, 1.0 - 1e-3)
-    if dim == 1:
-        theta_ml, _ = maximize_scalar(lambda t: L(np.array([t])), float(lo[0]), float(hi[0]), n_scan=33)
-        theta_ldp, _ = maximize_scalar(lambda t: K(np.array([t])), float(lo[0]), float(hi[0]), n_scan=33)
-        theta_ml = np.array([theta_ml])
-        theta_ldp = np.array([theta_ldp])
-    else:
-        starts = model.search_starts()
-        theta_ml, _ = nelder_mead_multistart(lambda t: -L(t), starts, lo, hi)
-        theta_ldp, _ = nelder_mead_multistart(lambda t: -K(t), starts, lo, hi)
-    L_ml = L(theta_ml)
-    L_ldp = L(theta_ldp)
+    centre = np.asarray(V.center)
+    p_ml, L_ml = _em_max(members, members.mean(axis=0) / n if members[:, centre == 0.0].any() else centre)
+    L_ldp = L(centre)
+    gaps = [L_ml - L_ldp] + [L_ml - L(v) for v in _box_simplex_vertices(*V.closed_box())]
     bound = (k / n) * math.log(n + 1.0)
-    gap = L_ml - L_ldp
-    holds = -1e-9 <= gap <= bound + 1e-9
     return MLLDPReport(
         n=int(n),
         epsilon=float(epsilon),
         k=k,
-        theta_ml=tuple(np.atleast_1d(theta_ml).tolist()),
-        theta_ldp=tuple(np.atleast_1d(theta_ldp).tolist()),
+        theta_ml=tuple(p_ml[:-1].tolist()),
+        theta_ldp=tuple(centre[:-1].tolist()),
         log_prob_at_ml=L_ml,
         log_prob_at_ldp=L_ldp,
-        gap=gap,
+        gap=gaps[0],
+        plateau_gap=max(gaps),
         bound=bound,
-        holds=holds,
+        holds=-1e-9 <= min(gaps) and max(gaps) <= bound + 1e-9,
     )
 
 

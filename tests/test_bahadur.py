@@ -455,23 +455,24 @@ class TestTailTrend:
         "law", [PoissonOne(), ExponentialOne(), ShiftedBernoulli(), NormalOneOne()], ids=lambda law: law.token
     )
     def test_statistic_table_is_the_dual_estimate(self, law):
-        """Per count, the plug-in cell divergence agrees with the scalar dual
-        estimate on that count's measure where it is finite; where it is
-        ``+inf`` the box-limited dual is finite but above the threshold of
-        the theta 0.4 against 0.2 trend, so the count hits either way."""
+        """Per count, the plug-in cell divergence equals the closed-form dual
+        supremum on that count's measure, its +inf cells included.  The two
+        counts that leave a cell empty differ for exp1 (index 0), where
+        phi'(inf) = 1: there the supremum is the finite edge limit, the
+        charged cell's term plus wbar p_j, while the table reads +inf."""
         model, spec = Categorical(2), induced_divergence(law)
         p = model.probs((0.4,))
-        t = 0.5 * cell_divergence(spec, p, model.probs((0.2,)))
         for n in [7, 10, 20, 77]:
             table = _cell_divergence_rows(spec, p, _simplex_grid(2, 1.0 / n), _lattice_masses(2, n))
             for c in range(n + 1):
                 # weights 2 * mass reproduce the cell masses on the two atoms
                 mu = WeightedEmpiricalMeasure(model.atoms, (2 * (c / n), 2 * (1.0 - c / n)))
                 dual, _ = estimate_phi_dual(model, spec, (0.4,), mu)
-                if math.isfinite(table[c]):
-                    assert table[c] == pytest.approx(dual, abs=1e-9)
+                if c in (0, n) and law.token == "exp1":
+                    charged = 0 if c == n else 1
+                    assert dual == pytest.approx(spec.value(p[charged], 0) + p[1 - charged], rel=1e-15)
                 else:
-                    assert dual > t
+                    assert dual == pytest.approx(table[c], rel=1e-13, abs=1e-15)
 
     @pytest.mark.parametrize(
         "law", [PoissonOne(), ExponentialOne(), ShiftedBernoulli(), NormalOneOne()], ids=lambda law: law.token

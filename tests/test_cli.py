@@ -416,7 +416,7 @@ def test_domain_error_prints_plain_floats(tmp_path, capsys):
 
 
 #: the ``RERUN_CONFIGS`` bases the contract test starts from
-CONTRACT_BASES = ("divergence", "estimate", "sanov_shrink", "sanov_rate")
+CONTRACT_BASES = ("divergence", "estimate", "sanov_shrink", "sanov_rate", "sanov_ml_gap")
 
 #: values a field is set to, one field at a time
 CONTRACT_VALUES = ("0", "-1", "1e30", "nan", "inf", "-inf", "")
@@ -574,6 +574,25 @@ class TestPipelines:
         text = (tmp_path / "estimate_k5.json").read_text()
         doc = json.loads(text)
         assert doc["converged"] is True and doc["rejected_evaluations"] == 0 and "e+300" not in text
+
+    def test_categorical_k12_estimate_is_certified(self, tmp_path):
+        """240 seeded points on 12 cells certify: the supremum at the root is
+        the criterion at alpha = theta, 0, with a closed-form gradient."""
+        argv = ["estimate", "--model", "categorical", "--cells", "12",
+                "--data", str(DATA_DIR / "categorical_k12.csv")]
+        assert _run(argv, tmp_path, "estimate_k12") == 0
+        doc = json.loads((tmp_path / "estimate_k12.json").read_text())
+        assert doc["converged"] is True and doc["value"] == 0 and doc["alpha_hat"] == doc["theta_hat"]
+
+    @pytest.mark.parametrize("weights, converged", [(["--weights", "poisson1", "--seed", "3"], False), ([], True)],
+                             ids=["poisson1_weights", "unit_weights"])
+    def test_poisson_index_two_certificate(self, tmp_path, weights, converged):
+        """At index 2 on ``poisson`` the file's Poisson-weighted root is not a
+        saddle (``converged: false``), while its unit-weight root is."""
+        argv = ["estimate", "--model", "poisson", "--gamma", "2", *weights,
+                "--data", str(DATA_DIR / "regression_poisson1.csv")]
+        assert _run(argv, tmp_path, "estimate") == 0
+        assert json.loads((tmp_path / "estimate.json").read_text())["converged"] is converged
 
 
 # =============================================================================
@@ -786,8 +805,8 @@ class TestImportHygiene:
         assert _scipy_modules_after(run) == set()
 
     def test_categorical_k3_estimate_loads_no_scipy(self, tmp_path):
-        """A 3-cell estimate on 40 points runs the closed-form root and one
-        certifying Nelder-Mead search, loads no scipy, and is certified."""
+        """A 3-cell estimate on 40 points runs the closed-form root and its
+        closed-form certificate, loads no scipy, and is certified."""
         argv = ["estimate", "--model", "categorical", "--cells", "3",
                 "--data", str(DATA_DIR / "categorical_k3.csv"), "--out", str(tmp_path)]
         assert _scipy_modules_after(f"import divlab.cli\nassert divlab.cli.main({argv!r}) == 0") == set()

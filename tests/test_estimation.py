@@ -1,6 +1,7 @@
 """Unit tests for weighted empirical measures and minimum dual estimation."""
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -202,8 +203,8 @@ class TestDualCriterion:
     @staticmethod
     def _sup_on_box(model, spec, theta, mu, centre):
         crit = _DualCriterion(model, spec, mu)
-        lo, hi = estimation._box(model, centre)
-        return estimation._inner_max(crit, estimation._scalar_or_vec(theta, lo), lo, hi)
+        lo, hi = model.default_box(centre)
+        return estimation._inner_max(crit, theta, lo, hi)
 
     def test_fixed_theta_box_is_centred_on_the_weighted_root(self):
         """With weights summing well away from 0, the alpha box is centred on the weighted root."""
@@ -233,14 +234,39 @@ class TestDualCriterion:
             assert -1.5 <= alpha <= 4.5
 
     def test_fixed_theta_categorical_estimate_with_an_empty_cell(self):
-        """A cell without weighted mass leaves no root, yet the fixed-theta estimate stands."""
+        """A cell without weighted mass leaves no root, and the fixed-theta
+        supremum is its limit at the simplex edge alpha_j -> 0: +inf at index
+        1, and at index 0 the empty cell adds wbar p_j to the charged cells'
+        closed form, a value the criterion approaches from below."""
         model = Categorical(3)
         mu = WeightedEmpiricalMeasure((0.0, 0.0, 1.0, 1.0), (1.0, 2.0, 1.0, 0.5))
         with pytest.raises(NumericError):
             minimum_dual_estimator(model, CressieRead(1.0), mu)
-        value, alpha = estimate_phi_dual(model, CressieRead(1.0), (0.3, 0.3), mu)
-        assert math.isfinite(value) and value > 0.0
-        assert len(alpha) == 2
+        assert estimate_phi_dual(model, CressieRead(1.0), (0.3, 0.3), mu)[0] == INF
+        spec = CressieRead(0.0)
+        value, alpha = estimate_phi_dual(model, spec, (0.3, 0.3), mu)
+        wbar = 3.0 / 4.0 + 1.5 / 4.0
+        assert alpha.tolist() == [2.0 / 3.0, 1.0 / 3.0]
+        assert value == pytest.approx(wbar * (cell_divergence(spec, (0.3, 0.3), alpha) + 0.4), rel=1e-15)
+        crit = _DualCriterion(model, spec, mu)
+        near = [value - crit((0.3, 0.3), alpha * (1.0 - t)) for t in (1e-2, 1e-4, 1e-6)]
+        assert 0.0 < near[2] < near[1] < near[0] < 0.02
+
+    @pytest.mark.parametrize("weights, spec, expect", [
+        ((1.0, 1.0, -0.5), CressieRead(0.0), INF),
+        ((1.0, 1.0, -0.5), CressieRead(-0.5), NumericError),
+        ((1.0, -1.0, -0.5), CressieRead(1.0), NumericError),
+    ], ids=["negative_cell_infinite_limit", "negative_cell_finite_limit", "mass_not_positive"])
+    def test_fixed_theta_categorical_estimate_with_signed_masses(self, weights, spec, expect):
+        """A negative cell mass sends the supremum to +inf when phi#(inf) or
+        phi'(inf) is infinite; a finite limit or a total mass <= 0 has no
+        closed form and raises NumericError."""
+        mu = WeightedEmpiricalMeasure((0.0, 1.0, 2.0), weights)
+        if expect is NumericError:
+            with pytest.raises(NumericError, match="no closed-form dual supremum"):
+                estimate_phi_dual(Categorical(3), spec, (0.3, 0.3), mu)
+        else:
+            assert estimate_phi_dual(Categorical(3), spec, (0.3, 0.3), mu)[0] == expect
 
     def test_parameters_off_the_simplex_are_rejected(self):
         """A categorical parameter off the simplex interior is a counted -inf, not an error."""
@@ -393,6 +419,39 @@ WEIGHTS = {
     "zero": lambda rows, n, rng: np.zeros((rows, n)),
     "unit": lambda rows, n, rng: np.broadcast_to(np.ones(n), (rows, n)),
 }
+
+
+_CLOSED_FORM_SPECS = {
+    "gamma_1": CressieRead(1.0), "gamma_0": CressieRead(0.0), "gamma_half": CressieRead(0.5),
+    "gamma_2": CressieRead(2.0), "poisson1": induced_divergence(PoissonOne()),
+    "twopoint": induced_divergence(ShiftedBernoulli()),
+}
+
+
+class TestCategoricalSupremum:
+    """The categorical dual supremum in closed form, against the criterion."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(2, 12), name=st.sampled_from(sorted(_CLOSED_FORM_SPECS)),
+           weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_no_alpha_beats_the_closed_form(self, k, name, weighted, seed):
+        """At a random theta no random simplex alpha lifts the criterion above
+        ``wbar cell_divergence(spec, p_theta, m / wbar)``; where that is
+        finite, the criterion at the reported alpha = m / wbar is that value
+        (twopoint's is +inf where a ratio leaves its domain [0, 2])."""
+        spec, model = _CLOSED_FORM_SPECS[name], Categorical(k)
+        rng = np.random.default_rng(seed)
+        points = np.concatenate([np.arange(k), rng.integers(0, k, size=2 * k)])
+        weights = rng.exponential(1.0, size=points.shape[0]) if weighted else np.ones(points.shape[0])
+        mu = WeightedEmpiricalMeasure(tuple(points), tuple(weights))
+        theta = rng.dirichlet(np.ones(k))[:-1]
+        value, alpha = estimate_phi_dual(model, spec, theta, mu)
+        crit = _DualCriterion(model, spec, mu)
+        tol = 1e-12 * max(1.0, abs(value))
+        for a in rng.dirichlet(np.ones(k), size=20)[:, :-1]:
+            assert crit(theta, a) <= value + tol
+        if math.isfinite(value):
+            assert abs(crit(theta, alpha) - value) <= tol
 
 
 class TestOneKernel:
@@ -605,7 +664,7 @@ class TestMinimumDualEstimator:
         mu = WeightedEmpiricalMeasure.plain(tuple(points))
         # the inner search lands on alpha = theta, where the power lead is -0.0
         crit = _DualCriterion(model, spec, mu)
-        lo, hi = estimation._box(model, crit.root())
+        lo, hi = model.default_box(crit.root())
         _, raw = estimation._inner_max(crit, crit.root(), lo, hi)
         assert raw == 0.0 and math.copysign(1.0, raw) == -1.0
         report = minimum_dual_estimator(model, spec, mu)
@@ -681,39 +740,39 @@ class TestMinimumDualEstimator:
         assert report.converged and abs(report.value) <= estimation._SUP_TOL
         assert report.inner_grad_norm <= estimation._GRAD_TOL
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    def test_categorical_certificate_searches_inside_the_simplex(self, k):
-        """Started from the model's interior starts, the certifying search on
-        60 seeded points converges without one rejected evaluation."""
-        points = np.random.default_rng(k).integers(0, k, size=60)
-        report = minimum_dual_estimator(Categorical(k), CressieRead(1.0), WeightedEmpiricalMeasure.plain(tuple(points)))
-        assert report.converged and abs(report.value) <= estimation._SUP_TOL
-        assert report.rejected_evaluations == 0
-
-    @pytest.mark.parametrize("spec, most_rejected", [
-        (CressieRead(1.0), 0),
-        (CressieRead(0.0), 0),
-        (CressieRead(0.5), 0),
-        (CressieRead(2.0), 0),
-        (induced_divergence(ShiftedBernoulli()), 106),
-        (induced_divergence(ShiftedBernoulli()).conjugate(), 106),
+    @pytest.mark.parametrize("spec", [
+        CressieRead(1.0), CressieRead(0.0), CressieRead(0.5), CressieRead(2.0),
+        induced_divergence(ShiftedBernoulli()), induced_divergence(ShiftedBernoulli()).conjugate(),
     ], ids=["gamma_1", "gamma_0", "gamma_half", "gamma_2", "twopoint", "twopoint_conjugate"])
-    def test_k3_file_certificate_rejects_few_evaluations(self, spec, most_rejected):
-        """The 40-point 3-cell file certifies; the power generators reject no
-        evaluation, the twopoint generators only those of their own domain."""
+    def test_k3_file_certificate_rejects_no_evaluation(self, spec):
+        """The 40-point 3-cell file certifies from one criterion call at
+        alpha = theta, which no generator rejects."""
         points, _ = read_data_csv(DATA_DIR / "categorical_k3.csv")
         report = minimum_dual_estimator(Categorical(3), spec, WeightedEmpiricalMeasure.plain(tuple(points)))
-        assert report.converged and report.rejected_evaluations <= most_rejected
+        assert report.converged and report.rejected_evaluations == 0
+        assert report.alpha_hat == report.theta_hat and report.value == 0.0
 
-    def test_criterion_rejected_everywhere_reports_minus_inf(self, monkeypatch):
-        """With every criterion evaluation rejected the certificate reports
-        ``value: -inf`` and ``converged: false``, never the penalty sentinel."""
-        monkeypatch.setattr(estimation, "_categorical_dual_rows", lambda model, spec, theta, alpha, *rest:
-                            np.full(alpha.shape[0], -INF))
-        mu = WeightedEmpiricalMeasure.plain((0, 1, 2, 2))
-        report = minimum_dual_estimator(Categorical(3), CressieRead(1.0), mu)
-        assert report.value == -INF and not report.converged
-        assert report.rejected_evaluations > 0
+    @pytest.mark.parametrize("k", range(2, 51))
+    def test_every_categorical_estimate_certifies(self, k):
+        """20 k seeded points charging every cell certify at every k, in
+        well under 0.1 s of CPU: the supremum at the root is h(theta, theta)
+        = 0 and the inner gradient is in closed form."""
+        points = np.random.default_rng(k).integers(0, k, size=20 * k)
+        assert np.bincount(points, minlength=k).all()
+        mu = WeightedEmpiricalMeasure.plain(tuple(points))
+        start = time.process_time()
+        report = minimum_dual_estimator(Categorical(k), CressieRead(1.0), mu)
+        assert time.process_time() - start <= 0.1
+        assert report.converged and report.value == 0.0 and report.rejected_evaluations == 0
+        assert report.inner_grad_norm <= estimation._GRAD_TOL
+
+    def test_root_with_a_cell_below_one_in_a_million_certifies(self):
+        """A weighted root with a cell mass of 1.5e-7 certifies: no search box
+        keeps alpha from reaching it."""
+        mu = WeightedEmpiricalMeasure((0, 1, 1), (3e-7, 1.0, 1.0))
+        report = minimum_dual_estimator(Categorical(2), CressieRead(1.0), mu)
+        assert report.theta_hat == pytest.approx(1.5e-7, rel=1e-6)
+        assert report.converged and report.alpha_hat == report.theta_hat
 
     def test_exp_scale_gamma_two_returns_the_certified_root(self):
         """At index 2 on exp_scale the root is a saddle: the estimate is the

@@ -354,31 +354,6 @@ class TestCategorical:
         with pytest.raises(ValidationError):
             Categorical(2).atom_index(0.5)
 
-    def test_default_box_is_the_simplex_interior(self):
-        """The box is [1e-6, 1 - 1e-6] in each coordinate, whatever the pilot."""
-        for pilot in (None, (0.2, 0.3), (0.999, 0.0)):
-            lo, hi = Categorical(3).default_box(pilot)
-            assert lo.tolist() == [1e-6, 1e-6] and hi.tolist() == [1.0 - 1e-6, 1.0 - 1e-6]
-
-    @given(k=st.integers(2, 12))
-    @settings(max_examples=30, deadline=None)
-    def test_search_starts_are_interior(self, k):
-        """The k + 1 starts are the centroid and the midpoints from it to each
-        vertex: every cell mass is at least 1/(2k), so each row is interior
-        and inside the default box."""
-        model = Categorical(k)
-        starts = model.search_starts()
-        p, inside = model.probs_rows(starts)
-        assert starts.shape == (k + 1, k - 1) and inside.all()
-        np.testing.assert_allclose(p, np.vstack([np.full(k, 1.0 / k), 0.5 / k + 0.5 * np.eye(k)]), atol=1e-15)
-        lo, hi = model.default_box(None)
-        assert (starts > lo).all() and (starts < hi).all()
-
-    def test_pilot_is_the_cell_frequencies(self):
-        """The pilot is the unweighted cell frequencies, all but the last, empty cells included."""
-        pilot = Categorical(3).pilot_estimate(np.array([0.0, 2.0, 2.0, 0.0, 2.0]))
-        assert pilot.tolist() == [0.4, 0.0]
-
     def test_small_k_rejected(self):
         """A single-cell model is a validation error."""
         with pytest.raises(ValidationError):

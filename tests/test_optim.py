@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from divlab import _optim
-from divlab._optim import PENALTY, batch_golden_max, maximize_scalar, nelder_mead, nelder_mead_multistart, stencil
+from divlab._optim import PENALTY, batch_golden_max, maximize_scalar, nelder_mead, stencil
 
 
 class TestStencil:
@@ -61,19 +61,6 @@ class TestNelderMead:
         """An objective that is infinite everywhere reports the penalty value."""
         _, v = nelder_mead(lambda z: math.inf, [0.5], [0.0], [1.0])
         assert v == PENALTY
-
-    def test_multistart_takes_the_best_start(self):
-        """Every start is searched; the lowest value wins."""
-        bowls = lambda z: min(float(np.sum((z - 0.2) ** 2)), float(np.sum((z - 0.7) ** 2)) - 0.1)
-        starts = np.array([[0.25, 0.25], [0.6, 0.6]])
-        x, v = nelder_mead_multistart(bowls, starts, np.zeros(2), np.ones(2))
-        assert x == pytest.approx([0.7, 0.7], abs=1e-6) and v == pytest.approx(-0.1, abs=1e-10)
-
-    def test_multistart_with_nothing_admissible_is_infinite(self):
-        """An objective that is infinite everywhere gives +inf, not the penalty sentinel."""
-        starts = np.array([[0.25, 0.25], [0.5, 0.25]])
-        x, v = nelder_mead_multistart(lambda z: math.inf, starts, np.zeros(2), np.ones(2))
-        assert v == math.inf and x.shape == (2,)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -406,21 +406,60 @@ class TestMLLDPGap:
         assert abs(report.theta_ml[0] - 0.5) < 0.1
         assert abs(report.theta_ldp[0] - 0.5) < 0.1
 
-    @pytest.mark.parametrize("k, thetaT", [(2, (0.5,)), (3, (0.4, 0.35))])
-    def test_a_bug_in_the_objectives_propagates(self, k, thetaT, monkeypatch):
-        """Only DomainError (a parameter off the simplex) scores -inf; any
-        other error inside the searched objectives is raised."""
-        calls = []
+    @pytest.mark.parametrize("k, thetaT, n, eps, zero_cells", [
+        (2, (0.5,), 50, 0.1, True), (2, (0.3,), 40, 0.05, True), (3, (0.4, 0.35), 50, 0.1, True),
+        (3, (0.2, 0.5), 40, 0.15, True), (3, (0.7, 0.299), 30, 0.2, False),
+    ])
+    def test_em_reaches_the_grid_maximum(self, k, thetaT, n, eps, zero_cells):
+        """No parameter of a dense grid over the simplex beats the EM
+        maximizer's exact log-probability."""
+        args = (Categorical(k), thetaT, Partition.atoms(k), eps, n, zero_cells)
+        report = ml_ldp_gap(*args)
+        _, members = sanov._idealized_members(*args)
+        if k == 2:
+            a = np.linspace(0.001, 0.999, 1999)
+            grid = np.stack([a, 1.0 - a], axis=1)
+        else:
+            a, b = np.meshgrid(np.linspace(0.002, 0.998, 499), np.linspace(0.002, 0.998, 499))
+            grid = np.stack([a.ravel(), b.ravel(), 1.0 - a.ravel() - b.ravel()], axis=1)
+            grid = grid[grid[:, 2] > 0.0]
+        logcoef = gammaln(n + 1.0) - np.sum(gammaln(members + 1.0), axis=1)
+        log_probs = logcoef[:, None] + members @ np.log(grid).T
+        best = float(np.max(logsumexp(log_probs, axis=0))) / n
+        assert report.log_prob_at_ml >= best - 1e-12
+        assert report.log_prob_at_ml <= best + 1e-3
 
-        def failing_after_the_centre(model, theta, part):
-            calls.append(theta)
-            if len(calls) > 1:
-                raise ZeroDivisionError("a bug")
-            return model.probs(theta)
+    def test_gate_cases_put_theta_ldp_at_the_centre(self):
+        """In the acceptance gate's twelve cases theta_ldp is the idealized
+        centre c0, where the rate surrogate is 0, whatever the search would
+        have stood on; the gap at c0 and the worst plateau-vertex gap lie
+        within the bound."""
+        for k, thetaT in ((2, (0.5,)), (3, (0.4, 0.35))):
+            pT = Categorical(k).probs(thetaT)
+            for n in (50, 100, 200):
+                c0 = largest_remainder_counts(pT, n) / n
+                for eps in (0.05, 0.1):
+                    report = ml_ldp_gap(Categorical(k), thetaT, Partition.atoms(k), eps, n)
+                    assert report.theta_ldp == tuple(c0[:-1].tolist())
+                    assert 0.0 <= report.gap <= report.plateau_gap <= report.bound and report.holds
+                    V = PartitionNeighborhood(tuple(c0), eps)
+                    assert neighborhood_inf_divergence(KL, V, c0) == 0.0
 
-        monkeypatch.setattr(sanov, "cell_probabilities", failing_after_the_centre)
-        with pytest.raises(ZeroDivisionError, match="a bug"):
-            ml_ldp_gap(Categorical(k), thetaT, Partition.atoms(k), 0.1, 20)
+    def test_centre_with_an_empty_cell(self):
+        """The idealized counts of (0.7, 0.299, 0.001) at n = 30 are (21, 9, 0).
+        With ``zero_cells`` every member leaves the last cell empty, and EM
+        keeps its mass at exactly 0.  Without it EM, which never charges a
+        cell its start leaves empty, starts at the members' mean and finds a
+        maximizer that charges the cell, above the centre-started fixed point."""
+        args = (Categorical(3), (0.7, 0.299), Partition.atoms(3), 0.2, 30)
+        on_face, charged = ml_ldp_gap(*args), ml_ldp_gap(*args, zero_cells=False)
+        assert on_face.theta_ldp == charged.theta_ldp == (0.7, 0.3)
+        assert on_face.holds and charged.holds
+        assert 1.0 - sum(on_face.theta_ml) == pytest.approx(0.0, abs=1e-15)
+        assert 1.0 - sum(charged.theta_ml) > 0.02
+        V, members = sanov._idealized_members(*args, zero_cells=False)
+        _, stuck = sanov._em_max(members, np.asarray(V.center))
+        assert charged.log_prob_at_ml > stuck + 1e-4
 
     def test_tiny_radius_keeps_lattice_center(self):
         """The idealized center is itself a member at any radius."""
