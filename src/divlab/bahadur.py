@@ -44,10 +44,14 @@ _START_BLOCK = 256
 @dataclass(frozen=True)
 class FunctionalStatistic:
     """Continuous functional ``psi(p_null, q)`` of the null's cell masses, a
-    tuple of floats, and a probability vector, with ``psi(p_null, p_null) = 0``."""
+    tuple of floats, and a probability vector, with ``psi(p_null, p_null) = 0``.
+
+    An ``infimum(p_null, q_alt)`` gives the minimizer and value of the
+    induced divergence over ``psi(p_null, q) >= psi(p_null, q_alt)`` in closed form."""
 
     evaluator: Callable
     name: str
+    infimum: Callable | None = None
 
 
 def slope_min_divergence(model: ParametricModel, law: WeightLaw, theta, theta_prime) -> float:
@@ -162,20 +166,36 @@ def slope_generic(
     """Slope of a generic functional statistic on a finite support.
 
     Minus twice the infimum of the induced divergence of ``P_theta`` over
-    probability vectors whose functional value reaches the alternative's,
-    found by a dense simplex scan refined with local descent.
+    probability vectors whose functional value reaches the alternative's:
+    the statistic's own ``infimum`` when it has one, else a dense simplex
+    scan refined with local descent.
     """
     check_slopes(model)
-    spec = induced_divergence(law)
     p = model.probs(theta)
     # one tuple for every evaluator call: Python floats read faster than an array's
     p_null = tuple(p.tolist())
-    level = float(stat.evaluator(p_null, model.probs(theta_prime)))
+    q_alt = model.probs(theta_prime)
+    level = float(stat.evaluator(p_null, q_alt))
     _check_functional_zero(stat, p_null, p)
+    if stat.infimum is not None:
+        best_q, best_v = stat.infimum(p_null, q_alt)
+    else:
+        best_q, best_v = _scan_infimum(induced_divergence(law), p, p_null, stat, level)
+    # -0.0 + 0.0 is +0.0: a null alternative prints 0, never -0
+    slope = -2.0 * best_v + 0.0 if math.isfinite(best_v) else -INF
+    return GenericSlopeRecord(
+        slope=slope,
+        minimizer=tuple(float(v) for v in best_q),
+        constraint_level=level,
+        statistic_name=stat.name,
+    )
 
-    lattice = _simplex_grid(model.k, GRID_STEP)
-    masses = _lattice_masses(model.k, int(round(1.0 / GRID_STEP)))
-    cells = np.arange(model.k)
+
+def _scan_infimum(spec: DivergenceSpec, p: np.ndarray, p_null: tuple, stat: FunctionalStatistic, level: float):
+    """The constrained infimum's minimizer and value from the simplex scan and its refinements."""
+    lattice = _simplex_grid(p.shape[0], GRID_STEP)
+    masses = _lattice_masses(p.shape[0], int(round(1.0 / GRID_STEP)))
+    cells = np.arange(p.shape[0])
     # float rows built a block at a time: the scan never holds the float grid
     rows = (q for lo in range(0, lattice.shape[0], 4096) for q in masses[cells, lattice[lo : lo + 4096]])
     psi_vals = np.fromiter(map(stat.evaluator, repeat(p_null), rows), float, count=lattice.shape[0])
@@ -195,14 +215,7 @@ def slope_generic(
             v_ref <= best_v + 1e-12 and tuple(q_ref) < tuple(best_q)
         ):
             best_q, best_v = q_ref, v_ref
-    # -0.0 + 0.0 is +0.0: a null alternative prints 0, never -0
-    slope = -2.0 * best_v + 0.0 if math.isfinite(best_v) else -INF
-    return GenericSlopeRecord(
-        slope=slope,
-        minimizer=tuple(float(v) for v in best_q),
-        constraint_level=level,
-        statistic_name=stat.name,
-    )
+    return best_q, best_v
 
 
 def _refine_constrained(spec, p_null, stat, level, q0) -> tuple[np.ndarray, float]:

@@ -292,9 +292,11 @@ def parse_grid(text: str, key: str = "grid") -> np.ndarray:
 
 
 def _evaluation_points(cfg: dict) -> np.ndarray:
-    if cfg.get("points") is not None:
-        return np.asarray(cfg["points"], dtype=float)
-    return parse_grid(cfg["grid"])
+    key = "grid" if cfg.get("points") is None else "points"
+    xs = parse_grid(cfg["grid"]) if key == "grid" else np.asarray(cfg["points"], dtype=float)
+    if np.isnan(xs).any():
+        raise ValidationError(f"field {key!r}: evaluation points must be numbers, got nan")
+    return xs
 
 
 def _spec_from(gamma, law_token, conj: bool):
@@ -533,7 +535,11 @@ def _make_statistic(token: str, model, law) -> FunctionalStatistic:
     def divergence_value(p, q):
         return cell_divergence(spec, p, q)
 
-    return FunctionalStatistic(divergence_value, "induced_divergence")
+    def at_the_alternative(p, q_alt):
+        # the statistic is the divergence itself: its level is the infimum, attained at q_alt
+        return q_alt, divergence_value(p, q_alt)
+
+    return FunctionalStatistic(divergence_value, "induced_divergence", at_the_alternative)
 
 
 def _run_bahadur(cfg: dict, dry_run: bool) -> list:

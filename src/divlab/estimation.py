@@ -214,31 +214,26 @@ def _phi_prime_mean(model: ExponentialFamilyModel, spec: DivergenceSpec, theta, 
         return INF
 
 
-def _categorical_dual_rows(model: Categorical, spec: DivergenceSpec, theta, alpha: np.ndarray,
-                           masses: np.ndarray, wbar) -> np.ndarray:
-    """Categorical dual criterion at ``(theta, alpha[r])`` for each row ``r``.
+def _categorical_dual(model: Categorical, spec: DivergenceSpec, theta, alpha, masses: np.ndarray, wbar) -> float:
+    """Categorical dual criterion at ``(theta, alpha)`` against cell masses
+    ``masses`` with mean weight ``wbar``: ``wbar lead - sum_j masses_j phi#(ratio_j)``.
 
-    Row ``r`` integrates against cell masses ``masses[r]`` with mean weight
-    ``wbar[r]``: ``wbar lead - sum_j masses_j phi#(ratio_j)``.  A parameter
-    off the simplex interior, an infinite lead or a non-finite value gives
-    ``-inf``, a rejected point.
+    A parameter off the simplex interior, an infinite lead or a non-finite
+    value gives ``-inf``, a rejected point.
     """
     try:
         p_t = model.probs(theta)
+        p_a = model.probs(alpha)
     except DomainError:
-        return np.full(alpha.shape[0], -INF)
-    p_a, inside = model.probs_rows(alpha)
-    lead = np.full(alpha.shape[0], INF)
-    sharp = np.zeros(p_a.shape)
-    prime, sharp[inside] = spec.prime_sharp_array(p_t / p_a[inside])
+        return -INF
+    prime, sharp = spec.prime_sharp_array(p_t / p_a)
+    if not np.all(np.isfinite(prime)):
+        return -INF
     with np.errstate(invalid="ignore", over="ignore"):
-        # the lead is sum_j phi'(ratio_j) p_theta_j, +inf where a term is not finite
-        lead[inside] = np.where(np.all(np.isfinite(prime), axis=1), np.sum(prime * p_t, axis=1), INF)
-        # the one-pair matmul rounds as np.dot does (a fused multiply-add);
-        # an einsum or the written-out sum differs in the last bit
-        tail = np.matmul(masses[:, None, :], sharp[:, :, None])[:, 0, 0]
-        value = wbar * lead - tail
-    return np.where(np.isfinite(value), value, -INF)
+        # the lead is sum_j phi'(ratio_j) p_theta_j; an einsum or the written-out
+        # sum of the tail differs from np.dot in the last bit
+        value = wbar * float(np.sum(prime * p_t)) - float(np.dot(masses, sharp))
+    return value if math.isfinite(value) else -INF
 
 
 class _DualCriterion:
@@ -247,8 +242,8 @@ class _DualCriterion:
     The integral splits as ``mu(S) * mean-phi'(theta, alpha) - (1/n) sum
     W_i phi#(ratio_i)``; the second term is vectorized over the sample.
     Non-finite evaluations are rejected (returned as ``-inf`` to the
-    maximizer) and counted.  On a categorical model the criterion is one
-    row of :func:`_categorical_dual_rows`.
+    maximizer) and counted.  On a categorical model the criterion is
+    :func:`_categorical_dual`.
     """
 
     def __init__(self, model: ParametricModel, spec: DivergenceSpec, mu: WeightedEmpiricalMeasure):
@@ -273,10 +268,7 @@ class _DualCriterion:
     def __call__(self, theta, alpha) -> float:
         kind = self._kind
         if kind == "categorical":
-            alpha_row = np.atleast_1d(np.asarray(alpha, dtype=float))[None]
-            value = float(_categorical_dual_rows(
-                self.model, self.spec, theta, alpha_row, self.atom_masses[None], self.wbar
-            )[0])
+            value = _categorical_dual(self.model, self.spec, theta, alpha, self.atom_masses, self.wbar)
             self.rejected += int(value == -INF)
             return value
         if kind == "power":

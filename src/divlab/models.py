@@ -305,26 +305,12 @@ class Categorical(ParametricModel):
         return vec
 
     def probs(self, theta) -> np.ndarray:
-        p, inside = self.probs_rows(self._theta_vec(theta)[None])
-        if not inside[0]:
-            raise DomainError(f"parameter {_param_text(theta)} does not map to an interior probability vector")
-        return p[0]
-
-    def probs_rows(self, thetas: np.ndarray):
-        """:meth:`probs` of each row of the ``(m, k - 1)`` array ``thetas``.
-
-        Returns the ``(m, k)`` probabilities and a mask of the rows that map
-        to an interior probability vector; :meth:`probs` raises on the others.
-        """
-        if thetas.ndim != 2 or thetas.shape[1] != self.param_dim:
-            raise ValidationError(
-                f"parameter rows must have length {self.param_dim}, got shape {thetas.shape}"
-            )
-        p = np.empty((thetas.shape[0], self.k))
-        p[:, :-1] = thetas
-        p[:, -1] = 1.0 - thetas.sum(axis=1)
+        vec = self._theta_vec(theta)
+        p = np.append(vec, 1.0 - vec.sum())
         # written so that a NaN entry fails both tests
-        return p, (p > 0.0).all(axis=1) & (abs(p.sum(axis=1) - 1.0) <= 1e-9)
+        if not ((p > 0.0).all() and abs(p.sum() - 1.0) <= 1e-9):
+            raise DomainError(f"parameter {_param_text(theta)} does not map to an interior probability vector")
+        return p
 
     def in_domain(self, theta) -> bool:
         try:

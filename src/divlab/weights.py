@@ -372,8 +372,9 @@ class WeightInducedDivergence(DivergenceSpec):
 
     def prime_sharp_array(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(value_array(x, 1), sharp_array(x))`` from one Chernoff solve per point."""
-        pairs = np.array([self._prime_sharp(float(v)) for v in np.ravel(x)], dtype=float).reshape(-1, 2)
-        return pairs[:, 0].reshape(np.shape(x)), pairs[:, 1].reshape(np.shape(x))
+        # transposed and copied, so each array is contiguous: BLAS rounds a strided dot differently
+        pairs = np.array([self._prime_sharp(float(v)) for v in np.ravel(x)], dtype=float).reshape(-1, 2).T.copy()
+        return pairs[0].reshape(np.shape(x)), pairs[1].reshape(np.shape(x))
 
     def _prime_sharp(self, x: float) -> tuple[float, float]:
         val, t = chernoff_argmax(self.law, x)

@@ -27,7 +27,7 @@ from divlab.divergences import INF, CressieRead, cell_divergence
 from divlab.errors import ValidationError
 from divlab.estimation import WeightedEmpiricalMeasure, estimate_phi_dual
 from divlab.models import Categorical, GaussianLocation
-from divlab import weights
+from divlab import bahadur, weights
 from divlab.sanov import enumerate_count_vectors
 from divlab.weights import (
     ExponentialOne,
@@ -360,6 +360,31 @@ class TestGenericSlope:
         )
         expect = slope_min_divergence(model, PoissonOne(), theta, theta_prime)
         assert rec.slope == pytest.approx(expect, abs=2e-3)
+
+    @pytest.mark.parametrize("token", LAW_TOKENS)
+    def test_closed_form_infimum_matches_the_k2_scan(self, token, pair_model):
+        """The divergence statistic's closed-form infimum gives the slope the
+        scan finds, the divergence statistic's own slope bit for bit, and
+        the alternative as its minimizer."""
+        model, theta, theta_prime = pair_model
+        self._check_closed_form_against_the_scan(model, weight_law(token), theta, theta_prime)
+
+    @pytest.mark.parametrize("token", ["poisson1", "exp1", "normal11"])
+    def test_closed_form_infimum_matches_the_k3_scan(self, token, monkeypatch):
+        """At k = 3 too, on a coarser scan that keeps the one-call-per-point
+        divergence evaluator quick."""
+        monkeypatch.setattr(bahadur, "GRID_STEP", 0.01)
+        self._check_closed_form_against_the_scan(Categorical(3), weight_law(token), (0.3, 0.3), (0.2, 0.4))
+
+    @staticmethod
+    def _check_closed_form_against_the_scan(model, law, theta, theta_prime):
+        stat = _make_statistic("divergence", model, law)
+        assert stat.infimum is not None
+        closed = slope_generic(model, law, stat, theta, theta_prime)
+        scanned = slope_generic(model, law, FunctionalStatistic(stat.evaluator, stat.name), theta, theta_prime)
+        assert closed.slope == pytest.approx(scanned.slope, abs=1e-11)
+        assert closed.slope == slope_min_divergence(model, law, theta, theta_prime)
+        assert closed.minimizer == tuple(model.probs(theta_prime).tolist())
 
     def test_k3_scan_peak_memory(self):
         """One k=3 cell-mass slope peaks at 15 MB of traced allocations or less.

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipelines."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -11,8 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import divlab.bahadur as bahadur
 import divlab.cli as cli
@@ -358,6 +357,16 @@ BAD_CONFIGS = {
     "sanov_sandwich_zero_radius": (
         ["sanov", "--mode", "sandwich", "--theta", "0.4,0.6", "--theta_T", "0.5,0.5", "--epsilon", "0"],
         None, "radius must be positive"),
+    "divergence_nan_point": (
+        ["divergence", "--points=nan"], None, "field 'points': evaluation points must be numbers, got nan"),
+    "divergence_nan_grid_start": (
+        ["divergence", "--grid=nan:1:1"], None, "field 'grid': evaluation points must be numbers, got nan"),
+    "chernoff_nan_point": (
+        ["chernoff", "--law", "poisson1", "--points=nan"], None,
+        "field 'points': evaluation points must be numbers, got nan"),
+    "chernoff_nan_grid_start": (
+        ["chernoff", "--law", "poisson1", "--grid=nan:1:1"], None,
+        "field 'grid': evaluation points must be numbers, got nan"),
     "estimate_column_weights_one_column": (
         ["estimate", "--model", "gauss_loc", "--data", str(DATA_DIR / "regression_points.csv"),
          "--weights", "column"], None, "two-column"),
@@ -415,40 +424,57 @@ def test_domain_error_prints_plain_floats(tmp_path, capsys):
     assert "np.float64" not in err
 
 
-#: the ``RERUN_CONFIGS`` bases the contract test starts from
-CONTRACT_BASES = ("divergence", "estimate", "sanov_shrink", "sanov_rate", "sanov_ml_gap")
-
-#: values a field is set to, one field at a time
+#: values a field is set to, one field at a time; no huge integer, since
+#: no ``--reps`` cap exists and such a run could go on without end
 CONTRACT_VALUES = ("0", "-1", "1e30", "nan", "inf", "-inf", "")
 
 
-@st.composite
-def _one_field_changed(draw):
-    """A ``RERUN_CONFIGS`` base with one schema field set to an edge value."""
-    argv = list(RERUN_CONFIGS[draw(st.sampled_from(CONTRACT_BASES))])
-    field = draw(st.sampled_from(sorted(set(cli.SCHEMAS[argv[0]]) - {"out"})))
-    flag = f"--{field}"
-    if flag in argv:
-        del argv[argv.index(flag):argv.index(flag) + 2]
-    # "--key=value" keeps argparse from reading "-1" or "-inf" as a flag
-    return argv + [f"{flag}={draw(st.sampled_from(CONTRACT_VALUES))}"]
+def _one_field_changed():
+    """Every ``RERUN_CONFIGS`` base with one schema field set to one edge value."""
+    for base in RERUN_CONFIGS.values():
+        for field in sorted(set(cli.SCHEMAS[base[0]]) - {"out"}):
+            flag = f"--{field}"
+            argv = list(base)
+            if flag in argv:
+                del argv[argv.index(flag):argv.index(flag) + 2]
+            for value in CONTRACT_VALUES:
+                # "--key=value" keeps argparse from reading "-1" or "-inf" as a flag
+                yield argv + [f"{flag}={value}"]
+
+
+def _nan_fields(path: Path) -> list:
+    """The fields of a CSV or JSON artifact that hold ``nan``."""
+    if path.suffix == ".csv":
+        with path.open(newline="") as f:
+            return [key for row in csv.DictReader(f) for key, value in row.items() if value == "nan"]
+    found = []
+
+    def pairs(items):
+        found.extend(key for key, value in items if value == "nan" or (isinstance(value, list) and "nan" in value))
+        return dict(items)
+
+    json.loads(path.read_text(), object_pairs_hook=pairs)
+    return found
 
 
 class TestCliContract:
-    """Any one field at an edge value exits 0, 2 or 3, never with a traceback."""
+    """Any one field at an edge value exits 0, 2 or 3, never with a
+    traceback, and a run that exits 0 writes no ``nan``: the README
+    documents no artifact field as possibly NaN."""
 
-    @given(_one_field_changed())
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_one_edge_field_keeps_the_exit_contract(self, tmp_path_factory, argv):
-        out = tmp_path_factory.getbasetemp() / "cli_contract"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = main(argv + ["--out", str(out)])
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
-        assert code in (0, 2, 3), (argv, code)
-        assert "Traceback" not in err.getvalue(), argv
+    def test_one_edge_field_keeps_the_exit_contract(self, tmp_path):
+        for i, argv in enumerate(_one_field_changed()):
+            out = tmp_path / str(i)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(argv + ["--out", str(out)])
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+            assert code in (0, 2, 3), (argv, code)
+            assert "Traceback" not in err.getvalue(), argv
+            if code == 0:
+                assert [field for path in out.iterdir() for field in _nan_fields(path)] == [], argv
 
 
 class TestDryRun:
@@ -612,16 +638,23 @@ class TestSlopeStatistics:
     """The statistics ``bahadur --mode slopes`` builds, and the slopes they give."""
 
     @pytest.mark.parametrize("token", ["cell_mass", "divergence"])
-    def test_every_evaluator_call_gets_one_null_tuple(self, token):
+    def test_every_evaluator_call_gets_one_null_tuple(self, token, monkeypatch):
         """The level, the zero check, every scan point and the refinement all
-        receive the same tuple of the null's cell masses."""
+        receive the same tuple of the null's cell masses; the divergence
+        statistic's closed-form infimum receives it too, and no scan runs."""
         model, law = make_model("categorical", k=2), weight_law("poisson1")
-        calls = []
+        calls, scans = [], []
+        monkeypatch.setattr(bahadur, "_simplex_grid", _counted(bahadur._simplex_grid, scans))
         stat = cli._make_statistic(token, model, law)
-        stat = FunctionalStatistic(_counted(stat.evaluator, calls), stat.name)
+        infimum = stat.infimum and _counted(stat.infimum, calls)
+        stat = FunctionalStatistic(_counted(stat.evaluator, calls), stat.name, infimum)
         slope_generic(model, law, stat, (0.4,), (0.2,))
-        # 1,001 scan points, the level and the zero check, then the refinement
-        assert len(calls) > _simplex_grid(2, GRID_STEP).shape[0] + 2
+        if token == "cell_mass":
+            # 1,001 scan points, the level and the zero check, then the refinement
+            assert len(scans) == 1 and len(calls) > _simplex_grid(2, GRID_STEP).shape[0] + 2
+        else:
+            # the level, the zero check and the infimum
+            assert scans == [] and len(calls) == 3
         p_null = calls[0][0]
         assert type(p_null) is tuple and p_null == tuple(model.probs((0.4,)).tolist())
         assert all(args[0] is p_null for args in calls)
@@ -825,8 +858,8 @@ class TestImportHygiene:
     def test_exact_and_search_paths_load_no_scipy(self, argv, golden, tmp_path):
         """Nelder-Mead, the multinomial log-pmf and its log-sum-exp are in-package.
 
-        The k=3 divergence-statistic run also reproduces its golden record,
-        so that record costs no second k=3 scan.
+        The k=3 divergence-statistic run, whose infimum is closed form, also
+        reproduces its golden record.
         """
         data = tmp_path / "cells.csv"
         data.write_text("x\n" + "0\n1\n1\n" * 20)

@@ -17,7 +17,7 @@ from divlab.estimation import (
     WeightedEmpiricalMeasure,
     _BatchCriterion,
     _DualCriterion,
-    _categorical_dual_rows,
+    _categorical_dual,
     _expfam_power_dual,
     _power_lead,
     divergence_between,
@@ -289,15 +289,16 @@ class TestDualCriterion:
         assert crit(-1.0, -2.0) == -INF
         assert crit.rejected == 1
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize(
         "spec", [CressieRead(0.0), CressieRead(0.5), CressieRead(1.0), CressieRead(2.0),
                  induced_divergence(ShiftedBernoulli())], ids=repr,
     )
     def test_categorical_rows_round_as_the_written_out_criterion(self, k, spec):
-        """Each row is ``wbar * sum(phi'(r) p_theta) - dot(masses, phi#(r))``
+        """The criterion is ``wbar * sum(phi'(r) p_theta) - dot(masses, phi#(r))``
         with numpy's own sum and BLAS dot, bit for bit, or -inf where that is
-        not finite or alpha leaves the simplex."""
+        not finite or alpha leaves the simplex; no warning either way."""
         rng = np.random.default_rng(k)
         model = Categorical(k)
         theta = rng.dirichlet(np.ones(k))[:-1]
@@ -309,43 +310,19 @@ class TestDualCriterion:
         # scaled up, often off the simplex
         alpha = (0.6 * p_t + 0.4 * rng.dirichlet(np.ones(k), size=200))[:, :-1]
         alpha[::3] *= 1.5
-        got = _categorical_dual_rows(model, spec, theta, alpha, masses, wbar)
+        got = np.array([_categorical_dual(model, spec, theta, alpha[r], masses[r], wbar[r]) for r in range(200)])
         for r in range(200):
-            p_a, inside = model.probs_rows(alpha[r:r + 1])
             want = -INF
-            if inside[0]:
-                ratios = p_t / p_a[0]
+            if model.in_domain(alpha[r]):
+                ratios = p_t / model.probs(alpha[r])
                 prime = spec.value_array(ratios, 1)
                 if np.all(np.isfinite(prime)):
                     value = wbar[r] * float(np.sum(prime * p_t)) - float(np.dot(masses[r], spec.sharp_array(ratios)))
                     want = value if math.isfinite(value) else -INF
             assert got[r] == want and math.copysign(1.0, got[r]) == math.copysign(1.0, want)
         assert np.isfinite(got).sum() >= 50
-
-    @pytest.mark.filterwarnings("error")
-    def test_categorical_rows_are_one_row_criteria(self):
-        """Rows sharing, repeating or leaving the simplex evaluate as one-row
-        criteria do, bit for bit; a zero mass on a cell whose sharp term is
-        infinite is a rejection, not a warning."""
-        model, spec = Categorical(2), induced_divergence(ShiftedBernoulli())
-        fractions = [0.0, 0.3, 0.5, 1.0]
-        crits = [
-            # weights 2 * mass reproduce the cell masses (f, 1 - f) on the two atoms
-            _DualCriterion(model, spec, WeightedEmpiricalMeasure(model.atoms, (2 * f, 2 * (1.0 - f))))
-            for f in fractions
-        ]
-        masses = np.array([crit.atom_masses for crit in crits])
-        wbar = np.array([crit.wbar for crit in crits])
-        alpha = np.array([0.1, 0.4, 0.4, 0.75, -0.2, 1.0, 0.4, 0.1])
-        rows = np.arange(alpha.size) % len(fractions)
-        got = _categorical_dual_rows(model, spec, 0.4, alpha[:, None], masses[rows], wbar[rows])
-        one = [crits[r](0.4, a) for r, a in zip(rows, alpha)]
-        assert got.tolist() == one
-        assert np.array_equal(np.signbit(got), np.signbit(one))
-        # rows 0 and 3 put no mass on the cell whose ratio leaves [0, 2];
-        # alpha -0.2 and 1.0 leave the simplex
-        assert np.isfinite(got).tolist() == [False, True, True, False, False, False, True, False]
-        assert sum(crit.rejected for crit in crits) == 5
+        # first cells summing to 1 or more leave the last cell no mass
+        assert _categorical_dual(model, spec, theta, np.ones(k - 1), masses[1], wbar[1]) == -INF
 
 
 #: float64 machine epsilon

@@ -325,20 +325,22 @@ class TestCategorical:
         assert not model.in_domain((0.0,))
 
     def test_nan_rows_are_outside(self, rng):
-        """A row holding NaN is outside; finite rows keep the complement-form mask."""
+        """A parameter holding NaN is outside; finite ones keep the complement-form test."""
         model = Categorical(3)
         finite = np.vstack([
             rng.uniform(-0.5, 1.5, size=(2000, 2)),
             [[0.2, 0.3], [0.0, 0.5], [0.5, 0.5], [1.0, 0.0], [1e17, 1.0], [-1e-300, 0.5]],
         ])
-        p, inside = model.probs_rows(finite)
+        p = np.column_stack([finite, 1.0 - finite.sum(axis=1)])
         reference = ~((p <= 0.0).any(axis=1) | (abs(p.sum(axis=1) - 1.0) > 1e-9))
+        inside = np.array([model.in_domain(row) for row in finite])
         np.testing.assert_array_equal(inside, reference)
         assert inside.any() and not inside.all()
-        nan_rows = np.array([[np.nan, 0.3], [0.2, np.nan], [np.nan, np.nan], [np.inf, 0.1]])
-        with np.errstate(invalid="ignore"):  # inf - inf in the row sum
-            _, inside = model.probs_rows(nan_rows)
-        assert not inside.any()
+        for row, p_row in zip(finite[inside], p[inside]):
+            np.testing.assert_array_equal(model.probs(row), p_row)
+        for row in ([np.nan, 0.3], [0.2, np.nan], [np.nan, np.nan], [np.inf, 0.1]):
+            with pytest.raises(DomainError):
+                model.probs(row)
         with pytest.raises(DomainError):
             Categorical(2).probs((math.nan,))
         assert not Categorical(2).in_domain((math.nan,))
