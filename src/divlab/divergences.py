@@ -94,15 +94,6 @@ class DivergenceSpec:
         """Return ``x * phi'(x) - phi(x)``, ``+inf`` outside the domain."""
         raise NotImplementedError
 
-    def prime_inverse(self, y: float) -> float:
-        """Inverse of ``phi'``.
-
-        Values of ``y`` at or beyond the range of ``phi'`` map to the
-        corresponding domain endpoint (0 or ``+inf``); callers clip the
-        result to their feasible box.
-        """
-        raise NotImplementedError
-
     # Vector helpers used by the estimation hot loops.  Subclasses with
     # closed forms override these with array arithmetic.
     def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
@@ -179,23 +170,6 @@ class CressieRead(DivergenceSpec):
 
     def sharp(self, x: float) -> float:
         return self._scalar(x, _SHARP)
-
-    def prime_inverse(self, y: float) -> float:
-        g = self.gamma
-        branch = self.branch
-        if branch == "chi2":
-            return y + 1.0
-        if branch == "log":
-            return 1.0 / (1.0 - y) if y < 1.0 else INF
-        if branch == "xlogx":
-            return math.exp(min(y, 700.0))
-        base = 1.0 + (g - 1.0) * y
-        if base <= 0.0:
-            return 0.0 if g > 1.0 else INF
-        try:
-            return base ** (1.0 / (g - 1.0))
-        except OverflowError:
-            return INF
 
     def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
         _check_order(order)

@@ -6,9 +6,9 @@ vectors, infima over max-deviation neighborhoods, the exact sandwich
 between log-likelihood of a neighborhood and its rate surrogate, and a
 conditional Monte Carlo probe of the weighted large-deviation rate.
 
-Exact computations run in log-space with log-factorials; neighborhood
-infima are solved as separable convex programs by bisection on the
-Lagrange multiplier of the total-mass constraint.
+Exact computations run in log-space with log-factorials.  A neighborhood
+infimum is a separable convex program whose minimizer has a closed form for
+every generator: the reference scaled by one factor and clipped to the box.
 """
 
 from __future__ import annotations
@@ -165,68 +165,60 @@ def log_occupation_probability(p, counts) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _waterfill_sum(spec: DivergenceSpec, lam: float, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    inv = spec.prime_inverse(lam)
-    return np.clip(p * inv, lo, hi)
+def _box_projection(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``clip(s * p, lo, hi)`` with unit mass, null cells of ``p`` held at 0.
+
+    On the charged cells the mass is piecewise linear and nondecreasing in
+    ``s``, with knots at the ratios ``lo_j / p_j`` and ``hi_j / p_j``.  Between
+    the first knot where it reaches 1 and the knot before, each cell sits at
+    a bound or equals ``s * p_j``, which fixes ``s``.  Cells are classified by
+    comparing ratios with knots: a knot times ``p_j`` against a bound can be
+    misread through rounding.
+    """
+    q = np.zeros_like(p)
+    free = p > 0.0
+    pf, lf, hf = p[free], lo[free], hi[free]
+    a, b = lf / pf, hf / pf
+    # equal knots carry equal masses, so the first to reach 1 follows a smaller one
+    knots = np.sort(np.concatenate((a, b)))
+    t = knots[:, None]
+    mass = np.sum(np.where(t <= a, lf, np.where(t >= b, hf, t * pf)), axis=1)
+    i = int(np.argmax(mass >= 1.0))
+    if i == 0:
+        # unit mass with every cell at its lower bound, or (by rounding) never reached
+        q[free] = lf if mass[0] >= 1.0 else hf
+    else:
+        at_hi, at_lo = b <= knots[i - 1], a >= knots[i]
+        s = (1.0 - float(np.sum(hf[at_hi])) - float(np.sum(lf[at_lo]))) / float(np.sum(pf[~(at_hi | at_lo)]))
+        q[free] = np.where(at_hi, hf, np.where(at_lo, lf, np.clip(s * pf, lf, hf)))
+    return q
 
 
-def neighborhood_inf_divergence(
-    spec: DivergenceSpec,
-    neighborhood: PartitionNeighborhood,
-    p,
-    return_minimizer: bool = False,
-):
+def neighborhood_inf_divergence(spec: DivergenceSpec, neighborhood: PartitionNeighborhood, p) -> float:
     """Infimum of ``sum_j p_j phi(q_j / p_j)`` over the probability vectors
     in the closed cell box.
 
-    The sum constraint is handled by bisection on the multiplier of the
-    total mass, exact for this separable convex objective.
+    The minimizer is :func:`_box_projection`, whatever the generator: by the
+    KKT conditions of this separable convex program, every cell strictly
+    inside its bounds has ``phi'(q_j / p_j)`` equal to the multiplier of the
+    total mass, hence one common ratio ``s``, and a cell at a bound is one
+    that ``s * p_j`` would cross (Csiszar, Ann. Probab. 1975, I-projections).
+    A scale outside the generator's domain gives ``+inf``.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[0] != neighborhood.k:
         raise ValidationError(f"expected {neighborhood.k} cell masses, got {p.shape[0]}")
     lo, hi = neighborhood.closed_box()
-
     null = p == 0.0
     # a cell that the reference never charges forces the candidate to zero
     if np.any(null & (lo > 0.0)):
-        value = INF
-        q = None
-    else:
-        hi[null] = 0.0
-        if float(np.sum(lo)) > 1.0 + 1e-12 or float(np.sum(hi)) < 1.0 - 1e-12:
-            raise ValidationError("no probability vector lies in the neighborhood box")
-        free = ~null
-        target = 1.0
-        pf, lf, hf = p[free], lo[free], hi[free]
-
-        def total(lam: float) -> float:
-            return float(np.sum(_waterfill_sum(spec, lam, pf, lf, hf)))
-
-        lam_lo, lam_hi = -1.0, 1.0
-        for _ in range(200):
-            if total(lam_lo) <= target:
-                break
-            lam_lo *= 2.0
-        for _ in range(200):
-            if total(lam_hi) >= target:
-                break
-            lam_hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lam_lo + lam_hi)
-            if total(mid) < target:
-                lam_lo = mid
-            else:
-                lam_hi = mid
-            if lam_hi - lam_lo < 1e-15 * max(1.0, abs(lam_hi)):
-                break
-        q = np.zeros_like(p)
-        q[free] = _waterfill_sum(spec, 0.5 * (lam_lo + lam_hi), pf, lf, hf)
-        # Python floats: an overflowing power raises and gives +inf, where numpy's warns
-        value = cell_divergence(spec, q.tolist(), p.tolist())
-    if return_minimizer:
-        return value, q
-    return value
+        return INF
+    hi[null] = 0.0
+    if float(np.sum(lo)) > 1.0 + 1e-12 or float(np.sum(hi)) < 1.0 - 1e-12:
+        raise ValidationError("no probability vector lies in the neighborhood box")
+    q = _box_projection(p, lo, hi)
+    # Python floats: an overflowing power raises and gives +inf, where numpy's warns
+    return cell_divergence(spec, q.tolist(), p.tolist())
 
 
 # ---------------------------------------------------------------------------

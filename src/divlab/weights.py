@@ -385,13 +385,6 @@ class WeightInducedDivergence(DivergenceSpec):
             return t, (x * t - val if x != 0.0 else -val)
         return t, cgf(self.law, t)
 
-    def prime_inverse(self, y: float) -> float:
-        lo, hi = self.law.cgf_domain
-        if not lo < y < hi:
-            w_min, w_max = self.law.support_bounds
-            return w_min if y <= lo else w_max
-        return float(self.law.cgf_prime(y))
-
 
 def induced_divergence(law: WeightLaw) -> DivergenceSpec:
     """Divergence generator whose values equal the law's Chernoff transform.

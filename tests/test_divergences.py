@@ -283,27 +283,6 @@ class TestSharpTransform:
             assert CressieRead(g).sharp(1.0) == pytest.approx(0.0, abs=1e-15)
 
 
-class TestPrimeInverse:
-    """Inversion of the first derivative."""
-
-    def test_round_trip_on_interior(self, grid):
-        """prime_inverse(phi'(x)) recovers x."""
-        for g in GAMMAS:
-            spec = CressieRead(g)
-            for x in grid:
-                x = float(x)
-                y = spec.value(x, order=1)
-                assert spec.prime_inverse(y) == pytest.approx(x, rel=1e-9)
-
-    def test_saturation_beyond_range(self):
-        """Off-range slopes map to the domain endpoints."""
-        spec = CressieRead(0.0)
-        # phi'(x) = 1 - 1/x < 1 always, so slope 2 saturates at +inf.
-        assert spec.prime_inverse(2.0) == INF
-        spec = CressieRead(2.0)
-        assert spec.prime_inverse(-5.0) == pytest.approx(-4.0)
-
-
 # =============================================================================
 # Tests: finite-support divergences
 # =============================================================================

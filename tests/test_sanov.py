@@ -10,11 +10,13 @@ from scipy import stats
 from scipy.special import gammaln, logsumexp
 
 from divlab import sanov
-from divlab.divergences import INF, CressieRead
+from divlab.divergences import INF, CressieRead, cell_divergence
 from divlab.errors import EnumerationLimitError, ValidationError
 from divlab.models import Categorical, GaussianLocation
 from divlab.sanov import (
     MAX_N_EXACT,
+    _box_projection,
+    _box_simplex_vertices,
     _log_factorials,
     _log_probs_of_counts,
     _logsumexp,
@@ -30,9 +32,16 @@ from divlab.sanov import (
     sanov_rate_convergence,
     shrink_epsilon_limit,
 )
-from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli
+from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli, induced_divergence
 
 KL = CressieRead(1.0)
+
+#: generators of the box-projection property: power indices on both sides of
+#: the saturation points, the twopoint rate (ratios in [0, 2]) and its conjugate
+BOX_GENERATORS = [CressieRead(g) for g in (-3.0, 0.0, 0.5, 1.0, 2.0, 1e30)] + [
+    induced_divergence(ShiftedBernoulli()),
+    induced_divergence(ShiftedBernoulli()).conjugate(),
+]
 
 
 @st.composite
@@ -259,7 +268,7 @@ class TestNeighborhoodInfimum:
         assert neighborhood_inf_divergence(KL, ball, [0.4, 0.6]) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_scan_on_pair(self):
-        """The multiplier solve agrees with a dense scan of the k=2 simplex."""
+        """The closed-form minimizer agrees with a dense scan of the k=2 simplex."""
         # The infimum runs over the closed box, so the scan includes the edges.
         ball = PartitionNeighborhood((0.5, 0.5), 0.05)
         p = np.array([0.3, 0.7])
@@ -276,11 +285,13 @@ class TestNeighborhoodInfimum:
             neighborhood_inf_divergence(KL, PartitionNeighborhood((0.5, 0.5), 0.05), [0.3, 0.3, 0.4])
 
     def test_minimizer_is_probability_vector(self):
-        """The reported minimizer is feasible and sums to one."""
+        """The box projection is feasible, sums to one and attains the infimum."""
         ball = PartitionNeighborhood((0.55, 0.45), 0.02)
-        value, q = neighborhood_inf_divergence(KL, ball, [0.3, 0.7], return_minimizer=True)
-        assert float(np.sum(q)) == pytest.approx(1.0, abs=1e-9)
-        assert value == pytest.approx(q[0] * math.log(q[0] / 0.3) + q[1] * math.log(q[1] / 0.7), abs=1e-9)
+        p = np.array([0.3, 0.7])
+        q = _box_projection(p, *ball.closed_box())
+        assert float(np.sum(q)) == pytest.approx(1.0, abs=1e-12)
+        value = neighborhood_inf_divergence(KL, ball, p)
+        assert value == pytest.approx(q[0] * math.log(q[0] / 0.3) + q[1] * math.log(q[1] / 0.7), abs=1e-12)
 
     def test_null_reference_cell_with_positive_lower_bound(self):
         """A forced positive mass on a null reference cell is infinitely far."""
@@ -295,7 +306,7 @@ class TestNeighborhoodInfimum:
             neighborhood_inf_divergence(KL, ball, [0.5, 0.5])
 
     def test_other_generator_indices(self):
-        """The waterfilling solve handles non-logarithmic generators."""
+        """The closed form holds for non-logarithmic generators."""
         ball = PartitionNeighborhood((0.5, 0.5), 0.05)
         p = np.array([0.35, 0.65])
         for g in [0.0, 0.5, 2.0]:
@@ -313,8 +324,65 @@ class TestNeighborhoodInfimum:
         ``+inf`` through the scalar path's OverflowError, not numpy's scalar
         power warning (the CLI's ``sanov --mode shrink --gamma=1e30``)."""
         spec, p = CressieRead(1e30), [0.5, 0.5]
-        values = [neighborhood_inf_divergence(spec, PartitionNeighborhood((0.4, 0.6), e), p) for e in (0.2, 0.1, 0.05)]
-        assert values[:2] == pytest.approx([4e-31, 2e-31], rel=1e-15) and values[2] == INF
+        balls = [PartitionNeighborhood((0.4, 0.6), e) for e in (0.2, 0.1, 0.05)]
+        # the two wider boxes hold p, the second at a corner
+        for ball in balls[:2]:
+            assert _box_projection(np.array(p), *ball.closed_box()).tolist() == p
+        values = [neighborhood_inf_divergence(spec, ball, p) for ball in balls]
+        assert values[:2] == [cell_divergence(spec, p, p)] * 2 and values[2] == INF
+
+    def test_twopoint_box_beyond_its_domain_is_infinite(self):
+        """Every probability vector in these boxes needs a cell ratio above
+        2, where the twopoint rate is infinite (the CLI's ``sanov --mode
+        shrink --cells 3 --gamma induced --law twopoint``)."""
+        table = shrink_epsilon_limit(
+            induced_divergence(ShiftedBernoulli()), (0.45, 0.45, 0.1), (0.2, 0.2, 0.6), (0.07, 0.05)
+        )
+        assert [row.inf_value for row in table.rows] == [INF, INF] and not table.converged
+
+    def test_conjugate_twopoint_matches_a_scan(self):
+        """The conjugate twopoint generator, which has no closed form, gets
+        the same closed-form minimizer: its infimum matches a 201 x 201 scan
+        of the box, the third mass taking the rest."""
+        spec = induced_divergence(ShiftedBernoulli()).conjugate()
+        ball, p = PartitionNeighborhood((0.3, 0.3, 0.4), 0.05), [0.2, 0.2, 0.6]
+        lo, hi = ball.closed_box()
+        grid = np.linspace(lo[0], hi[0], 201)
+        head = [0.2 * spec.value(q / 0.2) for q in grid]
+        scan = min(
+            head[i] + head[j] + 0.6 * spec.value((1.0 - q1 - q2) / 0.6)
+            for i, q1 in enumerate(grid)
+            for j, q2 in enumerate(grid)
+            if lo[2] - 1e-12 <= 1.0 - q1 - q2 <= hi[2] + 1e-12
+        )
+        value = neighborhood_inf_divergence(spec, ball, p)
+        assert math.isfinite(value) and value == pytest.approx(scan, abs=1e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_box_projection_attains_the_infimum(self, data):
+        """For every generator the box projection is a probability vector in
+        the closed box, and neither a vertex of box ∩ simplex nor a convex
+        combination of them has a smaller divergence."""
+        spec = data.draw(st.sampled_from(BOX_GENERATORS))
+        center = data.draw(prob_vectors(range(2, 7)))
+        k = center.shape[0]
+        # positive reference masses, null only on some null cells of the center
+        raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        raw[(center == 0.0) & np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))] = 0.0
+        p = raw / np.sum(raw)
+        ball = PartitionNeighborhood(tuple(center), data.draw(st.floats(0.005, 0.5)))
+        lo, hi = ball.closed_box()
+        q = _box_projection(p, lo, hi)
+        assert np.all((lo <= q) & (q <= hi)) and abs(float(np.sum(q)) - 1.0) <= 1e-12
+        value = neighborhood_inf_divergence(spec, ball, p)
+        vertices = _box_simplex_vertices(lo, hi)
+        weights = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(len(vertices)), 8)
+        # relative above 1: a vertex that is the minimizer up to rounding
+        # differs from it by a few ulps of the value
+        floor = value if math.isinf(value) else value - 1e-12 * max(1.0, value)
+        for v in [*vertices, *(weights @ vertices)]:
+            assert cell_divergence(spec, v.tolist(), p.tolist()) >= floor
 
 
 # =============================================================================
