@@ -235,7 +235,10 @@ def estimator_distribution_compare(
     estimates are centered at the conditional center, the score solution
     of the fixed points.  The plain branch redraws points with unit
     weights.  Both normalized variances must agree within the stated
-    band and sit near the inverse information.
+    band and sit near the inverse information.  A replication whose
+    estimate is NaN (no certified root) or on the box edge is a failure;
+    more than 5% in a branch raise :class:`NumericError`, and the NaN ones
+    are left out of the spread and of ``values``.
     """
     if not isinstance(spec, CressieRead):
         raise ValidationError("the batched comparison needs a power-family generator")
@@ -267,8 +270,9 @@ def estimator_distribution_compare(
                 f"{name} estimator failed on {count} of {reps} replications"
             )
 
-    scaled_w = math.sqrt(n) * (theta_w - pilot)
-    scaled_p = math.sqrt(n) * (theta_p - float(thetaT))
+    # a replication without a certified root is NaN: a failure, left out of the spread
+    scaled_w = math.sqrt(n) * (theta_w[np.isfinite(theta_w)] - pilot)
+    scaled_p = math.sqrt(n) * (theta_p[np.isfinite(theta_p)] - float(thetaT))
     var_w = float(np.var(scaled_w, ddof=1))
     var_p = float(np.var(scaled_p, ddof=1))
     # a zero range, not a zero variance: the variance of equal values can round above 0

@@ -446,8 +446,9 @@ def _line_aligned_empty(shape) -> np.ndarray:
     """An uninitialised float64 array whose data starts on a 64-byte cache line.
 
     The batched criterion streams through its rows on every call.  Left
-    where malloc puts them, their offset follows the heap's history, and the
-    same comparison runs 10-15% slower at some offsets than on a line.
+    where malloc puts them, their offset follows the heap's history; at 142
+    calls per spread comparison, plain ``np.empty`` buffers made it about 3%
+    slower (six alternated 20-second ``estimator_spread`` pairs).
     """
     size = math.prod(shape)
     raw = np.empty(size + 8)
@@ -508,7 +509,7 @@ class _BatchCriterion:
         # the rows every call streams, one (rows, n) work array and one
         # gather buffer for all calls: fresh temporaries of this size can go
         # back to the OS when freed and fault in again on the next call
-        # (about a million minor faults per spread comparison)
+        # (about 7% of a spread comparison's time, measured as above)
         self.t, self.w = _aligned_rows(self.t), _aligned_rows(self.w)
         self._work = _line_aligned_empty(shape)
         self._gather = None if self.w.strides[0] == 0 else _line_aligned_empty(shape)
@@ -558,8 +559,14 @@ def minimum_dual_estimator_batch(
     """Row-wise minimum dual estimates for a matrix of replications.
 
     ``points`` and ``weights`` broadcast against each other; one estimate
-    is produced per row.  The search runs a fixed golden-section schedule
-    so results do not depend on chunking.
+    is produced per row.  Row ``r``'s estimate is its weighted score root,
+    bit for bit the ``theta_hat`` of :func:`minimum_dual_estimator` on that
+    row, certified as the scalar path certifies it: one batched search over
+    ``alpha`` in ``box`` at ``theta = theta_hat``, passing when the supremum
+    is within ``_SUP_TOL`` of 0.  A row is NaN when it has no root in the
+    box (a weight sum <= 0, a weighted mean outside the range of ``C'``, or
+    a root outside ``box``) or its certificate fails.  The search runs a
+    fixed schedule, so results do not depend on chunking.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -567,16 +574,24 @@ def minimum_dual_estimator_batch(
     crit = _BatchCriterion(model, spec,
                            np.broadcast_to(points, (rows, points.shape[1])),
                            np.broadcast_to(weights, (rows, weights.shape[1])))
-    lo = np.full(rows, float(box[0]))
-    hi = np.full(rows, float(box[1]))
-
-    def inner_value(theta: np.ndarray, outer_rows: np.ndarray) -> np.ndarray:
-        # only the rows whose theta is new are solved again
-        _, val = batch_golden_max(
-            lambda alpha, sub: crit.value(theta[sub], alpha, outer_rows[sub]), lo[outer_rows], hi[outer_rows]
-        )
-        return val
-
+    lo, hi = float(box[0]), float(box[1])
+    # the sums of _DualCriterion.root, row by row: a pairwise sum along each row
+    total = np.sum(crit.w, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = np.sum(crit.w * crit.t, axis=1) / total
+    theta = np.full(rows, np.nan)
+    for r in (total > 0.0).nonzero()[0]:
+        try:
+            root = model.solve_score(float(means[r]))
+        except DomainError:
+            continue
+        if lo <= root <= hi:
+            theta[r] = root
+    held = np.isfinite(theta).nonzero()[0]
+    at = theta[held]
     with np.errstate(over="ignore", invalid="ignore"):
-        theta_hat, _ = batch_golden_max(lambda theta, outer_rows: -inner_value(theta, outer_rows), lo, hi)
-    return theta_hat
+        _, sup = batch_golden_max(
+            lambda alpha, sub: crit.value(at[sub], alpha, held[sub]), np.full(held.size, lo), np.full(held.size, hi)
+        )
+    theta[held[~(np.abs(sup) <= _SUP_TOL)]] = np.nan
+    return theta

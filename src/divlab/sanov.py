@@ -203,11 +203,15 @@ def neighborhood_inf_divergence(spec: DivergenceSpec, neighborhood: PartitionNei
     inside its bounds has ``phi'(q_j / p_j)`` equal to the multiplier of the
     total mass, hence one common ratio ``s``, and a cell at a bound is one
     that ``s * p_j`` would cross (Csiszar, Ann. Probab. 1975, I-projections).
-    A scale outside the generator's domain gives ``+inf``.
+    A scale outside the generator's domain gives ``+inf``.  A reference
+    inside the box is its own minimizer and is taken as it is: scaling it to
+    unit float mass can move its ratios off 1 by an ulp, and a power of
+    index 1e30 overflows there.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[0] != neighborhood.k:
         raise ValidationError(f"expected {neighborhood.k} cell masses, got {p.shape[0]}")
+    _check_prob_vector(p)
     lo, hi = neighborhood.closed_box()
     null = p == 0.0
     # a cell that the reference never charges forces the candidate to zero
@@ -216,7 +220,7 @@ def neighborhood_inf_divergence(spec: DivergenceSpec, neighborhood: PartitionNei
     hi[null] = 0.0
     if float(np.sum(lo)) > 1.0 + 1e-12 or float(np.sum(hi)) < 1.0 - 1e-12:
         raise ValidationError("no probability vector lies in the neighborhood box")
-    q = _box_projection(p, lo, hi)
+    q = p if np.all((lo <= p) & (p <= hi)) else _box_projection(p, lo, hi)
     # Python floats: an overflowing power raises and gives +inf, where numpy's warns
     return cell_divergence(spec, q.tolist(), p.tolist())
 
@@ -729,8 +733,7 @@ def shrink_epsilon_limit(
     eps = check_radius_grid(eps_grid)
     c = np.asarray(center, dtype=float)
     pv = np.asarray(p, dtype=float)
-    if np.any(pv < 0.0):
-        raise ValidationError("reference measure must have nonnegative masses")
+    _check_prob_vector(pv)
     rows = []
     for e in eps:
         v = neighborhood_inf_divergence(spec, PartitionNeighborhood(tuple(c), e, zero_cells), pv)

@@ -15,9 +15,12 @@ import pytest
 
 import divlab.bahadur as bahadur
 import divlab.cli as cli
+import divlab.clt
 from divlab.bahadur import GRID_STEP, FunctionalStatistic, _simplex_grid, efficiency_compare, slope_generic
 from divlab.cli import build_parser, main, parse_grid, resolve_config
+from divlab.divergences import CressieRead
 from divlab.errors import NumericError, ValidationError
+from divlab.estimation import WeightedEmpiricalMeasure, minimum_dual_estimator, minimum_dual_estimator_batch
 from divlab.models import make_model
 from divlab.weights import weight_law
 
@@ -255,13 +258,43 @@ class TestExitCodes:
         rows = json.loads((tmp_path / "trend.json").read_text())["rows"]
         assert [row["n"] for row in rows] == [10, 20, 40]
 
-    def test_constant_estimates_exit_three(self, tmp_path, capsys):
-        """Estimates with zero spread make the variance ratio undefined: exit 3."""
+    def test_constant_estimates_exit_three(self, tmp_path, capsys, monkeypatch):
+        """Estimates with zero spread (an estimator stubbed to the box
+        midpoint) make the variance ratio undefined: exit 3."""
+        def constant_batch(model, spec, points, weights, box):
+            return np.full(max(len(points), len(weights)), 0.5 * (box[0] + box[1]))
+
+        monkeypatch.setattr(divlab.clt, "minimum_dual_estimator_batch", constant_batch)
         argv = ["clt", "--mode", "estimator", "--model", "exp_scale", "--theta_T", "-1.3",
                 "--gamma", "2", "--law", "exp1", "--n", "200", "--reps", "16", "--seed", "3"]
         assert _run(argv, tmp_path, "x") == 3
         assert "zero variance" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_exp_scale_gamma_two_spread_is_the_estimate_roots(self, tmp_path, monkeypatch):
+        """exp_scale at gamma 2 exits 0; each weighted row is the root that
+        ``estimate`` reports for its weights, and a plain row is the
+        ``estimate`` CLI's theta_hat on that row's data."""
+        calls = []
+
+        def recorded(model, spec, points, weights, box):
+            calls.append((points, weights, minimum_dual_estimator_batch(model, spec, points, weights, box)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(divlab.clt, "minimum_dual_estimator_batch", recorded)
+        argv = ["clt", "--mode", "estimator", "--model", "exp_scale", "--theta_T", "-1", "--gamma", "2",
+                "--law", "poisson1", "--n", "500", "--reps", "64", "--seed", "1"]
+        assert _run(argv, tmp_path, "spread") == 0
+        model, spec = make_model("exp_scale"), CressieRead(2.0)
+        (points, weights, weighted), (data, _, plain) = calls
+        assert np.isfinite(weighted).all() and np.isfinite(plain).all()
+        for r in range(len(weighted)):
+            mu = WeightedEmpiricalMeasure(tuple(points[0]), tuple(weights[r]))
+            assert weighted[r] == minimum_dual_estimator(model, spec, mu).theta_hat
+        (tmp_path / "row.csv").write_text("x\n" + "".join(f"{x!r}\n" for x in data[0].tolist()))
+        argv = ["estimate", "--model", "exp_scale", "--gamma", "2", "--data", str(tmp_path / "row.csv")]
+        assert _run(argv, tmp_path, "row") == 0
+        assert json.loads((tmp_path / "row.json").read_text())["theta_hat"] == plain[0]
 
     @pytest.mark.parametrize("gamma,point", [("2", "1e300"), ("0", "1e-300")])
     def test_extreme_divergence_points_succeed(self, tmp_path, gamma, point):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import divlab.clt as clt
 from divlab.clt import (
     STATISTIC_MAP,
     _skew_kurtosis,
@@ -19,11 +20,17 @@ from divlab.clt import (
 )
 from divlab.divergences import CressieRead
 from divlab.errors import DomainError, NumericError, ValidationError
+from divlab.estimation import minimum_dual_estimator_batch
 from divlab.models import ExponentialScale, GaussianLocation, PoissonNatural
 from divlab.seeding import chunked, derived_rng
 from divlab.weights import ExponentialOne, NormalOneOne, PoissonOne, ShiftedBernoulli
 
 ALL_LAWS = [PoissonOne(), ExponentialOne(), NormalOneOne(), ShiftedBernoulli()]
+
+
+def constant_batch(model, spec, points, weights, box):
+    """A stand-in batched estimator that gives every row the box midpoint."""
+    return np.full(max(len(points), len(weights)), 0.5 * (box[0] + box[1]))
 
 
 @pytest.fixture
@@ -236,13 +243,40 @@ class TestEstimatorCompare:
         assert report.details["failures_weighted"] + report.details["failures_plain"] < 15
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_every_flat_branch_is_named(self, seed):
-        """Both branches of exp_scale at gamma 2 give 64 equal estimates, and
-        the error names both, whatever their sample variance rounds to."""
+    def test_every_flat_branch_is_named(self, seed, monkeypatch):
+        """When both branches give 64 equal estimates (an estimator stubbed to
+        the box midpoint) the error names both, whatever their sample
+        variance rounds to."""
+        monkeypatch.setattr(clt, "minimum_dual_estimator_batch", constant_batch)
         with pytest.raises(NumericError, match="^weighted and plain estimates have zero variance"):
             estimator_distribution_compare(
                 ExponentialScale(), PoissonOne(), CressieRead(2.0), -1.3, 500, 64, seed=seed
             )
+
+    def test_nan_rows_are_failures_left_out_of_the_spread(self, monkeypatch):
+        """A weighted row with weight sum 0 and one whose root the inner
+        supremum does not certify come back NaN from the real estimator: two
+        failures of 64, within the 5% rule, and the spread is that of the
+        other 62 rows."""
+        batches = []
+
+        def spoiled(model, spec, points, weights, box):
+            if weights.shape[0] > 1:
+                weights = weights.copy()
+                weights[0] = 0.0
+                weights[1] = 1.0
+                weights[1, np.argmax(points[0])] = -50.0
+            batches.append(minimum_dual_estimator_batch(model, spec, points, weights, box))
+            return batches[-1]
+
+        monkeypatch.setattr(clt, "minimum_dual_estimator_batch", spoiled)
+        report = estimator_distribution_compare(GaussianLocation(), PoissonOne(), CressieRead(1.0), 0.0, 200, 64, seed=5)
+        weighted = batches[0]
+        assert np.isnan(weighted[:2]).all() and np.isfinite(weighted[2:]).all()
+        assert report.details["failures_weighted"] == 2 and report.details["failures_plain"] == 0
+        center = report.details["conditional_center"]
+        assert report.values == tuple((math.sqrt(200) * (weighted[2:] - center)).tolist())
+        assert report.moments["variance_weighted"] == float(np.var(report.values, ddof=1))
 
     def test_non_power_generator_rejected(self):
         """The batched comparison needs a power-family generator."""

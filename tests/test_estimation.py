@@ -869,6 +869,52 @@ class TestBatchEstimator:
         for (p, w), got in zip(cases, fast):
             assert np.array_equal(got, minimum_dual_estimator_batch(model, spec, p, w, box))
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0, -0.5])
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_each_row_is_the_scalar_root_bit_for_bit(self, name, gamma):
+        """Every row, with shared points and with shared unit weights, is
+        ``minimum_dual_estimator``'s ``theta_hat`` on that row, bit for bit."""
+        model, theta0, _ = PARAMS[name]
+        spec = CressieRead(gamma)
+        rng = np.random.default_rng(31)
+        rows, n = 12, 150
+        points = model.sample(theta0, n, rng)
+        weights = PoissonOne().sample(rows * n, rng).reshape(rows, n)
+        data = model.sample(theta0, rows * n, rng).reshape(rows, n)
+        box = model.default_box(model.pilot_estimate(points))
+        weighted = minimum_dual_estimator_batch(model, spec, points[None, :], weights, box)
+        plain = minimum_dual_estimator_batch(model, spec, data, np.ones((1, n)), box)
+        for r in range(rows):
+            mus = (WeightedEmpiricalMeasure(tuple(points), tuple(weights[r])), WeightedEmpiricalMeasure.plain(data[r]))
+            for batch, mu in zip((weighted, plain), mus):
+                assert batch[r] == minimum_dual_estimator(model, spec, mu).theta_hat
+
+    def test_rows_without_a_certified_root_are_nan(self):
+        """A zero weight row has no root and a row with one large negative
+        weight has a root the inner supremum does not certify: both are NaN,
+        while the unit row is its mean."""
+        model = GaussianLocation()
+        points = model.sample(0.0, 200, np.random.default_rng(4))
+        box = model.default_box(model.pilot_estimate(points))
+        weights = np.ones((3, 200))
+        weights[1] = 0.0
+        weights[2, np.argmax(points)] = -50.0
+        batch = minimum_dual_estimator_batch(model, CressieRead(1.0), points[None, :], weights, box)
+        assert batch[0] == minimum_dual_estimator(model, CressieRead(1.0), WeightedEmpiricalMeasure.plain(points)).theta_hat
+        assert np.isnan(batch[1:]).all()
+        # the scalar path finds the root of the signed row and rejects it too
+        signed = minimum_dual_estimator(model, CressieRead(1.0), WeightedEmpiricalMeasure(tuple(points), tuple(weights[2])))
+        assert not signed.converged and signed.value > 1.0
+
+    def test_root_outside_the_box_is_nan(self):
+        """A row whose root lies outside the search box fails."""
+        model = GaussianLocation()
+        points = model.sample(0.0, 50, np.random.default_rng(9))
+        weights = np.ones((2, 50))
+        root = float(np.mean(points))
+        batch = minimum_dual_estimator_batch(model, CressieRead(1.0), points[None, :], weights, (root + 0.5, root + 6.5))
+        assert np.isnan(batch).all()
+
     def test_unit_weight_rows_recover_sample_mean(self, rng):
         """All-ones weight rows give the plain location estimate."""
         model = GaussianLocation()

@@ -331,6 +331,38 @@ class TestNeighborhoodInfimum:
         values = [neighborhood_inf_divergence(spec, ball, p) for ball in balls]
         assert values[:2] == [cell_divergence(spec, p, p)] * 2 and values[2] == INF
 
+    def test_reference_off_the_simplex_rejected(self):
+        """A reference that is not a probability vector is a validation
+        error, here and along a shrinking grid."""
+        ball = PartitionNeighborhood((0.5, 0.5), 0.05)
+        for p in ([0.3, 0.3], [0.6, 0.6], [1.2, -0.2]):
+            with pytest.raises(ValidationError):
+                neighborhood_inf_divergence(KL, ball, p)
+        with pytest.raises(ValidationError):
+            shrink_epsilon_limit(KL, [0.5, 0.5], [0.3, 0.3], [0.1, 0.01])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reference_inside_its_box_is_its_own_minimizer(self):
+        """At index 1e30 a reference inside its closed box reads the value at
+        q = p, also when its float sum is not 1 (500 Dirichlet cases, k =
+        2..6): scaled to unit mass, a ratio an ulp above 1 overflows."""
+        spec = CressieRead(1e30)
+        rng = np.random.default_rng(1030)
+        inside = off_sum = 0
+        for _ in range(500):
+            k = int(rng.integers(2, 7))
+            p, center = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+            ball = PartitionNeighborhood(tuple(center.tolist()), float(rng.uniform(0.05, 0.6)))
+            lo, hi = ball.closed_box()
+            if not np.all((lo <= p) & (p <= hi)):
+                continue
+            inside += 1
+            off_sum += float(np.sum(p)) != 1.0
+            value = neighborhood_inf_divergence(spec, ball, p)
+            assert value == cell_divergence(spec, p.tolist(), p.tolist()) and math.isfinite(value)
+        # the draw holds both kinds of reference
+        assert inside > off_sum > 0
+
     def test_twopoint_box_beyond_its_domain_is_infinite(self):
         """Every probability vector in these boxes needs a cell ratio above
         2, where the twopoint rate is infinite (the CLI's ``sanov --mode
