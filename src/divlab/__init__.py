@@ -21,7 +21,6 @@ from .errors import (
     EnumerationLimitError,
     IntegrationError,
     NumericError,
-    RootFindError,
     ValidationError,
 )
 from .weights import (
@@ -29,7 +28,6 @@ from .weights import (
     NormalOneOne,
     PoissonOne,
     ShiftedBernoulli,
-    WeightInducedDivergence,
     WeightLaw,
     chernoff,
     chernoff_argmax,

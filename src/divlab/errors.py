@@ -37,7 +37,3 @@ class IntegrationError(NumericError):
     def __init__(self, message: str, partial: float | None = None):
         super().__init__(message)
         self.partial = partial
-
-
-class RootFindError(NumericError):
-    """A safeguarded root search exhausted its iteration budget."""

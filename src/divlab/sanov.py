@@ -71,8 +71,10 @@ def check_radius(epsilon: float) -> None:
 
 
 def check_radius_grid(eps_grid: Sequence[float]) -> list:
-    """The radii of a shrinking grid, checked positive and strictly decreasing."""
+    """The radii of a shrinking grid, checked nonempty, positive and strictly decreasing."""
     eps = [float(e) for e in eps_grid]
+    if not eps:
+        raise ValidationError("the radius grid must hold at least one radius")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValidationError("the radius grid must be strictly decreasing")
     for e in eps:

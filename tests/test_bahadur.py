@@ -23,18 +23,17 @@ from divlab.bahadur import (
     slope_min_divergence,
 )
 from divlab.cli import _make_statistic
-from divlab.divergences import INF, CressieRead, cell_divergence
+from divlab.divergences import INF, ConjugateSpec, CressieRead, cell_divergence
 from divlab.errors import ValidationError
 from divlab.estimation import WeightedEmpiricalMeasure, estimate_phi_dual
 from divlab.models import Categorical, GaussianLocation
-from divlab import bahadur, weights
+from divlab import bahadur
 from divlab.sanov import enumerate_count_vectors
 from divlab.weights import (
     ExponentialOne,
     NormalOneOne,
     PoissonOne,
     ShiftedBernoulli,
-    WeightInducedDivergence,
     induced_divergence,
     weight_law,
 )
@@ -200,8 +199,10 @@ class TestCellDivergenceRows:
 
     @pytest.mark.parametrize(
         "spec",
-        [induced_divergence(ShiftedBernoulli()), WeightInducedDivergence(PoissonOne())],
-        ids=["twopoint", "poisson1_numeric"],
+        # generators without array forms: the two-point transform's conjugate,
+        # and the Kullback-Leibler generator written as the conjugate of index 0
+        [ConjugateSpec(induced_divergence(ShiftedBernoulli())), ConjugateSpec(CressieRead(0.0))],
+        ids=["twopoint_conjugate", "kl_as_conjugate"],
     )
     @pytest.mark.parametrize("p_theta", [(0.3, 0.3, 0.4), (0.6, 0.4, 0.0)])
     def test_numeric_generator_rows_equal_scalar_routine_exactly(self, spec, p_theta):
@@ -252,27 +253,28 @@ class TestCellDivergenceRows:
             got = _cell_divergence_rows(spec, p, counts, _lattice_masses(2, n))
             assert got.tobytes() == _reference_cell_divergence_rows(spec, p, _float_rows(counts, n)).tobytes()
 
-    def test_one_chernoff_solve_per_distinct_count_of_each_cell(self, monkeypatch):
-        """A full k=3 lattice call solves each cell's term once per distinct positive count.
+    def test_one_generator_value_per_distinct_count_of_each_cell(self, monkeypatch):
+        """A full k=3 lattice call evaluates each cell's term once per distinct positive count.
 
-        Each cell takes the 1,001 counts ``0 .. 1000``, so the solves number
-        3,000 instead of one per cell (1,501,503 cells).
+        Each cell takes the 1,001 counts ``0 .. 1000``, so the generator sees
+        3,000 points instead of one per cell (1,501,503 cells).
         """
-        calls = []
-        solve = weights.chernoff_argmax
+        spec = induced_divergence(ShiftedBernoulli())
+        points = []
+        value_array = type(spec).value_array
 
-        def counted(law, x):
-            calls.append(x)
-            return solve(law, x)
+        def counted(self, x, order=0):
+            points.extend(np.ravel(x).tolist())
+            return value_array(self, x, order)
 
-        monkeypatch.setattr(weights, "chernoff_argmax", counted)
+        monkeypatch.setattr(type(spec), "value_array", counted)
         lattice, masses = _simplex_grid(3, GRID_STEP), _lattice_masses(3, M)
         p = np.array([0.2, 0.4, 0.4])
-        out = _cell_divergence_rows(induced_divergence(ShiftedBernoulli()), p, lattice, masses)
+        out = _cell_divergence_rows(spec, p, lattice, masses)
         assert out.shape == (501501,)
         assert all(np.unique(lattice[:, j]).size == 1001 for j in range(3))
-        assert calls == [x for pj in p for x in (pj / masses[0, 1:]).tolist()]
-        assert len(calls) == 3000
+        assert points == [x for pj in p for x in (pj / masses[0, 1:]).tolist()]
+        assert len(points) == 3000
 
     def test_k3_lattice_stays_on_the_simplex(self):
         """Every count vector sums to ``M``, and the 1,001 edge rows hold an exact zero third mass."""

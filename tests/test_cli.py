@@ -575,8 +575,21 @@ class TestPipelines:
         for row in rows:
             x, value, argmax = (float(c) for c in row.split(","))
             assert abs(value - (x * math.log(x) - x + 1.0)) <= 1e-12
-            # the rate is flat at its maximizer, so t* carries sqrt precision
-            assert abs(argmax - math.log(x)) <= 1e-7
+            # t* is the generator's derivative, log x, and round-trips the file
+            assert argmax == math.log(x)
+
+    @pytest.mark.parametrize("law, x, value, argmax", [
+        ("exp1", 1e300, 1e300, 1.0),
+        ("exp1", 1e-300, 689.7755278982137, -1e300),
+        ("normal11", 1e300, math.inf, 1e300),
+        ("poisson1", 1e-300, 1.0, -690.7755278982137),
+    ])
+    def test_chernoff_far_from_the_mean(self, law, x, value, argmax, tmp_path):
+        """At 1e-300 and 1e300 the rate and its argmax are the closed forms
+        (normal11's rate 5e599 overflows to inf), and the run exits 0."""
+        assert _run(["chernoff", "--law", law, "--points", repr(x)], tmp_path, "far") == 0
+        row = (tmp_path / "far.csv").read_text().splitlines()[1]
+        assert [float(c) for c in row.split(",")] == [x, pytest.approx(value, rel=1e-15), pytest.approx(argmax, rel=1e-15)]
 
     def test_estimate_recovers_sample_mean(self, tmp_path):
         """Gaussian location with unit weights estimates the data mean."""
@@ -725,8 +738,8 @@ class TestSlopeStatistics:
         [
             ("poisson1", (0.3, 0.3), (0.2, 0.4), -0.04320170828625977, -0.07066982139383012,
              (0.399999999999, 0.2571428555372658, 0.3428571444637343)),
-            ("twopoint", (0.2, 0.4), (0.55, 0.225), -0.550792230493548, -0.5507922304975408,
-             (0.5499999999990002, 0.22500000076031018, 0.2249999992406897)),
+            ("twopoint", (0.2, 0.4), (0.55, 0.225), -0.55079223049354786, -0.55079223049754056,
+             (0.54999999999900007, 0.22499999923232394, 0.22500000076867599)),
         ],
     )
     def test_k3_cell_mass_slopes_are_pinned(self, law, theta, theta_prime, generic, min_div, minimizer):
@@ -763,6 +776,8 @@ class TestReproducibility:
         "argv, label, suffixes",
         [
             (CHERNOFF_ARGS, "chernoff_poisson1", ("csv", "json")),
+            # the support's ends: log 2 with the argmax -inf at 0 and +inf at 2
+            (["chernoff", "--law", "twopoint", "--grid", "0:2:5"], "chernoff_twopoint", ("csv", "json")),
             (
                 ["divergence", "--gamma", "0.5", "--grid", "0.5:2:4"],
                 "divergence_gamma_half",
@@ -828,7 +843,7 @@ class TestReproducibility:
                 ("csv", "json"),
             ),
         ],
-        ids=["chernoff", "divergence", "estimate", "sanov_mc", "slopes_k3_poisson1", "slopes_k3_twopoint",
+        ids=["chernoff", "chernoff_twopoint", "divergence", "estimate", "sanov_mc", "slopes_k3_poisson1", "slopes_k3_twopoint",
              "clt_moments_normal11", "estimate_weights_poisson1", "sanov_shrink",
              "divergence_induced_twopoint_conj", "sanov_rate", "slopes_k2", "trend_poisson1", "trend_twopoint"],
     )

@@ -667,3 +667,9 @@ class TestShrinkingRadius:
         """The radius grid must strictly decrease."""
         with pytest.raises(ValidationError):
             shrink_epsilon_limit(KL, [0.5, 0.5], [0.3, 0.7], [0.1, 0.1])
+
+    @pytest.mark.parametrize("eps_grid", [[], ()], ids=["list", "tuple"])
+    def test_empty_grid_rejected(self, eps_grid):
+        """An empty radius grid is a validation error, not an IndexError of the empty table."""
+        with pytest.raises(ValidationError, match="at least one radius"):
+            shrink_epsilon_limit(KL, [0.5, 0.5], [0.3, 0.7], eps_grid)
