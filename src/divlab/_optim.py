@@ -1,9 +1,8 @@
-"""Deterministic scalar and simplex search routines used by the labs.
-
-All searches are derivative-free at the top level: a coarse deterministic
-scan locates the best bracket, golden-section contracts it, and a Newton
-step on finite differences polishes the result.  Objectives may return
-``-inf`` for rejected points; comparisons handle that naturally.
+"""Deterministic search routines used by the labs: one golden-section
+search over a scalar, :func:`batch_golden_max`, row by row (one row in
+:func:`maximize_scalar`), and the simplex refinement :func:`nelder_mead`.
+Objectives may return ``-inf`` for rejected points and ``+inf`` where
+they are unbounded; comparisons handle both.
 """
 
 from __future__ import annotations
@@ -14,97 +13,14 @@ import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: values within this of the best one count as ties
-_TIE_TOL = 1e-9
-
 #: large but finite so the simplex spread stays arithmetically valid
 PENALTY = 1e300
 
 
-def golden_max(f, lo: float, hi: float, xtol: float):
-    """Golden-section maximization on ``[lo, hi]``; returns ``(x, f(x))``.
-
-    Stops when the bracket is below ``xtol`` relative, or after 200 steps.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a <= xtol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
-def stencil(x, lo, hi):
-    """Centre ``c`` and step ``h`` of a central difference taken near ``x``.
-
-    The step is ``1e-6 * max(1, |x|)``.  The centre is ``x`` itself unless
-    ``x - h`` or ``x + h`` would leave ``[lo, hi]``; then it moves inward
-    just far enough, so the objective is never probed outside its box.
-    """
-    h = 1e-6 * max(1.0, abs(x))
-    return min(max(x, lo + h), hi - h), h
-
-
-def _newton_polish_max(f, x0, fx0, lo, hi):
-    """Up to four safeguarded Newton steps on central differences."""
-    x, fx = x0, fx0
-    for _ in range(4):
-        c, h = stencil(x, lo, hi)
-        fc = fx if c == x else f(c)
-        f_up, f_dn = f(c + h), f(c - h)
-        if not (math.isfinite(f_up) and math.isfinite(f_dn) and math.isfinite(fc)):
-            break
-        g = (f_up - f_dn) / (2.0 * h)
-        curv = (f_up - 2.0 * fc + f_dn) / (h * h)
-        if curv >= 0.0:
-            break
-        x_new = min(max(c - g / curv, lo), hi)
-        f_new = f(x_new)
-        if f_new <= fx:
-            break
-        x, fx = x_new, f_new
-    return x, fx
-
-
-def maximize_scalar(
-    f,
-    lo: float,
-    hi: float,
-    n_scan: int = 9,
-    xtol: float = 1e-10,
-):
-    """Scan, contract, polish.  Returns ``(x, f(x))``.
-
-    Ties within ``_TIE_TOL`` of the best value resolve to the smallest
-    argument, which keeps reported optima deterministic in symmetric
-    problems.
-    """
-    if not lo < hi:
-        return lo, f(lo)
-    xs = np.linspace(lo, hi, max(n_scan, 3))
-    vals = [f(float(x)) for x in xs]
-    best = int(np.argmax(vals))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, len(xs) - 1)]
-    x, fx = golden_max(f, float(a), float(b), xtol)
-    x, fx = _newton_polish_max(f, x, fx, lo, hi)
-    candidates = [(x, fx)] + [(float(xi), vi) for xi, vi in zip(xs, vals)]
-    top = max(v for _, v in candidates)
-    winners = [xi for xi, vi in candidates if vi >= top - _TIE_TOL]
-    x_win = min(winners)
-    return (x, fx) if x_win == x else (x_win, f(x_win))
+def maximize_scalar(f, lo: float, hi: float):
+    """:func:`batch_golden_max` on the one row ``[lo, hi]``: ``(x, f(x))``."""
+    x, fx = batch_golden_max(lambda x, rows: np.array([f(float(a)) for a in x]), np.array([lo]), np.array([hi]))
+    return float(x[0]), float(fx[0])
 
 
 #: the simplex moves of Nelder & Mead (Comput. J. 7, 1965): reflection,
@@ -205,6 +121,9 @@ _BATCH_SCAN = 5
 _BATCH_ITERS = 32
 _BATCH_GRID = np.linspace(0.0, 1.0, _BATCH_SCAN)
 
+#: a row's final bracket spans at most this fraction of its ``hi - lo``
+BRACKET = 2.0 / (_BATCH_SCAN - 1) * _INVPHI**_BATCH_ITERS
+
 
 def batch_golden_max(f_batch, lo, hi):
     """Vectorized golden-section maximization with per-row brackets.
@@ -219,13 +138,18 @@ def batch_golden_max(f_batch, lo, hi):
     second those whose right point is new, either possibly none.  Every row
     runs the same fixed schedule of 71 calls and ``f_batch`` must not let a
     row's value depend on the rows that share its call, so a row's result
-    does not depend on how rows are grouped.
+    does not depend on how rows are grouped.  It returns each row's largest
+    value evaluated and its argument: the final pair holds the best
+    contraction value (the kept point is the better of a pair), and a scan
+    point replaces it only when strictly better.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     every = np.arange(lo.shape[0])
     scan = lo + _BATCH_GRID[:, None] * (hi - lo)
-    best = np.argmax([f_batch(x, every) for x in scan], axis=0)
+    scan[-1] = hi  # lo + (hi - lo) can round past hi
+    scanned = np.array([f_batch(x, every) for x in scan])
+    best = np.argmax(scanned, axis=0)
     width = (hi - lo) / (_BATCH_SCAN - 1)
     a = lo + np.maximum(best - 1, 0) * width
     b = lo + np.minimum(best + 1, _BATCH_SCAN - 1) * width
@@ -247,4 +171,6 @@ def batch_golden_max(f_batch, lo, hi):
         fd[new_d] = f_batch(x_d, new_d)
     x = np.where(fc >= fd, c, d)
     fx = np.maximum(fc, fd)
-    return x, fx
+    top = scanned[best, every]
+    scan_wins = top > fx
+    return np.where(scan_wins, scan[best, every], x), np.where(scan_wins, top, fx)

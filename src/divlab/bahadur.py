@@ -167,8 +167,9 @@ def slope_generic(
 
     Minus twice the infimum of the induced divergence of ``P_theta`` over
     probability vectors whose functional value reaches the alternative's:
-    the statistic's own ``infimum`` when it has one, else a dense simplex
-    scan refined with local descent.
+    the statistic's own ``infimum`` when it has one, else on two cells the
+    exact boundary search of :func:`_two_cell_infimum`, and on three a dense
+    simplex scan refined with local descent.
     """
     check_slopes(model)
     p = model.probs(theta)
@@ -179,6 +180,8 @@ def slope_generic(
     _check_functional_zero(stat, p_null, p)
     if stat.infimum is not None:
         best_q, best_v = stat.infimum(p_null, q_alt)
+    elif model.k == 2:
+        best_q, best_v = _two_cell_infimum(induced_divergence(law), p_null, stat, level)
     else:
         best_q, best_v = _scan_infimum(induced_divergence(law), p, p_null, stat, level)
     # -0.0 + 0.0 is +0.0: a null alternative prints 0, never -0
@@ -189,6 +192,40 @@ def slope_generic(
         constraint_level=level,
         statistic_name=stat.name,
     )
+
+
+def _two_cell_infimum(spec: DivergenceSpec, p_null: tuple, stat: FunctionalStatistic, level: float):
+    """The constrained infimum's minimizer and value on two cells, exactly.
+
+    The divergence is convex in ``q_1`` with its minimum at ``p_1``, so each
+    side's best is its feasible point nearest ``p_1``: the first point with
+    ``psi >= level`` on the scan's lattice, walking outward from ``p_1``,
+    moved by at most 60 bisection steps towards its infeasible neighbour
+    (``p_1`` for the first lattice point).  The left side wins a tie.
+    """
+
+    def feasible(x):
+        return float(stat.evaluator(p_null, np.array([x, 1.0 - x]))) >= level
+
+    p1 = p_null[0]
+    if feasible(p1):
+        return np.array(p_null), 0.0
+    xs, found = _lattice_masses(2, int(round(1.0 / GRID_STEP)))[0], []
+    for side in (xs[xs < p1][::-1], xs[xs > p1]):
+        near = p1
+        for x in side.tolist():
+            if feasible(x):
+                for _ in range(60):
+                    mid = 0.5 * (near + x)
+                    if mid in (near, x):
+                        break
+                    near, x = (near, mid) if feasible(mid) else (mid, x)
+                found.append(np.array([x, 1.0 - x]))
+                break
+            near = x
+    if not found:
+        raise ValidationError("no probability vector satisfies the slope constraint")
+    return min(((q, cell_divergence(spec, p_null, q)) for q in found), key=lambda qv: qv[1])
 
 
 def _scan_infimum(spec: DivergenceSpec, p: np.ndarray, p_null: tuple, stat: FunctionalStatistic, level: float):

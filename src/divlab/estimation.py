@@ -17,14 +17,15 @@ for ``P`` gives a plug-in estimator of the divergence; its minimizer over
 root of the weighted score equation, the maximum likelihood estimate under
 weighted sampling (Broniatowski & Keziou, JMVA 2009), so it is taken in
 closed form and certified by the inner supremum at the root: in closed form
-on a finite support, by one scalar search on an exponential family.  For the
+on a finite support, by the one golden-section search otherwise.  For the
 weighted maximum likelihood pipeline the generator passed in must be the
 conjugate of the generator induced by the weight law, so that the estimated
 quantity is the divergence of the sampling distribution from ``P_theta``.
 
 Signed weights are allowed; evaluations that escape the generator's domain
-contribute through the extended-real convention and the inner search treats
-non-finite criterion values as rejected points (counted in the report).
+contribute through the extended-real convention: ``+inf`` scores, so a
+search finds where the supremum is infinite, while NaN and ``-inf`` are
+rejected points, counted in the report.
 """
 
 from __future__ import annotations
@@ -34,19 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import batch_golden_max, maximize_scalar, stencil
+from ._optim import BRACKET, batch_golden_max, maximize_scalar
 from .divergences import INF, CressieRead, DivergenceSpec, cell_divergence
 from .errors import DomainError, NumericError, ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
 from .reporting import Record
 
-#: scan points of the scalar inner search
-_N_SCAN = 11
-
-#: argument tolerance of the inner (alpha) search
-_INNER_XTOL = 1e-9
-
-#: inner-gradient norm below which an estimate counts as converged
+#: inner-gradient norm below which a categorical estimate counts as converged
 _GRAD_TOL = 1e-6
 
 #: largest inner supremum, in absolute value, that certifies an estimate:
@@ -241,9 +236,10 @@ class _DualCriterion:
 
     The integral splits as ``mu(S) * mean-phi'(theta, alpha) - (1/n) sum
     W_i phi#(ratio_i)``; the second term is vectorized over the sample.
-    Non-finite evaluations are rejected (returned as ``-inf`` to the
-    maximizer) and counted.  On a categorical model the criterion is
-    :func:`_categorical_dual`.
+    A value that is not finite takes its extended value from
+    :func:`_extended`; it and a quadrature lead that is not finite are
+    rejected (``-inf``) and counted unless ``+inf``.  On a categorical model
+    the criterion is :func:`_categorical_dual`.
     """
 
     def __init__(self, model: ParametricModel, spec: DivergenceSpec, mu: WeightedEmpiricalMeasure):
@@ -275,10 +271,9 @@ class _DualCriterion:
             lead, sharp = _expfam_power_dual(self.model, self.spec, theta, alpha, self.t_stat)
         else:
             lead = _phi_prime_mean(self.model, self.spec, theta, alpha)
-        if not math.isfinite(lead):
-            self.rejected += 1
-            return -INF
-        if kind == "expfam":
+            if not math.isfinite(lead):
+                self.rejected += 1
+                return -INF
             lr = (
                 (theta - alpha) * self.t_stat
                 - self.model.log_normalizer(theta)
@@ -289,8 +284,13 @@ class _DualCriterion:
         # zero weight on an infinite term is NaN, a rejected point, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             tail = float(np.add.reduce(self.w * sharp)) / self.mu.n
-        value = self.wbar * lead - tail
-        if not math.isfinite(value):
+            value = self.wbar * lead - tail
+        if math.isfinite(value):
+            return value
+        if kind == "power":
+            value = float(_extended(self.model, self.spec, np.array([theta]), np.array([alpha]),
+                                    self.t_stat[None, :], self.w[None, :], np.array([value]), np.array([lead]))[0])
+        if value != INF:
             self.rejected += 1
             return -INF
         return value
@@ -321,8 +321,40 @@ class _DualCriterion:
             raise NumericError(f"no weighted score root in the model: {err}") from None
 
 
-def _inner_max(crit: _DualCriterion, theta: float, lo: float, hi: float):
-    return maximize_scalar(lambda a: crit(theta, a), lo, hi, n_scan=_N_SCAN, xtol=_INNER_XTOL)
+def _extended(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, t, w, value, lead) -> np.ndarray:
+    """The extended-real criterion of rows whose float ``value`` is not
+    finite, one row of ``t`` and ``w`` each: ``+inf``, or ``-inf`` for a
+    rejected point (a parameter outside the domain, or NaN).  An infinite
+    lead ``wbar (e^E - 1) / (g - 1)`` (index ``g`` outside {0, 1}, ``E`` the
+    exponent of :func:`_power_lead`) overflowed, or diverged where the tilted
+    parameter leaves the domain; against the tail ``sum_i w_i (e^(g l_i) - 1)
+    / (n g)``, ``l_i = log r_i``, the ``- 1`` terms are then negligible, and
+    the sign is that of both terms scaled by ``e^-M``, ``M`` the larger of
+    ``E`` and the largest weighted ``g l_i``."""
+    with np.errstate(all="ignore"):
+        C_t = model.log_normalizer_array(theta)
+        C_a = model.log_normalizer_array(alpha)
+        if spec.branch not in ("log", "xlogx"):
+            g = spec.gamma
+            u = g - 1.0
+            expo = u * (C_a - C_t) + model.log_normalizer_array(theta + u * (theta - alpha)) - C_t
+            glr = np.where(w != 0.0, g * ((theta - alpha)[:, None] * t + (C_a - C_t)[:, None]), -INF)
+            top = np.max(glr, axis=1)
+            d = expo - top
+            scaled = (np.mean(w, axis=1) / u * np.exp(np.minimum(d, 0.0))
+                      - np.mean(w * np.exp(glr - top[:, None]), axis=1) / g * np.exp(np.minimum(-d, 0.0)))
+            value = np.where(np.isinf(lead), np.sign(scaled) * INF, value)
+        return np.where(np.isfinite(C_t) & np.isfinite(C_a) & ~np.isnan(value), value, -INF)
+
+
+def _certified(alpha, sup, lo, hi):
+    """The one certificate of an exponential-family estimate, elementwise:
+    ``sup``, the largest criterion value :func:`batch_golden_max` evaluated
+    at ``theta_hat`` over the stated set ``[lo, hi] = default_box(theta_hat)``,
+    is within ``_SUP_TOL`` of 0, and its argument ``alpha`` is off the set's
+    edge, more than the search's final bracket from ``lo`` and ``hi``."""
+    reach = BRACKET * (hi - lo)
+    return (np.abs(sup) <= _SUP_TOL) & (alpha - lo > reach) & (hi - alpha > reach)
 
 
 def _categorical_sup(crit: _DualCriterion, theta):
@@ -380,7 +412,7 @@ def estimate_phi_dual(
         except NumericError:
             pass
     lo, hi = model.default_box(model.pilot_estimate(mu.points_array()) if centre is None else centre)
-    alpha, value = _inner_max(crit, float(theta), lo, hi)
+    alpha, value = maximize_scalar(lambda a: crit(float(theta), a), lo, hi)
     return value, alpha
 
 
@@ -394,13 +426,13 @@ def minimum_dual_estimator(
     The estimate is :meth:`_DualCriterion.root`, raising
     :class:`NumericError` when the model holds no root.  The criterion is 0
     at ``alpha = theta`` and stationary in ``alpha`` there exactly at the
-    root, so the inner supremum at the root certifies it: ``converged``
-    requires a supremum within ``_SUP_TOL`` of 0 and an inner gradient norm
-    at most ``_GRAD_TOL`` at the reported maximizer.  On a categorical model
-    the supremum is attained at ``alpha = theta`` (:func:`_categorical_sup`),
-    so the value is one criterion call there and the gradient is in closed
-    form; on an exponential family one inner search finds it.  A root that is
-    not a saddle (the supremum lies elsewhere) is reported with
+    root, so the inner supremum at the root certifies it: on an exponential
+    family :func:`_certified` judges :func:`maximize_scalar` over
+    ``default_box(theta_hat)``, as for a batched row, and the inner gradient
+    (a central difference) is a diagnostic; on a categorical model the
+    supremum is one criterion call at ``alpha = theta``
+    (:func:`_categorical_sup`), and the closed-form inner gradient norm must
+    be at most ``_GRAD_TOL``.  A root that is not a saddle is reported with
     ``converged`` false, never raised.
     """
     crit = _DualCriterion(model, spec, mu)
@@ -412,14 +444,17 @@ def minimum_dual_estimator(
         p, m = model.probs(theta), crit.atom_masses
         g = spec.value(1.0, 2) * (m - float(np.sum(m)) * p) / p
         alpha, value, grad_norm = theta, crit(theta, theta), float(np.linalg.norm(g[:-1] - g[-1]))
+        converged = abs(value) <= _SUP_TOL and grad_norm <= _GRAD_TOL
     else:
         lo, hi = model.default_box(theta)
-        alpha, value = _inner_max(crit, theta, lo, hi)
-        # a central difference at alpha, its stencil kept inside the box
-        c, h = stencil(alpha, lo, hi)
+        alpha, value = maximize_scalar(lambda a: crit(theta, a), lo, hi)
+        converged = _certified(alpha, value, lo, hi)
+        # a central difference at alpha, its stencil moved inward just far
+        # enough to stay inside the box
+        h = 1e-6 * max(1.0, abs(alpha))
+        c = min(max(alpha, lo + h), hi - h)
         f_up, f_dn = crit(theta, c + h), crit(theta, c - h)
         grad_norm = abs((f_up - f_dn) / (2.0 * h)) if math.isfinite(f_up) and math.isfinite(f_dn) else INF
-    converged = abs(value) <= _SUP_TOL and grad_norm <= _GRAD_TOL
     return EstimateReport(
         theta_hat=_reported(theta),
         alpha_hat=_reported(alpha),
@@ -486,7 +521,8 @@ class _BatchCriterion:
     summed against ``w`` in one pass.  A row's arithmetic is the same
     whichever rows share its call.  The sums run in another order than
     those of the scalar :class:`_DualCriterion`, which stays the bit-exact
-    reference; a row differs from it by rounding only.
+    reference; a row differs from it by rounding only, and takes the same
+    :func:`_extended` value where not finite.
     """
 
     def __init__(self, model: ExponentialFamilyModel, spec: CressieRead,
@@ -524,6 +560,7 @@ class _BatchCriterion:
             # operations on k numbers, so each call's overhead counts
             C = self.model.log_normalizer_array(np.concatenate((theta, alpha)))
             out = (C[:k] - C[k:]) * self.wbar[rows] - (theta - alpha) * self._wt_mean[rows]
+            lead = 0.0  # as in _power_lead: this branch's lead vanishes
         else:
             lead, C_t, C_a = _power_lead(self.model, self.spec, theta, alpha)
             g = self.spec.gamma
@@ -546,7 +583,10 @@ class _BatchCriterion:
         # product costs less than masking the rows of every call
         if math.isfinite(out.dot(out)):
             return out
-        return np.where(np.isfinite(out), out, -INF)
+        bad = (~np.isfinite(out)).nonzero()[0]
+        out[bad] = _extended(self.model, self.spec, theta[bad], alpha[bad], self.t[rows[bad]], self.w[rows[bad]],
+                             out[bad], np.broadcast_to(lead, k)[bad])
+        return out
 
 
 def minimum_dual_estimator_batch(
@@ -562,11 +602,11 @@ def minimum_dual_estimator_batch(
     is produced per row.  Row ``r``'s estimate is its weighted score root,
     bit for bit the ``theta_hat`` of :func:`minimum_dual_estimator` on that
     row, certified as the scalar path certifies it: one batched search over
-    ``alpha`` in ``box`` at ``theta = theta_hat``, passing when the supremum
-    is within ``_SUP_TOL`` of 0.  A row is NaN when it has no root in the
-    box (a weight sum <= 0, a weighted mean outside the range of ``C'``, or
-    a root outside ``box``) or its certificate fails.  The search runs a
-    fixed schedule, so results do not depend on chunking.
+    ``alpha`` in each row's ``default_box(theta_hat)`` at ``theta =
+    theta_hat``, judged by :func:`_certified`.  A row is NaN when it has no
+    root in ``box`` (a weight sum <= 0, a weighted mean outside the range of
+    ``C'``, or a root outside ``box``) or its certificate fails.  The search
+    runs a fixed schedule, so results do not depend on chunking.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -589,9 +629,8 @@ def minimum_dual_estimator_batch(
             theta[r] = root
     held = np.isfinite(theta).nonzero()[0]
     at = theta[held]
+    a_lo, a_hi = model.default_box(at)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, sup = batch_golden_max(
-            lambda alpha, sub: crit.value(at[sub], alpha, held[sub]), np.full(held.size, lo), np.full(held.size, hi)
-        )
-    theta[held[~(np.abs(sup) <= _SUP_TOL)]] = np.nan
+        alpha, sup = batch_golden_max(lambda alpha, sub: crit.value(at[sub], alpha, held[sub]), a_lo, a_hi)
+    theta[held[~_certified(alpha, sup, a_lo, a_hi)]] = np.nan
     return theta

@@ -130,24 +130,19 @@ class ExponentialFamilyModel(ParametricModel):
         return lo < float(theta) < hi
 
     def default_box(self, pilot):
-        """Search box: half-width 3 around the pilot, clipped to the domain."""
-        lo = float(pilot) - 3.0
-        hi = float(pilot) + 3.0
-        if not lo < hi:
+        """Search box: half-width 3 around the pilot, clipped to 1e-8 inside
+        the domain; elementwise, as two arrays, on an array of pilots."""
+        pilot = np.asarray(pilot, dtype=float)
+        if not np.all(pilot - 3.0 < pilot + 3.0):
             raise ValidationError(
-                f"search box collapses: pilot {float(pilot)!r} +/- 3 rounds to one float"
-                " (the half-width is below the float resolution there)"
+                f"search box collapses: pilot {float(pilot[~(pilot - 3.0 < pilot + 3.0)][0])!r} +/- 3"
+                " rounds to one float (the half-width is below the float resolution there)"
             )
-        return self.clip_box(lo, hi)
-
-    def clip_box(self, lo, hi):
-        dlo, dhi = self.theta_domain
-        margin = 1e-8
-        lo = max(lo, dlo + margin if math.isfinite(dlo) else lo)
-        hi = min(hi, dhi - margin if math.isfinite(dhi) else hi)
-        if not lo < hi:
+        lo = np.maximum(pilot - 3.0, self.theta_domain[0] + 1e-8)
+        hi = np.minimum(pilot + 3.0, self.theta_domain[1] - 1e-8)
+        if not np.all(lo < hi):
             raise ValidationError("empty search box after clipping to the domain")
-        return (lo, hi)
+        return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
     def log_density_ratio(self, theta, alpha, x):
         self.check_domain(theta)

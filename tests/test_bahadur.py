@@ -444,10 +444,13 @@ class TestEfficiencyComparison:
         token=st.sampled_from(LAW_TOKENS),
         psi=st.sampled_from(["cell_mass", "divergence"]),
     )
+    # a Nelder-Mead refinement jumped the infeasible band here and missed the
+    # near side, reading -3.0289e-4
+    @example(p1=0.3333333333333333, p1_alt=0.3415033039250778, token="poisson1", psi="cell_mass")
     def test_ordering_holds_on_two_cells(self, p1, p1_alt, token, psi):
-        """On the 1,001-point two-cell scan, neither CLI statistic's slope is
-        more negative than the divergence statistic's, for any null and
-        alternative and every weight law."""
+        """On two cells, neither CLI statistic's slope is more negative than
+        the divergence statistic's, for any null and alternative and every
+        weight law."""
         model, law = Categorical(2), weight_law(token)
         rec = slope_generic(model, law, _make_statistic(psi, model, law), (p1,), (p1_alt,))
         assert rec.slope >= slope_min_divergence(model, law, (p1,), (p1_alt,)) - 1e-9

@@ -272,9 +272,9 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_exp_scale_gamma_two_spread_is_the_estimate_roots(self, tmp_path, monkeypatch):
-        """exp_scale at gamma 2 exits 0; each weighted row is the root that
-        ``estimate`` reports for its weights, and a plain row is the
-        ``estimate`` CLI's theta_hat on that row's data."""
+        """exp_scale at gamma 2 and theta_T -4 exits 0; each weighted row is
+        the root that ``estimate`` reports for its weights, and a plain row is
+        the ``estimate`` CLI's theta_hat on that row's data."""
         calls = []
 
         def recorded(model, spec, points, weights, box):
@@ -282,7 +282,7 @@ class TestExitCodes:
             return calls[-1][2]
 
         monkeypatch.setattr(divlab.clt, "minimum_dual_estimator_batch", recorded)
-        argv = ["clt", "--mode", "estimator", "--model", "exp_scale", "--theta_T", "-1", "--gamma", "2",
+        argv = ["clt", "--mode", "estimator", "--model", "exp_scale", "--theta_T", "-4", "--gamma", "2",
                 "--law", "poisson1", "--n", "500", "--reps", "64", "--seed", "1"]
         assert _run(argv, tmp_path, "spread") == 0
         model, spec = make_model("exp_scale"), CressieRead(2.0)
@@ -295,6 +295,14 @@ class TestExitCodes:
         argv = ["estimate", "--model", "exp_scale", "--gamma", "2", "--data", str(tmp_path / "row.csv")]
         assert _run(argv, tmp_path, "row") == 0
         assert json.loads((tmp_path / "row.json").read_text())["theta_hat"] == plain[0]
+
+    def test_exp_scale_gamma_two_spread_near_minus_one_has_no_saddle(self, tmp_path, capsys):
+        """At theta_T -1 every root's set reaches below 2 theta_hat, where the
+        criterion tends to +inf: no row is certified, and the spread exits 3."""
+        argv = ["clt", "--mode", "estimator", "--model", "exp_scale", "--theta_T", "-1", "--gamma", "2",
+                "--law", "poisson1", "--n", "500", "--reps", "64", "--seed", "1"]
+        assert _run(argv, tmp_path, "spread") == 3
+        assert "failed on 64 of 64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gamma,point", [("2", "1e300"), ("0", "1e-300")])
     def test_extreme_divergence_points_succeed(self, tmp_path, gamma, point):
@@ -685,9 +693,10 @@ class TestSlopeStatistics:
 
     @pytest.mark.parametrize("token", ["cell_mass", "divergence"])
     def test_every_evaluator_call_gets_one_null_tuple(self, token, monkeypatch):
-        """The level, the zero check, every scan point and the refinement all
-        receive the same tuple of the null's cell masses; the divergence
-        statistic's closed-form infimum receives it too, and no scan runs."""
+        """The level, the zero check and every point of the two-cell boundary
+        search receive the same tuple of the null's cell masses; the
+        divergence statistic's closed-form infimum receives it too.  No scan
+        runs on two cells."""
         model, law = make_model("categorical", k=2), weight_law("poisson1")
         calls, scans = [], []
         monkeypatch.setattr(bahadur, "_simplex_grid", _counted(bahadur._simplex_grid, scans))
@@ -695,12 +704,14 @@ class TestSlopeStatistics:
         infimum = stat.infimum and _counted(stat.infimum, calls)
         stat = FunctionalStatistic(_counted(stat.evaluator, calls), stat.name, infimum)
         slope_generic(model, law, stat, (0.4,), (0.2,))
+        assert scans == []
         if token == "cell_mass":
-            # 1,001 scan points, the level and the zero check, then the refinement
-            assert len(scans) == 1 and len(calls) > _simplex_grid(2, GRID_STEP).shape[0] + 2
+            # the level, the zero check and p_1, then the lattice walks, at
+            # most 1,001 points, and two bisections of at most 60 steps each
+            assert 3 < len(calls) <= 3 + _simplex_grid(2, GRID_STEP).shape[0] + 2 * 60
         else:
             # the level, the zero check and the infimum
-            assert scans == [] and len(calls) == 3
+            assert len(calls) == 3
         p_null = calls[0][0]
         assert type(p_null) is tuple and p_null == tuple(model.probs((0.4,)).tolist())
         assert all(args[0] is p_null for args in calls)

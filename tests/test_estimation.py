@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import divlab.estimation as estimation
+from divlab._optim import maximize_scalar
 from divlab.divergences import INF, ConjugateSpec, CressieRead, cell_divergence
 from divlab.errors import DomainError, NumericError, ValidationError
 from divlab.estimation import (
@@ -204,7 +205,7 @@ class TestDualCriterion:
     def _sup_on_box(model, spec, theta, mu, centre):
         crit = _DualCriterion(model, spec, mu)
         lo, hi = model.default_box(centre)
-        return estimation._inner_max(crit, theta, lo, hi)
+        return maximize_scalar(lambda a: crit(theta, a), lo, hi)
 
     def test_fixed_theta_box_is_centred_on_the_weighted_root(self):
         """With weights summing well away from 0, the alpha box is centred on the weighted root."""
@@ -332,13 +333,18 @@ EPS = float(np.finfo(float).eps)
 def _out_of_place_batch_value(crit, theta, alpha, rows):
     """The batched criterion of the rows ``rows`` written as the scalar
     criterion computes it, with fresh temporaries: each term's sharp
-    transform, weighted, then a mean."""
+    transform, weighted, then a mean; a row that is not finite goes through
+    the one overflow rule, ``_extended``."""
     model, spec = crit.model, crit.spec
     th, al = theta[:, None], alpha[:, None]
     lead, sharp = _expfam_power_dual(model, spec, th, al, crit.t[rows])
     with np.errstate(over="ignore", invalid="ignore"):
-        out = crit.wbar[rows, None] * lead - np.mean(crit.w[rows] * sharp, axis=1, keepdims=True)
-    return np.where(np.isfinite(out), out, -INF)[:, 0]
+        out = (crit.wbar[rows, None] * lead - np.mean(crit.w[rows] * sharp, axis=1, keepdims=True))[:, 0]
+    bad = ~np.isfinite(out)
+    lead = np.broadcast_to(lead, th.shape)[bad, 0]
+    out[bad] = estimation._extended(model, spec, theta[bad], alpha[bad], crit.t[rows][bad], crit.w[rows][bad],
+                                    out[bad], lead)
+    return out
 
 
 def _batch_value(crit, theta, alpha, rows=None):
@@ -374,9 +380,9 @@ def _rounding_bound(crit, theta, alpha):
 
 
 def _assert_agree(got, ref, bound):
-    """The same rows are -inf, and finite rows differ by at most ``bound``."""
+    """The same rows are the same infinity, and finite rows differ by at most ``bound``."""
     assert np.array_equal(np.isfinite(got), np.isfinite(ref))
-    assert np.all(got[~np.isfinite(got)] == -INF) and np.all(ref[~np.isfinite(ref)] == -INF)
+    assert np.array_equal(got[~np.isfinite(got)], ref[~np.isfinite(ref)])
     finite = np.isfinite(ref)
     assert np.all(np.abs(got[finite] - ref[finite]) <= bound[finite])
 
@@ -440,12 +446,13 @@ class TestOneKernel:
         [
             (GaussianLocation(), 0.3, [(0.3, 0.3), (0.3, -0.4), (0.3, 1.1)]),
             (PoissonNatural(), 0.1, [(0.1, 0.1), (0.1, -0.5), (0.1, 0.6)]),
-            # (-0.5, -2.0) tilts to 2*theta - alpha = 1 > 0 at index 2
+            # (-0.5, -2.0) tilts to 2*theta - alpha = 1 > 0 at index 2, where
+            # the lead integral diverges to +inf
             (ExponentialScale(), -1.0, [(-1.0, -1.0), (-1.0, -0.6), (-0.5, -2.0)]),
         ],
     )
     def test_scalar_agrees_with_one_batch_row(self, model, theta, pairs, gamma):
-        """The one-row batch is the scalar criterion up to rounding, -inf where it is."""
+        """The one-row batch is the scalar criterion up to rounding, the same infinity where it is one."""
         rng = np.random.default_rng(31)
         points = model.sample(theta, 40, rng)
         weights = PoissonOne().sample(40, rng)
@@ -458,7 +465,7 @@ class TestOneKernel:
             assert row.shape == (1,)
             _assert_agree(row, np.array([scalar(th[0], a[0])]), _rounding_bound(batch, th, a))
         if isinstance(model, ExponentialScale) and gamma == 2.0:
-            assert scalar(-0.5, -2.0) == -INF
+            assert scalar(-0.5, -2.0) == INF
 
     @given(
         name=st.sampled_from(sorted(PARAMS)),
@@ -504,16 +511,20 @@ class TestOneKernel:
 class TestBatchWorkArray:
     """The batched criterion writes into one work array and returns fresh rows."""
 
-    # the last two rows overflow, or tilt out of the domain, for some indices
+    # the last two rows overflow, or tilt out of the domain, for some indices;
+    # at index 2 gauss_loc's lead overflows towards +inf on both, poisson's
+    # lead on the first and its tail, larger, on the second, and exp_scale's
+    # lead diverges on both, its tilt 2 theta - alpha leaving the domain
     CASES = [
-        (GaussianLocation(), 0.3, [0.3, 0.3, -0.2, 0.9, 30.0, -40.0], [0.3, -0.4, 1.1, 0.2, -30.0, 40.0]),
-        (PoissonNatural(), 0.1, [0.1, 0.1, 0.6, -0.3, 8.0, 0.1], [0.1, -0.5, -0.2, 0.4, -30.0, 40.0]),
-        (ExponentialScale(), -1.0, [-1.0, -1.0, -0.8, -1.4, -0.5, -0.05], [-1.0, -0.6, -1.2, -0.9, -2.0, -40.0]),
+        (GaussianLocation(), 0.3, [0.3, 0.3, -0.2, 0.9, 30.0, -40.0], [0.3, -0.4, 1.1, 0.2, -30.0, 40.0], [INF, INF]),
+        (PoissonNatural(), 0.1, [0.1, 0.1, 0.6, -0.3, 8.0, 0.1], [0.1, -0.5, -0.2, 0.4, -30.0, 40.0], [INF, -INF]),
+        (ExponentialScale(), -1.0, [-1.0, -1.0, -0.8, -1.4, -0.5, -0.05], [-1.0, -0.6, -1.2, -0.9, -2.0, -40.0],
+         [INF, INF]),
     ]
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, -0.5])
-    @pytest.mark.parametrize("model, theta0, theta, alpha", CASES)
-    def test_agrees_with_out_of_place_expression(self, model, theta0, theta, alpha, gamma):
+    @pytest.mark.parametrize("model, theta0, theta, alpha, at_two", CASES)
+    def test_agrees_with_out_of_place_expression(self, model, theta0, theta, alpha, at_two, gamma):
         """The out-of-place expression up to rounding, non-finite rows included."""
         rng = np.random.default_rng(12)
         rows, n = len(theta), 50
@@ -526,7 +537,37 @@ class TestBatchWorkArray:
         _assert_agree(got, ref, _rounding_bound(crit, theta, alpha))
         assert np.all(np.isfinite(got[:4]))
         if gamma == 2.0:
-            assert np.all(got[4:] == -INF)
+            assert got[4:].tolist() == at_two
+
+    @pytest.mark.parametrize("gamma", [2.0, -0.5])
+    @pytest.mark.parametrize("model, theta0, theta, alpha, at_two", CASES)
+    def test_an_overflow_takes_the_sign_of_the_exact_value(self, model, theta0, theta, alpha, at_two, gamma):
+        """A row that overflows inside the domain is the infinity of its
+        50-digit value, which lies beyond the largest float; a row whose tilt
+        leaves the domain has a divergent lead, the infinity of wbar / (g - 1)
+        times e^E, a rejection where that is -inf."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(12)
+        rows, n = len(theta), 50
+        points = model.sample(theta0, n, rng)
+        weights = np.vstack([PoissonOne().sample(n, rng) for _ in range(rows)])
+        crit = _BatchCriterion(model, CressieRead(gamma), np.broadcast_to(points, (rows, n)), weights)
+        got = _batch_value(crit, np.array(theta), np.array(alpha))
+        C = model.cumulant[0]
+        with mpmath.workdps(50):
+            for r in (~np.isfinite(got)).nonzero()[0]:
+                th, al, g = mpmath.mpf(theta[r]), mpmath.mpf(alpha[r]), mpmath.mpf(gamma)
+                tilt = th + (g - 1) * (th - al)
+                if not model.in_domain(float(tilt)):
+                    assert got[r] == (INF if np.mean(weights[r]) / (gamma - 1.0) > 0.0 else -INF)
+                    continue
+                expo = (g - 1) * (C(al, mpmath) - C(th, mpmath)) + C(tilt, mpmath) - C(th, mpmath)
+                lead = mpmath.fsum(weights[r]) / n * mpmath.expm1(expo) / (g - 1)
+                log_ratios = [(th - al) * x - C(th, mpmath) + C(al, mpmath) for x in points]
+                tail = mpmath.fsum(w * mpmath.expm1(g * lr) for lr, w in zip(log_ratios, weights[r])) / (n * g)
+                exact = lead - tail
+                assert abs(exact) > np.finfo(float).max
+                assert got[r] == (INF if exact > 0 else -INF)
 
     def test_successive_calls_return_independent_arrays(self):
         """A result is no view of the work array: a later call leaves it intact."""
@@ -641,8 +682,8 @@ class TestMinimumDualEstimator:
         mu = WeightedEmpiricalMeasure.plain(tuple(points))
         # the inner search lands on alpha = theta, where the power lead is -0.0
         crit = _DualCriterion(model, spec, mu)
-        lo, hi = model.default_box(crit.root())
-        _, raw = estimation._inner_max(crit, crit.root(), lo, hi)
+        theta = crit.root()
+        _, raw = maximize_scalar(lambda a: crit(theta, a), *model.default_box(theta))
         assert raw == 0.0 and math.copysign(1.0, raw) == -1.0
         report = minimum_dual_estimator(model, spec, mu)
         assert report.value == 0.0
@@ -751,15 +792,21 @@ class TestMinimumDualEstimator:
         assert report.theta_hat == pytest.approx(1.5e-7, rel=1e-6)
         assert report.converged and report.alpha_hat == report.theta_hat
 
-    def test_exp_scale_gamma_two_returns_the_certified_root(self):
-        """At index 2 on exp_scale the root is a saddle: the estimate is the
-        root, certified, not a point at the box edge with a value near
-        -2.6e13."""
+    @pytest.mark.parametrize("theta0, certified", [(-1.2, False), (-4.5, True)])
+    def test_exp_scale_gamma_two_is_certified_where_its_set_stops_short_of_two_theta(self, theta0, certified):
+        """At index 2 on exp_scale the lead, the integral of p_theta^2 /
+        p_alpha, diverges once alpha falls to 2 theta, and the criterion
+        tends to +inf there.  With theta_hat above -3, default_box(theta_hat)
+        reaches past 2 theta_hat: the supremum is +inf and the root is not
+        certified.  Farther out the set stops short of it and the root is a
+        saddle.  The estimate is the root either way."""
         model = ExponentialScale()
-        x = model.sample(-1.2, 60, np.random.default_rng(102))
+        x = model.sample(theta0, 60, np.random.default_rng(102))
         report = minimum_dual_estimator(model, CressieRead(2.0), WeightedEmpiricalMeasure.plain(tuple(x)))
         assert report.theta_hat == model.solve_score(float(np.sum(x) / 60.0))
-        assert report.converged and abs(report.value) <= estimation._SUP_TOL
+        assert (report.theta_hat > -3.0) is not certified
+        assert report.converged is certified
+        assert abs(report.value) <= estimation._SUP_TOL if certified else report.value == INF
 
     def test_poisson_gamma_two_root_is_not_certified(self):
         """At index 2 on poisson the inner supremum at the root is far above
@@ -923,3 +970,97 @@ class TestBatchEstimator:
         box = model.default_box(model.pilot_estimate(points))
         batch = minimum_dual_estimator_batch(model, CressieRead(2.0), points, weights, box)
         np.testing.assert_allclose(batch, float(np.mean(points)), atol=5e-5)
+
+
+class TestOneCertificate:
+    """One rule certifies the scalar and the batched estimate: the largest
+    criterion value the golden-section search evaluates over the stated set
+    default_box(theta_hat) is within _SUP_TOL of 0, and its argument is off
+    the set's edge."""
+
+    @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("regression_*.csv")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("name", sorted(_SCALAR_MODELS))
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+    def test_no_alpha_of_the_stated_set_lifts_a_certified_criterion(self, path, name, gamma):
+        """Every ``converged`` report has h <= 1e-9 on a 2,001-point grid
+        over its whole stated set, edges included."""
+        points, column = read_data_csv(path)
+        weights = np.ones(points.shape[0]) if column is None else column
+        mu = WeightedEmpiricalMeasure(tuple(map(float, points)), tuple(map(float, weights)))
+        model, spec = _SCALAR_MODELS[name][0], CressieRead(gamma)
+        report = minimum_dual_estimator(model, spec, mu)
+        if report.converged:
+            crit = _DualCriterion(model, spec, mu)
+            grid = np.linspace(*model.default_box(report.theta_hat), 2001)
+            assert max(crit(report.theta_hat, float(a)) for a in grid) <= 1e-9
+
+    @pytest.mark.parametrize("law", ["exp1", "normal11", "poisson1"])
+    @pytest.mark.parametrize("gamma", [1.0, 0.0, 2.0, -0.5])
+    @pytest.mark.parametrize("name", sorted(_SCALAR_MODELS))
+    def test_scalar_and_batched_verdicts_agree(self, name, gamma, law):
+        """On 60 rows with shared points and 60 with shared unit weights, at
+        n = 200, a batched row is the scalar root exactly where the scalar
+        report is certified and the root lies in the comparison's box, and
+        NaN everywhere else."""
+        model, theta0 = _SCALAR_MODELS[name]
+        spec = CressieRead(gamma)
+        rng = np.random.default_rng(29)
+        rows, n = 60, 200
+        points = model.sample(theta0, n, rng)
+        weights = _LAWS[law].sample(rows * n, rng).reshape(rows, n)
+        data = model.sample(theta0, rows * n, rng).reshape(rows, n)
+        box = model.default_box(model.pilot_estimate(points))
+        cases = [(points[None, :], weights), (data, np.ones((1, n)))]
+        for p, w in cases:
+            batch = minimum_dual_estimator_batch(model, spec, p, w, box)
+            for r in range(rows):
+                mu = WeightedEmpiricalMeasure(tuple(p[min(r, len(p) - 1)]), tuple(w[min(r, len(w) - 1)]))
+                try:
+                    report = minimum_dual_estimator(model, spec, mu)
+                except NumericError:
+                    assert np.isnan(batch[r])
+                    continue
+                if report.converged and box[0] <= report.theta_hat <= box[1]:
+                    assert batch[r] == report.theta_hat
+                else:
+                    assert np.isnan(batch[r])
+
+    @pytest.mark.parametrize("name, gamma", [("poisson", 3.0), ("gauss_loc", 0.0), ("exp_scale", 0.5)])
+    def test_no_evaluation_leaves_the_stated_set(self, name, gamma, monkeypatch):
+        """The search and the inner-gradient stencil evaluate the criterion
+        inside default_box(theta_hat) only, also when the maximizer is its
+        edge (poisson at index 3) or the box ends next to the domain's end
+        (exp_scale)."""
+        points, weights = read_data_csv(DATA_DIR / "regression_poisson1.csv")
+        mu = WeightedEmpiricalMeasure(tuple(map(float, points)), tuple(map(float, weights)))
+        model = _SCALAR_MODELS[name][0]
+        probes, call = [], _DualCriterion.__call__
+
+        def recorded(crit, theta, alpha):
+            probes.append(alpha)
+            return call(crit, theta, alpha)
+
+        monkeypatch.setattr(_DualCriterion, "__call__", recorded)
+        report = minimum_dual_estimator(model, CressieRead(gamma), mu)
+        lo, hi = model.default_box(report.theta_hat)
+        assert len(probes) == 5 + 2 + 32 + 2 and lo <= min(probes) and max(probes) <= hi
+        assert report.converged is (name != "poisson")
+
+    def test_an_overflow_inside_the_stated_set_is_not_certified(self):
+        """Counts near 100 at index 2: at alpha = theta_hat - 3 the lead's
+        exponent is about 1,800, finite but past the largest float, so the
+        criterion overflows towards +inf inside the stated set.  The
+        supremum is +inf, not a rejection, and neither path certifies."""
+        model, spec = PoissonNatural(), CressieRead(2.0)
+        points = model.sample(math.log(100.0), 40, np.random.default_rng(6))
+        mu = WeightedEmpiricalMeasure.plain(tuple(points))
+        crit = _DualCriterion(model, spec, mu)
+        theta = crit.root()
+        lo, _ = model.default_box(theta)
+        expo = model.log_normalizer(2.0 * theta - lo) + model.log_normalizer(lo) - 2.0 * model.log_normalizer(theta)
+        assert 709.8 < expo < 1e4
+        assert crit(theta, lo) == INF and crit.rejected == 0
+        report = minimum_dual_estimator(model, spec, mu)
+        assert report.value == INF and not report.converged
+        box = model.default_box(model.pilot_estimate(points))
+        assert np.isnan(minimum_dual_estimator_batch(model, spec, points, np.ones((1, 40)), box)).all()

@@ -99,15 +99,16 @@ class TestDomains:
             Categorical(2).probs((np.float64(1.0),))
         assert str(err.value) == "parameter (1.0,) does not map to an interior probability vector"
 
-    def test_clip_box_respects_domain(self):
-        """Search boxes shrink to the open parameter interval."""
-        lo, hi = ExponentialScale().clip_box(-5.0, 4.0)
-        assert lo == -5.0 and hi < 0.0
+    def test_default_box_respects_domain(self):
+        """Search boxes shrink to the open parameter interval, elementwise on arrays."""
+        assert ExponentialScale().default_box(-2.0) == (-5.0, -1e-8)
+        lo, hi = ExponentialScale().default_box(np.array([-2.0, -4.0]))
+        assert lo.tolist() == [-5.0, -7.0] and hi.tolist() == [-1e-8, -1.0]
 
     def test_empty_box_rejected(self):
         """A box entirely outside the domain fails validation."""
-        with pytest.raises(ValidationError):
-            ExponentialScale().clip_box(1.0, 2.0)
+        with pytest.raises(ValidationError, match="empty search box"):
+            ExponentialScale().default_box(3.5)
 
 
 class TestArrayPaths:
