@@ -1,8 +1,9 @@
 """Deterministic search routines used by the labs: one golden-section
 search over a scalar, :func:`batch_golden_max`, row by row (one row in
-:func:`maximize_scalar`), and the simplex refinement :func:`nelder_mead`.
-Objectives may return ``-inf`` for rejected points and ``+inf`` where
-they are unbounded; comparisons handle both.
+:func:`maximize_scalar`), the central-difference :func:`stencil`, and the
+simplex refinement :func:`nelder_mead`.  Objectives may return ``-inf``
+for rejected points and ``+inf`` where they are unbounded; comparisons
+handle both.
 """
 
 from __future__ import annotations
@@ -15,6 +16,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: large but finite so the simplex spread stays arithmetically valid
 PENALTY = 1e300
+
+
+def stencil(x, lo, hi):
+    """Centre ``c`` and step ``h`` of a central difference taken near ``x``.
+
+    The step is ``1e-6 * max(1, |x|)``.  The centre is ``x`` itself unless
+    ``x - h`` or ``x + h`` would leave ``[lo, hi]``; then it moves inward
+    just far enough, so the objective is never probed outside its box.
+    """
+    h = 1e-6 * max(1.0, abs(x))
+    return min(max(x, lo + h), hi - h), h
 
 
 def maximize_scalar(f, lo: float, hi: float):

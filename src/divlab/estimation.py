@@ -23,8 +23,9 @@ conjugate of the generator induced by the weight law, so that the estimated
 quantity is the divergence of the sampling distribution from ``P_theta``.
 
 Signed weights are allowed; evaluations that escape the generator's domain
-contribute through the extended-real convention: ``+inf`` scores, so a
-search finds where the supremum is infinite, while NaN and ``-inf`` are
+contribute through the extended-real convention: a value that overflows
+towards ``+inf`` scores, so a search finds where the supremum is infinite,
+while NaN, ``-inf`` and an ``alpha`` whose lead integral diverges are
 rejected points, counted in the report.
 """
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import BRACKET, batch_golden_max, maximize_scalar
+from ._optim import BRACKET, batch_golden_max, maximize_scalar, stencil
 from .divergences import INF, CressieRead, DivergenceSpec, cell_divergence
 from .errors import DomainError, NumericError, ValidationError
 from .models import Categorical, ExponentialFamilyModel, ParametricModel
@@ -236,10 +237,11 @@ class _DualCriterion:
 
     The integral splits as ``mu(S) * mean-phi'(theta, alpha) - (1/n) sum
     W_i phi#(ratio_i)``; the second term is vectorized over the sample.
-    A value that is not finite takes its extended value from
-    :func:`_extended`; it and a quadrature lead that is not finite are
-    rejected (``-inf``) and counted unless ``+inf``.  On a categorical model
-    the criterion is :func:`_categorical_dual`.
+    A closed-form value that is not finite takes its extended value from
+    :func:`_extended`.  A quadrature lead that is not finite diverged and
+    is rejected, as a diverging closed-form lead is; any other value that
+    is not finite is rejected (``-inf``) and counted unless ``+inf``.  On a
+    categorical model the criterion is :func:`_categorical_dual`.
     """
 
     def __init__(self, model: ParametricModel, spec: DivergenceSpec, mu: WeightedEmpiricalMeasure):
@@ -324,13 +326,17 @@ class _DualCriterion:
 def _extended(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, t, w, value, lead) -> np.ndarray:
     """The extended-real criterion of rows whose float ``value`` is not
     finite, one row of ``t`` and ``w`` each: ``+inf``, or ``-inf`` for a
-    rejected point (a parameter outside the domain, or NaN).  An infinite
-    lead ``wbar (e^E - 1) / (g - 1)`` (index ``g`` outside {0, 1}, ``E`` the
-    exponent of :func:`_power_lead`) overflowed, or diverged where the tilted
-    parameter leaves the domain; against the tail ``sum_i w_i (e^(g l_i) - 1)
-    / (n g)``, ``l_i = log r_i``, the ``- 1`` terms are then negligible, and
-    the sign is that of both terms scaled by ``e^-M``, ``M`` the larger of
-    ``E`` and the largest weighted ``g l_i``."""
+    rejected point (a parameter outside the domain, a lead integral that
+    diverges, or NaN).  The lead ``wbar (e^E - 1) / (g - 1)`` (index ``g``
+    outside {0, 1}, ``E`` the exponent of :func:`_power_lead`) diverges
+    where the tilted parameter ``theta + (g - 1)(theta - alpha)`` leaves the
+    domain, so ``E`` is not finite: such an ``alpha`` lies outside the set
+    on which the dual criterion is defined (Broniatowski & Keziou, JMVA
+    2009), and is rejected.  A finite ``E`` past the float range overflowed;
+    against the tail ``sum_i w_i (e^(g l_i) - 1) / (n g)``, ``l_i = log
+    r_i``, the ``- 1`` terms are then negligible, and the sign is that of
+    both terms scaled by ``e^-M``, ``M`` the larger of ``E`` and the largest
+    weighted ``g l_i``."""
     with np.errstate(all="ignore"):
         C_t = model.log_normalizer_array(theta)
         C_a = model.log_normalizer_array(alpha)
@@ -343,16 +349,36 @@ def _extended(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, t,
             d = expo - top
             scaled = (np.mean(w, axis=1) / u * np.exp(np.minimum(d, 0.0))
                       - np.mean(w * np.exp(glr - top[:, None]), axis=1) / g * np.exp(np.minimum(-d, 0.0)))
-            value = np.where(np.isinf(lead), np.sign(scaled) * INF, value)
+            value = np.where(np.isinf(lead), np.where(np.isfinite(expo), np.sign(scaled) * INF, -INF), value)
         return np.where(np.isfinite(C_t) & np.isfinite(C_a) & ~np.isnan(value), value, -INF)
+
+
+def _stated_set(model: ExponentialFamilyModel, spec: DivergenceSpec, theta):
+    """The alpha set of the certificate at the root ``theta``, elementwise:
+    ``default_box(theta)``, searched where the criterion is defined, in
+    ``Theta_theta``, the parameters whose lead integral is finite
+    (Broniatowski & Keziou, JMVA 2009).  For a power index ``g`` outside
+    {0, 1} the tilted parameter ``theta + (g - 1)(theta - alpha)`` must lie
+    in the domain; an end of ``Theta_theta`` inside the box becomes an end
+    of the searched set, 1e-8 inside as the box's ends are, so the search
+    evaluates the criterion next to it (on exp_scale at ``g > 1`` the
+    criterion grows without bound as alpha falls to ``g theta / (g - 1)``)."""
+    lo, hi = model.default_box(theta)
+    if isinstance(spec, CressieRead) and spec.branch not in ("log", "xlogx"):
+        u = spec.gamma - 1.0
+        ends = [((1.0 + u) * theta - end) / u for end in model.theta_domain]
+        lo = np.maximum(lo, np.minimum(*ends) + 1e-8)
+        hi = np.minimum(hi, np.maximum(*ends) - 1e-8)
+    return lo, hi
 
 
 def _certified(alpha, sup, lo, hi):
     """The one certificate of an exponential-family estimate, elementwise:
     ``sup``, the largest criterion value :func:`batch_golden_max` evaluated
-    at ``theta_hat`` over the stated set ``[lo, hi] = default_box(theta_hat)``,
-    is within ``_SUP_TOL`` of 0, and its argument ``alpha`` is off the set's
-    edge, more than the search's final bracket from ``lo`` and ``hi``."""
+    at ``theta_hat`` over ``[lo, hi]``, the :func:`_stated_set` of
+    ``theta_hat``, is within ``_SUP_TOL`` of 0, and its argument ``alpha``
+    is off the set's edge, more than the search's final bracket from ``lo``
+    and ``hi``."""
     reach = BRACKET * (hi - lo)
     return (np.abs(sup) <= _SUP_TOL) & (alpha - lo > reach) & (hi - alpha > reach)
 
@@ -427,8 +453,8 @@ def minimum_dual_estimator(
     :class:`NumericError` when the model holds no root.  The criterion is 0
     at ``alpha = theta`` and stationary in ``alpha`` there exactly at the
     root, so the inner supremum at the root certifies it: on an exponential
-    family :func:`_certified` judges :func:`maximize_scalar` over
-    ``default_box(theta_hat)``, as for a batched row, and the inner gradient
+    family :func:`_certified` judges :func:`maximize_scalar` over the
+    :func:`_stated_set`, as for a batched row, and the inner gradient
     (a central difference) is a diagnostic; on a categorical model the
     supremum is one criterion call at ``alpha = theta``
     (:func:`_categorical_sup`), and the closed-form inner gradient norm must
@@ -446,13 +472,11 @@ def minimum_dual_estimator(
         alpha, value, grad_norm = theta, crit(theta, theta), float(np.linalg.norm(g[:-1] - g[-1]))
         converged = abs(value) <= _SUP_TOL and grad_norm <= _GRAD_TOL
     else:
-        lo, hi = model.default_box(theta)
+        lo, hi = _stated_set(model, spec, theta)
         alpha, value = maximize_scalar(lambda a: crit(theta, a), lo, hi)
         converged = _certified(alpha, value, lo, hi)
-        # a central difference at alpha, its stencil moved inward just far
-        # enough to stay inside the box
-        h = 1e-6 * max(1.0, abs(alpha))
-        c = min(max(alpha, lo + h), hi - h)
+        # a central difference at alpha, its stencil kept inside the box
+        c, h = stencil(alpha, lo, hi)
         f_up, f_dn = crit(theta, c + h), crit(theta, c - h)
         grad_norm = abs((f_up - f_dn) / (2.0 * h)) if math.isfinite(f_up) and math.isfinite(f_dn) else INF
     return EstimateReport(
@@ -602,8 +626,8 @@ def minimum_dual_estimator_batch(
     is produced per row.  Row ``r``'s estimate is its weighted score root,
     bit for bit the ``theta_hat`` of :func:`minimum_dual_estimator` on that
     row, certified as the scalar path certifies it: one batched search over
-    ``alpha`` in each row's ``default_box(theta_hat)`` at ``theta =
-    theta_hat``, judged by :func:`_certified`.  A row is NaN when it has no
+    ``alpha`` in each row's :func:`_stated_set` at ``theta = theta_hat``,
+    judged by :func:`_certified`.  A row is NaN when it has no
     root in ``box`` (a weight sum <= 0, a weighted mean outside the range of
     ``C'``, or a root outside ``box``) or its certificate fails.  The search
     runs a fixed schedule, so results do not depend on chunking.
@@ -629,7 +653,7 @@ def minimum_dual_estimator_batch(
             theta[r] = root
     held = np.isfinite(theta).nonzero()[0]
     at = theta[held]
-    a_lo, a_hi = model.default_box(at)
+    a_lo, a_hi = _stated_set(model, spec, at)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha, sup = batch_golden_max(lambda alpha, sub: crit.value(at[sub], alpha, held[sub]), a_lo, a_hi)
     theta[held[~_certified(alpha, sup, a_lo, a_hi)]] = np.nan

@@ -297,8 +297,9 @@ class TestExitCodes:
         assert json.loads((tmp_path / "row.json").read_text())["theta_hat"] == plain[0]
 
     def test_exp_scale_gamma_two_spread_near_minus_one_has_no_saddle(self, tmp_path, capsys):
-        """At theta_T -1 every root's set reaches below 2 theta_hat, where the
-        criterion tends to +inf: no row is certified, and the spread exits 3."""
+        """At theta_T -1 every root's set reaches 2 theta_hat, next to which
+        the criterion grows without bound: no row is certified, and the
+        spread exits 3."""
         argv = ["clt", "--mode", "estimator", "--model", "exp_scale", "--theta_T", "-1", "--gamma", "2",
                 "--law", "poisson1", "--n", "500", "--reps", "64", "--seed", "1"]
         assert _run(argv, tmp_path, "spread") == 3

@@ -447,7 +447,7 @@ class TestOneKernel:
             (GaussianLocation(), 0.3, [(0.3, 0.3), (0.3, -0.4), (0.3, 1.1)]),
             (PoissonNatural(), 0.1, [(0.1, 0.1), (0.1, -0.5), (0.1, 0.6)]),
             # (-0.5, -2.0) tilts to 2*theta - alpha = 1 > 0 at index 2, where
-            # the lead integral diverges to +inf
+            # the lead integral diverges: a rejected point
             (ExponentialScale(), -1.0, [(-1.0, -1.0), (-1.0, -0.6), (-0.5, -2.0)]),
         ],
     )
@@ -465,7 +465,7 @@ class TestOneKernel:
             assert row.shape == (1,)
             _assert_agree(row, np.array([scalar(th[0], a[0])]), _rounding_bound(batch, th, a))
         if isinstance(model, ExponentialScale) and gamma == 2.0:
-            assert scalar(-0.5, -2.0) == INF
+            assert scalar(-0.5, -2.0) == -INF
 
     @given(
         name=st.sampled_from(sorted(PARAMS)),
@@ -514,12 +514,13 @@ class TestBatchWorkArray:
     # the last two rows overflow, or tilt out of the domain, for some indices;
     # at index 2 gauss_loc's lead overflows towards +inf on both, poisson's
     # lead on the first and its tail, larger, on the second, and exp_scale's
-    # lead diverges on both, its tilt 2 theta - alpha leaving the domain
+    # lead diverges on both, its tilt 2 theta - alpha leaving the domain, a
+    # rejection
     CASES = [
         (GaussianLocation(), 0.3, [0.3, 0.3, -0.2, 0.9, 30.0, -40.0], [0.3, -0.4, 1.1, 0.2, -30.0, 40.0], [INF, INF]),
         (PoissonNatural(), 0.1, [0.1, 0.1, 0.6, -0.3, 8.0, 0.1], [0.1, -0.5, -0.2, 0.4, -30.0, 40.0], [INF, -INF]),
         (ExponentialScale(), -1.0, [-1.0, -1.0, -0.8, -1.4, -0.5, -0.05], [-1.0, -0.6, -1.2, -0.9, -2.0, -40.0],
-         [INF, INF]),
+         [-INF, -INF]),
     ]
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, -0.5])
@@ -544,8 +545,7 @@ class TestBatchWorkArray:
     def test_an_overflow_takes_the_sign_of_the_exact_value(self, model, theta0, theta, alpha, at_two, gamma):
         """A row that overflows inside the domain is the infinity of its
         50-digit value, which lies beyond the largest float; a row whose tilt
-        leaves the domain has a divergent lead, the infinity of wbar / (g - 1)
-        times e^E, a rejection where that is -inf."""
+        leaves the domain has a divergent lead and is rejected, -inf."""
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(12)
         rows, n = len(theta), 50
@@ -559,7 +559,7 @@ class TestBatchWorkArray:
                 th, al, g = mpmath.mpf(theta[r]), mpmath.mpf(alpha[r]), mpmath.mpf(gamma)
                 tilt = th + (g - 1) * (th - al)
                 if not model.in_domain(float(tilt)):
-                    assert got[r] == (INF if np.mean(weights[r]) / (gamma - 1.0) > 0.0 else -INF)
+                    assert got[r] == -INF
                     continue
                 expo = (g - 1) * (C(al, mpmath) - C(th, mpmath)) + C(tilt, mpmath) - C(th, mpmath)
                 lead = mpmath.fsum(weights[r]) / n * mpmath.expm1(expo) / (g - 1)
@@ -795,18 +795,22 @@ class TestMinimumDualEstimator:
     @pytest.mark.parametrize("theta0, certified", [(-1.2, False), (-4.5, True)])
     def test_exp_scale_gamma_two_is_certified_where_its_set_stops_short_of_two_theta(self, theta0, certified):
         """At index 2 on exp_scale the lead, the integral of p_theta^2 /
-        p_alpha, diverges once alpha falls to 2 theta, and the criterion
-        tends to +inf there.  With theta_hat above -3, default_box(theta_hat)
-        reaches past 2 theta_hat: the supremum is +inf and the root is not
-        certified.  Farther out the set stops short of it and the root is a
-        saddle.  The estimate is the root either way."""
+        p_alpha, is finite only for alpha > 2 theta and grows without bound
+        as alpha falls to 2 theta.  With theta_hat above -3, default_box
+        (theta_hat) reaches past 2 theta_hat: the set searched ends 1e-8
+        above it, where the criterion is far above 0, so the root is not
+        certified.  Farther out the set stops short of 2 theta_hat and the
+        root is a saddle.  The estimate is the root either way."""
         model = ExponentialScale()
         x = model.sample(theta0, 60, np.random.default_rng(102))
         report = minimum_dual_estimator(model, CressieRead(2.0), WeightedEmpiricalMeasure.plain(tuple(x)))
         assert report.theta_hat == model.solve_score(float(np.sum(x) / 60.0))
         assert (report.theta_hat > -3.0) is not certified
         assert report.converged is certified
-        assert abs(report.value) <= estimation._SUP_TOL if certified else report.value == INF
+        if certified:
+            assert abs(report.value) <= estimation._SUP_TOL
+        else:
+            assert report.value > 1e6 and report.alpha_hat == 2.0 * report.theta_hat + 1e-8
 
     def test_poisson_gamma_two_root_is_not_certified(self):
         """At index 2 on poisson the inner supremum at the root is far above
@@ -1064,3 +1068,28 @@ class TestOneCertificate:
         assert report.value == INF and not report.converged
         box = model.default_box(model.pilot_estimate(points))
         assert np.isnan(minimum_dual_estimator_batch(model, spec, points, np.ones((1, 40)), box)).all()
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(_SCALAR_MODELS))
+    def test_the_searched_set_is_the_box_where_the_lead_is_finite(self, name, gamma):
+        """The searched set is default_box(theta_hat), cut 1e-8 inside an end
+        of the alpha whose lead integral is finite: the criterion is defined
+        on all of it and rejected on the rest of the box.  Only exp_scale,
+        the family with a finite end, is cut: from below at g theta_hat /
+        (g - 1) for the indices 2 and 3, from above at theta_hat / 2 for
+        -1."""
+        model, theta0 = _SCALAR_MODELS[name]
+        points = model.sample(theta0, 40, np.random.default_rng(7))
+        mu = WeightedEmpiricalMeasure.plain(tuple(points))
+        crit = _DualCriterion(model, CressieRead(gamma), mu)
+        theta = crit.root()
+        lo, hi = estimation._stated_set(model, CressieRead(gamma), theta)
+        box = model.default_box(theta)
+        cuts = {2.0: (2.0 * theta + 1e-8, box[1]), 3.0: (1.5 * theta + 1e-8, box[1]),
+                -1.0: (box[0], 0.5 * theta - 1e-8)}
+        expected = cuts.get(gamma, box) if name == "exp_scale" else box
+        assert (lo, hi) == pytest.approx(expected, rel=0.0, abs=1e-15)
+        assert all(math.isfinite(crit(theta, float(a))) for a in np.linspace(lo, hi, 101))
+        beyond = [a for a in np.linspace(*box, 101) if not lo <= a <= hi]
+        assert all(crit(theta, float(a)) == -INF for a in beyond)
+        assert crit.rejected == len(beyond)

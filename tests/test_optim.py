@@ -9,7 +9,23 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from divlab import _optim
-from divlab._optim import PENALTY, batch_golden_max, maximize_scalar, nelder_mead
+from divlab._optim import PENALTY, batch_golden_max, maximize_scalar, nelder_mead, stencil
+
+
+class TestStencil:
+    """Central-difference stencils stay inside the search box."""
+
+    def test_interior_point_is_its_own_centre(self):
+        """Away from the edges the stencil is centred on the point."""
+        assert stencil(0.37, 0.0, 1.0) == (0.37, 1e-6)
+
+    @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+    @settings(max_examples=200, deadline=None)
+    def test_points_stay_in_box(self, x):
+        """Both stencil points lie in the box, within rounding of its edges."""
+        lo, hi = 1e-6, 1.0 - 1e-6
+        c, h = stencil(x, lo, hi)
+        assert c - h >= lo - 1e-15 and c + h <= hi + 1e-15
 
 
 class TestMaximizeScalar:
