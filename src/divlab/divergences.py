@@ -29,7 +29,7 @@ block of the dual (variational) representation used by the estimation module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
@@ -41,70 +41,111 @@ INF = math.inf
 GAMMA_LIMIT_TOL = 1e-9
 
 _ORDERS = (0, 1, 2)
+_SHARP = 3  # index of phi# in a table's forms
 
-# Each branch's phi, phi', phi'' and phi# (in that order) on the branch's
-# open domain: x > 0, or every real for "chi2".  ``log`` is math.log for a
-# float and np.log for an array, so the scalar and array paths evaluate the
-# same expression with their own arithmetic.
+# Each branch's phi, phi', phi'' and phi# (in that order) given the index
+# ``g``, each ``f(x, m)`` with ``m`` the math module for a float and numpy for
+# an array: the float and array paths evaluate one expression with their own
+# arithmetic.
 _FORMULAS = {
-    "log": (
-        lambda x, g, log: -log(x) + x - 1.0,
-        lambda x, g, log: 1.0 - 1.0 / x,
-        lambda x, g, log: 1.0 / (x * x),
-        lambda x, g, log: log(x),
+    "log": lambda g: (
+        lambda x, m: -m.log(x) + x - 1.0,
+        lambda x, m: 1.0 - 1.0 / x,
+        lambda x, m: 1.0 / (x * x),
+        lambda x, m: m.log(x),
     ),
-    "xlogx": (
-        lambda x, g, log: x * log(x) - x + 1.0,
-        lambda x, g, log: log(x),
-        lambda x, g, log: 1.0 / x,
-        lambda x, g, log: x - 1.0,
+    "xlogx": lambda g: (
+        lambda x, m: x * m.log(x) - x + 1.0,
+        lambda x, m: m.log(x),
+        lambda x, m: 1.0 / x,
+        lambda x, m: x - 1.0,
     ),
-    "chi2": (
-        lambda x, g, log: 0.5 * (x - 1.0) ** 2,
-        lambda x, g, log: x - 1.0,
-        lambda x, g, log: x ** 0,  # 1.0, shaped like x
-        lambda x, g, log: 0.5 * (x * x - 1.0),
+    "chi2": lambda g: (
+        lambda x, m: 0.5 * (x - 1.0) ** 2,
+        lambda x, m: x - 1.0,
+        lambda x, m: x ** 0,  # 1.0, shaped like x
+        lambda x, m: 0.5 * (x * x - 1.0),
     ),
-    "power": (
-        lambda x, g, log: (x ** g - g * x + g - 1.0) / (g * (g - 1.0)),
-        lambda x, g, log: (x ** (g - 1.0) - 1.0) / (g - 1.0),
-        lambda x, g, log: x ** (g - 2.0),
-        lambda x, g, log: (x ** g - 1.0) / g,
+    "power": lambda g: (
+        lambda x, m: (x ** g - g * x + g - 1.0) / (g * (g - 1.0)),
+        lambda x, m: (x ** (g - 1.0) - 1.0) / (g - 1.0),
+        lambda x, m: x ** (g - 2.0),
+        lambda x, m: (x ** g - 1.0) / g,
     ),
 }
-
-_SHARP = 3  # index of phi# in a _FORMULAS row
 
 
 class DivergenceSpec:
     """Abstract convex generator with evaluation up to second order.
 
-    Out-of-domain evaluations return ``+inf`` rather than raising; the
-    optimizers in this package treat infinite objective values as rejected
-    points.
+    A generator is its table, set at construction by :meth:`_set_table`:
+    its forms phi, phi', phi'' and phi#, each ``f(x, m)`` as in ``_FORMULAS``;
+    the closed float interval ``[lo, hi]`` where they hold (an open end is
+    its nearest float inside); and ``ends``, the four values by continuity
+    at each point outside it where the generator has them.  Every form is
+    ``+inf`` elsewhere, NaN included, rather than raising; the optimizers in
+    this package treat infinite objective values as rejected points.  Where
+    float arithmetic raises or gives NaN (overflow, a square underflowing to
+    zero, ``inf - inf``), the float path returns the array path's value,
+    where ``phi`` maps a NaN to ``+inf``, its limit.
     """
 
     def value(self, x: float, order: int = 0) -> float:
-        raise NotImplementedError
+        if order not in _ORDERS:  # checked inline: scalar calls are hot loops
+            _check_order(order)
+        return self._scalar(x, order)
 
     def conjugate(self) -> "DivergenceSpec":
         raise NotImplementedError
 
     def sharp(self, x: float) -> float:
         """Return ``x * phi'(x) - phi(x)``, ``+inf`` outside the domain."""
-        raise NotImplementedError
+        return self._scalar(x, _SHARP)
 
-    # Vector helpers used by the estimation hot loops.  Subclasses with
-    # closed forms override these with array arithmetic.
     def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
-        return np.array([self.value(float(v), order) for v in np.ravel(x)]).reshape(np.shape(x))
+        _check_order(order)
+        return self._array(x, order)
 
     def sharp_array(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.sharp(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
+        return self._array(x, _SHARP)
 
     def prime_sharp_array(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(value_array(x, 1), sharp_array(x))``, for callers that need both."""
         return self.value_array(x, 1), self.sharp_array(x)
+
+    def _set_table(self, forms: tuple, lo: float, hi: float, ends: dict) -> None:
+        # on the instance, where the float path reads it faster than on the
+        # class; as no dataclass field, unseen by equality, hashing and repr
+        for name, entry in zip(("_forms", "_lo", "_hi", "_ends"), (forms, lo, hi, ends)):
+            object.__setattr__(self, name, entry)
+
+    def __reduce__(self):
+        # the forms are lambdas, which pickle cannot name: rebuild from the fields
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def _scalar(self, x: float, form: int) -> float:
+        if self._lo <= x <= self._hi:
+            try:
+                v = self._forms[form](x, math)
+                if v == v:
+                    return v
+            except (OverflowError, ZeroDivisionError):
+                pass
+            return float(self._array(np.array([x]), form)[0])
+        end = self._ends.get(x)
+        return INF if end is None else end[form]
+
+    def _array(self, x: np.ndarray, form: int) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, INF)
+        inside = (x >= self._lo) & (x <= self._hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[inside] = self._forms[form](x[inside], np)
+        if form == 0:
+            out[np.isnan(out)] = INF
+        for end, values in self._ends.items():
+            out[x == end] = values[form]
+        return out
 
 
 def _check_order(order: int) -> None:
@@ -121,90 +162,37 @@ class CressieRead(DivergenceSpec):
     half chi-square index 2.  ``branch`` names the evaluation branch the
     index selects ("log", "xlogx", "chi2" or "power"), decided once at
     construction.
-
-    Scalar and array evaluation share one formula per branch and form.
-    Where float arithmetic raises or gives NaN (overflow, a square
-    underflowing to zero, ``inf - inf``), the scalar returns what the array
-    path returns; there ``phi`` maps an ``inf - inf`` to ``+inf``, its limit.
     """
 
     gamma: float
 
     def __post_init__(self):
-        # "log" and "xlogx" are the exact limits at 0 and 1.  ``at_zero``
-        # holds (phi, phi', phi'', phi#) at x = 0 by continuity; "chi2"
-        # needs none, its formulas hold on the whole line.  None of the
-        # attributes set here is a dataclass field, so equality, hashing
-        # and repr see only the index.
+        # "log" and "xlogx" are the exact limits at 0 and 1.  "chi2"'s forms
+        # hold on the whole extended line; every other branch's hold on x > 0,
+        # +inf included, and take (phi, phi', phi'', phi#) at 0 by continuity.
+        # ``branch`` is not a dataclass field, so equality, hashing and repr
+        # see only the index.
         g = self.gamma
         if not math.isfinite(g):
             raise ValidationError(f"the power index must be finite, got {g!r}")
         if abs(g) < GAMMA_LIMIT_TOL:
-            branch, at_zero = "log", (INF, INF, INF, INF)
+            branch, ends = "log", {0.0: (INF, INF, INF, INF)}
         elif abs(g - 1.0) < GAMMA_LIMIT_TOL:
-            branch, at_zero = "xlogx", (1.0, -INF, INF, -1.0)
+            branch, ends = "xlogx", {0.0: (1.0, -INF, INF, -1.0)}
         elif g == 2.0:
-            branch, at_zero = "chi2", None
+            branch, ends = "chi2", {}
         else:
-            branch, at_zero = "power", (
+            branch, ends = "power", {0.0: (
                 1.0 / g if g > 0.0 else INF,
                 -1.0 / (g - 1.0) if g > 1.0 else -INF,
                 0.0 if g > 2.0 else INF,
                 -1.0 / g if g > 0.0 else INF,
-            )
+            )}
         object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "_at_zero", at_zero)
-        object.__setattr__(self, "_forms", _FORMULAS[branch])
-
-    def __reduce__(self):
-        # ``_forms`` holds lambdas, which pickle cannot name: rebuild from the index
-        return CressieRead, (self.gamma,)
-
-    def value(self, x: float, order: int = 0) -> float:
-        if order not in _ORDERS:  # checked inline: scalar calls are hot loops
-            _check_order(order)
-        return self._scalar(x, order)
+        self._set_table(_FORMULAS[branch](g), -INF if branch == "chi2" else math.ulp(0.0), INF, ends)
 
     def conjugate(self) -> "CressieRead":
         return CressieRead(1.0 - self.gamma)
-
-    def sharp(self, x: float) -> float:
-        return self._scalar(x, _SHARP)
-
-    def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
-        _check_order(order)
-        return self._array(x, order)
-
-    def sharp_array(self, x: np.ndarray) -> np.ndarray:
-        return self._array(x, _SHARP)
-
-    def _scalar(self, x: float, form: int) -> float:
-        at_zero = self._at_zero
-        if x > 0.0 or at_zero is None:
-            try:
-                v = self._forms[form](x, self.gamma, math.log)
-                if v == v:
-                    return v
-            except (OverflowError, ZeroDivisionError):
-                pass
-            return float(self._array(np.array([x]), form)[0])
-        return at_zero[form] if x == 0.0 else INF
-
-    def _array(self, x: np.ndarray, form: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        formula = self._forms[form]
-        at_zero = self._at_zero
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if at_zero is None:
-                out = formula(x, self.gamma, np.log)
-            else:
-                out = np.full_like(x, INF)
-                pos = x > 0.0
-                out[pos] = formula(x[pos], self.gamma, np.log)
-                out[x == 0.0] = at_zero[form]
-        if form == 0:
-            out = np.where(np.isnan(out), INF, out)
-        return out
 
 
 @dataclass(frozen=True)
@@ -232,10 +220,12 @@ class ConjugateSpec(DivergenceSpec):
                 # x = inf: inv * base'(inv) is 0 * (-inf) when base'(0) = -inf,
                 # but for a convex base finite at 0 it tends to 0
                 return self.base.value(0.0)
-            return self.base.value(inv) - inv * self.base.value(inv, 1)
-        # one factor 1/x at a time: x**3 overflows above about 5.6e102, and
-        # inf * 0 at x = inf maps to +inf as phi's NaN does
-        v = self.base.value(inv, 2) * inv * inv * inv
+            v = self.base.value(inv) - inv * self.base.value(inv, 1)
+        else:
+            # one factor 1/x at a time: x**3 overflows above about 5.6e102
+            v = self.base.value(inv, 2) * inv * inv * inv
+        # an inf - inf (1/x beyond the base's domain, or overflowing), or
+        # inf * 0 at x = inf, maps to +inf as phi's NaN does
         return INF if v != v else v
 
     def conjugate(self) -> DivergenceSpec:
@@ -245,6 +235,13 @@ class ConjugateSpec(DivergenceSpec):
         if not x > 0.0:
             return INF
         return -self.base.value(1.0 / x, 1)
+
+    # arrays run element by element through the float path, which they equal bit for bit
+    def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
+        return np.array([self.value(float(v), order) for v in np.ravel(x)]).reshape(np.shape(x))
+
+    def sharp_array(self, x: np.ndarray) -> np.ndarray:
+        return np.array([self.sharp(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
 
 
 def cell_divergence(spec: DivergenceSpec, q, p) -> float:

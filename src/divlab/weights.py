@@ -32,27 +32,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _SHARP, INF, ConjugateSpec, CressieRead, DivergenceSpec, _check_order
+from .divergences import INF, ConjugateSpec, CressieRead, DivergenceSpec
 from .errors import ValidationError
 
 _LOG2 = math.log(2.0)
 
-# phi, phi', phi'' and phi# (in that order) of the two-point transform on
-# (0, 2), each a (near, far) pair of expressions in x, u = x - 1 and ``m``,
-# the math module for a float and numpy for an array.  The near form holds
-# for |u| < 1/2: there u is exact and the log forms in x cancel.  The far
-# form holds elsewhere: there u = x - 1 drops the low bits of x or 2 - x.
+
+def _near_far(near, far):
+    """One table form from a near and a far expression in x, u = x - 1 and ``m``.
+
+    The near one holds for |u| < 1/2: there u is exact and the log forms in x
+    cancel.  The far one holds elsewhere: there u drops the low bits of x or 2 - x.
+    """
+    def form(x, m):
+        u = x - 1.0
+        if m is math:
+            return (near if abs(u) < 0.5 else far)(x, u, m)
+        # each expression is finite on its own half, whose values are kept
+        return np.where(np.abs(u) < 0.5, near(x, u, m), far(x, u, m))
+    return form
+
+
+# phi, phi', phi'' and phi# of the two-point transform on (0, 2)
 _TWO_POINT_FORMS = (
-    (
+    _near_far(
         lambda x, u, m: 0.5 * (u * m.log1p(2.0 * u / (1.0 - u)) + m.log1p(-u * u)),
         lambda x, u, m: 0.5 * (x * m.log(x) + (2.0 - x) * m.log(2.0 - x)),
     ),
-    (
+    _near_far(
         lambda x, u, m: 0.5 * m.log1p(2.0 * u / (1.0 - u)),
         lambda x, u, m: 0.5 * (m.log(x) - m.log(2.0 - x)),
     ),
-    (lambda x, u, m: 1.0 / (x * (2.0 - x)),) * 2,
-    (lambda x, u, m: -m.log1p(-u),) * 2,
+    # phi'' overflows to +inf below about 1e-308, in both paths
+    lambda x, m: 1.0 / (x * (2.0 - x)),
+    lambda x, m: -m.log1p(1.0 - x),
 )
 # (phi, phi', phi'', phi#) at the domain ends 0 and 2 by continuity
 _TWO_POINT_ENDS = {0.0: (_LOG2, -INF, INF, -_LOG2), 2.0: (_LOG2, INF, INF, INF)}
@@ -64,52 +77,15 @@ class TwoPointTransform(DivergenceSpec):
 
     ``phi'(x) = atanh(x - 1)``, ``phi''(x) = 1 / (x (2 - x))`` and
     ``phi#(x) = -log(2 - x)`` on ``(0, 2)``; ``phi = log 2`` at both ends,
-    and every form is ``+inf`` outside ``[0, 2]``.  Scalar and array
-    evaluation share the expressions, as in :class:`CressieRead`: math's
-    arithmetic for a float, numpy's for an array.
+    and every form is ``+inf`` outside ``[0, 2]``.
     """
 
-    def value(self, x: float, order: int = 0) -> float:
-        _check_order(order)
-        return self._scalar(x, order)
+    def __post_init__(self):
+        # the open interval (0, 2) between its nearest floats
+        self._set_table(_TWO_POINT_FORMS, math.ulp(0.0), math.nextafter(2.0, 0.0), _TWO_POINT_ENDS)
 
     def conjugate(self) -> DivergenceSpec:
         return ConjugateSpec(self)
-
-    def sharp(self, x: float) -> float:
-        return self._scalar(x, _SHARP)
-
-    def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
-        _check_order(order)
-        return self._array(x, order)
-
-    def sharp_array(self, x: np.ndarray) -> np.ndarray:
-        return self._array(x, _SHARP)
-
-    @staticmethod
-    def _scalar(x: float, form: int) -> float:
-        if 0.0 < x < 2.0:
-            u = x - 1.0
-            near, far = _TWO_POINT_FORMS[form]
-            return (near if abs(u) < 0.5 else far)(x, u, math)
-        ends = _TWO_POINT_ENDS.get(x)
-        return INF if ends is None else ends[form]
-
-    @staticmethod
-    def _array(x: np.ndarray, form: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, INF)
-        inside = (x > 0.0) & (x < 2.0)
-        xi = x[inside]
-        u = xi - 1.0
-        near, far = _TWO_POINT_FORMS[form]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # each form is finite on its own half, whose values are kept; phi'' overflows
-            # to +inf below about 1e-308, as the scalar path's division does
-            out[inside] = np.where(np.abs(u) < 0.5, near(xi, u, np), far(xi, u, np))
-        for end, values in _TWO_POINT_ENDS.items():
-            out[x == end] = values[form]
-        return out
 
 
 class WeightLaw(abc.ABC):

@@ -19,14 +19,23 @@ from divlab.divergences import (
     cell_divergence,
 )
 from divlab.errors import ValidationError
+from divlab.weights import TwoPointTransform
 
 GAMMAS = [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]
 
-#: arguments where float arithmetic overflows, underflows or meets inf - inf
+#: arguments where float arithmetic overflows, underflows or meets inf - inf,
+#: the domain ends 0 and 2 (the two-point transform's), 1 +- one ulp, and NaN
 EXTREMES = [
     -INF, -1e300, -1.0, 0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-160, 1e-100, 1e-10,
-    0.5, 1.0, 2.0, 1e10, 1e100, 1e160, 1e200, 1e300, sys.float_info.max, INF,
+    0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0,
+    1e10, 1e100, 1e160, 1e200, 1e300, sys.float_info.max, INF, math.nan,
 ]
+
+#: every table of forms the package evaluates, and both conjugate paths
+GENERATORS = [CressieRead(g) for g in (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)] + [
+    TwoPointTransform(), TwoPointTransform().conjugate(), ConjugateSpec(CressieRead(0.0)),
+]
+GENERATOR_IDS = [str(spec.gamma) for spec in GENERATORS[:-3]] + ["twopoint", "twopoint_conjugate", "kl_as_conjugate"]
 
 
 @pytest.fixture
@@ -181,22 +190,39 @@ class TestArrayPaths:
                 assert np.array_equal(out[: xp.shape[0]], expect[order])
                 assert out[xp.shape[0]:].tolist() == [spec.value(float(x), order) for x in edge]
 
-    @pytest.mark.parametrize("g", [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
-    def test_scalar_and_array_agree_at_the_float_extremes(self, g):
+    @pytest.mark.parametrize("spec", GENERATORS, ids=GENERATOR_IDS)
+    def test_scalar_and_array_agree_at_the_float_extremes(self, spec):
         """No form raises or is NaN at the float extremes, and each scalar value
-        equals its array entry: the same infinity, or within 1e-13 relative."""
-        spec = CressieRead(g)
+        equals its array entry: the same infinity, or within 1e-13 relative.
+
+        Known defect (ROADMAP item 6): at 1 +- one ulp the power branch's forms
+        cancel to their last bits, and where numpy's power rounds differently
+        from the C library's (it does on AVX-512 hosts) the two paths differ
+        there.  Such a difference is reported as an expected failure once
+        every other point has passed."""
         xs = np.array(EXTREMES)
         forms = [(lambda x, o=o: spec.value(x, o), spec.value_array(xs, o)) for o in (0, 1, 2)]
         forms.append((spec.sharp, spec.sharp_array(xs)))
+        next_to_one = []
         for scalar, array in forms:
             for x, a in zip(EXTREMES, array.tolist()):
                 v = scalar(x)
                 assert not (math.isnan(v) or math.isnan(a)), x
                 if math.isinf(v) or math.isinf(a):
                     assert v == a, x
-                else:
-                    assert v == pytest.approx(a, rel=1e-13, abs=0.0), x
+                elif v != pytest.approx(a, rel=1e-13, abs=0.0):
+                    assert getattr(spec, "branch", None) == "power" and 0.0 < abs(x - 1.0) < 1e-15, (x, v, a)
+                    next_to_one.append((x, v, a))
+        if next_to_one:
+            pytest.xfail(f"power forms cancel next to 1 (ROADMAP item 6): {next_to_one}")
+
+    @pytest.mark.parametrize("spec", GENERATORS, ids=GENERATOR_IDS)
+    def test_nan_lies_outside_every_domain(self, spec):
+        """Every form is +inf at NaN, in the float and the array path."""
+        nan = np.array([math.nan])
+        assert [spec.value(math.nan, order) for order in (0, 1, 2)] + [spec.sharp(math.nan)] == [INF] * 4
+        arrays = [spec.value_array(nan, order) for order in (0, 1, 2)] + [spec.sharp_array(nan)]
+        assert [float(a[0]) for a in arrays] == [INF] * 4
 
     def test_sharp_array_matches_scalar(self, grid):
         """sharp_array equals elementwise sharp evaluation."""
