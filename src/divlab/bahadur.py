@@ -77,7 +77,7 @@ def _cell_divergence_rows(spec: DivergenceSpec, p_theta, counts: np.ndarray, mas
         charged = np.zeros(masses.shape[1], dtype=bool)
         charged[column] = True
         charged &= masses[j] > 0.0
-        terms = np.full(masses.shape[1], INF if pj > 0.0 else 0.0)
+        terms = np.full(masses.shape[1], cell_divergence(spec, (pj,), (0.0,)))  # mass 0: the null-cell term
         terms[charged] = masses[j, charged] * spec.value_array(pj / masses[j, charged])
         # the first cell's terms as they are, the others added in cell order:
         # the rounding of ``np.sum`` over a row
@@ -388,9 +388,9 @@ def empirical_slope_trend(
     probe, not a convergence assertion.
 
     The statistic of a sample with ``c`` first-cell counts is the plug-in
-    cell divergence at the masses ``(c / n, 1 - c / n)``: on a finite
-    support that is the supremum of the dual criterion.  It is ``+inf``
-    where a cell leaves the generator's domain.  At ``theta_prime = theta``
+    cell divergence at the masses ``(c / n, 1 - c / n)``, the dual supremum
+    on a finite support at every count: an empty cell adds ``p_j phi'(inf)``,
+    and a ratio outside the generator's domain reads ``+inf``.  At ``theta_prime = theta``
     the threshold is 0, so every replication hits.
     """
     check_trend(model, n_grid, reps)

@@ -87,7 +87,7 @@ class DivergenceSpec:
     this package treat infinite objective values as rejected points.  Where
     float arithmetic raises or gives NaN (overflow, a square underflowing to
     zero, ``inf - inf``), the float path returns the array path's value,
-    where ``phi`` maps a NaN to ``+inf``, its limit.
+    where a NaN maps to ``+inf``, its limit.
     """
 
     def value(self, x: float, order: int = 0) -> float:
@@ -96,7 +96,8 @@ class DivergenceSpec:
         return self._scalar(x, order)
 
     def conjugate(self) -> "DivergenceSpec":
-        raise NotImplementedError
+        """The generator ``x * phi(1/x)``, which swaps the divergence's arguments."""
+        return ConjugateSpec(self)
 
     def sharp(self, x: float) -> float:
         """Return ``x * phi'(x) - phi(x)``, ``+inf`` outside the domain."""
@@ -141,8 +142,7 @@ class DivergenceSpec:
         inside = (x >= self._lo) & (x <= self._hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out[inside] = self._forms[form](x[inside], np)
-        if form == 0:
-            out[np.isnan(out)] = INF
+        out[np.isnan(out)] = INF
         for end, values in self._ends.items():
             out[x == end] = values[form]
         return out
@@ -199,66 +199,56 @@ class CressieRead(DivergenceSpec):
 class ConjugateSpec(DivergenceSpec):
     """Generic conjugate ``x * base(1/x)`` of a generator without closed form.
 
-    Derivatives follow from the product rule:
-
-        conj'(x)  = base(1/x) - (1/x) * base'(1/x)
-        conj''(x) = base''(1/x) / x**3
-        conj#(x)  = -base'(1/x)
+    Its table reads the base's own evaluator at ``y = 1/x``: ``x base(y)``,
+    ``-base#(y)``, ``base''(y) y**3`` and ``-base'(y)``, on the ``x > 0``
+    whose ``y`` lies in the base's domain, its ends included.  Where the base
+    is finite at 0, ``x = +inf`` takes the limits ``(+inf, -base#(0), 0,
+    -base'(0))``.
     """
 
     base: DivergenceSpec
 
-    def value(self, x: float, order: int = 0) -> float:
-        _check_order(order)
-        if not x > 0.0:
-            return INF
-        inv = 1.0 / x
-        if order == 0:
-            return x * self.base.value(inv)
-        if order == 1:
-            if inv == 0.0:
-                # x = inf: inv * base'(inv) is 0 * (-inf) when base'(0) = -inf,
-                # but for a convex base finite at 0 it tends to 0
-                return self.base.value(0.0)
-            v = self.base.value(inv) - inv * self.base.value(inv, 1)
-        else:
-            # one factor 1/x at a time: x**3 overflows above about 5.6e102
-            v = self.base.value(inv, 2) * inv * inv * inv
-        # an inf - inf (1/x beyond the base's domain, or overflowing), or
-        # inf * 0 at x = inf, maps to +inf as phi's NaN does
-        return INF if v != v else v
+    def __post_init__(self):
+        b = self.base
+
+        def at(x, m, k):  # the base's form k at y = 1/x, through its own evaluator
+            return (b._scalar if m is math else b._array)(1.0 / x, k)
+
+        # the base's domain: its interval and the ends where it is finite
+        ys = [b._lo, b._hi, *(y for y, end in b._ends.items() if end[0] < INF)]
+        lo = max(1.0 / max(ys), math.ulp(0.0))
+        hi = min(1.0 / max(min(ys), math.ulp(0.0)), math.nextafter(INF, 0.0))
+        while 1.0 / lo > max(ys):  # where 1/x rounds back across an end
+            lo = math.nextafter(lo, INF)
+        while 1.0 / hi < min(ys):
+            hi = math.nextafter(hi, 0.0)
+        self._set_table((
+            lambda x, m: x * at(x, m, 0),
+            lambda x, m: -at(x, m, _SHARP),
+            lambda x, m: at(x, m, 2) * (y := 1.0 / x) * y * y,  # y**3 overflows above 5.6e102
+            lambda x, m: -at(x, m, 1),
+        ), lo, hi, {INF: (INF, -b._scalar(0.0, _SHARP), 0.0, -b._scalar(0.0, 1))} if min(ys) <= 0.0 else {})
 
     def conjugate(self) -> DivergenceSpec:
         return self.base
-
-    def sharp(self, x: float) -> float:
-        if not x > 0.0:
-            return INF
-        return -self.base.value(1.0 / x, 1)
-
-    # arrays run element by element through the float path, which they equal bit for bit
-    def value_array(self, x: np.ndarray, order: int = 0) -> np.ndarray:
-        return np.array([self.value(float(v), order) for v in np.ravel(x)]).reshape(np.shape(x))
-
-    def sharp_array(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.sharp(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
 
 
 def cell_divergence(spec: DivergenceSpec, q, p) -> float:
     """``sum_j p_j phi(q_j / p_j)`` over aligned cell masses ``q`` and ``p``.
 
-    A shared null cell (``q_j = p_j = 0``) contributes nothing; mass of
-    ``q`` on a null cell of ``p``, or a ratio outside the generator's
-    domain, makes the divergence ``+inf``.  Terms are summed in cell order.
+    A null cell of ``p`` adds the limit ``0 * phi(q_j / 0) = q_j phi'(inf)``
+    (Liese & Vajda, *Convex Statistical Distances*, 1987), where ``phi'(inf) =
+    spec.value(INF, 1)``: nothing for ``q_j = 0``, ``+inf`` for ``q_j < 0``.
+    A ratio outside the generator's domain, or an infinite term, makes the
+    divergence ``+inf``.  Terms are summed in cell order.
     """
     total = 0.0
     for qj, pj in zip(q, p):
         if pj == 0.0:
-            if qj != 0.0:
-                return INF
-            continue
-        v = spec.value(qj / pj, 0)
+            v = 0.0 if qj == 0.0 else qj * spec.value(INF, 1) if qj > 0.0 else INF
+        else:
+            v = pj * spec.value(qj / pj, 0)
         if math.isinf(v):
             return INF
-        total += pj * v
+        total += v
     return float(total)

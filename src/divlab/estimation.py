@@ -390,25 +390,21 @@ def _categorical_sup(crit: _DualCriterion, theta):
     adds ``wbar p_j phi'(r_j) - m_j phi#(r_j)``, ``r_j = p_j / alpha_j``.  For
     ``m_j > 0`` it peaks at ``alpha_j = m_j / wbar`` with the value ``m_j
     phi(wbar p_j / m_j)``; those alphas sum to one, so the supremum is ``wbar
-    cell_divergence(spec, p, m / wbar)`` (Broniatowski & Keziou, JMVA 2009).
-    A cell with ``m_j <= 0`` rises towards ``wbar p_j phi'(inf) - m_j
-    phi#(inf)`` as ``alpha_j`` falls to 0, and that edge limit is reported:
-    ``+inf`` when a limit it uses is, ``wbar p_j`` for an empty cell at index
-    0.  A negative cell with finite limits, or ``wbar <= 0``, has no closed
-    form and raises :class:`NumericError`.
+    cell_divergence(spec, p, m / wbar)`` (Broniatowski & Keziou, JMVA 2009),
+    an empty cell included: it rises towards ``wbar p_j phi'(inf)`` as
+    ``alpha_j`` falls to 0, :func:`cell_divergence`'s null-cell term.  A
+    negative cell rises towards ``wbar p_j phi'(inf) - m_j phi#(inf)``,
+    ``+inf`` when a limit it uses is; finite limits, or ``wbar <= 0``, have
+    no closed form and raise :class:`NumericError`.
     """
     p, m = crit.model.probs(theta), crit.atom_masses
-    wbar, charged, negative = float(np.sum(m)), m > 0.0, m < 0.0
+    wbar, charged = float(np.sum(m)), m > 0.0
     if wbar > 0.0:
         alpha = np.where(charged, m, 0.0) / float(np.sum(m[charged]))
-        if charged.all():
+        if not np.any(m < 0.0):
             return wbar * cell_divergence(crit.spec, p, alpha), alpha[:-1]
-        slope, sharp = crit.spec.value(INF, 1), crit.spec.sharp(INF)
-        if math.isinf(slope) or (negative.any() and math.isinf(sharp)):
+        if math.isinf(crit.spec.value(INF, 1)) or math.isinf(crit.spec.sharp(INF)):
             return INF, alpha[:-1]
-        if not negative.any():
-            edge = slope * float(np.sum(p[~charged]))
-            return wbar * (cell_divergence(crit.spec, p[charged], alpha[charged]) + edge), alpha[:-1]
     raise NumericError(f"weighted cell masses {tuple(m.tolist())}: no closed-form dual supremum")
 
 

@@ -205,10 +205,12 @@ def neighborhood_inf_divergence(spec: DivergenceSpec, neighborhood: PartitionNei
     inside its bounds has ``phi'(q_j / p_j)`` equal to the multiplier of the
     total mass, hence one common ratio ``s``, and a cell at a bound is one
     that ``s * p_j`` would cross (Csiszar, Ann. Probab. 1975, I-projections).
-    A scale outside the generator's domain gives ``+inf``.  A reference
-    inside the box is its own minimizer and is taken as it is: scaling it to
-    unit float mass can move its ratios off 1 by an ulp, and a power of
-    index 1e30 overflows there.
+    A scale outside the generator's domain gives ``+inf``, and so does a null
+    cell of ``p`` with ``lo_j > 0``, by the support rule, not the limit ``q_j
+    phi'(inf)``: no data point lands there, so the weighted measure never
+    charges it.  A reference inside the box is its own minimizer and is
+    taken as it is: scaling it to unit float mass can move its ratios off 1
+    by an ulp, and a power of index 1e30 overflows there.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[0] != neighborhood.k:
@@ -216,7 +218,7 @@ def neighborhood_inf_divergence(spec: DivergenceSpec, neighborhood: PartitionNei
     _check_prob_vector(p)
     lo, hi = neighborhood.closed_box()
     null = p == 0.0
-    # a cell that the reference never charges forces the candidate to zero
+    # the support rule: the weighted measure never charges a null cell of p
     if np.any(null & (lo > 0.0)):
         return INF
     hi[null] = 0.0

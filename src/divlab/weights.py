@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import INF, ConjugateSpec, CressieRead, DivergenceSpec
+from .divergences import INF, CressieRead, DivergenceSpec
 from .errors import ValidationError
 
 _LOG2 = math.log(2.0)
@@ -83,9 +83,6 @@ class TwoPointTransform(DivergenceSpec):
     def __post_init__(self):
         # the open interval (0, 2) between its nearest floats
         self._set_table(_TWO_POINT_FORMS, math.ulp(0.0), math.nextafter(2.0, 0.0), _TWO_POINT_ENDS)
-
-    def conjugate(self) -> DivergenceSpec:
-        return ConjugateSpec(self)
 
 
 class WeightLaw(abc.ABC):

@@ -472,14 +472,19 @@ CONTRACT_VALUES = ("0", "-1", "1e30", "nan", "inf", "-inf", "")
 
 
 def _one_field_changed():
-    """Every ``RERUN_CONFIGS`` base with one schema field set to one edge value."""
+    """Every ``RERUN_CONFIGS`` base with one schema field set to one edge
+    value, and each list-valued field also to a one-element list: the base's
+    first entry, or 1 where the base leaves the field out."""
     for base in RERUN_CONFIGS.values():
-        for field in sorted(set(cli.SCHEMAS[base[0]]) - {"out"}):
+        schema = cli.SCHEMAS[base[0]]
+        for field in sorted(set(schema) - {"out"}):
             flag = f"--{field}"
-            argv = list(base)
+            argv, first = list(base), "1"
             if flag in argv:
+                first = argv[argv.index(flag) + 1].split(",")[0]
                 del argv[argv.index(flag):argv.index(flag) + 2]
-            for value in CONTRACT_VALUES:
+            listed = schema[field][0] in (cli._as_floats, cli._as_ints)
+            for value in CONTRACT_VALUES + ((first,) if listed else ()):
                 # "--key=value" keeps argparse from reading "-1" or "-inf" as a flag
                 yield argv + [f"{flag}={value}"]
 

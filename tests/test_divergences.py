@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import rel_entr
 
@@ -224,6 +224,27 @@ class TestArrayPaths:
         arrays = [spec.value_array(nan, order) for order in (0, 1, 2)] + [spec.sharp_array(nan)]
         assert [float(a[0]) for a in arrays] == [INF] * 4
 
+    @pytest.mark.parametrize("path", ["float", "array"])
+    def test_conjugate_forms_keep_their_precision_far_below_one(self, path):
+        """The Kullback-Leibler generator written as the conjugate of index 0
+        reads phi'(x) = -phi0#(1/x) = log x down to 1e-300 and -inf below
+        1/max float, where 1/x overflows; phi''(x) = 1/x wherever
+        phi0''(1/x) = x**2 is a normal float (at 1e-300 it underflows)."""
+        spec = ConjugateSpec(CressieRead(0.0))
+        value = spec.value if path == "float" else lambda x, o: float(spec.value_array(np.array([x]), o)[0])
+        assert value(1e-300, 1) == pytest.approx(math.log(1e-300), rel=1e-15, abs=0.0)
+        assert value(1e-310, 1) == -INF
+        assert value(1e-150, 2) == pytest.approx(1e150, rel=1e-15, abs=0.0)
+
+    def test_conjugate_is_infinite_outside_its_domain(self):
+        """The two-point conjugate is finite on [1/2, inf]; at 0.3 all four
+        forms read +inf in both paths, phi# included (it read -inf)."""
+        spec = TwoPointTransform().conjugate()
+        forms = [spec.value(0.3, o) for o in (0, 1, 2)] + [spec.sharp(0.3)]
+        arrays = [spec.value_array(np.array([0.3]), o) for o in (0, 1, 2)] + [spec.sharp_array(np.array([0.3]))]
+        assert forms + [float(a[0]) for a in arrays] == [INF] * 8
+        assert spec.value(0.5) == pytest.approx(0.5 * math.log(2.0), rel=1e-15)
+
     def test_sharp_array_matches_scalar(self, grid):
         """sharp_array equals elementwise sharp evaluation."""
         for g in GAMMAS:
@@ -279,7 +300,7 @@ class TestConjugation:
             x = float(x)
             assert wrapped.value(x) == pytest.approx(closed.value(x), rel=1e-10, abs=1e-12)
             assert wrapped.value(x, order=1) == pytest.approx(
-                closed.value(x, order=1), rel=1e-6, abs=1e-6
+                closed.value(x, order=1), rel=1e-12, abs=1e-12
             )
 
 
@@ -338,19 +359,29 @@ class TestFiniteDivergence:
         assert cell_divergence(CressieRead(1.0), [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]) == pytest.approx(0.0, abs=1e-15)
 
     @given(
-        st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=3, max_size=3),
-        st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=3, max_size=3),
-        st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+        st.lists(st.sampled_from([0.0, 0.4]) | st.floats(min_value=0.05, max_value=3.0), min_size=3, max_size=3),
+        st.lists(st.sampled_from([0.0, 0.4]) | st.floats(min_value=0.05, max_value=3.0), min_size=3, max_size=3),
+        st.sampled_from(GAMMAS + ["twopoint"]),
     )
-    @settings(max_examples=150, deadline=None)
+    @example([0.5, 0.5, 0.0], [1.0, 0.0, 0.0], 0.5)
+    @settings(max_examples=300, deadline=None)
     def test_conjugation_swaps_arguments(self, qm, pm, g):
-        """divergence(phi~; p, q) equals divergence(phi; q, p) for positive measures."""
-        direct = cell_divergence(CressieRead(g), qm, pm)
-        swapped = cell_divergence(CressieRead(g).conjugate(), pm, qm)
+        """divergence(phi~; p, q) equals divergence(phi; q, p), null cells
+        included: ``0 * phi(a / 0) = a phi'(inf)`` on one side is ``a *
+        phi~(0)`` on the other."""
+        spec = TwoPointTransform() if g == "twopoint" else CressieRead(g)
+        direct = cell_divergence(spec, qm, pm)
+        swapped = cell_divergence(spec.conjugate(), pm, qm)
         assert direct == pytest.approx(swapped, rel=1e-12, abs=1e-12)
 
 
 MASSES = st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=4)
+
+#: generators with their recession slopes phi'(inf) in closed form: 1 / (1 - gamma)
+#: below index 1, log 2 for the two-point conjugate, +inf otherwise
+RECESSION = [(CressieRead(g), 1.0 / (1.0 - g) if g < 1.0 else INF) for g in GAMMAS + [-0.5]] + [
+    (TwoPointTransform(), INF), (TwoPointTransform().conjugate(), math.log(2.0)),
+]
 
 
 class TestCellDivergence:
@@ -364,12 +395,16 @@ class TestCellDivergence:
         spec = CressieRead(g)
         assert cell_divergence(spec, q + [0.0], p + [0.0]) == cell_divergence(spec, q, p)
 
-    @given(MASSES, MASSES, st.floats(min_value=-3.0, max_value=3.0).filter(bool), st.sampled_from(GAMMAS))
-    @settings(max_examples=100, deadline=None)
-    def test_mass_on_reference_null_cell_is_infinite(self, qm, pm, extra, g):
-        """Any nonzero mass of q on a cell where p vanishes gives +inf."""
+    @given(MASSES, MASSES, st.floats(min_value=-3.0, max_value=3.0).filter(bool), st.sampled_from(RECESSION))
+    @settings(max_examples=200, deadline=None)
+    def test_mass_on_reference_null_cell_takes_the_limit(self, qm, pm, extra, spec_slope):
+        """Mass ``a`` of q on a cell where p vanishes adds the limit ``0 *
+        phi(a / 0) = a phi'(inf)`` for ``a > 0``, and gives +inf for ``a < 0``."""
         q, p = qm[: len(pm)], pm[: len(qm)]
-        assert cell_divergence(CressieRead(g), q + [extra], p + [0.0]) == INF
+        spec, slope = spec_slope
+        assert spec.value(INF, 1) == slope
+        expect = cell_divergence(spec, q, p) + extra * slope if extra > 0.0 else INF
+        assert cell_divergence(spec, q + [extra], p + [0.0]) == expect
 
     @given(MASSES, MASSES, st.floats(min_value=-3.0, max_value=-1e-3), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]))
     @settings(max_examples=100, deadline=None)

@@ -234,24 +234,29 @@ class TestDualCriterion:
             assert (alpha, value) == self._sup_on_box(model, spec, 1.0, mu, model.pilot_estimate(x))
             assert -1.5 <= alpha <= 4.5
 
-    def test_fixed_theta_categorical_estimate_with_an_empty_cell(self):
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5])
+    def test_fixed_theta_categorical_estimate_with_an_empty_cell(self, gamma):
         """A cell without weighted mass leaves no root, and the fixed-theta
         supremum is its limit at the simplex edge alpha_j -> 0: +inf at index
-        1, and at index 0 the empty cell adds wbar p_j to the charged cells'
-        closed form, a value the criterion approaches from below."""
+        1, and below it the empty cell adds wbar p_j phi'(inf) = wbar p_j / (1 -
+        gamma) to the charged cells' closed form, a value the criterion
+        approaches from below.  That is cell_divergence's null-cell term, so
+        the supremum is wbar cell_divergence(spec, p, alpha), 0 on that cell."""
         model = Categorical(3)
         mu = WeightedEmpiricalMeasure((0.0, 0.0, 1.0, 1.0), (1.0, 2.0, 1.0, 0.5))
         with pytest.raises(NumericError):
             minimum_dual_estimator(model, CressieRead(1.0), mu)
         assert estimate_phi_dual(model, CressieRead(1.0), (0.3, 0.3), mu)[0] == INF
-        spec = CressieRead(0.0)
+        spec = CressieRead(gamma)
         value, alpha = estimate_phi_dual(model, spec, (0.3, 0.3), mu)
         wbar = 3.0 / 4.0 + 1.5 / 4.0
         assert alpha.tolist() == [2.0 / 3.0, 1.0 / 3.0]
-        assert value == pytest.approx(wbar * (cell_divergence(spec, (0.3, 0.3), alpha) + 0.4), rel=1e-15)
+        assert value == pytest.approx(wbar * (cell_divergence(spec, (0.3, 0.3), alpha) + 0.4 / (1.0 - gamma)), rel=1e-15)
+        assert value == wbar * cell_divergence(spec, model.probs((0.3, 0.3)), (*alpha, 0.0))
         crit = _DualCriterion(model, spec, mu)
+        # the gap closes like alpha_j**(1 - gamma): from 0.14 to 1.4e-3 at index 0.5
         near = [value - crit((0.3, 0.3), alpha * (1.0 - t)) for t in (1e-2, 1e-4, 1e-6)]
-        assert 0.0 < near[2] < near[1] < near[0] < 0.02
+        assert 0.0 < near[2] < near[1] < near[0] < 0.2 and near[2] < near[0] / 50.0
 
     @pytest.mark.parametrize("weights, spec, expect", [
         ((1.0, 1.0, -0.5), CressieRead(0.0), INF),
