@@ -71,13 +71,14 @@ def _cell_divergence_rows(spec: DivergenceSpec, p_theta, counts: np.ndarray, mas
     Each cell's term is evaluated once per distinct count in its column
     whose mass is positive, in ascending order, and looked up by count.
     """
+    slope = spec.value(INF, 1)  # phi'(inf): mass 0 adds cell_divergence's null-cell term p_j phi'(inf)
     out = None
     for j, pj in enumerate(p_theta):
         column = counts[:, j]
         charged = np.zeros(masses.shape[1], dtype=bool)
         charged[column] = True
         charged &= masses[j] > 0.0
-        terms = np.full(masses.shape[1], cell_divergence(spec, (pj,), (0.0,)))  # mass 0: the null-cell term
+        terms = np.full(masses.shape[1], pj * slope if pj > 0.0 else 0.0)
         terms[charged] = masses[j, charged] * spec.value_array(pj / masses[j, charged])
         # the first cell's terms as they are, the others added in cell order:
         # the rounding of ``np.sum`` over a row

@@ -196,6 +196,12 @@ def _box_projection(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return q
 
 
+def _charges_null_cell(q, p) -> bool:
+    """The support rule: mass of ``q`` on a null cell of ``p`` reads ``+inf``, not the limit ``q_j phi'(inf)`` of
+    :func:`cell_divergence`, since no data point lands there and the weighted measure never charges it."""
+    return bool(np.any((p == 0.0) & (q > 0.0)))
+
+
 def neighborhood_inf_divergence(spec: DivergenceSpec, neighborhood: PartitionNeighborhood, p) -> float:
     """Infimum of ``sum_j p_j phi(q_j / p_j)`` over the probability vectors
     in the closed cell box.
@@ -205,23 +211,20 @@ def neighborhood_inf_divergence(spec: DivergenceSpec, neighborhood: PartitionNei
     inside its bounds has ``phi'(q_j / p_j)`` equal to the multiplier of the
     total mass, hence one common ratio ``s``, and a cell at a bound is one
     that ``s * p_j`` would cross (Csiszar, Ann. Probab. 1975, I-projections).
-    A scale outside the generator's domain gives ``+inf``, and so does a null
-    cell of ``p`` with ``lo_j > 0``, by the support rule, not the limit ``q_j
-    phi'(inf)``: no data point lands there, so the weighted measure never
-    charges it.  A reference inside the box is its own minimizer and is
-    taken as it is: scaling it to unit float mass can move its ratios off 1
-    by an ulp, and a power of index 1e30 overflows there.
+    A scale outside the generator's domain gives ``+inf``, and so does a box
+    that needs mass on a null cell of ``p``, by :func:`_charges_null_cell`.
+    A reference inside the box is its own minimizer and is taken as it is:
+    scaling it to unit float mass can move its ratios off 1 by an ulp, and a
+    power of index 1e30 overflows there.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[0] != neighborhood.k:
         raise ValidationError(f"expected {neighborhood.k} cell masses, got {p.shape[0]}")
     _check_prob_vector(p)
     lo, hi = neighborhood.closed_box()
-    null = p == 0.0
-    # the support rule: the weighted measure never charges a null cell of p
-    if np.any(null & (lo > 0.0)):
+    if _charges_null_cell(lo, p):
         return INF
-    hi[null] = 0.0
+    hi[p == 0.0] = 0.0
     if float(np.sum(lo)) > 1.0 + 1e-12 or float(np.sum(hi)) < 1.0 - 1e-12:
         raise ValidationError("no probability vector lies in the neighborhood box")
     q = p if np.all((lo <= p) & (p <= hi)) else _box_projection(p, lo, hi)
@@ -730,20 +733,16 @@ def shrink_epsilon_limit(
 ) -> ShrinkTable:
     """Neighborhood infima along a shrinking radius grid.
 
-    As the radius shrinks the infimum grows to the point divergence of
-    the center from the reference; convergence is checked at the last
-    grid entry within 1e-6.
+    As the radius shrinks the infimum grows to the point divergence of the
+    center from the reference, under the same :func:`_charges_null_cell`
+    rule; convergence is checked at the last grid entry within 1e-6.
     """
     eps = check_radius_grid(eps_grid)
     c = np.asarray(center, dtype=float)
-    pv = np.asarray(p, dtype=float)
-    _check_prob_vector(pv)
-    rows = []
-    for e in eps:
-        v = neighborhood_inf_divergence(spec, PartitionNeighborhood(tuple(c), e, zero_cells), pv)
-        rows.append(ShrinkRow(epsilon=e, inf_value=v))
-    limit = cell_divergence(spec, c.tolist(), pv.tolist())
-    vals = [r.inf_value for r in rows]
+    pv = np.asarray(p, dtype=float)  # checked by the infimum at the first radius
+    vals = [neighborhood_inf_divergence(spec, PartitionNeighborhood(tuple(c), e, zero_cells), pv) for e in eps]
+    limit = INF if _charges_null_cell(c, pv) else cell_divergence(spec, c.tolist(), pv.tolist())
     monotone = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     converged = math.isfinite(vals[-1]) and abs(vals[-1] - limit) <= 1e-6
-    return ShrinkTable(rows=tuple(rows), limit_value=limit, converged=converged, monotone=monotone)
+    rows = tuple(ShrinkRow(epsilon=e, inf_value=v) for e, v in zip(eps, vals))
+    return ShrinkTable(rows=rows, limit_value=limit, converged=converged, monotone=monotone)

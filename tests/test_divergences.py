@@ -37,6 +37,27 @@ GENERATORS = [CressieRead(g) for g in (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0
 ]
 GENERATOR_IDS = [str(spec.gamma) for spec in GENERATORS[:-3]] + ["twopoint", "twopoint_conjugate", "kl_as_conjugate"]
 
+#: values a generator reads in both paths, as (x, order) -> value with order 3
+#: for phi#: the two-point conjugate at its domain's end, and the
+#: Kullback-Leibler generator as a conjugate far below 1, where 1/x nears the
+#: largest float or overflows
+KNOWN = {
+    "twopoint_conjugate": {(0.5, 0): 0.5 * math.log(2.0)},
+    "kl_as_conjugate": {(1e-300, 1): math.log(1e-300), (1e-310, 1): -INF, (1e-150, 2): 1e150},
+}
+
+#: points outside a generator's domain besides NaN: the two-point conjugate
+#: is finite only on [1/2, inf]
+OUTSIDE = {"twopoint_conjugate": [0.3]}
+
+
+def _forms(spec, x):
+    """phi, phi', phi'' and phi# at ``x``, in the float and in the array path."""
+    xs = np.array([x])
+    floats = [spec.value(x, order) for order in (0, 1, 2)] + [spec.sharp(x)]
+    arrays = [spec.value_array(xs, order) for order in (0, 1, 2)] + [spec.sharp_array(xs)]
+    return floats, [float(a[0]) for a in arrays]
+
 
 @pytest.fixture
 def grid():
@@ -190,10 +211,11 @@ class TestArrayPaths:
                 assert np.array_equal(out[: xp.shape[0]], expect[order])
                 assert out[xp.shape[0]:].tolist() == [spec.value(float(x), order) for x in edge]
 
-    @pytest.mark.parametrize("spec", GENERATORS, ids=GENERATOR_IDS)
-    def test_scalar_and_array_agree_at_the_float_extremes(self, spec):
+    @pytest.mark.parametrize("spec, known", [(s, KNOWN.get(i, {})) for s, i in zip(GENERATORS, GENERATOR_IDS)], ids=GENERATOR_IDS)
+    def test_scalar_and_array_agree_at_the_float_extremes(self, spec, known):
         """No form raises or is NaN at the float extremes, and each scalar value
         equals its array entry: the same infinity, or within 1e-13 relative.
+        The ``KNOWN`` values hold in both paths within 1e-15 relative.
 
         Known defect (ROADMAP item 6): at 1 +- one ulp the power branch's forms
         cancel to their last bits, and where numpy's power rounds differently
@@ -213,37 +235,19 @@ class TestArrayPaths:
                 elif v != pytest.approx(a, rel=1e-13, abs=0.0):
                     assert getattr(spec, "branch", None) == "power" and 0.0 < abs(x - 1.0) < 1e-15, (x, v, a)
                     next_to_one.append((x, v, a))
+        for (x, order), expect in known.items():
+            for path in _forms(spec, x):
+                assert path[order] == pytest.approx(expect, rel=1e-15, abs=0.0), (x, order)
         if next_to_one:
             pytest.xfail(f"power forms cancel next to 1 (ROADMAP item 6): {next_to_one}")
 
-    @pytest.mark.parametrize("spec", GENERATORS, ids=GENERATOR_IDS)
-    def test_nan_lies_outside_every_domain(self, spec):
-        """Every form is +inf at NaN, in the float and the array path."""
-        nan = np.array([math.nan])
-        assert [spec.value(math.nan, order) for order in (0, 1, 2)] + [spec.sharp(math.nan)] == [INF] * 4
-        arrays = [spec.value_array(nan, order) for order in (0, 1, 2)] + [spec.sharp_array(nan)]
-        assert [float(a[0]) for a in arrays] == [INF] * 4
-
-    @pytest.mark.parametrize("path", ["float", "array"])
-    def test_conjugate_forms_keep_their_precision_far_below_one(self, path):
-        """The Kullback-Leibler generator written as the conjugate of index 0
-        reads phi'(x) = -phi0#(1/x) = log x down to 1e-300 and -inf below
-        1/max float, where 1/x overflows; phi''(x) = 1/x wherever
-        phi0''(1/x) = x**2 is a normal float (at 1e-300 it underflows)."""
-        spec = ConjugateSpec(CressieRead(0.0))
-        value = spec.value if path == "float" else lambda x, o: float(spec.value_array(np.array([x]), o)[0])
-        assert value(1e-300, 1) == pytest.approx(math.log(1e-300), rel=1e-15, abs=0.0)
-        assert value(1e-310, 1) == -INF
-        assert value(1e-150, 2) == pytest.approx(1e150, rel=1e-15, abs=0.0)
-
-    def test_conjugate_is_infinite_outside_its_domain(self):
-        """The two-point conjugate is finite on [1/2, inf]; at 0.3 all four
-        forms read +inf in both paths, phi# included (it read -inf)."""
-        spec = TwoPointTransform().conjugate()
-        forms = [spec.value(0.3, o) for o in (0, 1, 2)] + [spec.sharp(0.3)]
-        arrays = [spec.value_array(np.array([0.3]), o) for o in (0, 1, 2)] + [spec.sharp_array(np.array([0.3]))]
-        assert forms + [float(a[0]) for a in arrays] == [INF] * 8
-        assert spec.value(0.5) == pytest.approx(0.5 * math.log(2.0), rel=1e-15)
+    @pytest.mark.parametrize("spec, outside", [(s, OUTSIDE.get(i, [])) for s, i in zip(GENERATORS, GENERATOR_IDS)], ids=GENERATOR_IDS)
+    def test_nan_lies_outside_every_domain(self, spec, outside):
+        """Every form is +inf at NaN and at the ``OUTSIDE`` points, in the
+        float and the array path (the two-point conjugate's phi# included)."""
+        for x in [math.nan] + outside:
+            floats, arrays = _forms(spec, x)
+            assert floats + arrays == [INF] * 8, x
 
     def test_sharp_array_matches_scalar(self, grid):
         """sharp_array equals elementwise sharp evaluation."""

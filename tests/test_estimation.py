@@ -254,9 +254,12 @@ class TestDualCriterion:
         assert value == pytest.approx(wbar * (cell_divergence(spec, (0.3, 0.3), alpha) + 0.4 / (1.0 - gamma)), rel=1e-15)
         assert value == wbar * cell_divergence(spec, model.probs((0.3, 0.3)), (*alpha, 0.0))
         crit = _DualCriterion(model, spec, mu)
-        # the gap closes like alpha_j**(1 - gamma): from 0.14 to 1.4e-3 at index 0.5
-        near = [value - crit((0.3, 0.3), alpha * (1.0 - t)) for t in (1e-2, 1e-4, 1e-6)]
-        assert 0.0 < near[2] < near[1] < near[0] < 0.2 and near[2] < near[0] / 50.0
+        # the gap closes like alpha_j**(1 - gamma), between one and two times
+        # t**(1 - gamma) at every t: below 0.02 at index 0 and t = 1e-2
+        ts = (1e-2, 1e-4, 1e-6)
+        near = [value - crit((0.3, 0.3), alpha * (1.0 - t)) for t in ts]
+        assert 0.0 < near[2] < near[1] < near[0]
+        assert all(t ** (1.0 - gamma) < gap < 2.0 * t ** (1.0 - gamma) for t, gap in zip(ts, near))
 
     @pytest.mark.parametrize("weights, spec, expect", [
         ((1.0, 1.0, -0.5), CressieRead(0.0), INF),

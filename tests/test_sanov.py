@@ -671,6 +671,16 @@ class TestShrinkingRadius:
         expect = 0.5 * math.log(0.5 / 0.3) + 0.5 * math.log(0.5 / 0.7)
         assert table.limit_value == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5])
+    def test_center_charging_a_reference_null_cell_has_an_infinite_limit(self, gamma):
+        """Below index 1 phi'(inf) is finite, but the infima keep the support
+        rule and read +inf once the box leaves the null cell charged; the
+        limit follows the same rule (the CLI's ``sanov --mode shrink --law
+        exp1 --center 0.4,0.3,0.3 --theta 0.5,0.5,0``)."""
+        table = shrink_epsilon_limit(CressieRead(gamma), [0.4, 0.3, 0.3], [0.5, 0.5, 0.0], [0.5, 0.1, 0.01])
+        assert [row.inf_value for row in table.rows][1:] == [INF, INF] and math.isfinite(table.rows[0].inf_value)
+        assert table.limit_value == INF and table.monotone and not table.converged
+
     def test_negative_reference_rejected(self):
         """Signed reference masses are a validation error."""
         with pytest.raises(ValidationError):
