@@ -1,9 +1,9 @@
-"""Deterministic search routines used by the labs: one golden-section
+"""Deterministic search routines used by the labs: the one golden-section
 search over a scalar, :func:`batch_golden_max`, row by row (one row in
-:func:`maximize_scalar`), the central-difference :func:`stencil`, and the
-simplex refinement :func:`nelder_mead`.  Objectives may return ``-inf``
-for rejected points and ``+inf`` where they are unbounded; comparisons
-handle both.
+:func:`maximize_scalar`, which also serves the three-cell slope refine),
+and the central-difference :func:`stencil`.  Objectives may return
+``-inf`` for rejected points and ``+inf`` where they are unbounded;
+comparisons handle both.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ import math
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: large but finite so the simplex spread stays arithmetically valid
-PENALTY = 1e300
 
 
 def stencil(x, lo, hi):
@@ -33,98 +30,6 @@ def maximize_scalar(f, lo: float, hi: float):
     """:func:`batch_golden_max` on the one row ``[lo, hi]``: ``(x, f(x))``."""
     x, fx = batch_golden_max(lambda x, rows: np.array([f(float(a)) for a in x]), np.array([lo]), np.array([hi]))
     return float(x[0]), float(fx[0])
-
-
-#: the simplex moves of Nelder & Mead (Comput. J. 7, 1965): reflection,
-#: expansion, contraction and shrink
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-#: the default initial simplex steps each coordinate by this fraction of
-#: itself, or to ``_ZERO_STEP`` when it is zero
-_STEP, _ZERO_STEP = 0.05, 0.00025
-
-
-def _penalized(f_min, lo: np.ndarray, hi: np.ndarray):
-    """``f_min`` scoring ``PENALTY`` outside ``[lo, hi]`` and at NaN, with
-    infinite values clamped to it."""
-
-    def penalized(x):
-        if np.any(x < lo) or np.any(x > hi):
-            return PENALTY
-        v = f_min(x)
-        if math.isnan(v):
-            return PENALTY
-        return min(max(v, -PENALTY), PENALTY)
-
-    return penalized
-
-
-def nelder_mead(
-    f_min,
-    start,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    xatol: float = 1e-8,
-    fatol: float = 1e-10,
-    max_iter: int = 500,
-):
-    """Nelder-Mead from one start on ``f_min`` penalized outside ``[lo, hi]``.
-
-    Points outside the box, and points where ``f_min`` is NaN, score a
-    large finite penalty; infinite values are clamped to it.  Returns the
-    final point and its penalized value, ``PENALTY`` when the search found
-    no admissible point.
-
-    The steps are those of scipy 1.17's ``minimize(method="Nelder-Mead")``
-    with ``xatol``, ``fatol`` and ``maxiter=max_iter``: the same initial
-    simplex, moves, vertex order and stopping rule, so the iterates, the
-    result and the number of evaluations agree bit for bit.
-    """
-    f = _penalized(f_min, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    x0 = np.asarray(start, dtype=float).ravel()
-    n = x0.shape[0]
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + _STEP) * x0[k] if x0[k] != 0 else _ZERO_STEP
-    fsim = np.array([f(row.copy()) for row in sim], dtype=float)
-    # sorted twice, as the reference does: argsort is not stable, so the
-    # second pass may reorder tied vertices
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    iterations = 1
-    while iterations < max_iter:
-        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                # outside contraction, kept unless worse than the reflection
-                xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
-                fxc = f(xc)
-                keep = fxc <= fxr
-            else:
-                # inside contraction, kept if better than the worst vertex
-                xc = (1 - _PSI) * xbar + _PSI * sim[-1]
-                fxc = f(xc)
-                keep = fxc < fsim[-1]
-            if keep:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j].copy())
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], float(np.min(fsim))
 
 
 #: fixed schedule of ``batch_golden_max``: scan points, then golden

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import PENALTY, nelder_mead
+from ._optim import maximize_scalar
 from .divergences import DivergenceSpec, INF, cell_divergence
 from .errors import ValidationError
 from .estimation import divergence_between
@@ -170,7 +170,9 @@ def slope_generic(
     probability vectors whose functional value reaches the alternative's:
     the statistic's own ``infimum`` when it has one, else on two cells the
     exact boundary search of :func:`_two_cell_infimum`, and on three a dense
-    simplex scan refined with local descent.
+    simplex scan whose best points :func:`_refine_constrained` refines along
+    the constraint boundary.  When ``p`` itself reaches the level, both
+    searches are skipped: the infimum is ``D(p) = 0``, attained at ``p``.
     """
     check_slopes(model)
     p = model.probs(theta)
@@ -178,9 +180,11 @@ def slope_generic(
     p_null = tuple(p.tolist())
     q_alt = model.probs(theta_prime)
     level = float(stat.evaluator(p_null, q_alt))
-    _check_functional_zero(stat, p_null, p)
+    at_null = _check_functional_zero(stat, p_null, p)
     if stat.infimum is not None:
         best_q, best_v = stat.infimum(p_null, q_alt)
+    elif at_null >= level:
+        best_q, best_v = p, 0.0
     elif model.k == 2:
         best_q, best_v = _two_cell_infimum(induced_divergence(law), p_null, stat, level)
     else:
@@ -195,32 +199,37 @@ def slope_generic(
     )
 
 
+def _boundary(feasible, near: float, far: float) -> float:
+    """The feasible end of ``[near, far]`` after at most 60 halvings, ``far``
+    feasible and ``near`` not; it stops when the midpoint rounds to an end."""
+    for _ in range(60):
+        mid = 0.5 * (near + far)
+        if mid in (near, far):
+            break
+        near, far = (near, mid) if feasible(mid) else (mid, far)
+    return far
+
+
 def _two_cell_infimum(spec: DivergenceSpec, p_null: tuple, stat: FunctionalStatistic, level: float):
     """The constrained infimum's minimizer and value on two cells, exactly.
 
     The divergence is convex in ``q_1`` with its minimum at ``p_1``, so each
     side's best is its feasible point nearest ``p_1``: the first point with
     ``psi >= level`` on the scan's lattice, walking outward from ``p_1``,
-    moved by at most 60 bisection steps towards its infeasible neighbour
-    (``p_1`` for the first lattice point).  The left side wins a tie.
+    moved by :func:`_boundary` towards its infeasible neighbour (``p_1``
+    for the first lattice point).  The left side wins a tie.
     """
 
     def feasible(x):
         return float(stat.evaluator(p_null, np.array([x, 1.0 - x]))) >= level
 
     p1 = p_null[0]
-    if feasible(p1):
-        return np.array(p_null), 0.0
     xs, found = _lattice_masses(2, int(round(1.0 / GRID_STEP)))[0], []
     for side in (xs[xs < p1][::-1], xs[xs > p1]):
         near = p1
         for x in side.tolist():
             if feasible(x):
-                for _ in range(60):
-                    mid = 0.5 * (near + x)
-                    if mid in (near, x):
-                        break
-                    near, x = (near, mid) if feasible(mid) else (mid, x)
+                x = _boundary(feasible, near, x)
                 found.append(np.array([x, 1.0 - x]))
                 break
             near = x
@@ -244,45 +253,69 @@ def _scan_infimum(spec: DivergenceSpec, p: np.ndarray, p_null: tuple, stat: Func
     cand = lattice[feasible]
     del lattice, feasible
     div_vals = _cell_divergence_rows(spec, p, cand, masses)
-    starts = _start_indices(cand, masses, div_vals)
-    start_rows = masses[cells, cand[starts]]
-    best_q, best_v = start_rows[0], float(div_vals[starts[0]])
-    for q0 in start_rows:
-        q_ref, v_ref = _refine_constrained(spec, p_null, stat, level, q0)
-        if v_ref < best_v - 1e-12 or (
-            v_ref <= best_v + 1e-12 and tuple(q_ref) < tuple(best_q)
-        ):
-            best_q, best_v = q_ref, v_ref
-    return best_q, best_v
+    starts = masses[cells, cand[_start_indices(cand, masses, div_vals)]]
+    # the smallest divergence of the three refines, the earliest start on a tie
+    return min((_refine_constrained(spec, p_null, stat, level, q0) for q0 in starts), key=lambda qv: qv[1])
 
 
 def _refine_constrained(spec, p_null, stat, level, q0) -> tuple[np.ndarray, float]:
-    """Nelder-Mead on the first ``k - 1`` cell masses from the scan point ``q0``."""
-    k = len(p_null)
+    """The best boundary point on the rays from ``p`` within a quarter turn of the scan point ``q0``.
 
-    def simplex_point(free):
-        return np.concatenate([free, [1.0 - float(np.sum(free))]])
+    A ray leaves ``p`` at an angle ``phi`` in the first two cell masses, the
+    third taking the rest.  The divergence is convex along it with its
+    minimum at ``p``, so the ray's best feasible point is where it first
+    reaches ``psi >= level``: :func:`_boundary` between ``p`` and the ray's
+    end on the simplex.  A ray whose end is infeasible, or whose point has
+    an infinite divergence, scores ``-inf``.  The golden-section search
+    picks ``phi`` within ``pi / 2`` of ``q0``'s direction ``phi0``, on the
+    arc of finite scores around ``phi0`` when its own ray scores; ``q0`` is
+    kept when no ray scores.
+    """
+    p1, p2 = p_null[0], p_null[1]
 
-    def objective(free):
-        q = simplex_point(free)
-        if q[-1] < 0.0 or q[-1] > 1.0 or float(stat.evaluator(p_null, q)) < level - 1e-12:
-            return INF
-        return cell_divergence(spec, p_null, q)
+    def boundary_point(phi):
+        d1, d2 = math.cos(phi), math.sin(phi)
+        # the ray ends where the first of q_1, q_2 and q_3 = 1 - q_1 - q_2 reaches 0
+        reach = min(m / -d for m, d in zip(p_null, (d1, d2, -d1 - d2)) if d < 0.0)
 
-    free, v = nelder_mead(
-        objective, q0[: k - 1], np.zeros(k - 1), np.ones(k - 1), xatol=1e-9, fatol=1e-12, max_iter=400
-    )
-    if v >= PENALTY:
-        return np.asarray(q0, dtype=float), cell_divergence(spec, p_null, np.asarray(q0))
-    return simplex_point(free), v
+        def at(s):
+            q1, q2 = p1 + s * d1, p2 + s * d2
+            # the end's last cell can round below 0
+            return np.array([max(q1, 0.0), max(q2, 0.0), max(1.0 - q1 - q2, 0.0)])
+
+        def feasible(s):
+            return float(stat.evaluator(p_null, at(s))) >= level
+
+        return at(_boundary(feasible, 0.0, reach)) if feasible(reach) else None
+
+    def score(phi):
+        q = boundary_point(phi)
+        return -INF if q is None else -cell_divergence(spec, p_null, q)
+
+    def finite(phi):
+        return score(phi) > -INF
+
+    phi0 = math.atan2(q0[1] - p2, q0[0] - p1)
+    lo, hi = phi0 - 0.5 * math.pi, phi0 + 0.5 * math.pi
+    if finite(phi0):
+        # the arc of finite scores around phi0: interior points rejected on
+        # both sides of a narrow arc would send the search away from it
+        lo = lo if finite(lo) else _boundary(finite, lo, phi0)
+        hi = hi if finite(hi) else _boundary(finite, hi, phi0)
+    phi, v = maximize_scalar(score, lo, hi)
+    if v == -INF:
+        return q0, cell_divergence(spec, p_null, q0)
+    return boundary_point(phi), -v
 
 
-def _check_functional_zero(stat: FunctionalStatistic, p_null: tuple, p_theta: np.ndarray):
+def _check_functional_zero(stat: FunctionalStatistic, p_null: tuple, p_theta: np.ndarray) -> float:
+    """``psi(p_null, p_theta)``, which must vanish within 1e-8."""
     at_null = float(stat.evaluator(p_null, p_theta))
     if abs(at_null) > 1e-8:
         raise ValidationError(
             f"functional statistic {stat.name!r} must vanish at the model point, got {at_null}"
         )
+    return at_null
 
 
 @dataclass(frozen=True)

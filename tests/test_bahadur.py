@@ -92,6 +92,34 @@ def _reference_cell_divergence_rows(spec, p_theta, rows):
     return np.where(np.isfinite(out), out, INF)
 
 
+def _cell_mass_infimum(spec, p, level):
+    """The cell-mass statistic's infimum in closed form.
+
+    For a fixed ``q_1``, Jensen on the perspective puts the other cells in
+    proportion to ``p``; the divergence left is convex in ``q_1`` with its
+    minimum at ``p_1``, so the infimum is the smaller value at
+    ``q_1 = p_1 - level`` and ``q_1 = p_1 + level``, where they lie in [0, 1].
+    """
+    values = []
+    for q1 in (p[0] - level, p[0] + level):
+        if 0.0 <= q1 <= 1.0:
+            q = np.concatenate([[q1], np.asarray(p[1:]) * ((1.0 - q1) / (1.0 - p[0]))])
+            values.append(cell_divergence(spec, tuple(p), q))
+    return min(values)
+
+
+def _cell_mass_slope_gap(token, theta, theta_prime):
+    """``slope_generic`` of the CLI's cell-mass statistic on three cells
+    less minus twice its closed-form infimum; 0 where both are -inf."""
+    model, law = Categorical(3), weight_law(token)
+    stat = _make_statistic("cell_mass", model, law)
+    p = model.probs(theta)
+    level = stat.evaluator(tuple(p.tolist()), model.probs(theta_prime))
+    slope = slope_generic(model, law, stat, theta, theta_prime).slope
+    closed = -2.0 * _cell_mass_infimum(induced_divergence(law), p.tolist(), level) + 0.0
+    return 0.0 if slope == closed else slope - closed
+
+
 def _reference_simplex_grid(k, m):
     """The former float grid constructions, kept as the reference: meshgrid
     and mask for three cells, a mass and its complement for two."""
@@ -133,6 +161,11 @@ def _scan_candidates(draw):
     value = st.one_of(st.sampled_from([0.0, 0.25, 1.0, INF]), st.floats(0.0, 4.0))
     values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     return cand, values, draw(st.integers(1, n + 2))
+
+
+def _k3_parameter():
+    """The first two masses of a three-cell probability vector, each cell at least 0.01."""
+    return st.tuples(st.floats(0.01, 0.98), st.floats(0.01, 0.98)).filter(lambda t: t[0] + t[1] <= 0.99)
 
 
 # =============================================================================
@@ -391,6 +424,65 @@ class TestGenericSlope:
         assert closed.slope == slope_min_divergence(model, law, theta, theta_prime)
         assert closed.minimizer == tuple(model.probs(theta_prime).tolist())
 
+    @pytest.mark.parametrize("token", LAW_TOKENS)
+    @pytest.mark.parametrize(
+        "theta, theta_prime", [((0.3, 0.3), (0.2, 0.4)), ((0.2, 0.4), (0.55, 0.225))], ids=["golden_poisson1", "golden_twopoint"]
+    )
+    def test_k3_golden_configurations_reach_the_cell_mass_closed_form(self, token, theta, theta_prime):
+        """Both k=3 golden configurations, under every law, read the
+        closed-form cell-mass slope within 1e-14."""
+        assert abs(_cell_mass_slope_gap(token, theta, theta_prime)) <= 1e-14
+
+    def test_k3_coarse_scans_reach_the_cell_mass_closed_form(self, monkeypatch):
+        """On the 0.01 lattice, 40 seeded configurations, ten per law, null
+        and alternative uniform on the simplex, read the closed-form
+        cell-mass slope within 1e-13: the refine, not the lattice, sets the
+        precision.  Some feasible cones of rays are narrow (a far
+        alternative, or twopoint's finite region q_j >= p_j / 2)."""
+        monkeypatch.setattr(bahadur, "GRID_STEP", 0.01)
+        rng = np.random.default_rng(1207)
+        for i in range(40):
+            p, q = rng.dirichlet([1.0, 1.0, 1.0], size=2)
+            gap = _cell_mass_slope_gap(LAW_TOKENS[i % 4], tuple(p[:2]), tuple(q[:2]))
+            assert abs(gap) <= 1e-13, (LAW_TOKENS[i % 4], p, q, gap)
+
+    @pytest.mark.parametrize("token", LAW_TOKENS)
+    def test_refine_results_are_feasible_and_no_worse_than_their_starts(self, token, monkeypatch):
+        """Every refine lands on a point that reaches the level exactly and
+        whose divergence is at most its scan start's."""
+        monkeypatch.setattr(bahadur, "GRID_STEP", 0.01)
+        refine = bahadur._refine_constrained
+        runs = []
+
+        def recorded(spec, p_null, stat, level, q0):
+            q, v = refine(spec, p_null, stat, level, q0)
+            runs.append((spec, p_null, stat, level, q0, q, v))
+            return q, v
+
+        monkeypatch.setattr(bahadur, "_refine_constrained", recorded)
+        model, law = Categorical(3), weight_law(token)
+        stat = _make_statistic("cell_mass", model, law)
+        rng = np.random.default_rng(34)
+        configs = [((0.3, 0.3), (0.2, 0.4)), ((0.2, 0.4), (0.55, 0.225))]
+        configs += [(tuple(p[:2]), tuple(q[:2])) for p, q in rng.dirichlet([2.0, 2.0, 2.0], size=(4, 2))]
+        for theta, theta_prime in configs:
+            slope_generic(model, law, stat, theta, theta_prime)
+        assert len(runs) == 3 * len(configs)
+        for spec, p_null, stat, level, q0, q, v in runs:
+            assert stat.evaluator(p_null, q) >= level
+            assert v == cell_divergence(spec, p_null, q) <= cell_divergence(spec, p_null, q0)
+
+    @pytest.mark.parametrize("token", LAW_TOKENS)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_null_alternative_is_its_own_minimizer(self, token, k):
+        """At theta_prime = theta off the lattice, p itself reaches the level:
+        the slope is +0.0 and the minimizer is p, on both search paths."""
+        model, law = Categorical(k), weight_law(token)
+        theta = (1.0 / 3.0,) * (k - 1)
+        rec = slope_generic(model, law, _make_statistic("cell_mass", model, law), theta, theta)
+        assert rec.slope == 0.0 and math.copysign(1.0, rec.slope) == 1.0
+        assert rec.minimizer == tuple(model.probs(theta).tolist())
+
     def test_k3_scan_peak_memory(self):
         """One k=3 cell-mass slope peaks at 15 MB of traced allocations or less.
 
@@ -457,6 +549,22 @@ class TestEfficiencyComparison:
         model, law = Categorical(2), weight_law(token)
         rec = slope_generic(model, law, _make_statistic(psi, model, law), (p1,), (p1_alt,))
         assert rec.slope >= slope_min_divergence(model, law, (p1,), (p1_alt,)) - 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=_k3_parameter(),
+        theta_prime=_k3_parameter(),
+        token=st.sampled_from(LAW_TOKENS),
+        psi=st.sampled_from(["cell_mass", "divergence"]),
+    )
+    def test_ordering_holds_on_three_cells(self, theta, theta_prime, token, psi):
+        """On three cells and the 0.01 lattice, neither CLI statistic's slope
+        is more negative than the divergence statistic's."""
+        model, law = Categorical(3), weight_law(token)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bahadur, "GRID_STEP", 0.01)
+            rec = slope_generic(model, law, _make_statistic(psi, model, law), theta, theta_prime)
+        assert rec.slope >= slope_min_divergence(model, law, theta, theta_prime) - 1e-9
 
     def test_both_sign_conventions_recorded(self, pair_model):
         """The record states the ordering in signed and magnitude form."""

@@ -652,8 +652,8 @@ class TestPipelines:
         assert (tmp_path / "viafile.csv").read_bytes() == (tmp_path / "viaflags.csv").read_bytes()
 
     def test_categorical_k5_estimate_is_certified(self, tmp_path):
-        """A 5-cell estimate writes a real criterion value, not the search's
-        penalty sentinel, and converges."""
+        """A 5-cell estimate writes a real criterion value, not a 1e300
+        sentinel, and converges."""
         argv = ["estimate", "--model", "categorical", "--cells", "5",
                 "--data", str(DATA_DIR / "categorical_k5.csv")]
         assert _run(argv, tmp_path, "estimate_k5") == 0
@@ -753,14 +753,15 @@ class TestSlopeStatistics:
     @pytest.mark.parametrize(
         "law, theta, theta_prime, generic, min_div, minimizer",
         [
-            ("poisson1", (0.3, 0.3), (0.2, 0.4), -0.04320170828625977, -0.07066982139383012,
-             (0.399999999999, 0.2571428555372658, 0.3428571444637343)),
-            ("twopoint", (0.2, 0.4), (0.55, 0.225), -0.55079223049354786, -0.55079223049754056,
-             (0.54999999999900007, 0.22499999923232394, 0.22500000076867599)),
+            ("poisson1", (0.3, 0.3), (0.2, 0.4), -0.043201708287093091, -0.07066982139383012,
+             (0.39999999999999997, 0.25714285630809386, 0.34285714369190623)),
+            ("twopoint", (0.2, 0.4), (0.55, 0.225), -0.55079223049754078, -0.55079223049754056,
+             (0.55, 0.22500000134520101, 0.22499999865479894)),
         ],
     )
     def test_k3_cell_mass_slopes_are_pinned(self, law, theta, theta_prime, generic, min_div, minimizer):
-        """k=3 cell-mass slopes keep the values of the per-point reference scan."""
+        """k=3 cell-mass slopes keep the values of the scan and its ray refine;
+        each minimizer's first cell is on the boundary |q_1 - p_1| = level."""
         model = make_model("categorical", k=3)
         stat = cli._make_statistic("cell_mass", model, weight_law(law))
         rec = efficiency_compare(model, weight_law(law), stat, theta, theta_prime)
@@ -921,7 +922,9 @@ class TestImportHygiene:
         (["estimate", "--model", "categorical", "--cells", "2", "--data", "cells.csv"], None),
     ], ids=["slopes_k2_cell_mass", "slopes_k3_divergence", "sandwich", "rate", "ml_gap", "categorical_k2"])
     def test_exact_and_search_paths_load_no_scipy(self, argv, golden, tmp_path):
-        """Nelder-Mead, the multinomial log-pmf and its log-sum-exp are in-package.
+        """The two-cell boundary search, the multinomial log-pmf and its
+        log-sum-exp are in-package, as is the golden-section search that
+        refines a k=3 scan along rays.
 
         The k=3 divergence-statistic run, whose infimum is closed form, also
         reproduces its golden record.
