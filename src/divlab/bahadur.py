@@ -268,8 +268,8 @@ def _refine_constrained(spec, p_null, stat, level, q0) -> tuple[np.ndarray, floa
     end on the simplex.  A ray whose end is infeasible, or whose point has
     an infinite divergence, scores ``-inf``.  The golden-section search
     picks ``phi`` within ``pi / 2`` of ``q0``'s direction ``phi0``, on the
-    arc of finite scores around ``phi0`` when its own ray scores; ``q0`` is
-    kept when no ray scores.
+    arc of finite scores around ``phi0`` when its own ray scores; ``phi0``
+    wins over a worse pick, and ``q0`` is kept when no ray scores.
     """
     p1, p2 = p_null[0], p_null[1]
 
@@ -295,14 +295,16 @@ def _refine_constrained(spec, p_null, stat, level, q0) -> tuple[np.ndarray, floa
     def finite(phi):
         return score(phi) > -INF
 
+    def arc_end(side):
+        # walked out: a rejected band in the window could draw the search to the arc beyond it
+        steps = [phi0 + side * j * (math.pi / 16) for j in range(9)]
+        j = next((j for j in range(1, 9) if not finite(steps[j])), None)
+        return steps[8] if j is None else _boundary(finite, steps[j], steps[j - 1])
+
     phi0 = math.atan2(q0[1] - p2, q0[0] - p1)
-    lo, hi = phi0 - 0.5 * math.pi, phi0 + 0.5 * math.pi
-    if finite(phi0):
-        # the arc of finite scores around phi0: interior points rejected on
-        # both sides of a narrow arc would send the search away from it
-        lo = lo if finite(lo) else _boundary(finite, lo, phi0)
-        hi = hi if finite(hi) else _boundary(finite, hi, phi0)
-    phi, v = maximize_scalar(score, lo, hi)
+    v0 = score(phi0)
+    window = (arc_end(-1.0), arc_end(1.0)) if v0 > -INF else (phi0 - 0.5 * math.pi, phi0 + 0.5 * math.pi)
+    phi, v = max(maximize_scalar(score, *window), (phi0, v0), key=lambda pv: pv[1])
     if v == -INF:
         return q0, cell_divergence(spec, p_null, q0)
     return boundary_point(phi), -v

@@ -557,6 +557,9 @@ class TestEfficiencyComparison:
         token=st.sampled_from(LAW_TOKENS),
         psi=st.sampled_from(["cell_mass", "divergence"]),
     )
+    # the window around the start's ray also held the finite arc of the far
+    # side q_1 <= 0.125, and the search settled there, reading -1.1697
+    @example(theta=(0.375, 0.59375), theta_prime=(0.125, 0.5), token="poisson1", psi="cell_mass")
     def test_ordering_holds_on_three_cells(self, theta, theta_prime, token, psi):
         """On three cells and the 0.01 lattice, neither CLI statistic's slope
         is more negative than the divergence statistic's."""

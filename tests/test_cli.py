@@ -754,7 +754,7 @@ class TestSlopeStatistics:
         "law, theta, theta_prime, generic, min_div, minimizer",
         [
             ("poisson1", (0.3, 0.3), (0.2, 0.4), -0.043201708287093091, -0.07066982139383012,
-             (0.39999999999999997, 0.25714285630809386, 0.34285714369190623)),
+             (0.39999999999999997, 0.25714285758661642, 0.34285714241338366)),
             ("twopoint", (0.2, 0.4), (0.55, 0.225), -0.55079223049754078, -0.55079223049754056,
              (0.55, 0.22500000134520101, 0.22499999865479894)),
         ],
