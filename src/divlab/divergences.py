@@ -114,6 +114,11 @@ class DivergenceSpec:
         """``(value_array(x, 1), sharp_array(x))``, for callers that need both."""
         return self.value_array(x, 1), self.sharp_array(x)
 
+    def domain(self) -> tuple[float, float]:
+        """The closed interval where phi is finite: the table's and its finite ends."""
+        ys = [self._lo, self._hi, *(y for y, end in self._ends.items() if end[0] < INF)]
+        return min(ys), max(ys)
+
     def _set_table(self, forms: tuple, lo: float, hi: float, ends: dict) -> None:
         # on the instance, where the float path reads it faster than on the
         # class; as no dataclass field, unseen by equality, hashing and repr
@@ -214,20 +219,19 @@ class ConjugateSpec(DivergenceSpec):
         def at(x, m, k):  # the base's form k at y = 1/x, through its own evaluator
             return (b._scalar if m is math else b._array)(1.0 / x, k)
 
-        # the base's domain: its interval and the ends where it is finite
-        ys = [b._lo, b._hi, *(y for y, end in b._ends.items() if end[0] < INF)]
-        lo = max(1.0 / max(ys), math.ulp(0.0))
-        hi = min(1.0 / max(min(ys), math.ulp(0.0)), math.nextafter(INF, 0.0))
-        while 1.0 / lo > max(ys):  # where 1/x rounds back across an end
+        y_lo, y_hi = b.domain()
+        lo = max(1.0 / y_hi, math.ulp(0.0))
+        hi = min(1.0 / max(y_lo, math.ulp(0.0)), math.nextafter(INF, 0.0))
+        while 1.0 / lo > y_hi:  # where 1/x rounds back across an end
             lo = math.nextafter(lo, INF)
-        while 1.0 / hi < min(ys):
+        while 1.0 / hi < y_lo:
             hi = math.nextafter(hi, 0.0)
         self._set_table((
             lambda x, m: x * at(x, m, 0),
             lambda x, m: -at(x, m, _SHARP),
             lambda x, m: at(x, m, 2) * (y := 1.0 / x) * y * y,  # y**3 overflows above 5.6e102
             lambda x, m: -at(x, m, 1),
-        ), lo, hi, {INF: (INF, -b._scalar(0.0, _SHARP), 0.0, -b._scalar(0.0, 1))} if min(ys) <= 0.0 else {})
+        ), lo, hi, {INF: (INF, -b._scalar(0.0, _SHARP), 0.0, -b._scalar(0.0, 1))} if y_lo <= 0.0 else {})
 
     def conjugate(self) -> DivergenceSpec:
         return self.base

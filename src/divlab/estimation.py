@@ -37,10 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import BRACKET, batch_golden_max, maximize_scalar, stencil
-from .divergences import INF, CressieRead, DivergenceSpec, cell_divergence
+from .divergences import INF, ConjugateSpec, CressieRead, DivergenceSpec, cell_divergence
 from .errors import DomainError, NumericError, ValidationError
-from .models import Categorical, ExponentialFamilyModel, ParametricModel
+from .models import Categorical, ExponentialFamilyModel, ParametricModel, PoissonNatural
 from .reporting import Record
+from .weights import TwoPointTransform
 
 #: inner-gradient norm below which a categorical estimate counts as converged
 _GRAD_TOL = 1e-6
@@ -103,49 +104,27 @@ class EstimateReport(Record):
 def divergence_between(model: ParametricModel, spec: DivergenceSpec, theta, theta_prime) -> float:
     """Population divergence ``int phi(p_theta / p_theta') dP_theta'``.
 
-    Closed forms cover finite supports and power generators on
-    exponential families; anything else integrates numerically under
-    ``theta_prime``.
+    Closed forms cover finite supports and power generators on exponential
+    families; a conjugate's divergence is its base's with the arguments
+    swapped, and any other generator takes :func:`_ratio_integral`.
     """
     if isinstance(model, Categorical):
         return cell_divergence(spec, model.probs(theta), model.probs(theta_prime))
-    if isinstance(spec, CressieRead) and isinstance(model, ExponentialFamilyModel):
-        model.check_domain(theta)
-        model.check_domain(theta_prime)
-        if spec.branch == "log":
-            # the likelihood divergence is Kullback-Leibler with the
-            # arguments swapped (index 0 is the conjugate of index 1)
-            spec, theta, theta_prime = spec.conjugate(), theta_prime, theta
-        # int phi_g(r) dP_theta' = lead_g(theta, theta') / g, and the
-        # Kullback-Leibler divergence is the index-1 lead itself
-        lead, _ = _expfam_power_dual(model, spec, theta, theta_prime)
-        return float(lead if spec.branch == "xlogx" else lead / spec.gamma)
-
-    def integrand(x):
-        return _guarded_ratio_eval(model, spec, theta, theta_prime, x, 0)
-
-    try:
-        return model.integrate_under(theta_prime, integrand)
-    except _InfiniteIntegrand:
-        return INF
-
-
-class _InfiniteIntegrand(Exception):
-    """Raised inside quadrature when the generator is infinite on a
-    probed region, signalling an infinite integral."""
-
-
-def _guarded_ratio_eval(model, spec, theta, alpha, x, order: int) -> float:
-    lr = float(model.log_density_ratio(theta, alpha, x))
-    # Ratios beyond e^150 or below e^-150 sit where a density has already
-    # underflowed to zero, so a finite clamp keeps the quadrature product at
-    # zero (a zero ratio would meet phi'(0) = -inf); bounded-domain generators
-    # still evaluate to +inf at the clamp and flag a truly infinite integral.
-    r = math.exp(min(max(lr, -150.0), 150.0))
-    v = spec.value(r, order)
-    if math.isinf(v):
-        raise _InfiniteIntegrand
-    return v
+    if isinstance(spec, ConjugateSpec):
+        # int r phi(1/r) dP_theta', r = p_theta/p_theta', is int phi(1/r) dP_theta
+        return divergence_between(model, spec.base, theta_prime, theta)
+    if not isinstance(spec, CressieRead):
+        return _ratio_integral(model, spec, theta, theta_prime, 0)
+    model.check_domain(theta)
+    model.check_domain(theta_prime)
+    if spec.branch == "log":
+        # the likelihood divergence is Kullback-Leibler with the
+        # arguments swapped (index 0 is the conjugate of index 1)
+        spec, theta, theta_prime = spec.conjugate(), theta_prime, theta
+    # int phi_g(r) dP_theta' = lead_g(theta, theta') / g, and the
+    # Kullback-Leibler divergence is the index-1 lead itself
+    lead, _ = _expfam_power_dual(model, spec, theta, theta_prime)
+    return float(lead if spec.branch == "xlogx" else lead / spec.gamma)
 
 
 def _expfam_power_dual(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha, t=None):
@@ -197,17 +176,71 @@ def _power_lead(model: ExponentialFamilyModel, spec: CressieRead, theta, alpha):
     return lead, C_t, C_a
 
 
-def _phi_prime_mean(model: ExponentialFamilyModel, spec: DivergenceSpec, theta, alpha) -> float:
-    """``int phi'(p_theta/p_alpha) dP_theta`` by quadrature: the lead of a
-    generator without closed form (the ``"expfam"`` criterion kind)."""
-
-    def integrand(x):
-        return _guarded_ratio_eval(model, spec, theta, alpha, x, 1)
-
-    try:
-        return model.integrate_under(theta, integrand)
-    except _InfiniteIntegrand:
+def _ratio_integral(model: ExponentialFamilyModel, spec: DivergenceSpec, theta, alpha, order: int) -> float:
+    """The lead ``int phi'(r) dP_theta`` (``order`` 1) or the divergence ``int
+    phi(r) dP_alpha`` (``order`` 0), ``r = p_theta/p_alpha``, of a generator
+    outside the power family: ``+inf`` unless the range of ``r`` over the
+    support lies in the generator's domain (Liese & Vajda, 1987), so on
+    gauss_loc finite only at ``alpha = theta``; else poisson's series, or on
+    exp_scale the two-point closed forms, where ``y = e^(-|theta - alpha| x)``
+    is Beta(|theta| / |theta - alpha|, 1) under ``P_theta`` and Beta(|alpha| /
+    |theta - alpha|, 1) under ``P_alpha``, and ``r`` is ``c y`` or ``c / y``."""
+    model.check_domain(theta)
+    model.check_domain(alpha)
+    if alpha == theta:
+        return 0.0
+    (lo, hi), (r_lo, r_hi) = spec.domain(), model.ratio_range(theta, alpha)
+    # a limit 0 or +inf of r is in the domain when the floats next to it are
+    if not (lo <= max(r_lo, math.ulp(0.0)) and min(r_hi, math.nextafter(INF, 0.0)) <= hi):
         return INF
+    if isinstance(model, PoissonNatural):
+        shift = model.log_normalizer(alpha) - model.log_normalizer(theta)
+        with np.errstate(over="ignore"):
+            return model.integrate_under(theta if order else alpha,
+                                         lambda x: spec.value(float(np.exp((theta - alpha) * x + shift)), order))
+    c, d = theta / alpha, abs(theta - alpha)  # d / theta is -1/s, s = -theta / d
+    if isinstance(spec, TwoPointTransform):
+        if order:
+            return 0.5 * (math.log(0.5 * c) + d / theta - _log1m_beta_mean(0.5 * c, -theta / d))
+        return 0.5 * (math.log(2.0 * c) + d / theta
+                      + 2.0 * _log1m_beta_mean(0.5 * c, -alpha / d) - _log1m_beta_mean(0.5 * c, -theta / d))
+    if order and isinstance(spec, ConjugateSpec) and isinstance(spec.base, TwoPointTransform):
+        return math.log(2.0) + _log1m_beta_mean(0.5 / c, -theta / d)
+    raise ValidationError(f"no closed form for {spec!r} on the {model.token} model")
+
+
+def _digamma(x: float) -> float:
+    """The digamma function at ``x > 0``: the recurrence up to 16, then the
+    asymptotic series (Abramowitz & Stegun 6.3.18) to ``x**-10``."""
+    n = max(0, math.ceil(16.0 - x))
+    y = x + n
+    q = 1.0 / (y * y)
+    series = q * (1 / 12 - q * (1 / 120 - q * (1 / 252 - q * (1 / 240 - q / 132))))
+    return math.fsum([-1.0 / (x + j) for j in range(n)] + [math.log(y), -0.5 / y, -series])
+
+
+def _log1m_beta_mean(z: float, s: float) -> float:
+    """``F(z, s) = E log(1 - z Y)``, ``Y ~ Beta(s, 1)``, ``0 < z <= 1``: the
+    series ``-sum_k z^k s / (k (s + k))`` up to ``z = 3/4``; above, the expansion
+    about ``z = 1`` (Abramowitz & Stegun 15.3.10), ``w = 1 - z``, ``log(w) (1 -
+    z^-s) - 1/s + sum_n (s)_n / n! (psi(n + 1) - psi(s + n)) w^n``, whose terms
+    fall like ``4^-n n^2`` at the ``s < 3`` the two-point bands reach there."""
+    if z <= 0.75:
+        terms, k, zk = [], 1, z
+        while not terms or terms[-1] < 1e-17 * terms[0]:
+            terms.append(-zk * s / (k * (s + k)))
+            k += 1
+            zk *= z
+        return math.fsum(terms)
+    w = 1.0 - z
+    terms = [-math.log(w) * math.expm1(-s * math.log1p(-w)) if w > 0.0 else 0.0, -1.0 / s]
+    coef, diff, n = 1.0, _digamma(1.0) - _digamma(s), 0
+    while coef > 1e-18:
+        terms.append(coef * diff)
+        n += 1
+        coef *= w * (s + n - 1) / n
+        diff += 1.0 / n - 1.0 / (s + n - 1)
+    return math.fsum(terms)
 
 
 def _categorical_dual(model: Categorical, spec: DivergenceSpec, theta, alpha, masses: np.ndarray, wbar) -> float:
@@ -238,8 +271,8 @@ class _DualCriterion:
     The integral splits as ``mu(S) * mean-phi'(theta, alpha) - (1/n) sum
     W_i phi#(ratio_i)``; the second term is vectorized over the sample.
     A closed-form value that is not finite takes its extended value from
-    :func:`_extended`.  A quadrature lead that is not finite diverged and
-    is rejected, as a diverging closed-form lead is; any other value that
+    :func:`_extended`.  A lead of :func:`_ratio_integral` that is not finite
+    diverged and is rejected, as a diverging closed-form lead is; any other value that
     is not finite is rejected (``-inf``) and counted unless ``+inf``.  On a
     categorical model the criterion is :func:`_categorical_dual`.
     """
@@ -272,15 +305,11 @@ class _DualCriterion:
         if kind == "power":
             lead, sharp = _expfam_power_dual(self.model, self.spec, theta, alpha, self.t_stat)
         else:
-            lead = _phi_prime_mean(self.model, self.spec, theta, alpha)
+            lead = _ratio_integral(self.model, self.spec, theta, alpha, 1)
             if not math.isfinite(lead):
                 self.rejected += 1
                 return -INF
-            lr = (
-                (theta - alpha) * self.t_stat
-                - self.model.log_normalizer(theta)
-                + self.model.log_normalizer(alpha)
-            )
+            lr = (theta - alpha) * self.t_stat - self.model.log_normalizer(theta) + self.model.log_normalizer(alpha)
             sharp = self.spec.sharp_array(np.exp(lr))
         # np.mean's bits (pairwise sum, then divide) without its overhead; a
         # zero weight on an infinite term is NaN, a rejected point, not a warning

@@ -22,10 +22,7 @@ from .errors import DomainError, IntegrationError, ValidationError
 
 INF = math.inf
 
-#: subdivision cap for adaptive quadrature
-QUAD_LIMIT = 200
-
-#: absolute and relative tolerance of ``integrate_under``
+#: absolute and relative tolerance of the Poisson ``integrate_under``
 INTEGRATE_TOL = 1e-10
 
 #: hard ceiling for series summation over count supports
@@ -144,12 +141,6 @@ class ExponentialFamilyModel(ParametricModel):
             raise ValidationError("empty search box after clipping to the domain")
         return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
-    def log_density_ratio(self, theta, alpha, x):
-        self.check_domain(theta)
-        self.check_domain(alpha)
-        t = self.sufficient_stat(np.asarray(x, dtype=float))
-        return (theta - alpha) * t - self.log_normalizer(theta) + self.log_normalizer(alpha)
-
     def fisher_information(self, theta):
         self.check_domain(theta)
         return np.array([[self.hess_log_normalizer(theta)]])
@@ -168,6 +159,15 @@ class ExponentialFamilyModel(ParametricModel):
         theta = self.cumulant[3](m, math)
         self.check_domain(theta)
         return theta
+
+    def ratio_range(self, theta: float, alpha: float) -> tuple[float, float]:
+        """Least and largest ``p_theta / p_alpha`` over the support, ``alpha !=
+        theta``: at the ends of ``mean_range``, where the log ratio, affine in
+        ``t``, is extreme (an infinite end gives the limit 0 or ``+inf``)."""
+        with np.errstate(over="ignore"):
+            shift = self.log_normalizer(alpha) - self.log_normalizer(theta)
+            ends = np.exp((theta - alpha) * np.array(self.mean_range) + shift)
+        return float(ends.min()), float(ends.max())
 
     def pilot_estimate(self, points):
         """The moment estimate ``solve_score(mean t)``, a centre for search boxes."""
@@ -192,15 +192,6 @@ class GaussianLocation(ExponentialFamilyModel):
     def sample(self, theta, n, seed_or_rng):
         self.check_domain(theta)
         return _as_rng(seed_or_rng).normal(float(theta), 1.0, size=int(n))
-
-    def integrate_under(self, theta, f):
-        self.check_domain(theta)
-        th = float(theta)
-
-        def integrand(x):
-            return f(x) * math.exp(-0.5 * (x - th) ** 2) / math.sqrt(2.0 * math.pi)
-
-        return _quad(integrand, -INF)
 
 
 class PoissonNatural(ExponentialFamilyModel):
@@ -261,14 +252,9 @@ class ExponentialScale(ExponentialFamilyModel):
         self.check_domain(theta)
         return _as_rng(seed_or_rng).exponential(-1.0 / float(theta), size=int(n))
 
-    def integrate_under(self, theta, f):
-        self.check_domain(theta)
-        th = float(theta)
-
-        def integrand(x):
-            return f(x) * (-th) * math.exp(th * x)
-
-        return _quad(integrand, 0.0)
+    def ratio_range(self, theta, alpha):
+        c = theta / alpha  # the ratio at x = 0, as the two-point closed forms read it
+        return (0.0, c) if theta < alpha else (c, INF)
 
 
 class Categorical(ParametricModel):
@@ -327,19 +313,6 @@ class Categorical(ParametricModel):
         rng = _as_rng(seed_or_rng)
         idx = rng.choice(self.k, size=int(n), p=p)
         return np.asarray(self.atoms, dtype=float)[idx]
-
-
-def _quad(integrand, lower: float):
-    """Adaptive quadrature of ``integrand`` from ``lower`` to ``+inf``."""
-    from scipy import integrate
-
-    tol = INTEGRATE_TOL
-    value, err = integrate.quad(
-        integrand, lower, np.inf, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT, full_output=1
-    )[:2]
-    if err > max(tol, 1e-8 * max(1.0, abs(value))) * 10.0:
-        raise IntegrationError(f"quadrature error estimate {err} above tolerance", value)
-    return value
 
 
 _MODEL_TOKENS = {

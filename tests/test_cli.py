@@ -920,11 +920,18 @@ class TestImportHygiene:
         (RERUN_CONFIGS["sanov_rate"], None),
         (RERUN_CONFIGS["sanov_ml_gap"], None),
         (["estimate", "--model", "categorical", "--cells", "2", "--data", "cells.csv"], None),
-    ], ids=["slopes_k2_cell_mass", "slopes_k3_divergence", "sandwich", "rate", "ml_gap", "categorical_k2"])
+        *([["estimate", "--model", model, "--gamma", "induced", "--law", "twopoint", "--conjugate", conjugate,
+            "--data", str(DATA_DIR / data)], None]
+          for model, data in (("gauss_loc", "regression_points.csv"), ("exp_scale", "categorical_k5.csv"))
+          for conjugate in ("false", "true")),
+    ], ids=["slopes_k2_cell_mass", "slopes_k3_divergence", "sandwich", "rate", "ml_gap", "categorical_k2",
+            "twopoint_gauss_loc", "twopoint_conjugate_gauss_loc", "twopoint_exp_scale", "twopoint_conjugate_exp_scale"])
     def test_exact_and_search_paths_load_no_scipy(self, argv, golden, tmp_path):
         """The two-cell boundary search, the multinomial log-pmf and its
         log-sum-exp are in-package, as is the golden-section search that
-        refines a k=3 scan along rays.
+        refines a k=3 scan along rays, and the two-point generator's leads on
+        continuous models: +inf off alpha = theta on gauss_loc, closed form
+        on exp_scale's bands (counts 0-4 are exp_scale points).
 
         The k=3 divergence-statistic run, whose infimum is closed form, also
         reproduces its golden record.

@@ -26,7 +26,7 @@ from divlab.estimation import (
     minimum_dual_estimator,
     minimum_dual_estimator_batch,
 )
-from divlab.models import Categorical, ExponentialScale, GaussianLocation, PoissonNatural
+from divlab.models import Categorical, ExponentialScale, GaussianLocation, PoissonNatural, make_model
 from divlab.reporting import read_data_csv
 from divlab.weights import (
     ExponentialOne,
@@ -104,14 +104,27 @@ class TestDivergenceBetween:
         out = divergence_between(model, CressieRead(0.5), (0.3,), (0.6,))
         assert out == pytest.approx(cell_divergence(CressieRead(0.5), [0.3, 0.7], [0.6, 0.4]), abs=1e-13)
 
-    def test_generic_quadrature_matches_closed_form(self):
-        """The quadrature fallback agrees with the power-family closed form."""
+    def test_conjugate_of_index_0_is_kullback_leibler(self):
+        """The Kullback-Leibler generator written as the conjugate of index 0
+        takes the power closed form with the arguments swapped, bit for bit."""
         model = GaussianLocation()
-        # the Kullback-Leibler generator as the conjugate of index 0, which has no closed-form kernel
-        numeric_spec = ConjugateSpec(CressieRead(0.0))
-        out = divergence_between(model, numeric_spec, 0.6, 0.3)
-        closed = divergence_between(model, CressieRead(1.0), 0.6, 0.3)
-        assert out == pytest.approx(closed, rel=1e-6)
+        out = divergence_between(model, ConjugateSpec(CressieRead(0.0)), 0.6, 0.3)
+        assert out == divergence_between(model, CressieRead(1.0), 0.6, 0.3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(token=st.sampled_from(["gauss_loc", "poisson", "exp_scale"]),
+           spec=st.sampled_from([induced_divergence(ShiftedBernoulli()), ConjugateSpec(CressieRead(0.0))]),
+           theta=st.floats(0.05, 3.0), theta_prime=st.floats(0.05, 3.0))
+    def test_conjugate_swaps_the_arguments(self, token, spec, theta, theta_prime):
+        """A conjugate's divergence is its base's with theta and theta'
+        swapped, +inf included, on every continuous model."""
+        model = make_model(token)
+        if token == "exp_scale":
+            theta, theta_prime = -theta, -theta_prime
+        else:
+            theta, theta_prime = theta - 1.0, theta_prime - 1.0
+        out = divergence_between(model, spec.conjugate(), theta, theta_prime)
+        assert out == divergence_between(model, spec, theta_prime, theta)
 
     def test_bounded_generator_on_unbounded_ratio_is_infinite(self):
         """A bounded-domain generator meets an unbounded Gaussian ratio."""
@@ -168,21 +181,106 @@ class TestDualIntegrand:
         lead, _ = _expfam_power_dual(model, spec, theta, alpha)
         assert float(lead) == pytest.approx(expect, rel=1e-8)
 
-    @pytest.mark.parametrize("model, theta, alpha", [
-        (GaussianLocation(), 0.9, 0.4),
-        (PoissonNatural(), 0.3, 0.1),
-        (ExponentialScale(), -1.2, -0.8),
-    ], ids=["gauss_loc", "poisson", "exp_scale"])
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
-    def test_quadrature_lead_matches_closed_form(self, model, theta, alpha, gamma):
-        """The quadrature lead of a generator without closed form (the
-        criterion's "expfam" kind) agrees with the closed form on power
-        generators, those whose phi' is -inf at 0 (index 1 and below)
-        included: a ratio that underflows in a tail is clamped, not
-        taken for an infinite integral."""
-        spec = CressieRead(gamma)
-        lead, _ = _expfam_power_dual(model, spec, theta, alpha)
-        assert estimation._phi_prime_mean(model, spec, theta, alpha) == pytest.approx(float(lead), rel=1e-7, abs=1e-10)
+
+# =============================================================================
+# Tests: the two-point generator on continuous models, without quadrature
+# =============================================================================
+
+
+def _two_point_bands(theta):
+    """``(form, alpha)`` pairs inside the exp_scale bands at ``theta``: the
+    two-point lead and divergence for theta < alpha <= theta/2, the
+    conjugate's lead for 2 theta <= alpha < theta; each band's inside, alpha
+    within 1e-6 of its far end, and the end itself."""
+    pairs = []
+    for form in ("lead", "divergence"):
+        pairs += [(form, theta * f) for f in (0.99, 0.8, 0.6)] + [(form, theta / 2 - 1e-6), (form, theta / 2)]
+    pairs += [("conjugate_lead", theta * f) for f in (1.01, 1.3, 1.8)]
+    return pairs + [("conjugate_lead", 2 * theta + 1e-6), ("conjugate_lead", 2 * theta)]
+
+
+class TestTwoPointClosedForms:
+    """The two-point transform's lead and divergence and its conjugate's lead
+    (the criterion's "expfam" kind) in closed form on exp_scale, and +inf
+    wherever the ratio p_theta/p_alpha leaves the generator's domain."""
+
+    SPECS = {"lead": (induced_divergence(ShiftedBernoulli()), 1),
+             "divergence": (induced_divergence(ShiftedBernoulli()), 0),
+             "conjugate_lead": (induced_divergence(ShiftedBernoulli()).conjugate(), 1)}
+
+    @staticmethod
+    def _reference(form, theta, alpha):
+        """The integral over x at 50 digits: the lead under P_theta, the
+        divergence under P_alpha, with r = (theta/alpha) e^((theta - alpha) x)."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            th, al = mpmath.mpf(theta), mpmath.mpf(alpha)
+            law = al if form == "divergence" else th
+            form_of_r = {
+                "lead": lambda r: (mpmath.log(r) - mpmath.log(2 - r)) / 2,
+                "divergence": lambda r: (r * mpmath.log(r) + (2 - r) * mpmath.log(2 - r)) / 2,
+                "conjugate_lead": lambda r: mpmath.log(2 - 1 / r),
+            }[form]
+            return mpmath.quad(lambda x: -law * mpmath.exp(law * x) * form_of_r(th / al * mpmath.exp((th - al) * x)),
+                               [0, 1, 10, mpmath.inf])
+
+    @pytest.mark.parametrize("theta, form, alpha", [
+        (theta, *pair) for theta in (-2.0, -0.5217391304347826) for pair in _two_point_bands(theta)])
+    def test_matches_50_digit_integral(self, theta, form, alpha):
+        """Within 1e-13 relative plus 4e-16 absolute across each band: the
+        series of F below z = 3/4, its expansion about z = 1 above."""
+        spec, order = self.SPECS[form]
+        got = estimation._ratio_integral(ExponentialScale(), spec, theta, alpha, order)
+        ref = self._reference(form, theta, alpha)
+        assert abs(got - ref) <= 1e-13 * abs(ref) + 4e-16, (got, float(ref))
+
+    @pytest.mark.parametrize("theta", [-2.0, -0.5217391304347826])
+    def test_infinite_just_outside_each_band(self, theta):
+        """One float past either end of a band the range of the ratio leaves
+        the domain ([0, 2] for the two-point transform, [1/2, inf) for its
+        conjugate), and at alpha = theta every form is 0."""
+        model, outside = ExponentialScale(), {
+            "lead": (math.nextafter(theta, -INF), math.nextafter(theta / 2, 0.0)),
+            "divergence": (math.nextafter(theta, -INF), math.nextafter(theta / 2, 0.0)),
+            "conjugate_lead": (math.nextafter(2 * theta, -INF), math.nextafter(theta, 0.0)),
+        }
+        for form, (spec, order) in self.SPECS.items():
+            assert [estimation._ratio_integral(model, spec, theta, a, order) for a in outside[form]] == [INF, INF]
+            assert estimation._ratio_integral(model, spec, theta, theta, order) == 0.0
+
+    def test_gauss_loc_is_finite_only_at_alpha_theta(self):
+        """On gauss_loc the ratio covers (0, inf) for every alpha != theta."""
+        model = GaussianLocation()
+        for spec, order in self.SPECS.values():
+            for alpha in (-3.0, 0.3, math.nextafter(0.4, 0.0), math.nextafter(0.4, 1.0), 2.0):
+                assert estimation._ratio_integral(model, spec, 0.4, alpha, order) == INF
+            assert estimation._ratio_integral(model, spec, 0.4, 0.4, order) == 0.0
+
+    def test_other_generators_have_no_continuous_lead(self):
+        """A conjugate power generator built by hand has no lead on gauss_loc
+        and exp_scale: its ratio stays in the domain, and only the two-point
+        forms are closed there (``CressieRead(1 - g)`` is the same generator)."""
+        spec = ConjugateSpec(CressieRead(0.0))
+        for model, theta, alpha in ((GaussianLocation(), 0.4, 0.1), (ExponentialScale(), -1.0, -1.2)):
+            with pytest.raises(ValidationError, match="no closed form"):
+                estimation._ratio_integral(model, spec, theta, alpha, 1)
+
+    @pytest.mark.parametrize("token, data, conjugate, converged", [
+        ("gauss_loc", "regression_points.csv", False, False), ("gauss_loc", "regression_points.csv", True, False),
+        ("exp_scale", "categorical_k5.csv", True, True),
+    ])
+    def test_estimates_on_the_data_files(self, token, data, conjugate, converged):
+        """On gauss_loc no searched alpha but theta itself has a finite lead,
+        so every evaluation is rejected and the root is not certified; on
+        exp_scale the conjugate's band [2 theta, theta) holds a scan point and
+        the root is certified."""
+        points, _ = read_data_csv(DATA_DIR / data)
+        spec = induced_divergence(ShiftedBernoulli())
+        report = minimum_dual_estimator(make_model(token), spec.conjugate() if conjugate else spec,
+                                        WeightedEmpiricalMeasure.plain(tuple(points)))
+        assert report.converged is converged
+        if not converged:
+            assert report.value == -INF and report.rejected_evaluations == 41
 
 
 # =============================================================================
